@@ -11,6 +11,7 @@ brute-force replay from the initial value reproduces them exactly.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -48,8 +49,8 @@ class VdrParams:
                 "require 0 <= p_min <= p_initial <= p_max <= 1, got "
                 f"p_min={self.p_min}, p_initial={self.p_initial}, p_max={self.p_max}"
             )
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
 
     def initial_state(self) -> VdrState:
         return VdrState(self.p_initial, 0, 0)

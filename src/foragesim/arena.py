@@ -1,12 +1,15 @@
 """World geometry: square arena, central circular nest, circular robots and
 objects, contact classification, bounce and edge-follow maneuvers, and
-object spawning with the constant-population replacement rule."""
+object spawning with the constant-population replacement rule.
+
+Contact and spawn queries read a uniform cell grid of free objects and one
+of collidable robots, which only ``World`` methods update."""
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
 from .allocation import ObjectType
@@ -46,6 +49,10 @@ class ArenaConfig:
     heading_jitter: float = 0.1  # half-width of uniform per-tick perturbation, rad
 
     def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{spec.name} must be finite, got {value}")
         for name in (
             "arena_half_width",
             "nest_radius",
@@ -70,6 +77,12 @@ class WorldObject:
     position: Vec2
 
 
+class RobotPhase(enum.Enum):
+    SEARCHING = "searching"
+    RETURNING = "returning"
+    STOPPING = "stopping"  # parked in the nest, out of collision checks
+
+
 class ContactKind(enum.Enum):
     NONE = "none"
     ROBOT = "robot"
@@ -86,23 +99,89 @@ class Contact:
     # or the nearest point on the nest circle.
     point: Optional[Vec2] = None
     obj: Optional[WorldObject] = None
-    robot: Optional["object"] = None  # engine.Robot; kept untyped to avoid a cycle
-
-    @property
-    def is_none(self) -> bool:
-        return self.kind is ContactKind.NONE
 
 
 NO_CONTACT = Contact(ContactKind.NONE)
 
 
+class CellGrid:
+    """Items in uniform square cells of side ``side`` (the cell-list method):
+    every item closer than ``side`` to a point lies in the 3x3 block of cells
+    around it. Items are indexed by their ``id``.
+
+    Cell ``(floor(x / side), floor(y / side))`` is stored under the single
+    int ``i * stride + j``, which hashes faster than a tuple. The stride spans
+    every row of an arena of ``half_width``; points outside it can only merge
+    cells, which adds candidates to a query but never loses one.
+    """
+
+    def __init__(self, side: float, half_width: float) -> None:
+        self.side = side
+        stride = 2 * math.ceil(half_width / side) + 3
+        self.stride = stride
+        self.block = tuple(di * stride + dj for di in (-1, 0, 1) for dj in (-1, 0, 1))
+        self.cells: dict = {}  # cell key -> {item id: item}
+        self.where: dict = {}  # item id -> cell key
+
+    def __contains__(self, item) -> bool:
+        return item.id in self.where
+
+    def key(self, x: float, y: float) -> int:
+        return math.floor(x / self.side) * self.stride + math.floor(y / self.side)
+
+    def add(self, item, x: float, y: float) -> None:
+        key = self.key(x, y)
+        self.cells.setdefault(key, {})[item.id] = item
+        self.where[item.id] = key
+
+    def remove(self, item) -> None:
+        key = self.where.pop(item.id)
+        cell = self.cells[key]
+        del cell[item.id]
+        if not cell:
+            del self.cells[key]
+
+    def move(self, item, x: float, y: float) -> None:
+        """Re-file ``item`` at ``(x, y)``; an item not in the grid stays out."""
+        old = self.where.get(item.id)
+        if old is not None and old != self.key(x, y):
+            self.remove(item)
+            self.add(item, x, y)
+
+    def near(self, x: float, y: float) -> list:
+        """Every item in the 3x3 block of cells around ``(x, y)``."""
+        key = self.key(x, y)
+        get = self.cells.get
+        found = []
+        for offset in self.block:
+            cell = get(key + offset)
+            if cell:
+                found.extend(cell.values())
+        return found
+
+
 @dataclass
 class World:
+    """Arena state. Objects and robots enter and change only through the
+    methods below, which keep the two cell grids in step with them."""
+
     config: ArenaConfig
     totals: tuple[int, int]
-    objects: list[WorldObject] = field(default_factory=list)
-    robots: list = field(default_factory=list)  # engine.Robot instances
-    _next_object_id: int = 0
+    objects: list[WorldObject] = field(default_factory=list, init=False)
+    robots: list = field(default_factory=list, init=False)  # engine.Robot instances
+    _next_object_id: int = field(default=0, init=False)
+
+    def __post_init__(self) -> None:
+        cfg = self.config
+        # The largest contact or separation threshold, padded so float
+        # rounding in the cell key cannot put a contact two cells away.
+        side = 1.000001 * max(
+            2.0 * cfg.robot_radius + cfg.contact_margin,
+            cfg.robot_radius + cfg.object_radius + cfg.contact_margin,
+            2.0 * cfg.object_radius,
+        )
+        self.object_grid = CellGrid(side, cfg.arena_half_width)  # free objects
+        self.robot_grid = CellGrid(side, cfg.arena_half_width)  # robots not STOPPING
 
     def free_count(self, obj_type: ObjectType) -> int:
         return sum(1 for o in self.objects if o.obj_type == obj_type)
@@ -119,8 +198,36 @@ class World:
                     f"free+carried={have}, expected {self.totals[t]}"
                 )
 
+    def add_object(self, obj_type: ObjectType, position: Vec2) -> WorldObject:
+        """Add a free object with the next id, so ``objects`` stays in id order."""
+        obj = WorldObject(self._next_object_id, obj_type, position)
+        self._next_object_id += 1
+        self.objects.append(obj)
+        self.object_grid.add(obj, position.x, position.y)
+        return obj
+
     def remove_object(self, obj: WorldObject) -> None:
         self.objects.remove(obj)
+        self.object_grid.remove(obj)
+
+    def add_robot(self, robot) -> None:
+        self.robots.append(robot)
+        if robot.phase is not RobotPhase.STOPPING:
+            self.robot_grid.add(robot, robot.x, robot.y)
+
+    def move_robot(self, robot, x: float, y: float) -> None:
+        robot.x = x
+        robot.y = y
+        self.robot_grid.move(robot, x, y)
+
+    def set_phase(self, robot, phase: RobotPhase) -> None:
+        robot.phase = phase
+        in_grid = robot in self.robot_grid
+        if phase is RobotPhase.STOPPING:
+            if in_grid:
+                self.robot_grid.remove(robot)
+        elif not in_grid:
+            self.robot_grid.add(robot, robot.x, robot.y)
 
 
 def spawn_object(world: World, obj_type: ObjectType, rng) -> WorldObject:
@@ -140,13 +247,10 @@ def spawn_object(world: World, obj_type: ObjectType, rng) -> WorldObject:
             continue
         if any(
             (o.position.x - x) ** 2 + (o.position.y - y) ** 2 < min_sep_sq
-            for o in world.objects
+            for o in world.object_grid.near(x, y)
         ):
             continue
-        obj = WorldObject(world._next_object_id, obj_type, Vec2(x, y))
-        world._next_object_id += 1
-        world.objects.append(obj)
-        return obj
+        return world.add_object(obj_type, Vec2(x, y))
     raise SpawnError(
         f"could not place a {obj_type.name} object after {SPAWN_ATTEMPT_CAP} attempts"
     )
@@ -155,34 +259,36 @@ def spawn_object(world: World, obj_type: ObjectType, rng) -> WorldObject:
 def nearest_contact(
     world: World,
     position: Vec2,
-    robot_radius: float,
     ignore_robot_id: Optional[int] = None,
 ) -> Contact:
-    """Classify the highest-priority contact at ``position``.
+    """Classify the highest-priority contact at ``position`` for a robot of
+    the configured radius.
 
     Priority when several thresholds are crossed at once:
     robot > wall > nest boundary > object. Robots parked in the nest
-    (Stopping phase) are ignored; they sit out of the way.
+    (Stopping phase) are ignored; they sit out of the way. Among robots or
+    objects the nearest wins, and an exact tie goes to the lower id.
     """
     cfg = world.config
     x, y = position
     margin = cfg.contact_margin
+    robot_radius = cfg.robot_radius
 
     # Robot-robot: center distance below sum of radii plus margin.
     rr = 2.0 * robot_radius + margin
     best_robot = None
     best_d2 = rr * rr
-    for other in world.robots:
-        if other.id == ignore_robot_id or not other.collidable:
+    for other in world.robot_grid.near(x, y):
+        if other.id == ignore_robot_id:
             continue
         d2 = (other.x - x) ** 2 + (other.y - y) ** 2
-        if d2 < best_d2:
+        if d2 < best_d2 or (
+            d2 == best_d2 and best_robot is not None and other.id < best_robot.id
+        ):
             best_d2 = d2
             best_robot = other
     if best_robot is not None:
-        return Contact(
-            ContactKind.ROBOT, Vec2(best_robot.x, best_robot.y), robot=best_robot
-        )
+        return Contact(ContactKind.ROBOT, Vec2(best_robot.x, best_robot.y))
 
     # Wall: distance to the nearest side below robot radius plus margin.
     hw = cfg.arena_half_width
@@ -207,9 +313,11 @@ def nearest_contact(
     ro = robot_radius + cfg.object_radius + margin
     best_obj = None
     best_d2 = ro * ro
-    for obj in world.objects:
+    for obj in world.object_grid.near(x, y):
         d2 = (obj.position.x - x) ** 2 + (obj.position.y - y) ** 2
-        if d2 < best_d2:
+        if d2 < best_d2 or (
+            d2 == best_d2 and best_obj is not None and obj.id < best_obj.id
+        ):
             best_d2 = d2
             best_obj = obj
     if best_obj is not None:

@@ -12,7 +12,7 @@ from typing import Optional
 
 from . import __version__
 from .allocation import Mode, VdrParams
-from .arena import ArenaConfig
+from .arena import ArenaConfig, SpawnError
 from .analysis import (
     bimodality_score,
     binomial_comparison,
@@ -117,7 +117,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         )
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -367,6 +367,9 @@ def main(argv: Optional[list] = None) -> int:
             replications=args.replications,
             event_log=args.event_log,
         )
+    except SpawnError as exc:
+        print(f"config error: {exc}; the arena is too packed", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

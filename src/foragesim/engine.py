@@ -8,7 +8,6 @@ config reproduce a run bit for bit.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,6 +27,7 @@ from .arena import (
     TWO_PI,
     Contact,
     ContactKind,
+    RobotPhase,
     Vec2,
     World,
     WorldObject,
@@ -38,18 +38,6 @@ from .arena import (
     separating_test,
     spawn_object,
 )
-
-
-class RobotPhase(enum.Enum):
-    SEARCHING = "searching"
-    RETURNING = "returning"
-    STOPPING = "stopping"
-
-
-class RobotColor(enum.Enum):
-    PURPLE = "purple"
-    ORANGE = "orange"
-    BLUE = "blue"
 
 
 @dataclass(slots=True)
@@ -71,19 +59,6 @@ class Robot:
     @property
     def position(self) -> Vec2:
         return Vec2(self.x, self.y)
-
-    @property
-    def collidable(self) -> bool:
-        # Robots parked in the nest sit out of collision checks.
-        return self.phase is not RobotPhase.STOPPING
-
-    @property
-    def color(self) -> RobotColor:
-        if self.carried is ObjectType.TYPE1:
-            return RobotColor.ORANGE
-        if self.carried is ObjectType.TYPE2:
-            return RobotColor.BLUE
-        return RobotColor.PURPLE
 
 
 @dataclass
@@ -135,17 +110,18 @@ class Simulation:
 
     def _set_phase(self, robot: Robot, phase: RobotPhase) -> None:
         self._emit("phase", self.clock.tick_index, robot.id, robot.phase.value, phase.value)
-        robot.phase = phase
+        self.world.set_phase(robot, phase)
 
     # -- movement helpers ----------------------------------------------
 
     def _advance(self, robot: Robot) -> None:
         cfg = self.world.config
-        robot.x += self._step * math.cos(robot.heading)
-        robot.y += self._step * math.sin(robot.heading)
+        x = robot.x + self._step * math.cos(robot.heading)
+        y = robot.y + self._step * math.sin(robot.heading)
         limit = cfg.arena_half_width - cfg.robot_radius
-        robot.x = min(limit, max(-limit, robot.x))
-        robot.y = min(limit, max(-limit, robot.y))
+        self.world.move_robot(
+            robot, min(limit, max(-limit, x)), min(limit, max(-limit, y))
+        )
 
     def _bounce(self, robot: Robot, contact_point: Vec2) -> None:
         robot.heading = bounce_heading(
@@ -175,9 +151,7 @@ class Simulation:
             self._set_phase(robot, RobotPhase.RETURNING)
             return
         cfg = self.world.config
-        contact = nearest_contact(
-            self.world, robot.position, cfg.robot_radius, ignore_robot_id=robot.id
-        )
+        contact = nearest_contact(self.world, robot.position, ignore_robot_id=robot.id)
         if contact.kind is ContactKind.OBJECT:
             obj = contact.obj
             if self.mode is Mode.MODIFIED and obj.obj_type != robot.assignment:
@@ -222,9 +196,7 @@ class Simulation:
         if math.hypot(robot.x, robot.y) < cfg.nest_radius:
             self._complete_trip(robot)
             return
-        contact = nearest_contact(
-            self.world, robot.position, cfg.robot_radius, ignore_robot_id=robot.id
-        )
+        contact = nearest_contact(self.world, robot.position, ignore_robot_id=robot.id)
         if contact.kind is ContactKind.ROBOT:
             # Random separating bounce, re-aim at the origin next tick. An
             # exact heading reversal livelocks head-on pairs that both home

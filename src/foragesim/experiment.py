@@ -33,6 +33,9 @@ class ExperimentConfig:
     leave_check_period: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("horizon", "search_timeout", "tick_duration", "leave_check_period"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.robot_count <= 0:
             raise ValueError("robot_count must be positive")
         if self.object_totals[0] <= 0 or self.object_totals[1] <= 0:
@@ -136,7 +139,7 @@ def _build_world(config: ExperimentConfig, rng) -> World:
             y = (rng.random() * 2.0 - 1.0) * interior
             if x * x + y * y <= interior * interior:
                 break
-        world.robots.append(
+        world.add_robot(
             Robot(
                 id=rid,
                 x=x,

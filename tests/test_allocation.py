@@ -70,6 +70,12 @@ def test_params_reject_bad_ordering():
         VdrParams(p_max=0.08, p_min=0.002, p_initial=0.04, delta=0.0)
 
 
+@pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+def test_params_reject_non_finite_delta(delta):
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        VdrParams(p_max=0.08, p_min=0.002, p_initial=0.04, delta=delta)
+
+
 def test_initial_state(table4_params):
     assert table4_params.initial_state() == VdrState(0.04, 0, 0)
 

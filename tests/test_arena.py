@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from foragesim import ArenaConfig, Robot, Vec2, World
 from foragesim.allocation import Mode, ObjectType, VdrParams, initial_allocation
 from foragesim.arena import (
+    SPAWN_ATTEMPT_CAP,
+    Contact,
     ContactKind,
     SpawnError,
     away_heading,
@@ -57,6 +59,13 @@ def test_config_rejects_nonpositive_lengths():
         ArenaConfig(robot_radius=0.0)
     with pytest.raises(ValueError):
         ArenaConfig(robot_speed=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["arena_half_width", "robot_radius", "heading_jitter"])
+def test_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ArenaConfig(**{name: value})
 
 
 # -- spawning -------------------------------------------------------------------
@@ -115,32 +124,34 @@ def test_spawn_assigns_unique_ids():
 def test_contact_robot_within_threshold():
     world = make_world()
     gap = 2 * CFG.robot_radius + CFG.contact_margin / 2
-    world.robots = [make_robot(0, 5.0, 5.0), make_robot(1, 5.0 + gap, 5.0)]
-    contact = nearest_contact(world, Vec2(5.0, 5.0), CFG.robot_radius, ignore_robot_id=0)
+    other = make_robot(1, 5.0 + gap, 5.0)
+    world.add_robot(make_robot(0, 5.0, 5.0))
+    world.add_robot(other)
+    contact = nearest_contact(world, Vec2(5.0, 5.0), ignore_robot_id=0)
     assert contact.kind is ContactKind.ROBOT
-    assert contact.robot.id == 1
+    assert contact.point == Vec2(other.x, other.y)
 
 
 def test_contact_ignores_stopped_robots():
     world = make_world()
-    world.robots = [
-        make_robot(0, 0.5, 0.0),
-        make_robot(1, 0.5 + 2 * CFG.robot_radius, 0.0, phase=RobotPhase.STOPPING),
-    ]
-    contact = nearest_contact(world, Vec2(0.5, 0.0), CFG.robot_radius, ignore_robot_id=0)
+    world.add_robot(make_robot(0, 0.5, 0.0))
+    world.add_robot(
+        make_robot(1, 0.5 + 2 * CFG.robot_radius, 0.0, phase=RobotPhase.STOPPING)
+    )
+    contact = nearest_contact(world, Vec2(0.5, 0.0), ignore_robot_id=0)
     assert contact.kind is not ContactKind.ROBOT
 
 
 def test_contact_isolated_is_none():
     world = make_world()
-    contact = nearest_contact(world, Vec2(5.0, 5.0), CFG.robot_radius)
-    assert contact.is_none
+    contact = nearest_contact(world, Vec2(5.0, 5.0))
+    assert contact.kind is ContactKind.NONE
 
 
 def test_contact_nest_boundary_matches_sampled_oracle():
     world = make_world()
     pos = Vec2(CFG.nest_radius + CFG.robot_radius, 0.0)
-    contact = nearest_contact(world, pos, CFG.robot_radius)
+    contact = nearest_contact(world, pos)
     assert contact.kind is ContactKind.NEST
     # Oracle: minimum distance to densely sampled boundary points.
     sampled = min(
@@ -156,29 +167,186 @@ def test_contact_nest_boundary_matches_sampled_oracle():
 def test_contact_priority_robot_over_wall():
     world = make_world()
     x = CFG.arena_half_width - CFG.robot_radius  # flush against the wall
-    world.robots = [make_robot(0, x, 0.0), make_robot(1, x - 2 * CFG.robot_radius, 0.0)]
-    contact = nearest_contact(world, Vec2(x, 0.0), CFG.robot_radius, ignore_robot_id=0)
+    world.add_robot(make_robot(0, x, 0.0))
+    world.add_robot(make_robot(1, x - 2 * CFG.robot_radius, 0.0))
+    contact = nearest_contact(world, Vec2(x, 0.0), ignore_robot_id=0)
     assert contact.kind is ContactKind.ROBOT
 
 
 def test_contact_wall():
     world = make_world()
     pos = Vec2(CFG.arena_half_width - CFG.robot_radius, 3.0)
-    contact = nearest_contact(world, pos, CFG.robot_radius)
+    contact = nearest_contact(world, pos)
     assert contact.kind is ContactKind.WALL
     assert contact.point == Vec2(CFG.arena_half_width, 3.0)
 
 
 def test_contact_object():
-    from foragesim import WorldObject
-
     world = make_world()
-    obj = WorldObject(0, ObjectType.TYPE2, Vec2(5.0, 5.0))
-    world.objects.append(obj)
+    obj = world.add_object(ObjectType.TYPE2, Vec2(5.0, 5.0))
     pos = Vec2(obj.position.x + 2 * CFG.robot_radius, obj.position.y)
-    contact = nearest_contact(world, pos, CFG.robot_radius)
+    contact = nearest_contact(world, pos)
     assert contact.kind is ContactKind.OBJECT
     assert contact.obj is obj
+
+
+# -- cell grid against a linear scan ------------------------------------------------
+
+# A small arena, so walls, the nest and negative coordinates all come up.
+SMALL = ArenaConfig(arena_half_width=2.0, nest_radius=0.5)
+SIDE = make_world(SMALL).robot_grid.side
+
+
+def scan_nearest_contact(world, position, ignore_robot_id=None):
+    """The contact query as a linear scan over every robot and object in list
+    order: the reference the cell grid must match."""
+    cfg = world.config
+    x, y = position
+    margin = cfg.contact_margin
+    rr = 2.0 * cfg.robot_radius + margin
+    best_robot, best_d2 = None, rr * rr
+    for other in world.robots:
+        if other.id == ignore_robot_id or other.phase is RobotPhase.STOPPING:
+            continue
+        d2 = (other.x - x) ** 2 + (other.y - y) ** 2
+        if d2 < best_d2:
+            best_robot, best_d2 = other, d2
+    if best_robot is not None:
+        return Contact(ContactKind.ROBOT, Vec2(best_robot.x, best_robot.y))
+    hw = cfg.arena_half_width
+    if hw - max(abs(x), abs(y)) < cfg.robot_radius + margin:
+        if abs(x) >= abs(y):
+            return Contact(ContactKind.WALL, Vec2(math.copysign(hw, x), y))
+        return Contact(ContactKind.WALL, Vec2(x, math.copysign(hw, y)))
+    r = math.hypot(x, y)
+    if abs(r - cfg.nest_radius) < cfg.robot_radius + margin:
+        if r > 0.0:
+            return Contact(
+                ContactKind.NEST, Vec2(x / r * cfg.nest_radius, y / r * cfg.nest_radius)
+            )
+        return Contact(ContactKind.NEST, Vec2(cfg.nest_radius, 0.0))
+    ro = cfg.robot_radius + cfg.object_radius + margin
+    best_obj, best_d2 = None, ro * ro
+    for obj in world.objects:
+        d2 = (obj.position.x - x) ** 2 + (obj.position.y - y) ** 2
+        if d2 < best_d2:
+            best_obj, best_d2 = obj, d2
+    if best_obj is not None:
+        return Contact(ContactKind.OBJECT, best_obj.position, obj=best_obj)
+    return Contact(ContactKind.NONE)
+
+
+def scan_spawn_position(world, rng):
+    """spawn_object's sampling with its overlap test as a linear scan."""
+    cfg = world.config
+    lo = -cfg.arena_half_width + cfg.object_radius
+    span = 2.0 * (cfg.arena_half_width - cfg.object_radius)
+    keepout = cfg.nest_radius + cfg.object_radius + cfg.contact_margin
+    for _ in range(SPAWN_ATTEMPT_CAP):
+        x = lo + rng.random() * span
+        y = lo + rng.random() * span
+        if x * x + y * y <= keepout * keepout:
+            continue
+        if any(
+            (o.position.x - x) ** 2 + (o.position.y - y) ** 2
+            < (2.0 * cfg.object_radius) ** 2
+            for o in world.objects
+        ):
+            continue
+        return Vec2(x, y)
+    return None
+
+
+# Points on a 1/16 lattice, where distances are exact and ties common, and
+# points on (or one float step off) the grid's cell edges.
+coordinate = st.one_of(
+    st.integers(-36, 36).map(lambda k: k / 16),
+    st.builds(
+        lambda k, step: math.nextafter(k * SIDE, step * math.inf) if step else k * SIDE,
+        st.integers(-6, 5),
+        st.sampled_from([-1, 0, 1]),
+    ),
+)
+point = st.builds(Vec2, coordinate, coordinate)
+phase = st.sampled_from(list(RobotPhase))
+operation = st.one_of(
+    st.tuples(st.just("move"), st.integers(0, 11), point),
+    st.tuples(st.just("phase"), st.integers(0, 11), phase),
+    st.tuples(st.just("pickup"), st.integers(0, 11)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    robots=st.lists(st.tuples(point, phase), min_size=1, max_size=12),
+    objects=st.lists(point, max_size=12),
+    operations=st.lists(operation, max_size=12),
+    queries=st.lists(point, max_size=4),
+)
+def test_contact_grid_matches_linear_scan(robots, objects, operations, queries):
+    world = make_world(SMALL)
+    for rid, (pos, robot_phase) in enumerate(robots):
+        world.add_robot(make_robot(rid, pos.x, pos.y, phase=robot_phase))
+    for i, pos in enumerate(objects):
+        world.add_object(ObjectType(i % 2), pos)
+
+    def check():
+        # Each robot's own query, as in a tick, free-standing points, and the
+        # midpoints of close pairs, which are exact ties on the lattice.
+        probes = [(r.position, r.id) for r in world.robots] + [(q, None) for q in queries]
+        for group in ([r.position for r in world.robots], [o.position for o in world.objects]):
+            probes += [
+                (Vec2((a.x + b.x) / 2, (a.y + b.y) / 2), None)
+                for i, a in enumerate(group)
+                for b in group[i + 1 :]
+                if math.dist(a, b) < 1.0
+            ]
+        for position, ignore in probes:
+            got = nearest_contact(world, position, ignore_robot_id=ignore)
+            want = scan_nearest_contact(world, position, ignore_robot_id=ignore)
+            assert got == want
+            assert got.obj is want.obj
+
+    check()
+    # Moves, phase changes and pickups in sequence, each visible to the
+    # queries that follow it, as robots update one after another in a tick.
+    for op in operations:
+        if op[0] == "move":
+            robot = world.robots[op[1] % len(world.robots)]
+            world.move_robot(robot, op[2].x, op[2].y)
+        elif op[0] == "phase":
+            world.set_phase(world.robots[op[1] % len(world.robots)], op[2])
+        elif world.objects:
+            world.remove_object(world.objects[op[1] % len(world.objects)])
+        check()
+
+
+@settings(max_examples=100, deadline=None)
+@given(objects=st.lists(point, max_size=40), seed=st.integers(0, 2**32 - 1))
+def test_spawn_grid_matches_linear_scan(objects, seed):
+    world = make_world(SMALL)
+    for pos in objects:
+        world.add_object(ObjectType.TYPE1, pos)
+    scan_rng, grid_rng = random.Random(seed), random.Random(seed)
+    want = scan_spawn_position(world, scan_rng)
+    if want is None:
+        with pytest.raises(SpawnError):
+            spawn_object(world, ObjectType.TYPE2, grid_rng)
+    else:
+        assert spawn_object(world, ObjectType.TYPE2, grid_rng).position == want
+    assert grid_rng.getstate() == scan_rng.getstate()
+
+
+@pytest.mark.parametrize("low_id_x", [0.25, -0.25])
+def test_contact_tie_goes_to_lower_id(low_id_x):
+    # Both robots sit exactly 0.25 from the query point, in different cells.
+    world = make_world(SMALL)
+    world.add_robot(make_robot(0, low_id_x, 1.0))
+    world.add_robot(make_robot(1, -low_id_x, 1.0))
+    world.add_object(ObjectType.TYPE1, Vec2(1.25, -1.0))
+    world.add_object(ObjectType.TYPE2, Vec2(0.75, -1.0))
+    assert nearest_contact(world, Vec2(0.0, 1.0)).point == Vec2(low_id_x, 1.0)
+    assert nearest_contact(world, Vec2(1.0, -1.0)).obj is world.objects[0]
 
 
 # -- bounce ----------------------------------------------------------------------
@@ -288,7 +456,7 @@ def test_world_counts_and_conservation():
     world.check_conservation()
     carrier = make_robot(0, 0.0, 0.0)
     carrier.carried = ObjectType.TYPE1
-    world.robots.append(carrier)
+    world.add_robot(carrier)
     world.remove_object(world.objects[0])
     world.check_conservation()
     assert world.free_count(ObjectType.TYPE1) == 1

@@ -200,6 +200,42 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("arena_half_width", float("nan")),
+        ("horizon_seconds", float("inf")),
+        ("robot_count", float("inf")),
+        ("leave_delta", float("nan")),
+    ],
+)
+def test_main_non_finite_value_exits_2(tmp_path, capsys, key, value):
+    raw = config_to_dict(small_config())
+    raw[key] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))  # writes NaN / Infinity, which json.load reads
+    out = tmp_path / "out"
+    code = main(["--config", str(path), "--output", str(out)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_overpacked_arena_exits_2(tmp_path, capsys):
+    raw = config_to_dict(small_config())
+    raw.update(
+        arena_half_width=1.0, nest_radius=0.45, object_radius=0.2, robot_radius=0.1,
+        objects_type1=200,
+    )
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    code = main(["--config", str(path), "--output", str(out)])
+    assert code == 2
+    assert "too packed" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def test_main_preset_with_mode_override(tmp_path):
     out = tmp_path / "out"
     code = main(

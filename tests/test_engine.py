@@ -23,8 +23,7 @@ from foragesim import (
     vdr_failure,
     vdr_success,
 )
-from foragesim.arena import WorldObject
-from foragesim.engine import RobotColor, RobotPhase
+from foragesim.engine import RobotPhase
 
 from conftest import ScriptedRng
 
@@ -73,7 +72,7 @@ def make_robot(rid, x, y, mode=Mode.ORIGINAL, heading=0.0, capability=(0.5, 0.5)
 def test_leave_success_sets_deadline():
     sim = build_sim(rng=ScriptedRng([0.01, 0.5]))
     robot = make_robot(0, 0.0, 0.0, p1=0.08)
-    sim.world.robots.append(robot)
+    sim.world.add_robot(robot)
     sim.try_leave_nest(robot)
     assert robot.phase is RobotPhase.SEARCHING
     assert robot.search_deadline == pytest.approx(15.0)  # Set I search budget
@@ -84,7 +83,7 @@ def test_leave_failure_stays_stopped():
     rng = ScriptedRng([0.99])
     sim = build_sim(rng=rng)
     robot = make_robot(0, 0.0, 0.0, p1=0.002)
-    sim.world.robots.append(robot)
+    sim.world.add_robot(robot)
     sim.try_leave_nest(robot)
     assert robot.phase is RobotPhase.STOPPING
     assert rng.calls == 1  # no heading draw on a failed check
@@ -93,7 +92,7 @@ def test_leave_failure_stays_stopped():
 def test_leave_modified_assigns_task():
     sim = build_sim(mode=Mode.MODIFIED, rng=ScriptedRng([0.01, 0.5, 0.49]))
     robot = make_robot(0, 0.0, 0.0, mode=Mode.MODIFIED, p1=0.08)
-    sim.world.robots.append(robot)
+    sim.world.add_robot(robot)
     sim.try_leave_nest(robot)
     assert robot.phase is RobotPhase.SEARCHING
     assert robot.assignment is ObjectType.TYPE1  # symmetric P_obj, draw 0.49
@@ -105,7 +104,7 @@ def test_leave_check_cadence():
     sim._check_every = 10  # once per simulated second
     sim.clock.tick_index = 5
     robot = make_robot(0, 0.0, 0.0, p1=0.08)
-    sim.world.robots.append(robot)
+    sim.world.add_robot(robot)
     sim.try_leave_nest(robot)  # off-cadence tick: no draw at all
     assert robot.phase is RobotPhase.STOPPING
     assert rng.calls == 0
@@ -120,7 +119,7 @@ def test_searching_jitter_advance():
     robot = make_robot(0, 5.0, 5.0, heading=0.0)
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 15.0
-    sim.world.robots.append(robot)
+    sim.world.add_robot(robot)
     sim.searching_step(robot)
     assert robot.heading == pytest.approx(0.05)
     assert robot.x == pytest.approx(5.0 + 0.1 * math.cos(0.05))
@@ -133,7 +132,7 @@ def test_searching_timeout_returns_empty():
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 10.0
     sim.clock.tick_index = 100  # now = 10.0 s, deadline reached
-    sim.world.robots.append(robot)
+    sim.world.add_robot(robot)
     sim.searching_step(robot)
     assert robot.phase is RobotPhase.RETURNING
     assert robot.carried is None
@@ -144,7 +143,7 @@ def test_searching_nest_boundary_bounces_outward():
     robot = make_robot(0, ARENA.nest_radius + ARENA.robot_radius, 0.0)
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 15.0
-    sim.world.robots.append(robot)
+    sim.world.add_robot(robot)
     sim.searching_step(robot)
     assert robot.phase is RobotPhase.SEARCHING
     # Post-bounce heading separates from the nest: positive outward component.
@@ -157,7 +156,7 @@ def test_searching_inside_nest_passes_outward():
     robot = make_robot(0, ARENA.nest_radius - 0.05, 0.0)
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 15.0
-    sim.world.robots.append(robot)
+    sim.world.add_robot(robot)
     sim.searching_step(robot)
     assert rng.calls == 1
     assert robot.heading == pytest.approx(0.0)  # draw 0.5 is zero jitter
@@ -168,9 +167,7 @@ def test_searching_inside_nest_passes_outward():
 
 def place_contact_object(sim, obj_type, robot):
     pos = Vec2(robot.x + 2 * ARENA.robot_radius, robot.y)
-    obj = WorldObject(999, obj_type, pos)
-    sim.world.objects.append(obj)
-    return obj
+    return sim.world.add_object(obj_type, pos)
 
 
 def test_pickup_certain_capability_succeeds():
@@ -178,11 +175,10 @@ def test_pickup_certain_capability_succeeds():
     robot = make_robot(0, 5.0, 5.0, capability=(1.0, 1.0))
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 15.0
-    sim.world.robots.append(robot)
+    sim.world.add_robot(robot)
     obj = place_contact_object(sim, ObjectType.TYPE1, robot)
     sim.searching_step(robot)
     assert robot.carried is ObjectType.TYPE1
-    assert robot.color is RobotColor.ORANGE
     assert robot.phase is RobotPhase.RETURNING
     assert obj not in sim.world.objects
 
@@ -192,11 +188,10 @@ def test_pickup_zero_capability_bounces():
     robot = make_robot(0, 5.0, 5.0, capability=(0.0, 0.0))
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 15.0
-    sim.world.robots.append(robot)
+    sim.world.add_robot(robot)
     obj = place_contact_object(sim, ObjectType.TYPE2, robot)
     sim.searching_step(robot)
     assert robot.carried is None
-    assert robot.color is RobotColor.PURPLE
     assert robot.phase is RobotPhase.SEARCHING
     assert obj in sim.world.objects
 
@@ -209,7 +204,7 @@ def test_modified_wrong_type_is_plain_obstacle():
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 15.0
     robot.assignment = ObjectType.TYPE1
-    sim.world.robots.append(robot)
+    sim.world.add_robot(robot)
     obj = place_contact_object(sim, ObjectType.TYPE2, robot)
     before = robot.alloc
     sim.searching_step(robot)
@@ -225,7 +220,7 @@ def test_modified_pickup_updates_per_attempt():
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 15.0
     robot.assignment = ObjectType.TYPE2
-    sim.world.robots.append(robot)
+    sim.world.add_robot(robot)
     place_contact_object(sim, ObjectType.TYPE2, robot)
     before = robot.alloc
     sim.searching_step(robot)  # failed attempt
@@ -241,7 +236,7 @@ def test_returning_homes_on_origin():
     sim = build_sim(rng=ScriptedRng([]))
     robot = make_robot(0, 5.0, 0.0, heading=0.0)
     robot.phase = RobotPhase.RETURNING
-    sim.world.robots.append(robot)
+    sim.world.add_robot(robot)
     sim.returning_step(robot)
     assert abs(robot.heading) == pytest.approx(math.pi)  # -pi and pi coincide
     assert robot.x == pytest.approx(4.9)
@@ -251,17 +246,15 @@ def test_returning_homes_on_origin():
 def test_returning_delivery_updates_and_conserves():
     events = []
     sim = build_sim(rng=random.Random(3), totals=(1, 1), events=events)
-    free1 = WorldObject(1, ObjectType.TYPE1, Vec2(5.0, 5.0))
-    sim.world.objects.append(free1)
+    sim.world.add_object(ObjectType.TYPE1, Vec2(5.0, 5.0))
     robot = make_robot(0, 0.5, 0.0)
     robot.phase = RobotPhase.RETURNING
     robot.carried = ObjectType.TYPE2
-    sim.world.robots.append(robot)
+    sim.world.add_robot(robot)
     before = robot.alloc
     sim.returning_step(robot)
     assert robot.phase is RobotPhase.STOPPING
     assert robot.carried is None
-    assert robot.color is RobotColor.PURPLE
     assert robot.retrieved == [0, 1]
     assert robot.trip_successes == 1
     assert sim.world.free_count(ObjectType.TYPE2) == 1  # replacement spawned
@@ -273,11 +266,11 @@ def test_returning_delivery_updates_and_conserves():
 
 def test_returning_empty_counts_failure():
     sim = build_sim(rng=random.Random(3), totals=(1, 1))
-    sim.world.objects.append(WorldObject(1, ObjectType.TYPE1, Vec2(5.0, 5.0)))
-    sim.world.objects.append(WorldObject(2, ObjectType.TYPE2, Vec2(-5.0, 5.0)))
+    sim.world.add_object(ObjectType.TYPE1, Vec2(5.0, 5.0))
+    sim.world.add_object(ObjectType.TYPE2, Vec2(-5.0, 5.0))
     robot = make_robot(0, 0.5, 0.0)
     robot.phase = RobotPhase.RETURNING
-    sim.world.robots.append(robot)
+    sim.world.add_robot(robot)
     before = robot.alloc
     sim.returning_step(robot)
     assert robot.phase is RobotPhase.STOPPING
@@ -292,7 +285,8 @@ def test_returning_robot_contact_separates():
     b = make_robot(1, 5.0 - 2 * ARENA.robot_radius, 0.0, heading=0.0)
     a.phase = RobotPhase.RETURNING
     b.phase = RobotPhase.RETURNING
-    sim.world.robots.extend([a, b])
+    sim.world.add_robot(a)
+    sim.world.add_robot(b)
     d0 = math.hypot(a.x - b.x, a.y - b.y)
     sim.returning_step(a)
     assert math.hypot(a.x - b.x, a.y - b.y) > d0
@@ -303,10 +297,10 @@ def test_returning_robot_contact_separates():
 
 def test_tick_fixed_point_when_all_draws_fail():
     sim = build_sim(rng=ScriptedRng([0.99] * 3), totals=(1, 1))
-    sim.world.objects.append(WorldObject(1, ObjectType.TYPE1, Vec2(5.0, 5.0)))
-    sim.world.objects.append(WorldObject(2, ObjectType.TYPE2, Vec2(-5.0, 5.0)))
+    sim.world.add_object(ObjectType.TYPE1, Vec2(5.0, 5.0))
+    sim.world.add_object(ObjectType.TYPE2, Vec2(-5.0, 5.0))
     for rid in range(3):
-        sim.world.robots.append(make_robot(rid, 0.2 * rid, 0.0))
+        sim.world.add_robot(make_robot(rid, 0.2 * rid, 0.0))
     snapshot = [(r.x, r.y, r.heading, r.phase, r.alloc) for r in sim.world.robots]
     sim.tick()
     assert sim.clock.tick_index == 1
@@ -316,9 +310,9 @@ def test_tick_fixed_point_when_all_draws_fail():
 def test_tick_count_matches_horizon():
     assert SimClock(tick_duration=0.1, horizon=180.0).total_ticks == 1800
     sim = build_sim(rng=random.Random(1), totals=(1, 1), horizon=180.0)
-    sim.world.objects.append(WorldObject(1, ObjectType.TYPE1, Vec2(5.0, 5.0)))
-    sim.world.objects.append(WorldObject(2, ObjectType.TYPE2, Vec2(-5.0, 5.0)))
-    sim.world.robots.append(make_robot(0, 0.0, 0.0))
+    sim.world.add_object(ObjectType.TYPE1, Vec2(5.0, 5.0))
+    sim.world.add_object(ObjectType.TYPE2, Vec2(-5.0, 5.0))
+    sim.world.add_robot(make_robot(0, 0.0, 0.0))
     sim.run()
     assert sim.clock.tick_index == 1800
     with pytest.raises(ValueError):
@@ -345,7 +339,7 @@ def test_capability_gate_zero_never_carries():
     for t in (ObjectType.TYPE1, ObjectType.TYPE1, ObjectType.TYPE2, ObjectType.TYPE2):
         spawn_object(sim.world, t, rng)
     robot = make_robot(0, 0.0, 0.0, capability=(0.0, 0.0), p1=0.08)
-    sim.world.robots.append(robot)
+    sim.world.add_robot(robot)
     sim.run()
     assert robot.trip_successes == 0
     assert robot.retrieved == [0, 0]

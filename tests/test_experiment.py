@@ -30,6 +30,15 @@ def test_config_validation():
         replace(config, tick_duration=-0.1)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "name", ["horizon", "search_timeout", "tick_duration", "leave_check_period"]
+)
+def test_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        replace(set1_config(), **{name: value})
+
+
 def test_set1_preset_parameters():
     config = set1_config()
     assert config.mode is Mode.ORIGINAL
