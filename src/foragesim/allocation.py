@@ -78,13 +78,16 @@ def initial_allocation(
 def vdr_success(state: VdrState, params: VdrParams) -> VdrState:
     """Grow the success streak, reset the failure streak, raise p (clamped)."""
     streak = state.succ_streak + 1
-    return VdrState(min(params.p_max, state.p + streak * params.delta), streak, 0)
+    p = state.p + streak * params.delta
+    # The clamp gives the value of min(p_max, p), without the call.
+    return VdrState(p if p < params.p_max else params.p_max, streak, 0)
 
 
 def vdr_failure(state: VdrState, params: VdrParams) -> VdrState:
     """Grow the failure streak, reset the success streak, lower p (clamped)."""
     streak = state.fail_streak + 1
-    return VdrState(max(params.p_min, state.p - streak * params.delta), 0, streak)
+    p = state.p - streak * params.delta
+    return VdrState(p if p > params.p_min else params.p_min, 0, streak)
 
 
 def leave_nest_decision(state: AllocationState, u: float) -> bool:

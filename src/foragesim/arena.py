@@ -7,8 +7,10 @@ of collidable robots, which only ``World`` methods update."""
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
@@ -63,6 +65,12 @@ class ArenaConfig:
         ):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
+        if self.heading_jitter < 0.0:
+            raise ValueError("heading_jitter must be >= 0")
+        if self.nest_radius <= self.robot_radius:
+            raise ValueError(
+                "nest_radius must be > robot_radius so robots fit in the nest"
+            )
         if self.nest_radius + 2.0 * self.object_radius >= self.arena_half_width:
             raise ValueError(
                 "nest_radius + 2*object_radius must be < arena_half_width "
@@ -91,8 +99,7 @@ class ContactKind(enum.Enum):
     OBJECT = "object"
 
 
-@dataclass(frozen=True)
-class Contact:
+class Contact(NamedTuple):
     kind: ContactKind
     # Reference point of the contact, used to compute away-vectors:
     # the other robot's center, the object's center, the nearest wall point,
@@ -113,15 +120,21 @@ class CellGrid:
     int ``i * stride + j``, which hashes faster than a tuple. The stride spans
     every row of an arena of ``half_width``; points outside it can only merge
     cells, which adds candidates to a query but never loses one.
+
+    With ``spread`` an item is filed under every cell of the 3x3 block around
+    its own, so the one cell of a point holds every item near it: a query
+    reads one cell in place of nine, and adding or removing an item touches
+    nine.
     """
 
-    def __init__(self, side: float, half_width: float) -> None:
+    def __init__(self, side: float, half_width: float, spread: bool = False) -> None:
         self.side = side
         stride = 2 * math.ceil(half_width / side) + 3
         self.stride = stride
         self.block = tuple(di * stride + dj for di in (-1, 0, 1) for dj in (-1, 0, 1))
+        self.filed_at = self.block if spread else (0,)  # cells an item is filed under
         self.cells: dict = {}  # cell key -> {item id: item}
-        self.where: dict = {}  # item id -> cell key
+        self.where: dict = {}  # item id -> key of the item's own cell
 
     def __contains__(self, item) -> bool:
         return item.id in self.where
@@ -129,35 +142,23 @@ class CellGrid:
     def key(self, x: float, y: float) -> int:
         return math.floor(x / self.side) * self.stride + math.floor(y / self.side)
 
-    def add(self, item, x: float, y: float) -> None:
-        key = self.key(x, y)
-        self.cells.setdefault(key, {})[item.id] = item
+    def add(self, item, key: int) -> None:
+        """File ``item`` as lying in the cell ``key``."""
+        for offset in self.filed_at:
+            self.cells.setdefault(key + offset, {})[item.id] = item
         self.where[item.id] = key
 
     def remove(self, item) -> None:
         key = self.where.pop(item.id)
-        cell = self.cells[key]
-        del cell[item.id]
-        if not cell:
-            del self.cells[key]
+        cells = self.cells
+        for offset in self.filed_at:
+            cell = cells[key + offset]
+            del cell[item.id]
+            if not cell:
+                del cells[key + offset]
 
-    def move(self, item, x: float, y: float) -> None:
-        """Re-file ``item`` at ``(x, y)``; an item not in the grid stays out."""
-        old = self.where.get(item.id)
-        if old is not None and old != self.key(x, y):
-            self.remove(item)
-            self.add(item, x, y)
 
-    def near(self, x: float, y: float) -> list:
-        """Every item in the 3x3 block of cells around ``(x, y)``."""
-        key = self.key(x, y)
-        get = self.cells.get
-        found = []
-        for offset in self.block:
-            cell = get(key + offset)
-            if cell:
-                found.extend(cell.values())
-        return found
+_object_id = operator.attrgetter("id")
 
 
 @dataclass
@@ -173,14 +174,21 @@ class World:
 
     def __post_init__(self) -> None:
         cfg = self.config
+        margin = cfg.contact_margin
+        # Contact thresholds, computed once with the expressions the contact
+        # query has always used, so every comparison sees the same floats.
+        rr = 2.0 * cfg.robot_radius + margin
+        ro = cfg.robot_radius + cfg.object_radius + margin
+        self.robot_contact_sq = rr * rr
+        self.object_contact_sq = ro * ro
+        self.edge_contact = cfg.robot_radius + margin
         # The largest contact or separation threshold, padded so float
         # rounding in the cell key cannot put a contact two cells away.
-        side = 1.000001 * max(
-            2.0 * cfg.robot_radius + cfg.contact_margin,
-            cfg.robot_radius + cfg.object_radius + cfg.contact_margin,
-            2.0 * cfg.object_radius,
-        )
-        self.object_grid = CellGrid(side, cfg.arena_half_width)  # free objects
+        # Both grids share side and stride, so one key addresses both.
+        side = 1.000001 * max(rr, ro, 2.0 * cfg.object_radius)
+        # Free objects, each filed under its whole 3x3 block: objects move
+        # only on pickup and spawn, while every query reads one cell.
+        self.object_grid = CellGrid(side, cfg.arena_half_width, spread=True)
         self.robot_grid = CellGrid(side, cfg.arena_half_width)  # robots not STOPPING
 
     def free_count(self, obj_type: ObjectType) -> int:
@@ -190,12 +198,18 @@ class World:
         return sum(1 for r in self.robots if r.carried == obj_type)
 
     def check_conservation(self) -> None:
-        for t in ObjectType:
-            have = self.free_count(t) + self.carried_count(t)
-            if have != self.totals[t]:
+        """Recount every free and carried object against the totals."""
+        have = [0, 0]
+        for o in self.objects:
+            have[o.obj_type] += 1
+        for r in self.robots:
+            if r.carried is not None:
+                have[r.carried] += 1
+        for t, count in enumerate(have):
+            if count != self.totals[t]:
                 raise SimulationInvariantError(
-                    f"object conservation broken for {t.name}: "
-                    f"free+carried={have}, expected {self.totals[t]}"
+                    f"object conservation broken for {ObjectType(t).name}: "
+                    f"free+carried={count}, expected {self.totals[t]}"
                 )
 
     def add_object(self, obj_type: ObjectType, position: Vec2) -> WorldObject:
@@ -203,31 +217,44 @@ class World:
         obj = WorldObject(self._next_object_id, obj_type, position)
         self._next_object_id += 1
         self.objects.append(obj)
-        self.object_grid.add(obj, position.x, position.y)
+        self.object_grid.add(obj, self.object_grid.key(position.x, position.y))
         return obj
 
     def remove_object(self, obj: WorldObject) -> None:
-        self.objects.remove(obj)
+        """Remove a free object; ``ValueError`` if it is not in the world."""
+        objects = self.objects
+        i = bisect.bisect_left(objects, obj.id, key=_object_id)
+        if i == len(objects) or objects[i] is not obj:
+            raise ValueError(f"object {obj.id} is not in the world")
+        del objects[i]
         self.object_grid.remove(obj)
 
     def add_robot(self, robot) -> None:
         self.robots.append(robot)
         if robot.phase is not RobotPhase.STOPPING:
-            self.robot_grid.add(robot, robot.x, robot.y)
+            self.robot_grid.add(robot, self.robot_grid.key(robot.x, robot.y))
 
     def move_robot(self, robot, x: float, y: float) -> None:
         robot.x = x
         robot.y = y
-        self.robot_grid.move(robot, x, y)
+        grid = self.robot_grid
+        old = grid.where.get(robot.id)
+        if old is not None:  # STOPPING robots stay out of the grid
+            side = grid.side
+            key = math.floor(x / side) * grid.stride + math.floor(y / side)
+            if key != old:
+                grid.remove(robot)
+                grid.add(robot, key)
 
     def set_phase(self, robot, phase: RobotPhase) -> None:
         robot.phase = phase
-        in_grid = robot in self.robot_grid
+        grid = self.robot_grid
+        in_grid = robot in grid
         if phase is RobotPhase.STOPPING:
             if in_grid:
-                self.robot_grid.remove(robot)
+                grid.remove(robot)
         elif not in_grid:
-            self.robot_grid.add(robot, robot.x, robot.y)
+            grid.add(robot, grid.key(robot.x, robot.y))
 
 
 def spawn_object(world: World, obj_type: ObjectType, rng) -> WorldObject:
@@ -239,15 +266,18 @@ def spawn_object(world: World, obj_type: ObjectType, rng) -> WorldObject:
     span = hi - lo
     nest_keepout = cfg.nest_radius + cfg.object_radius + cfg.contact_margin
     min_sep_sq = (2.0 * cfg.object_radius) ** 2
+    grid = world.object_grid
+    get = grid.cells.get
 
     for _ in range(SPAWN_ATTEMPT_CAP):
         x = lo + rng.random() * span
         y = lo + rng.random() * span
         if x * x + y * y <= nest_keepout * nest_keepout:
             continue
-        if any(
+        near = get(grid.key(x, y))
+        if near and any(
             (o.position.x - x) ** 2 + (o.position.y - y) ** 2 < min_sep_sq
-            for o in world.object_grid.near(x, y)
+            for o in near.values()
         ):
             continue
         return world.add_object(obj_type, Vec2(x, y))
@@ -258,43 +288,50 @@ def spawn_object(world: World, obj_type: ObjectType, rng) -> WorldObject:
 
 def nearest_contact(
     world: World,
-    position: Vec2,
+    position: tuple[float, float],
     ignore_robot_id: Optional[int] = None,
 ) -> Contact:
-    """Classify the highest-priority contact at ``position`` for a robot of
-    the configured radius.
+    """Classify the highest-priority contact at ``position`` (a ``Vec2`` or
+    an ``(x, y)`` pair) for a robot of the configured radius.
 
     Priority when several thresholds are crossed at once:
     robot > wall > nest boundary > object. Robots parked in the nest
     (Stopping phase) are ignored; they sit out of the way. Among robots or
     objects the nearest wins, and an exact tie goes to the lower id.
     """
-    cfg = world.config
     x, y = position
-    margin = cfg.contact_margin
-    robot_radius = cfg.robot_radius
+    robots = world.robot_grid
+    side = robots.side
+    key = math.floor(x / side) * robots.stride + math.floor(y / side)
 
     # Robot-robot: center distance below sum of radii plus margin.
-    rr = 2.0 * robot_radius + margin
     best_robot = None
-    best_d2 = rr * rr
-    for other in world.robot_grid.near(x, y):
-        if other.id == ignore_robot_id:
+    best_d2 = world.robot_contact_sq
+    get = robots.cells.get
+    for offset in robots.block:
+        cell = get(key + offset)
+        if cell is None:
             continue
-        d2 = (other.x - x) ** 2 + (other.y - y) ** 2
-        if d2 < best_d2 or (
-            d2 == best_d2 and best_robot is not None and other.id < best_robot.id
-        ):
-            best_d2 = d2
-            best_robot = other
+        for other in cell.values():
+            if other.id == ignore_robot_id:
+                continue
+            d2 = (other.x - x) ** 2 + (other.y - y) ** 2
+            if d2 < best_d2 or (
+                d2 == best_d2 and best_robot is not None and other.id < best_robot.id
+            ):
+                best_d2 = d2
+                best_robot = other
     if best_robot is not None:
         return Contact(ContactKind.ROBOT, Vec2(best_robot.x, best_robot.y))
 
     # Wall: distance to the nearest side below robot radius plus margin.
+    cfg = world.config
+    edge = world.edge_contact
     hw = cfg.arena_half_width
-    wall_gap = hw - max(abs(x), abs(y))
-    if wall_gap < robot_radius + margin:
-        if abs(x) >= abs(y):
+    ax = abs(x)
+    ay = abs(y)
+    if hw - (ax if ax >= ay else ay) < edge:
+        if ax >= ay:
             wall_point = Vec2(math.copysign(hw, x), y)
         else:
             wall_point = Vec2(x, math.copysign(hw, y))
@@ -302,18 +339,20 @@ def nearest_contact(
 
     # Nest boundary: radial distance from the circle below radius plus margin.
     r = math.hypot(x, y)
-    if abs(r - cfg.nest_radius) < robot_radius + margin:
+    if abs(r - cfg.nest_radius) < edge:
         if r > 0.0:
             ring = Vec2(x / r * cfg.nest_radius, y / r * cfg.nest_radius)
         else:
             ring = Vec2(cfg.nest_radius, 0.0)
         return Contact(ContactKind.NEST, ring)
 
-    # Free objects: nearest one within threshold.
-    ro = robot_radius + cfg.object_radius + margin
+    # Free objects: nearest one within threshold, all filed in this one cell.
+    near = world.object_grid.cells.get(key)
+    if near is None:
+        return NO_CONTACT
     best_obj = None
-    best_d2 = ro * ro
-    for obj in world.object_grid.near(x, y):
+    best_d2 = world.object_contact_sq
+    for obj in near.values():
         d2 = (obj.position.x - x) ** 2 + (obj.position.y - y) ** 2
         if d2 < best_d2 or (
             d2 == best_d2 and best_obj is not None and obj.id < best_obj.id
@@ -322,7 +361,6 @@ def nearest_contact(
             best_obj = obj
     if best_obj is not None:
         return Contact(ContactKind.OBJECT, best_obj.position, obj=best_obj)
-
     return NO_CONTACT
 
 

@@ -79,6 +79,17 @@ def _vdr_params(raw: dict, prefix: str) -> VdrParams:
         raise ConfigError(f"invalid {prefix}_* probability parameters: {exc}") from exc
 
 
+def _count(raw: dict, key: str) -> int:
+    """An integral JSON number; a fraction or a boolean is an error, not
+    something to truncate."""
+    value = raw[key]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - _REQUIRED_KEYS - set(_OPTIONAL_DEFAULTS)
     if unknown:
@@ -103,15 +114,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         )
         return ExperimentConfig(
             mode=Mode(merged["mode"]),
-            robot_count=int(merged["robot_count"]),
-            object_totals=(int(merged["objects_type1"]), int(merged["objects_type2"])),
+            robot_count=_count(merged, "robot_count"),
+            object_totals=(
+                _count(merged, "objects_type1"),
+                _count(merged, "objects_type2"),
+            ),
             horizon=float(merged["horizon_seconds"]),
             search_timeout=float(merged["search_timeout_seconds"]),
             leave_params=_vdr_params(merged, "leave"),
             obj_params=(_vdr_params(merged, "obj1"), _vdr_params(merged, "obj2")),
             arena=arena,
-            seed=int(merged["seed"]),
-            replications=int(merged["replications"]),
+            seed=_count(merged, "seed"),
+            replications=_count(merged, "replications"),
             tick_duration=float(merged["tick_duration"]),
             leave_check_period=float(merged["leave_check_period"]),
         )
@@ -196,14 +210,19 @@ def run_command(
 ) -> dict:
     """Execute the replications and write the full output bundle.
 
-    Returns the manifest dict. On any failure, files already written to the
-    output directory by this call are removed before the error propagates.
+    Returns the manifest dict. Raises ``FileExistsError`` before running
+    anything if ``output_dir`` already holds files, so a bundle never mixes
+    with files of an earlier run. On any later failure, files already
+    written to the output directory by this call are removed before the
+    error propagates.
     """
     if seed is not None:
         config = replace(config, seed=seed)
     if replications is not None:
         config = replace(config, replications=replications)
     os.makedirs(output_dir, exist_ok=True)
+    if os.listdir(output_dir):
+        raise FileExistsError(f"output directory {output_dir} is not empty")
     written: list = []
 
     def path_for(name: str) -> str:
@@ -369,6 +388,9 @@ def main(argv: Optional[list] = None) -> int:
         )
     except SpawnError as exc:
         print(f"config error: {exc}; the arena is too packed", file=sys.stderr)
+        return 2
+    except FileExistsError as exc:
+        print(f"output error: {exc}; choose a new or empty directory", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -101,6 +101,7 @@ class Simulation:
         self.events = events
         self._check_every = max(1, round(leave_check_period / clock.tick_duration))
         self._step = world.config.robot_speed * clock.tick_duration
+        self._limit = world.config.arena_half_width - world.config.robot_radius
 
     # -- event log -----------------------------------------------------
 
@@ -115,20 +116,28 @@ class Simulation:
     # -- movement helpers ----------------------------------------------
 
     def _advance(self, robot: Robot) -> None:
-        cfg = self.world.config
-        x = robot.x + self._step * math.cos(robot.heading)
-        y = robot.y + self._step * math.sin(robot.heading)
-        limit = cfg.arena_half_width - cfg.robot_radius
-        self.world.move_robot(
-            robot, min(limit, max(-limit, x)), min(limit, max(-limit, y))
-        )
+        step = self._step
+        heading = robot.heading
+        x = robot.x + step * math.cos(heading)
+        y = robot.y + step * math.sin(heading)
+        limit = self._limit
+        if x > limit:
+            x = limit
+        elif x < -limit:
+            x = -limit
+        if y > limit:
+            y = limit
+        elif y < -limit:
+            y = -limit
+        self.world.move_robot(robot, x, y)
 
     def _bounce(self, robot: Robot, contact_point: Vec2) -> None:
+        position = robot.position
         robot.heading = bounce_heading(
             robot.heading,
             self.rng,
-            separating_test(robot.position, contact_point, self._step),
-            away_heading(robot.position, contact_point),
+            separating_test(position, contact_point, self._step),
+            away_heading(position, contact_point),
         )
 
     # -- per-phase behavior ----------------------------------------------
@@ -147,12 +156,15 @@ class Simulation:
                    None if robot.assignment is None else int(robot.assignment))
 
     def searching_step(self, robot: Robot) -> None:
-        if self.clock.now >= robot.search_deadline:
+        clock = self.clock
+        # clock.now, read inline: this runs for every searching robot each tick.
+        if clock.tick_index * clock.tick_duration >= robot.search_deadline:
             self._set_phase(robot, RobotPhase.RETURNING)
             return
         cfg = self.world.config
-        contact = nearest_contact(self.world, robot.position, ignore_robot_id=robot.id)
-        if contact.kind is ContactKind.OBJECT:
+        contact = nearest_contact(self.world, (robot.x, robot.y), robot.id)
+        kind = contact.kind
+        if kind is ContactKind.OBJECT:
             obj = contact.obj
             if self.mode is Mode.MODIFIED and obj.obj_type != robot.assignment:
                 # Non-assigned types are plain obstacles: no capability draw.
@@ -161,17 +173,16 @@ class Simulation:
             else:
                 self.pickup_attempt(robot, obj)
             return
-        if contact.kind in (ContactKind.ROBOT, ContactKind.WALL):
-            self._bounce(robot, contact.point)
-        elif (
-            contact.kind is ContactKind.NEST
-            and math.hypot(robot.x, robot.y) >= cfg.nest_radius
+        if kind is ContactKind.NONE or (
+            kind is ContactKind.NEST and math.hypot(robot.x, robot.y) < cfg.nest_radius
         ):
-            # Empty-handed robots may not re-enter the nest; freshly departed
-            # robots (still inside) pass outward freely.
-            self._bounce(robot, contact.point)
-        else:
+            # Freshly departed robots (still inside the nest) pass outward
+            # freely.
             robot.heading += (self.rng.random() * 2.0 - 1.0) * cfg.heading_jitter
+        else:
+            # Robots and walls repel, and empty-handed robots may not
+            # re-enter the nest.
+            self._bounce(robot, contact.point)
         self._advance(robot)
 
     def pickup_attempt(self, robot: Robot, obj: WorldObject) -> None:
@@ -196,13 +207,14 @@ class Simulation:
         if math.hypot(robot.x, robot.y) < cfg.nest_radius:
             self._complete_trip(robot)
             return
-        contact = nearest_contact(self.world, robot.position, ignore_robot_id=robot.id)
-        if contact.kind is ContactKind.ROBOT:
+        contact = nearest_contact(self.world, (robot.x, robot.y), robot.id)
+        kind = contact.kind
+        if kind is ContactKind.ROBOT:
             # Random separating bounce, re-aim at the origin next tick. An
             # exact heading reversal livelocks head-on pairs that both home
             # on the origin: they retreat and re-meet forever.
             self._bounce(robot, contact.point)
-        elif contact.kind is ContactKind.OBJECT:
+        elif kind is ContactKind.OBJECT:
             direction = edge_follow_step(
                 robot.position,
                 Vec2(0.0, 0.0),
@@ -211,7 +223,7 @@ class Simulation:
                 cfg,
             )
             robot.heading = math.atan2(direction.y, direction.x)
-        elif contact.kind is ContactKind.WALL:
+        elif kind is ContactKind.WALL:
             self._bounce(robot, contact.point)
         else:
             # Nest boundary is passable on return; otherwise home in.
@@ -248,16 +260,21 @@ class Simulation:
     # -- driver ----------------------------------------------------------
 
     def tick(self) -> None:
-        if self.clock.tick_index >= self.clock.total_ticks:
+        clock = self.clock
+        if clock.tick_index >= clock.total_ticks:
             raise ValueError("clock is past the horizon")
+        stopping, searching = RobotPhase.STOPPING, RobotPhase.SEARCHING
+        leave, search = self.try_leave_nest, self.searching_step
+        home = self.returning_step
         for robot in self.world.robots:
-            if robot.phase is RobotPhase.STOPPING:
-                self.try_leave_nest(robot)
-            elif robot.phase is RobotPhase.SEARCHING:
-                self.searching_step(robot)
+            phase = robot.phase
+            if phase is stopping:
+                leave(robot)
+            elif phase is searching:
+                search(robot)
             else:
-                self.returning_step(robot)
-        self.clock.tick_index += 1
+                home(robot)
+        clock.tick_index += 1
         self.world.check_conservation()
 
     def run(self) -> None:

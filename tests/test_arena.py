@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foragesim import ArenaConfig, Robot, Vec2, World
+from foragesim import ArenaConfig, Robot, Vec2, World, WorldObject
 from foragesim.allocation import Mode, ObjectType, VdrParams, initial_allocation
 from foragesim.arena import (
     SPAWN_ATTEMPT_CAP,
@@ -257,22 +257,48 @@ def scan_spawn_position(world, rng):
     return None
 
 
-# Points on a 1/16 lattice, where distances are exact and ties common, and
-# points on (or one float step off) the grid's cell edges.
+def off_by(value, step):
+    """``value``, or one float step above or below it."""
+    return math.nextafter(value, step * math.inf) if step else value
+
+
+# Points on a 1/16 lattice, where distances are exact and ties common,
+# points on (or one float step off) the grid's cell edges, and points on the
+# walls or where a robot or an object touches them, which lie in the border
+# cells of the grid.
+HW = SMALL.arena_half_width
+border = st.builds(
+    lambda at, sign, step: off_by(sign * at, step),
+    st.sampled_from([HW, HW - SMALL.object_radius, HW - SMALL.robot_radius]),
+    st.sampled_from([-1, 1]),
+    st.sampled_from([-1, 0, 1]),
+)
 coordinate = st.one_of(
     st.integers(-36, 36).map(lambda k: k / 16),
     st.builds(
-        lambda k, step: math.nextafter(k * SIDE, step * math.inf) if step else k * SIDE,
+        lambda k, step: off_by(k * SIDE, step),
         st.integers(-6, 5),
         st.sampled_from([-1, 0, 1]),
     ),
+    border,
 )
-point = st.builds(Vec2, coordinate, coordinate)
+point = st.one_of(
+    st.builds(Vec2, coordinate, coordinate),
+    st.builds(Vec2, border, border),  # the corners
+)
+# Offsets to the eight points around a point, each within contact range.
+NEAR = (-0.1875, 0, 0.1875)
+AROUND = [(dx, dy) for dx in NEAR for dy in NEAR if dx or dy]
+# A shift that keeps a point in or next to its 3x3 block of cells.
+shift = st.integers(-6, 6).map(lambda k: k / 16)
 phase = st.sampled_from(list(RobotPhase))
 operation = st.one_of(
     st.tuples(st.just("move"), st.integers(0, 11), point),
     st.tuples(st.just("phase"), st.integers(0, 11), phase),
     st.tuples(st.just("pickup"), st.integers(0, 11)),
+    # A pickup and a spawn beside the picked-up object, as a delivery
+    # does somewhere in the arena.
+    st.tuples(st.just("respawn"), st.integers(0, 11), shift, shift),
 )
 
 
@@ -291,8 +317,10 @@ def test_contact_grid_matches_linear_scan(robots, objects, operations, queries):
         world.add_object(ObjectType(i % 2), pos)
 
     def check():
-        # Each robot's own query, as in a tick, free-standing points, and the
-        # midpoints of close pairs, which are exact ties on the lattice.
+        # Each robot's own query, as in a tick, free-standing points, the
+        # midpoints of close pairs, which are exact ties on the lattice, and
+        # the points around each robot and object in all eight directions,
+        # within contact range and often in a neighbouring cell.
         probes = [(r.position, r.id) for r in world.robots] + [(q, None) for q in queries]
         for group in ([r.position for r in world.robots], [o.position for o in world.objects]):
             probes += [
@@ -300,6 +328,9 @@ def test_contact_grid_matches_linear_scan(robots, objects, operations, queries):
                 for i, a in enumerate(group)
                 for b in group[i + 1 :]
                 if math.dist(a, b) < 1.0
+            ]
+            probes += [
+                (Vec2(a.x + dx, a.y + dy), None) for a in group for dx, dy in AROUND
             ]
         for position, ignore in probes:
             got = nearest_contact(world, position, ignore_robot_id=ignore)
@@ -317,16 +348,28 @@ def test_contact_grid_matches_linear_scan(robots, objects, operations, queries):
         elif op[0] == "phase":
             world.set_phase(world.robots[op[1] % len(world.robots)], op[2])
         elif world.objects:
-            world.remove_object(world.objects[op[1] % len(world.objects)])
+            gone = world.objects[op[1] % len(world.objects)]
+            world.remove_object(gone)
+            if op[0] == "respawn":
+                x, y = gone.position
+                world.add_object(gone.obj_type, Vec2(x + op[2], y + op[3]))
         check()
 
 
 @settings(max_examples=100, deadline=None)
-@given(objects=st.lists(point, max_size=40), seed=st.integers(0, 2**32 - 1))
-def test_spawn_grid_matches_linear_scan(objects, seed):
+@given(
+    objects=st.lists(point, max_size=40),
+    removals=st.lists(st.integers(0, 39), max_size=10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spawn_grid_matches_linear_scan(objects, removals, seed):
     world = make_world(SMALL)
     for pos in objects:
         world.add_object(ObjectType.TYPE1, pos)
+    # Picked-up objects no longer block a spawn.
+    for i in removals:
+        if world.objects:
+            world.remove_object(world.objects[i % len(world.objects)])
     scan_rng, grid_rng = random.Random(seed), random.Random(seed)
     want = scan_spawn_position(world, scan_rng)
     if want is None:
@@ -461,6 +504,19 @@ def test_world_counts_and_conservation():
     world.check_conservation()
     assert world.free_count(ObjectType.TYPE1) == 1
     assert world.carried_count(ObjectType.TYPE1) == 1
+
+
+def test_remove_object_not_in_world_raises():
+    world = make_world()
+    rng = random.Random(0)
+    first, gone, last = (spawn_object(world, ObjectType.TYPE1, rng) for _ in range(3))
+    world.remove_object(gone)
+    # An object already removed, and one that was never added.
+    for stranger in (gone, WorldObject(99, ObjectType.TYPE1, Vec2(5.0, 5.0))):
+        with pytest.raises(ValueError):
+            world.remove_object(stranger)
+    assert world.objects == [first, last]
+    assert nearest_contact(world, gone.position).obj is not gone
 
 
 def test_conservation_violation_raises():

@@ -207,6 +207,17 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
         ("horizon_seconds", float("inf")),
         ("robot_count", float("inf")),
         ("leave_delta", float("nan")),
+        # Counts that are not integers, and impossible geometry.
+        ("robot_count", 2.7),
+        ("robot_count", True),
+        ("objects_type1", 1.5),
+        ("objects_type2", 2.5),
+        ("replications", True),
+        ("replications", 1.9),
+        ("seed", 3.5),
+        ("nest_radius", 0.15),  # equal to robot_radius
+        ("nest_radius", 0.1),
+        ("heading_jitter", -0.1),
     ],
 )
 def test_main_non_finite_value_exits_2(tmp_path, capsys, key, value):
@@ -219,6 +230,12 @@ def test_main_non_finite_value_exits_2(tmp_path, capsys, key, value):
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_integral_float_count_accepted():
+    raw = config_to_dict(small_config())
+    raw["robot_count"] = 4.0
+    assert config_from_dict(raw).robot_count == 4
 
 
 def test_main_overpacked_arena_exits_2(tmp_path, capsys):
@@ -234,6 +251,33 @@ def test_main_overpacked_arena_exits_2(tmp_path, capsys):
     assert code == 2
     assert "too packed" in capsys.readouterr().err
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ((small_config(), ["--event-log"]), (small_config(), [])),
+        ((replace(set2_config(), horizon=5.0, replications=1, robot_count=4), []),
+         (small_config(), [])),
+    ],
+    ids=["event-log-then-plain", "set2-then-set1"],
+)
+def test_main_refuses_non_empty_output(tmp_path, capsys, first, second):
+    # Rerunning into a used directory would leave files of the first run
+    # (events_run000.jsonl, pobj*_histogram.csv) beside the second bundle.
+    out = tmp_path / "out"
+    out.mkdir()  # an existing empty directory is fine
+
+    def run(config, flags):
+        path = tmp_path / "c.json"
+        write_config(config, str(path))
+        return main(["--config", str(path), "--output", str(out), *flags])
+
+    assert run(*first) == 0
+    before = read_bundle(out)
+    assert run(*second) == 2
+    assert "not empty" in capsys.readouterr().err
+    assert read_bundle(out) == before
 
 
 def test_main_preset_with_mode_override(tmp_path):
