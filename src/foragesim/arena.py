@@ -112,50 +112,66 @@ NO_CONTACT = Contact(ContactKind.NONE)
 
 
 class CellGrid:
-    """Items in uniform square cells of side ``side`` (the cell-list method):
-    every item closer than ``side`` to a point lies in the 3x3 block of cells
-    around it. Items are indexed by their ``id``.
+    """Items in uniform square cells of side ``side`` (the cell-list method).
 
-    Cell ``(floor(x / side), floor(y / side))`` is stored under the single
-    int ``i * stride + j``, which hashes faster than a tuple. The stride spans
-    every row of an arena of ``half_width``; points outside it can only merge
-    cells, which adds candidates to a query but never loses one.
+    Every item closer than ``side / 2`` to a point lies in the 2x2 block of
+    cells around it. A block is addressed by its lower-left cell, whose key
+    ``block_key`` gives; a query reads the four cells of the block.
 
-    With ``spread`` an item is filed under every cell of the 3x3 block around
-    its own, so the one cell of a point holds every item near it: a query
-    reads one cell in place of nine, and adding or removing an item touches
-    nine.
+    Cell ``(floor(x / side), floor(y / side))`` has the single int key
+    ``i * stride + j``, and ``cells`` is a flat table indexed by that key. The
+    table wraps around, as Python indexing does for a negative key, so keys
+    need no offset. Every cell within two cells of the arena has a slot of its
+    own; a cell farther out, but with both coordinates within twice
+    ``half_width`` of the centre, shares a slot, which adds candidates to a
+    query but never loses one. A cell is ``None`` until an item is filed in
+    it, then a list of its items.
+
+    With ``spread`` an item is filed under the four cells whose block holds
+    its own cell: that cell and the ones below, to the left, and below-left
+    of it. The lower-left cell of a point's block then holds every item near
+    the point, so a query reads one cell in place of four, and adding or
+    removing an item touches four.
     """
 
     def __init__(self, side: float, half_width: float, spread: bool = False) -> None:
         self.side = side
-        stride = 2 * math.ceil(half_width / side) + 3
+        stride = 2 * math.ceil(half_width / side) + 5
         self.stride = stride
-        self.block = tuple(di * stride + dj for di in (-1, 0, 1) for dj in (-1, 0, 1))
-        self.filed_at = self.block if spread else (0,)  # cells an item is filed under
-        self.cells: dict = {}  # cell key -> {item id: item}
+        self.block = (0, 1, stride, stride + 1)  # a block's cells from its key
+        self.filed_at = (0, -1, -stride, -stride - 1) if spread else (0,)
+        self.cells: list = [None] * (stride * stride)
         self.where: dict = {}  # item id -> key of the item's own cell
 
     def __contains__(self, item) -> bool:
         return item.id in self.where
 
     def key(self, x: float, y: float) -> int:
+        """Key of the cell that holds the point."""
         return math.floor(x / self.side) * self.stride + math.floor(y / self.side)
+
+    def block_key(self, x: float, y: float) -> int:
+        """Key of the lower-left cell of the 2x2 block around the point."""
+        side = self.side
+        return math.floor(x / side - 0.5) * self.stride + math.floor(y / side - 0.5)
 
     def add(self, item, key: int) -> None:
         """File ``item`` as lying in the cell ``key``."""
+        cells = self.cells
         for offset in self.filed_at:
-            self.cells.setdefault(key + offset, {})[item.id] = item
+            cell = cells[key + offset]
+            if cell is None:
+                cells[key + offset] = [item]
+            else:
+                cell.append(item)
         self.where[item.id] = key
 
     def remove(self, item) -> None:
         key = self.where.pop(item.id)
         cells = self.cells
         for offset in self.filed_at:
-            cell = cells[key + offset]
-            del cell[item.id]
-            if not cell:
-                del cells[key + offset]
+            # Items have distinct ids, so only ``item`` itself compares equal.
+            cells[key + offset].remove(item)
 
 
 _object_id = operator.attrgetter("id")
@@ -182,12 +198,13 @@ class World:
         self.robot_contact_sq = rr * rr
         self.object_contact_sq = ro * ro
         self.edge_contact = cfg.robot_radius + margin
-        # The largest contact or separation threshold, padded so float
-        # rounding in the cell key cannot put a contact two cells away.
+        # Twice the largest contact or separation threshold, padded so float
+        # rounding in a cell key cannot leave a contact out of the 2x2 block.
         # Both grids share side and stride, so one key addresses both.
-        side = 1.000001 * max(rr, ro, 2.0 * cfg.object_radius)
-        # Free objects, each filed under its whole 3x3 block: objects move
-        # only on pickup and spawn, while every query reads one cell.
+        side = 2.000002 * max(rr, ro, 2.0 * cfg.object_radius)
+        # Free objects, each filed under the four cells whose block holds
+        # it: objects move only on pickup and spawn, while every query reads
+        # one cell.
         self.object_grid = CellGrid(side, cfg.arena_half_width, spread=True)
         self.robot_grid = CellGrid(side, cfg.arena_half_width)  # robots not STOPPING
 
@@ -267,17 +284,17 @@ def spawn_object(world: World, obj_type: ObjectType, rng) -> WorldObject:
     nest_keepout = cfg.nest_radius + cfg.object_radius + cfg.contact_margin
     min_sep_sq = (2.0 * cfg.object_radius) ** 2
     grid = world.object_grid
-    get = grid.cells.get
+    cells = grid.cells
 
     for _ in range(SPAWN_ATTEMPT_CAP):
         x = lo + rng.random() * span
         y = lo + rng.random() * span
         if x * x + y * y <= nest_keepout * nest_keepout:
             continue
-        near = get(grid.key(x, y))
+        near = cells[grid.block_key(x, y)]
         if near and any(
             (o.position.x - x) ** 2 + (o.position.y - y) ** 2 < min_sep_sq
-            for o in near.values()
+            for o in near
         ):
             continue
         return world.add_object(obj_type, Vec2(x, y))
@@ -302,17 +319,18 @@ def nearest_contact(
     x, y = position
     robots = world.robot_grid
     side = robots.side
-    key = math.floor(x / side) * robots.stride + math.floor(y / side)
+    # robots.block_key(x, y), inline: this runs for every moving robot each tick.
+    key = math.floor(x / side - 0.5) * robots.stride + math.floor(y / side - 0.5)
 
     # Robot-robot: center distance below sum of radii plus margin.
     best_robot = None
     best_d2 = world.robot_contact_sq
-    get = robots.cells.get
+    cells = robots.cells
     for offset in robots.block:
-        cell = get(key + offset)
-        if cell is None:
+        cell = cells[key + offset]
+        if not cell:
             continue
-        for other in cell.values():
+        for other in cell:
             if other.id == ignore_robot_id:
                 continue
             d2 = (other.x - x) ** 2 + (other.y - y) ** 2
@@ -347,12 +365,12 @@ def nearest_contact(
         return Contact(ContactKind.NEST, ring)
 
     # Free objects: nearest one within threshold, all filed in this one cell.
-    near = world.object_grid.cells.get(key)
-    if near is None:
+    near = world.object_grid.cells[key]
+    if not near:
         return NO_CONTACT
     best_obj = None
     best_d2 = world.object_contact_sq
-    for obj in near.values():
+    for obj in near:
         d2 = (obj.position.x - x) ** 2 + (obj.position.y - y) ** 2
         if d2 < best_d2 or (
             d2 == best_d2 and best_obj is not None and obj.id < best_obj.id

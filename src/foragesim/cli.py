@@ -12,7 +12,7 @@ from typing import Optional
 
 from . import __version__
 from .allocation import Mode, VdrParams
-from .arena import ArenaConfig, SpawnError
+from .arena import ArenaConfig, SimulationInvariantError, SpawnError
 from .analysis import (
     bimodality_score,
     binomial_comparison,
@@ -79,15 +79,13 @@ def _vdr_params(raw: dict, prefix: str) -> VdrParams:
         raise ConfigError(f"invalid {prefix}_* probability parameters: {exc}") from exc
 
 
-def _count(raw: dict, key: str) -> int:
-    """An integral JSON number; a fraction or a boolean is an error, not
-    something to truncate."""
+def _count(raw: dict, key: str):
+    """An integral JSON float such as ``4.0`` as an int. Any other value
+    passes unchanged, for ``ExperimentConfig`` to reject if it is no integer."""
     value = raw[key]
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -389,6 +387,9 @@ def main(argv: Optional[list] = None) -> int:
     except SpawnError as exc:
         print(f"config error: {exc}; the arena is too packed", file=sys.stderr)
         return 2
+    except SimulationInvariantError as exc:
+        print(f"simulator bug: {exc}", file=sys.stderr)
+        return 3
     except FileExistsError as exc:
         print(f"output error: {exc}; choose a new or empty directory", file=sys.stderr)
         return 2

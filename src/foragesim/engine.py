@@ -155,14 +155,10 @@ class Simulation:
         self._emit("leave", self.clock.tick_index, robot.id,
                    None if robot.assignment is None else int(robot.assignment))
 
-    def searching_step(self, robot: Robot) -> None:
-        clock = self.clock
-        # clock.now, read inline: this runs for every searching robot each tick.
-        if clock.tick_index * clock.tick_duration >= robot.search_deadline:
-            self._set_phase(robot, RobotPhase.RETURNING)
-            return
-        cfg = self.world.config
-        contact = nearest_contact(self.world, (robot.x, robot.y), robot.id)
+    def searching_step(self, robot: Robot, contact: Contact) -> None:
+        """Act on ``contact``, a searching robot's contact this tick; the tick
+        itself checks the search deadline and takes the free step when there
+        is no contact."""
         kind = contact.kind
         if kind is ContactKind.OBJECT:
             obj = contact.obj
@@ -173,9 +169,8 @@ class Simulation:
             else:
                 self.pickup_attempt(robot, obj)
             return
-        if kind is ContactKind.NONE or (
-            kind is ContactKind.NEST and math.hypot(robot.x, robot.y) < cfg.nest_radius
-        ):
+        cfg = self.world.config
+        if kind is ContactKind.NEST and math.hypot(robot.x, robot.y) < cfg.nest_radius:
             # Freshly departed robots (still inside the nest) pass outward
             # freely.
             robot.heading += (self.rng.random() * 2.0 - 1.0) * cfg.heading_jitter
@@ -263,19 +258,35 @@ class Simulation:
         clock = self.clock
         if clock.tick_index >= clock.total_ticks:
             raise ValueError("clock is past the horizon")
+        now = clock.now
+        world = self.world
+        jitter = world.config.heading_jitter
+        random = self.rng.random
         stopping, searching = RobotPhase.STOPPING, RobotPhase.SEARCHING
+        no_contact = ContactKind.NONE
         leave, search = self.try_leave_nest, self.searching_step
-        home = self.returning_step
-        for robot in self.world.robots:
+        home, advance = self.returning_step, self._advance
+        for robot in world.robots:
             phase = robot.phase
-            if phase is stopping:
+            if phase is searching:
+                if now >= robot.search_deadline:
+                    self._set_phase(robot, RobotPhase.RETURNING)
+                    continue
+                # Looked up at call time, so a wrapper installed on the
+                # module sees every query.
+                contact = nearest_contact(world, (robot.x, robot.y), robot.id)
+                if contact.kind is no_contact:
+                    # The free step, which most searching ticks take.
+                    robot.heading += (random() * 2.0 - 1.0) * jitter
+                    advance(robot)
+                else:
+                    search(robot, contact)
+            elif phase is stopping:
                 leave(robot)
-            elif phase is searching:
-                search(robot)
             else:
                 home(robot)
         clock.tick_index += 1
-        self.world.check_conservation()
+        world.check_conservation()
 
     def run(self) -> None:
         while self.clock.tick_index < self.clock.total_ticks:

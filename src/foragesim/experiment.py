@@ -36,6 +36,16 @@ class ExperimentConfig:
         for name in ("horizon", "search_timeout", "tick_duration", "leave_check_period"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name, value in (
+            ("robot_count", self.robot_count),
+            ("object_totals[0]", self.object_totals[0]),
+            ("object_totals[1]", self.object_totals[1]),
+            ("replications", self.replications),
+            ("seed", self.seed),
+        ):
+            # bool subclasses int, but True is no count.
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.robot_count <= 0:
             raise ValueError("robot_count must be positive")
         if self.object_totals[0] <= 0 or self.object_totals[1] <= 0:
@@ -46,6 +56,17 @@ class ExperimentConfig:
             raise ValueError("horizon must be >= 0 and search_timeout > 0")
         if self.tick_duration <= 0 or self.leave_check_period <= 0:
             raise ValueError("tick_duration and leave_check_period must be > 0")
+        # Equal disks cover at most pi / sqrt(12) (0.9069) of any region they
+        # are packed in, the hexagonal packing, so more object area than that
+        # cannot be placed however long spawning draws.
+        objects = sum(self.object_totals)
+        radius = self.arena.object_radius
+        width = 2.0 * self.arena.arena_half_width
+        if objects * math.pi * radius**2 > math.pi / math.sqrt(12.0) * width**2:
+            raise ValueError(
+                f"the arena is too packed: {objects} objects of radius {radius} "
+                f"cannot fit in a {width} x {width} square"
+            )
 
 
 @dataclass

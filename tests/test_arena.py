@@ -263,9 +263,10 @@ def off_by(value, step):
 
 
 # Points on a 1/16 lattice, where distances are exact and ties common,
-# points on (or one float step off) the grid's cell edges, and points on the
-# walls or where a robot or an object touches them, which lie in the border
-# cells of the grid.
+# points on (or one float step off) the grid's cell edges k * SIDE, where an
+# item changes cell, and its block edges (k + 0.5) * SIDE, where a query's
+# 2x2 block changes, and points on the walls or where a robot or an object
+# touches them, which lie in the border cells of the grid.
 HW = SMALL.arena_half_width
 border = st.builds(
     lambda at, sign, step: off_by(sign * at, step),
@@ -276,8 +277,9 @@ border = st.builds(
 coordinate = st.one_of(
     st.integers(-36, 36).map(lambda k: k / 16),
     st.builds(
-        lambda k, step: off_by(k * SIDE, step),
-        st.integers(-6, 5),
+        lambda k, half, step: off_by((k + half) * SIDE, step),
+        st.integers(-3, 3),
+        st.sampled_from([0, 0.5]),
         st.sampled_from([-1, 0, 1]),
     ),
     border,
@@ -289,7 +291,7 @@ point = st.one_of(
 # Offsets to the eight points around a point, each within contact range.
 NEAR = (-0.1875, 0, 0.1875)
 AROUND = [(dx, dy) for dx in NEAR for dy in NEAR if dx or dy]
-# A shift that keeps a point in or next to its 3x3 block of cells.
+# A shift that keeps a point in or next to its own cell.
 shift = st.integers(-6, 6).map(lambda k: k / 16)
 phase = st.sampled_from(list(RobotPhase))
 operation = st.one_of(
@@ -356,9 +358,18 @@ def test_contact_grid_matches_linear_scan(robots, objects, operations, queries):
         check()
 
 
+def scattered(seed):
+    """Thirty points uniform over the small arena. They leave few clear spots,
+    so most spawn draws land near an object, often in another cell."""
+    rng = random.Random(seed)
+    return [Vec2(rng.uniform(-HW, HW), rng.uniform(-HW, HW)) for _ in range(30)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    objects=st.lists(point, max_size=40),
+    objects=st.one_of(
+        st.lists(point, max_size=40), st.integers(0, 2**32 - 1).map(scattered)
+    ),
     removals=st.lists(st.integers(0, 39), max_size=10),
     seed=st.integers(0, 2**32 - 1),
 )

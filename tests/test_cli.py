@@ -239,6 +239,29 @@ def test_integral_float_count_accepted():
 
 
 def test_main_overpacked_arena_exits_2(tmp_path, capsys):
+    # 20 objects would fit in the square by area, but not around the nest:
+    # spawning gives up after its attempt cap.
+    raw = config_to_dict(small_config())
+    raw.update(
+        arena_half_width=1.0, nest_radius=0.45, object_radius=0.2, robot_radius=0.1,
+        objects_type1=10, objects_type2=10,
+    )
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    code = main(["--config", str(path), "--output", str(out)])
+    assert code == 2
+    assert "too packed" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_main_infeasible_packing_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    import foragesim.experiment as experiment
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("spawn_object called")
+
+    monkeypatch.setattr(experiment, "spawn_object", no_draws)
     raw = config_to_dict(small_config())
     raw.update(
         arena_half_width=1.0, nest_radius=0.45, object_radius=0.2, robot_radius=0.1,
@@ -249,7 +272,23 @@ def test_main_overpacked_arena_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["--config", str(path), "--output", str(out)])
     assert code == 2
-    assert "too packed" in capsys.readouterr().err
+    assert "config error: the arena is too packed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_invariant_error_exits_3(tmp_path, capsys, monkeypatch):
+    from foragesim.arena import SimulationInvariantError, World
+
+    def broken(self):
+        raise SimulationInvariantError("object conservation broken")
+
+    monkeypatch.setattr(World, "check_conservation", broken)
+    out = tmp_path / "out"
+    code = main(["--preset", "set1", "--replications", "1", "--output", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == "simulator bug: object conservation broken\n"
+    assert captured.out == ""
     assert os.listdir(out) == []
 
 

@@ -23,6 +23,7 @@ from foragesim import (
     vdr_failure,
     vdr_success,
 )
+from foragesim.arena import nearest_contact
 from foragesim.engine import RobotPhase
 
 from conftest import ScriptedRng
@@ -113,27 +114,32 @@ def test_leave_check_cadence():
 # -- searching -------------------------------------------------------------------
 
 
+def search(sim, robot):
+    """A searching robot's step after a contact, as the tick takes it."""
+    sim.searching_step(robot, nearest_contact(sim.world, robot.position, robot.id))
+
+
 def test_searching_jitter_advance():
     # Jitter draw 0.75 maps to +0.05 rad with jitter half-width 0.1.
-    sim = build_sim(rng=ScriptedRng([0.75]))
+    sim = build_sim(rng=ScriptedRng([0.75]), totals=(0, 0))
     robot = make_robot(0, 5.0, 5.0, heading=0.0)
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 15.0
     sim.world.add_robot(robot)
-    sim.searching_step(robot)
+    sim.tick()  # no contact: the tick takes the free step itself
     assert robot.heading == pytest.approx(0.05)
     assert robot.x == pytest.approx(5.0 + 0.1 * math.cos(0.05))
     assert robot.y == pytest.approx(5.0 + 0.1 * math.sin(0.05))
 
 
 def test_searching_timeout_returns_empty():
-    sim = build_sim(rng=ScriptedRng([]))
+    sim = build_sim(rng=ScriptedRng([]), totals=(0, 0))
     robot = make_robot(0, 5.0, 5.0)
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 10.0
     sim.clock.tick_index = 100  # now = 10.0 s, deadline reached
     sim.world.add_robot(robot)
-    sim.searching_step(robot)
+    sim.tick()  # the tick checks the deadline
     assert robot.phase is RobotPhase.RETURNING
     assert robot.carried is None
 
@@ -144,7 +150,7 @@ def test_searching_nest_boundary_bounces_outward():
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 15.0
     sim.world.add_robot(robot)
-    sim.searching_step(robot)
+    search(sim, robot)
     assert robot.phase is RobotPhase.SEARCHING
     # Post-bounce heading separates from the nest: positive outward component.
     assert math.cos(robot.heading) > 0.0
@@ -157,7 +163,7 @@ def test_searching_inside_nest_passes_outward():
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 15.0
     sim.world.add_robot(robot)
-    sim.searching_step(robot)
+    search(sim, robot)
     assert rng.calls == 1
     assert robot.heading == pytest.approx(0.0)  # draw 0.5 is zero jitter
 
@@ -177,7 +183,7 @@ def test_pickup_certain_capability_succeeds():
     robot.search_deadline = 15.0
     sim.world.add_robot(robot)
     obj = place_contact_object(sim, ObjectType.TYPE1, robot)
-    sim.searching_step(robot)
+    search(sim, robot)
     assert robot.carried is ObjectType.TYPE1
     assert robot.phase is RobotPhase.RETURNING
     assert obj not in sim.world.objects
@@ -190,7 +196,7 @@ def test_pickup_zero_capability_bounces():
     robot.search_deadline = 15.0
     sim.world.add_robot(robot)
     obj = place_contact_object(sim, ObjectType.TYPE2, robot)
-    sim.searching_step(robot)
+    search(sim, robot)
     assert robot.carried is None
     assert robot.phase is RobotPhase.SEARCHING
     assert obj in sim.world.objects
@@ -207,7 +213,7 @@ def test_modified_wrong_type_is_plain_obstacle():
     sim.world.add_robot(robot)
     obj = place_contact_object(sim, ObjectType.TYPE2, robot)
     before = robot.alloc
-    sim.searching_step(robot)
+    search(sim, robot)
     assert robot.carried is None
     assert robot.phase is RobotPhase.SEARCHING
     assert obj in sim.world.objects
@@ -223,7 +229,7 @@ def test_modified_pickup_updates_per_attempt():
     sim.world.add_robot(robot)
     place_contact_object(sim, ObjectType.TYPE2, robot)
     before = robot.alloc
-    sim.searching_step(robot)  # failed attempt
+    search(sim, robot)  # failed attempt
     assert robot.alloc.obj[1] == vdr_failure(before.obj[1], OBJ)
     assert robot.alloc.obj[0] == before.obj[0]
     assert robot.alloc.leave == before.leave

@@ -39,6 +39,35 @@ def test_config_rejects_non_finite(name, value):
         replace(set1_config(), **{name: value})
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("robot_count", True),
+        ("robot_count", 2.7),
+        ("robot_count", 4.0),  # only the CLI converts an integral float
+        ("object_totals", (1.5, 35)),
+        ("object_totals", (30, True)),
+        ("replications", True),
+        ("replications", 1.9),
+        ("seed", 3.5),
+        ("seed", False),
+    ],
+)
+def test_config_rejects_non_integer_counts(name, value):
+    with pytest.raises(ValueError, match="must be an integer"):
+        replace(set1_config(), **{name: value})
+
+
+def test_config_rejects_infeasible_packing():
+    # 0.9069 of a 2 x 2 square holds at most 28 disks of radius 0.2.
+    arena = ArenaConfig(
+        arena_half_width=1.0, nest_radius=0.45, object_radius=0.2, robot_radius=0.1
+    )
+    replace(set1_config(), arena=arena, object_totals=(14, 14))
+    with pytest.raises(ValueError, match="too packed"):
+        replace(set1_config(), arena=arena, object_totals=(14, 15))
+
+
 def test_set1_preset_parameters():
     config = set1_config()
     assert config.mode is Mode.ORIGINAL
