@@ -1,5 +1,6 @@
 """CLI tests: config parsing, presets, output bundle, exit codes."""
 
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -7,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from foragesim import set1_config, set2_config
+from foragesim.experiment import PRESETS
 from foragesim.cli import (
     ConfigError,
     config_from_dict,
@@ -84,6 +86,21 @@ def test_geometry_keys_optional():
     assert config.arena.robot_speed == 1.0
 
 
+# SHA-256 of the file ``write_config`` writes for each preset: the config
+# echo that the manifest embeds and that reruns read back.
+CONFIG_GOLDEN = {
+    "set1": "6f1c6da9302e1a6d490434d11b0572d1989326fb303672863024b0a17348a50a",
+    "set2": "8eafe4f14c2704b1e3e0d1cff1e3e998b794c614f1f603c35bcd86108aff9eda",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(CONFIG_GOLDEN))
+def test_write_config_digest(preset, tmp_path):
+    path = tmp_path / "config.json"
+    write_config(PRESETS[preset](), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CONFIG_GOLDEN[preset]
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.json"))
@@ -113,6 +130,8 @@ def test_run_command_row_counts(tmp_path):
     rows = (out / "results.csv").read_text().strip().splitlines()
     assert len(rows) - 1 == config.replications * config.robot_count
     assert manifest["config"]["robot_count"] == 4
+    on_disk = json.loads((out / "manifest.json").read_text())
+    assert on_disk["config"] == config_to_dict(config)
     for name in ("p1_histogram.csv", "classification.csv", "binomial.csv", "manifest.json"):
         assert (out / name).exists()
 
