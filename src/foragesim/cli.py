@@ -7,7 +7,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from typing import Optional
 
 from . import __version__
@@ -29,140 +29,104 @@ class ConfigError(ValueError):
     """Bad configuration file: parse failure, unknown key, or invalid value."""
 
 
-_REQUIRED_KEYS = {
-    "mode",
-    "robot_count",
-    "objects_type1",
-    "objects_type2",
-    "horizon_seconds",
-    "search_timeout_seconds",
-    "leave_p_max",
-    "leave_p_min",
-    "leave_p_initial",
-    "leave_delta",
-    "obj1_p_max",
-    "obj1_p_min",
-    "obj1_p_initial",
-    "obj1_delta",
-    "obj2_p_max",
-    "obj2_p_min",
-    "obj2_p_initial",
-    "obj2_delta",
-    "seed",
-    "replications",
-}
+# The three probability groups: key prefix, and path to the VdrParams.
+_VDR_GROUPS = (
+    ("leave", ("leave_params",)),
+    ("obj1", ("obj_params", 0)),
+    ("obj2", ("obj_params", 1)),
+)
 
-# Geometry and timing keys may be omitted; defaults are the declared
-# interpretation constants baked into ArenaConfig / ExperimentConfig.
-_OPTIONAL_DEFAULTS = {
-    "arena_half_width": 10.0,
-    "nest_radius": 2.0,
-    "robot_radius": 0.15,
-    "object_radius": 0.15,
-    "robot_speed": 1.0,
-    "contact_margin": 0.05,
-    "heading_jitter": 0.1,
-    "tick_duration": 0.1,
-    "leave_check_period": 0.1,
-}
+# The config file schema, one row per JSON key: the key, its path in
+# ExperimentConfig (attribute names, and indices into its tuples), its type,
+# and whether the file must give it. An omitted key takes the dataclass
+# default. Geometry and probability keys are the field names of ArenaConfig
+# and VdrParams, so renaming such a field renames its key.
+_FIELDS = (
+    ("mode", ("mode",), Mode, True),
+    ("robot_count", ("robot_count",), int, True),
+    ("objects_type1", ("object_totals", 0), int, True),
+    ("objects_type2", ("object_totals", 1), int, True),
+    ("horizon_seconds", ("horizon",), float, True),
+    ("search_timeout_seconds", ("search_timeout",), float, True),
+    ("seed", ("seed",), int, True),
+    # Required although ExperimentConfig has a default: a file names its run count.
+    ("replications", ("replications",), int, True),
+    ("tick_duration", ("tick_duration",), float, False),
+    ("leave_check_period", ("leave_check_period",), float, False),
+    *((spec.name, ("arena", spec.name), float, False) for spec in fields(ArenaConfig)),
+    *(
+        (f"{prefix}_{spec.name}", (*path, spec.name), float, True)
+        for prefix, path in _VDR_GROUPS
+        for spec in fields(VdrParams)
+    ),
+)
+_KEYS = {row[0] for row in _FIELDS}
+_REQUIRED = {row[0] for row in _FIELDS if row[3]}
 
 
-def _vdr_params(raw: dict, prefix: str) -> VdrParams:
-    try:
-        return VdrParams(
-            p_max=float(raw[f"{prefix}_p_max"]),
-            p_min=float(raw[f"{prefix}_p_min"]),
-            p_initial=float(raw[f"{prefix}_p_initial"]),
-            delta=float(raw[f"{prefix}_delta"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid {prefix}_* probability parameters: {exc}") from exc
+def _number(value) -> float:
+    # float() would also read "10" and True; a config number is neither.
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
 
 
-def _count(raw: dict, key: str):
+def _count(value):
     """An integral JSON float such as ``4.0`` as an int. Any other value
     passes unchanged, for ``ExperimentConfig`` to reject if it is no integer."""
-    value = raw[key]
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return value
 
 
+_CONVERT = {Mode: Mode, int: _count, float: _number}
+
+
+def _vdr_params(parts: dict, prefix: str, path: tuple) -> VdrParams:
+    try:
+        return VdrParams(**parts[path])
+    except ValueError as exc:
+        raise ConfigError(f"invalid {prefix}_* probability parameters: {exc}") from exc
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    unknown = set(raw) - _REQUIRED_KEYS - set(_OPTIONAL_DEFAULTS)
+    unknown = set(raw) - _KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - set(raw)
+    missing = _REQUIRED - set(raw)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-    merged = dict(_OPTIONAL_DEFAULTS)
-    merged.update(raw)
 
-    if merged["mode"] not in ("original", "modified"):
-        raise ConfigError("mode must be 'original' or 'modified'")
+    # Values grouped by the path of the object that holds them: () for
+    # ExperimentConfig itself, ("arena",), ("obj_params", 0) and so on.
+    parts = {path[:-1]: {} for _, path, _, _ in _FIELDS}
+    for key, path, kind, _ in _FIELDS:
+        if key in raw:
+            try:
+                parts[path[:-1]][path[-1]] = _CONVERT[kind](raw[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+    leave, obj1, obj2 = [_vdr_params(parts, *group) for group in _VDR_GROUPS]
+    totals = parts[("object_totals",)]
     try:
-        arena = ArenaConfig(
-            arena_half_width=float(merged["arena_half_width"]),
-            nest_radius=float(merged["nest_radius"]),
-            robot_radius=float(merged["robot_radius"]),
-            object_radius=float(merged["object_radius"]),
-            robot_speed=float(merged["robot_speed"]),
-            contact_margin=float(merged["contact_margin"]),
-            heading_jitter=float(merged["heading_jitter"]),
-        )
         return ExperimentConfig(
-            mode=Mode(merged["mode"]),
-            robot_count=_count(merged, "robot_count"),
-            object_totals=(
-                _count(merged, "objects_type1"),
-                _count(merged, "objects_type2"),
-            ),
-            horizon=float(merged["horizon_seconds"]),
-            search_timeout=float(merged["search_timeout_seconds"]),
-            leave_params=_vdr_params(merged, "leave"),
-            obj_params=(_vdr_params(merged, "obj1"), _vdr_params(merged, "obj2")),
-            arena=arena,
-            seed=_count(merged, "seed"),
-            replications=_count(merged, "replications"),
-            tick_duration=float(merged["tick_duration"]),
-            leave_check_period=float(merged["leave_check_period"]),
+            **parts[()],
+            object_totals=(totals[0], totals[1]),
+            leave_params=leave,
+            obj_params=(obj1, obj2),
+            arena=ArenaConfig(**parts[("arena",)]),
         )
-    except ConfigError:
-        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    arena = config.arena
-    out = {
-        "mode": config.mode.value,
-        "robot_count": config.robot_count,
-        "objects_type1": config.object_totals[0],
-        "objects_type2": config.object_totals[1],
-        "horizon_seconds": config.horizon,
-        "search_timeout_seconds": config.search_timeout,
-        "seed": config.seed,
-        "replications": config.replications,
-        "arena_half_width": arena.arena_half_width,
-        "nest_radius": arena.nest_radius,
-        "robot_radius": arena.robot_radius,
-        "object_radius": arena.object_radius,
-        "robot_speed": arena.robot_speed,
-        "contact_margin": arena.contact_margin,
-        "heading_jitter": arena.heading_jitter,
-        "tick_duration": config.tick_duration,
-        "leave_check_period": config.leave_check_period,
-    }
-    for prefix, params in (
-        ("leave", config.leave_params),
-        ("obj1", config.obj_params[0]),
-        ("obj2", config.obj_params[1]),
-    ):
-        out[f"{prefix}_p_max"] = params.p_max
-        out[f"{prefix}_p_min"] = params.p_min
-        out[f"{prefix}_p_initial"] = params.p_initial
-        out[f"{prefix}_delta"] = params.delta
+    out = {}
+    for key, path, kind, _ in _FIELDS:
+        value = config
+        for step in path:
+            value = value[step] if isinstance(step, int) else getattr(value, step)
+        out[key] = value.value if kind is Mode else value
     return out
 
 
@@ -199,13 +163,7 @@ def _write_histogram_csv(path: str, values, bins: int, low: float, high: float) 
     return counts
 
 
-def run_command(
-    config: ExperimentConfig,
-    output_dir: str,
-    seed: Optional[int] = None,
-    replications: Optional[int] = None,
-    event_log: bool = False,
-) -> dict:
+def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = False) -> dict:
     """Execute the replications and write the full output bundle.
 
     Returns the manifest dict. Raises ``FileExistsError`` before running
@@ -214,10 +172,6 @@ def run_command(
     written to the output directory by this call are removed before the
     error propagates.
     """
-    if seed is not None:
-        config = replace(config, seed=seed)
-    if replications is not None:
-        config = replace(config, replications=replications)
     os.makedirs(output_dir, exist_ok=True)
     if os.listdir(output_dir):
         raise FileExistsError(f"output directory {output_dir} is not empty")
@@ -371,19 +325,19 @@ def main(argv: Optional[list] = None) -> int:
             config = load_config(args.config)
         else:
             config = PRESETS[args.preset]()
-        if args.mode:
-            config = replace(config, mode=Mode(args.mode))
+        # A flag named after a config key (--mode, --seed, --replications)
+        # overrides it, through the same checks as the file it overrides.
+        overrides = {
+            key: value
+            for key, value in vars(args).items()
+            if key in _KEYS and value is not None
+        }
+        config = config_from_dict({**config_to_dict(config), **overrides})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        manifest = run_command(
-            config,
-            args.output,
-            seed=args.seed,
-            replications=args.replications,
-            event_log=args.event_log,
-        )
+        manifest = run_command(config, args.output, event_log=args.event_log)
     except SpawnError as exc:
         print(f"config error: {exc}; the arena is too packed", file=sys.stderr)
         return 2

@@ -52,6 +52,10 @@ class ExperimentConfig:
             raise ValueError("object_totals must be componentwise positive")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        # random.Random seeds by the absolute value, so seed -s would draw
+        # the streams of seed s.
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.horizon < 0 or self.search_timeout <= 0:
             raise ValueError("horizon must be >= 0 and search_timeout > 0")
         if self.tick_duration <= 0 or self.leave_check_period <= 0:

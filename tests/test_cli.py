@@ -7,8 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from foragesim import set1_config, set2_config
-from foragesim.experiment import PRESETS
+from foragesim import PRESETS, set1_config, set2_config
 from foragesim.cli import (
     ConfigError,
     config_from_dict,
@@ -155,8 +154,12 @@ def test_run_command_byte_identical(tmp_path):
 
 
 def test_run_command_overrides(tmp_path):
-    config = small_config()
-    manifest = run_command(config, str(tmp_path / "o"), seed=99, replications=1)
+    path = tmp_path / "c.json"
+    write_config(small_config(), str(path))
+    out = tmp_path / "o"
+    flags = ["--seed", "99", "--replications", "1"]
+    assert main(["--config", str(path), "--output", str(out), *flags]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 99
     assert manifest["config"]["replications"] == 1
 
@@ -234,6 +237,12 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
         ("replications", True),
         ("replications", 1.9),
         ("seed", 3.5),
+        ("seed", -1),  # random.Random(-n) draws the stream of Random(n)
+        # float() would read these as 10.0, 4.0 and 1.0.
+        ("horizon_seconds", "10"),
+        ("arena_half_width", "4"),
+        ("robot_speed", True),
+        ("leave_p_max", True),
         ("nest_radius", 0.15),  # equal to robot_radius
         ("nest_radius", 0.1),
         ("heading_jitter", -0.1),
@@ -357,7 +366,18 @@ def test_main_preset_with_mode_override(tmp_path):
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["mode"] == "modified"
+    assert manifest["config"]["seed"] == 7
+    assert manifest["config"]["replications"] == 1
     assert (out / "pobj1_histogram.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--replications", "0"), ("--seed", "-1")])
+def test_main_bad_override_exits_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    code = main(["--preset", "set1", "--output", str(out), flag, value])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_requires_source(capsys):

@@ -28,6 +28,9 @@ def test_config_validation():
         replace(config, search_timeout=0.0)
     with pytest.raises(ValueError):
         replace(config, tick_duration=-0.1)
+    # random.Random seeds by |seed|, so seed -1 would repeat seed 1's streams.
+    with pytest.raises(ValueError, match="seed"):
+        replace(config, seed=-1)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
