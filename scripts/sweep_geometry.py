@@ -1,24 +1,13 @@
 #!/usr/bin/env python3
 """Sweep arena-geometry candidates for the two presets and report the
-acceptance-style metrics. Used to pick the shipped preset geometry; kept
-for re-tuning if the geometry or kinematics constants change."""
+acceptance metrics from ``foragesim.summarize``. Used to pick the shipped
+preset geometry; kept for re-tuning if the geometry or kinematics constants
+change."""
 
 import time
 from dataclasses import replace
 
-from foragesim import (
-    CapabilityRegion,
-    bimodality_score,
-    binomial_comparison,
-    classify_foragers,
-    classify_preferences,
-    expected_region,
-    histogram,
-    region_matches_label,
-    run_experiment,
-    set1_config,
-    set2_config,
-)
+from foragesim import run_experiment, set1_config, set2_config, summarize
 
 SET1_CANDIDATES = [(4.0, 1.0, 1.5), (4.5, 1.0, 1.5), (4.0, 1.2, 1.5)]
 SET2_CANDIDATES = [(5.0, 1.0, 1.5), (6.0, 1.0, 1.5), (6.0, 1.2, 1.5)]
@@ -36,59 +25,27 @@ def mean_trips(results, config):
     return total / (len(results) * config.robot_count)
 
 
-def eval_set1(config, reps=20):
+def evaluate(config, reps=20):
     t0 = time.time()
     results = [run_experiment(config, i) for i in range(reps)]
-    lp = config.leave_params
-    score = bimodality_score(
-        histogram([p for r in results for p in r.final_p1], 8, lp.p_min, lp.p_max)
+    s = summarize(config, results)
+    scores = ", ".join(f"{k}={v:.3f}" for k, v in s.bimodality.items())
+    line = (
+        f"  scores={{{scores}}} tv={s.binomial.tv_distance:.3f} "
+        f"p_hat={s.binomial.p_hat:.2f} counts={s.classification.forager_counts}"
     )
-    report = classify_foragers(results)
-    comp = binomial_comparison(report.forager_counts, config.robot_count)
-    print(
-        f"  p1 score={score:.3f} tv={comp.tv_distance:.3f} p_hat={comp.p_hat:.2f} "
-        f"counts={report.forager_counts} trips={mean_trips(results, config):.1f} "
-        f"({time.time() - t0:.1f}s)"
-    )
-
-
-def eval_set2(config, reps=20):
-    t0 = time.time()
-    results = [run_experiment(config, i) for i in range(reps)]
-    lp = config.leave_params
-    scores = {
-        "p1": bimodality_score(
-            histogram([p for r in results for p in r.final_p1], 8, lp.p_min, lp.p_max)
-        )
-    }
-    for i, name in enumerate(("pobj1", "pobj2")):
-        op = config.obj_params[i]
-        values = [p for r in results for p in r.final_pobj[i]]
-        scores[name] = bimodality_score(histogram(values, 8, op.p_min, op.p_max))
-    report = classify_foragers(results)
-    comp = binomial_comparison(report.forager_counts, config.robot_count)
-    match = total = loafer_yellow = loafer_total = 0
-    for r in results:
-        labels = classify_preferences(r)
-        for cap, label in zip(r.capabilities, labels):
-            region = expected_region(cap)
-            total += 1
-            match += region_matches_label(region, label)
-            if region is CapabilityRegion.LOAFER:
-                loafer_total += 1
-                loafer_yellow += region_matches_label(region, label)
-    print(
-        f"  scores={{{', '.join(f'{k}={v:.3f}' for k, v in scores.items())}}} "
-        f"tv={comp.tv_distance:.3f} p_hat={comp.p_hat:.2f} match={match / total:.2f} "
-        f"loafer_yellow={loafer_yellow}/{loafer_total} "
-        f"trips={mean_trips(results, config):.1f} ({time.time() - t0:.1f}s)"
-    )
+    if s.match_rate is not None:
+        yellow = s.loafer_yellow_rate
+        yellow = "none" if yellow is None else f"{yellow:.2f}"
+        line += f" match={s.match_rate:.2f} loafer_yellow={yellow}"
+    print(f"{line} trips={mean_trips(results, config):.1f} ({time.time() - t0:.1f}s)")
 
 
 if __name__ == "__main__":
-    for hw, nest, speed in SET1_CANDIDATES:
-        print(f"set1 hw={hw} nest={nest} speed={speed}")
-        eval_set1(with_geometry(set1_config(), hw, nest, speed))
-    for hw, nest, speed in SET2_CANDIDATES:
-        print(f"set2 hw={hw} nest={nest} speed={speed}")
-        eval_set2(with_geometry(set2_config(), hw, nest, speed))
+    for name, preset, candidates in (
+        ("set1", set1_config, SET1_CANDIDATES),
+        ("set2", set2_config, SET2_CANDIDATES),
+    ):
+        for hw, nest, speed in candidates:
+            print(f"{name} hw={hw} nest={nest} speed={speed}")
+            evaluate(with_geometry(preset(), hw, nest, speed))

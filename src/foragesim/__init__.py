@@ -34,6 +34,7 @@ from .analysis import (
     CapabilityRegion,
     ClassificationReport,
     PreferenceLabel,
+    Summary,
     bimodality_score,
     binomial_comparison,
     classify_foragers,
@@ -41,4 +42,5 @@ from .analysis import (
     expected_region,
     histogram,
     region_matches_label,
+    summarize,
 )

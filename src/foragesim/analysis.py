@@ -1,14 +1,18 @@
 """Post-run analyses: histograms, forager/loafer classification, preference
-labels, capability-region map, and the binomial comparison."""
+labels, capability-region map, and the binomial comparison. ``summarize``
+computes all of them for one batch of runs."""
 
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .experiment import RunResult
+from .allocation import Mode
+from .experiment import ExperimentConfig, RunResult
+
+HISTOGRAM_BINS = 8
 
 
 class PreferenceLabel(enum.Enum):
@@ -44,6 +48,20 @@ class BinomialComparison:
     observed: list  # empirical frequency of each forager count k = 0..n
     theoretical: list  # Binomial(n, p_hat) mass at each k
     tv_distance: float
+
+
+@dataclass
+class Summary:
+    """The numbers the paper's claims are judged on, for one batch of runs."""
+
+    classification: ClassificationReport
+    labels: Optional[list]  # PreferenceLabel list per run; MODIFIED only
+    bins: dict  # histogram counts of the final probabilities, by name
+    ranges: dict  # (low, high) span of each histogram, by name
+    bimodality: dict  # bimodality score of each histogram, by name
+    binomial: BinomialComparison
+    match_rate: Optional[float]  # share of labels matching the region; MODIFIED only
+    loafer_yellow_rate: Optional[float]  # of loafer-region robots; None when none
 
 
 def midpoint_threshold(values: Sequence[float]) -> float:
@@ -157,3 +175,44 @@ def bimodality_score(bins: Sequence[int]) -> float:
     if total == 0:
         return 0.0
     return (bins[0] + bins[-1]) / total
+
+
+def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> Summary:
+    """Classify the robots of every run of ``config`` and compute the
+    histograms and bimodality scores of the final probabilities (``p1``, plus
+    ``pobj1``/``pobj2`` in MODIFIED mode), the binomial fit of the forager
+    counts and, in MODIFIED mode, how well preference labels follow
+    capability regions."""
+    report = classify_foragers(results)
+    groups = [("p1", config.leave_params, [p for r in results for p in r.final_p1])]
+    labels = match_rate = loafer_yellow_rate = None
+    if config.mode is Mode.MODIFIED:
+        for i, name in enumerate(("pobj1", "pobj2")):
+            values = [p for r in results for p in r.final_pobj[i]]
+            groups.append((name, config.obj_params[i], values))
+        labels = [classify_preferences(r) for r in results]
+        matches = loafers = loafer_yellow = 0
+        for result, run_labels in zip(results, labels):
+            for capability, label in zip(result.capabilities, run_labels):
+                region = expected_region(capability)
+                match = region_matches_label(region, label)
+                matches += match
+                if region is CapabilityRegion.LOAFER:
+                    loafers += 1
+                    loafer_yellow += match
+        match_rate = matches / sum(map(len, labels))
+        loafer_yellow_rate = loafer_yellow / loafers if loafers else None
+    bins = {
+        name: histogram(values, HISTOGRAM_BINS, params.p_min, params.p_max)
+        for name, params, values in groups
+    }
+    return Summary(
+        classification=report,
+        labels=labels,
+        bins=bins,
+        ranges={name: (params.p_min, params.p_max) for name, params, _ in groups},
+        bimodality={name: bimodality_score(counts) for name, counts in bins.items()},
+        binomial=binomial_comparison(report.forager_counts, config.robot_count),
+        match_rate=match_rate,
+        loafer_yellow_rate=loafer_yellow_rate,
+    )

@@ -208,12 +208,6 @@ class World:
         self.object_grid = CellGrid(side, cfg.arena_half_width, spread=True)
         self.robot_grid = CellGrid(side, cfg.arena_half_width)  # robots not STOPPING
 
-    def free_count(self, obj_type: ObjectType) -> int:
-        return sum(1 for o in self.objects if o.obj_type == obj_type)
-
-    def carried_count(self, obj_type: ObjectType) -> int:
-        return sum(1 for r in self.robots if r.carried == obj_type)
-
     def check_conservation(self) -> None:
         """Recount every free and carried object against the totals."""
         have = [0, 0]

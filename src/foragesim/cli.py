@@ -13,6 +13,8 @@ from typing import Optional
 from . import __version__
 from .allocation import Mode, VdrParams
 from .arena import ArenaConfig, SimulationInvariantError, SpawnError
+from .analysis import summarize
+# Unused here: perfbench/tracer.py rebinds these names on this module.
 from .analysis import (
     bimodality_score,
     binomial_comparison,
@@ -21,8 +23,6 @@ from .analysis import (
     histogram,
 )
 from .experiment import PRESETS, ExperimentConfig, run_experiment
-
-HISTOGRAM_BINS = 8
 
 
 class ConfigError(ValueError):
@@ -153,14 +153,12 @@ def _fmt(value) -> str:
     return "" if value is None else repr(value) if isinstance(value, float) else str(value)
 
 
-def _write_histogram_csv(path: str, values, bins: int, low: float, high: float) -> list:
-    counts = histogram(values, bins, low, high)
-    width = (high - low) / bins
+def _write_histogram_csv(path: str, counts: list, low: float, high: float) -> None:
+    width = (high - low) / len(counts)
     with open(path, "w") as fh:
         fh.write("bin_low,bin_high,count\n")
         for i, c in enumerate(counts):
             fh.write(f"{_fmt(low + i * width)},{_fmt(low + (i + 1) * width)},{c}\n")
-    return counts
 
 
 def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = False) -> dict:
@@ -192,9 +190,9 @@ def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = Fal
                     for record in events:
                         fh.write(json.dumps(record) + "\n")
 
-        report = classify_foragers(results)
-        modified = config.mode is Mode.MODIFIED
-        labels = [classify_preferences(r) for r in results] if modified else None
+        summary = summarize(config, results)
+        report, labels = summary.classification, summary.labels
+        modified = labels is not None
 
         with open(path_for("results.csv"), "w") as fh:
             fh.write(
@@ -226,24 +224,10 @@ def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = Fal
                         + "\n"
                     )
 
-        lp = config.leave_params
-        all_p1 = [p for r in results for p in r.final_p1]
-        p1_bins = _write_histogram_csv(
-            path_for("p1_histogram.csv"), all_p1, HISTOGRAM_BINS, lp.p_min, lp.p_max
-        )
-        scores = {"p1": bimodality_score(p1_bins)}
-        if modified:
-            for i, name in enumerate(("pobj1", "pobj2")):
-                op = config.obj_params[i]
-                values = [p for r in results for p in r.final_pobj[i]]
-                bins = _write_histogram_csv(
-                    path_for(f"{name}_histogram.csv"),
-                    values,
-                    HISTOGRAM_BINS,
-                    op.p_min,
-                    op.p_max,
-                )
-                scores[name] = bimodality_score(bins)
+        for name, counts in summary.bins.items():
+            _write_histogram_csv(
+                path_for(f"{name}_histogram.csv"), counts, *summary.ranges[name]
+            )
 
         with open(path_for("classification.csv"), "w") as fh:
             fh.write("run,threshold,degenerate,forager_count,forager_ids\n")
@@ -254,7 +238,7 @@ def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = Fal
                     f"{len(cls.forager_ids)},{ids}\n"
                 )
 
-        comparison = binomial_comparison(report.forager_counts, config.robot_count)
+        comparison = summary.binomial
         with open(path_for("binomial.csv"), "w") as fh:
             fh.write("k,observed,theoretical\n")
             for k in range(config.robot_count + 1):
@@ -267,7 +251,7 @@ def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = Fal
             "package": "foragesim",
             "version": __version__,
             "config": config_to_dict(config),
-            "bimodality_scores": scores,
+            "bimodality_scores": summary.bimodality,
             "binomial_p_hat": comparison.p_hat,
             "binomial_tv_distance": comparison.tv_distance,
             "retrieved_totals": [

@@ -2,6 +2,7 @@
 histograms, and the bimodality score."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,8 @@ from foragesim import (
     expected_region,
     histogram,
     region_matches_label,
+    set2_config,
+    summarize,
 )
 from foragesim.analysis import binomial_pmf, midpoint_threshold
 
@@ -231,3 +234,14 @@ def test_bimodality_extremes():
 def test_bimodality_needs_four_bins():
     with pytest.raises(ValueError):
         bimodality_score([1, 2, 3])
+
+
+# -- summary ------------------------------------------------------------------------
+
+
+def test_summarize_without_loafer_region_robots():
+    # make_result gives every robot capability (0.5, 0.5): outside the loafer square.
+    config = replace(set2_config(), robot_count=1)
+    summary = summarize(config, [make_result([0.04], ([0.1], [0.1]))])
+    assert summary.loafer_yellow_rate is None
+    assert summary.match_rate == 1.0

@@ -513,8 +513,8 @@ def test_world_counts_and_conservation():
     world.add_robot(carrier)
     world.remove_object(world.objects[0])
     world.check_conservation()
-    assert world.free_count(ObjectType.TYPE1) == 1
-    assert world.carried_count(ObjectType.TYPE1) == 1
+    assert sum(o.obj_type == ObjectType.TYPE1 for o in world.objects) == 1
+    assert sum(r.carried == ObjectType.TYPE1 for r in world.robots) == 1
 
 
 def test_remove_object_not_in_world_raises():

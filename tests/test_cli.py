@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from foragesim import PRESETS, set1_config, set2_config
+from foragesim import PRESETS, run_replications, set1_config, set2_config, summarize
 from foragesim.cli import (
     ConfigError,
     config_from_dict,
@@ -178,13 +178,27 @@ def test_run_command_modified_outputs(tmp_path):
     assert labels <= {"yellow", "green", "purple"}
 
 
+def test_run_command_manifest_matches_summarize(tmp_path):
+    config = replace(set2_config(), horizon=60.0, replications=2, robot_count=4)
+    out = tmp_path / "out"
+    run_command(config, str(out))
+    manifest = json.loads((out / "manifest.json").read_text())
+    summary = summarize(config, run_replications(config))
+    assert manifest["bimodality_scores"] == summary.bimodality
+    assert manifest["binomial_p_hat"] == summary.binomial.p_hat
+    assert manifest["binomial_tv_distance"] == summary.binomial.tv_distance
+    assert set(summary.bins) == {"p1", "pobj1", "pobj2"}
+    for counts in summary.bins.values():
+        assert sum(counts) == config.robot_count * config.replications
+
+
 def test_run_command_cleans_partial_output(tmp_path, monkeypatch):
     import foragesim.cli as cli
 
     def boom(*args, **kwargs):
         raise RuntimeError("injected failure")
 
-    monkeypatch.setattr(cli, "binomial_comparison", boom)
+    monkeypatch.setattr(cli, "config_to_dict", boom)
     out = tmp_path / "out"
     with pytest.raises(RuntimeError):
         run_command(small_config(), str(out))

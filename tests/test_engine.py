@@ -263,7 +263,8 @@ def test_returning_delivery_updates_and_conserves():
     assert robot.carried is None
     assert robot.retrieved == [0, 1]
     assert robot.trip_successes == 1
-    assert sim.world.free_count(ObjectType.TYPE2) == 1  # replacement spawned
+    # The replacement spawned.
+    assert sum(o.obj_type == ObjectType.TYPE2 for o in sim.world.objects) == 1
     sim.world.check_conservation()
     assert robot.alloc.leave == vdr_success(before.leave, LEAVE)
     kinds = [e[0] for e in events]
