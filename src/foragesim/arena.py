@@ -78,7 +78,7 @@ class ArenaConfig:
             )
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: ids are unique
 class WorldObject:
     id: int
     obj_type: ObjectType
@@ -116,7 +116,11 @@ class CellGrid:
 
     Every item closer than ``side / 2`` to a point lies in the 2x2 block of
     cells around it. A block is addressed by its lower-left cell, whose key
-    ``block_key`` gives; a query reads the four cells of the block.
+    ``block_key`` gives. Each item is filed under the four cells whose block
+    holds its own cell: that cell and the ones below, to the left, and
+    below-left of it. The lower-left cell of a point's block then holds every
+    item near the point, so a query reads one cell, and adding or removing an
+    item touches four.
 
     Cell ``(floor(x / side), floor(y / side))`` has the single int key
     ``i * stride + j``, and ``cells`` is a flat table indexed by that key. The
@@ -126,20 +130,13 @@ class CellGrid:
     ``half_width`` of the centre, shares a slot, which adds candidates to a
     query but never loses one. A cell is ``None`` until an item is filed in
     it, then a list of its items.
-
-    With ``spread`` an item is filed under the four cells whose block holds
-    its own cell: that cell and the ones below, to the left, and below-left
-    of it. The lower-left cell of a point's block then holds every item near
-    the point, so a query reads one cell in place of four, and adding or
-    removing an item touches four.
     """
 
-    def __init__(self, side: float, half_width: float, spread: bool = False) -> None:
+    def __init__(self, side: float, half_width: float) -> None:
         self.side = side
         stride = 2 * math.ceil(half_width / side) + 5
         self.stride = stride
-        self.block = (0, 1, stride, stride + 1)  # a block's cells from its key
-        self.filed_at = (0, -1, -stride, -stride - 1) if spread else (0,)
+        self.filed_at = (0, -1, -stride, -stride - 1)
         self.cells: list = [None] * (stride * stride)
         self.where: dict = {}  # item id -> key of the item's own cell
 
@@ -170,7 +167,8 @@ class CellGrid:
         key = self.where.pop(item.id)
         cells = self.cells
         for offset in self.filed_at:
-            # Items have distinct ids, so only ``item`` itself compares equal.
+            # Items compare by identity (``eq=False``), so the search past
+            # the items ahead of ``item`` runs no Python ``__eq__``.
             cells[key + offset].remove(item)
 
 
@@ -202,20 +200,27 @@ class World:
         # rounding in a cell key cannot leave a contact out of the 2x2 block.
         # Both grids share side and stride, so one key addresses both.
         side = 2.000002 * max(rr, ro, 2.0 * cfg.object_radius)
-        # Free objects, each filed under the four cells whose block holds
-        # it: objects move only on pickup and spawn, while every query reads
-        # one cell.
-        self.object_grid = CellGrid(side, cfg.arena_half_width, spread=True)
+        self.object_grid = CellGrid(side, cfg.arena_half_width)  # free objects
         self.robot_grid = CellGrid(side, cfg.arena_half_width)  # robots not STOPPING
 
     def check_conservation(self) -> None:
         """Recount every free and carried object against the totals."""
-        have = [0, 0]
-        for o in self.objects:
-            have[o.obj_type] += 1
+        # Counts TYPE2 by identity and TYPE1 as the rest: an ``IntEnum``
+        # subscript would miss the interpreter's fast list index path.
+        type2 = ObjectType.TYPE2
+        objects = self.objects
+        n2 = 0
+        for o in objects:
+            if o.obj_type is type2:
+                n2 += 1
+        carried = 0
         for r in self.robots:
-            if r.carried is not None:
-                have[r.carried] += 1
+            c = r.carried
+            if c is not None:
+                carried += 1
+                if c is type2:
+                    n2 += 1
+        have = (len(objects) + carried - n2, n2)
         for t, count in enumerate(have):
             if count != self.totals[t]:
                 raise SimulationInvariantError(
@@ -316,15 +321,13 @@ def nearest_contact(
     # robots.block_key(x, y), inline: this runs for every moving robot each tick.
     key = math.floor(x / side - 0.5) * robots.stride + math.floor(y / side - 0.5)
 
-    # Robot-robot: center distance below sum of radii plus margin.
-    best_robot = None
-    best_d2 = world.robot_contact_sq
-    cells = robots.cells
-    for offset in robots.block:
-        cell = cells[key + offset]
-        if not cell:
-            continue
-        for other in cell:
+    # Robot-robot: center distance below sum of radii plus margin. Robots,
+    # like objects, are filed so that this one cell holds every near one.
+    near = robots.cells[key]
+    if near:
+        best_robot = None
+        best_d2 = world.robot_contact_sq
+        for other in near:
             if other.id == ignore_robot_id:
                 continue
             d2 = (other.x - x) ** 2 + (other.y - y) ** 2
@@ -333,8 +336,8 @@ def nearest_contact(
             ):
                 best_d2 = d2
                 best_robot = other
-    if best_robot is not None:
-        return Contact(ContactKind.ROBOT, Vec2(best_robot.x, best_robot.y))
+        if best_robot is not None:
+            return Contact(ContactKind.ROBOT, Vec2(best_robot.x, best_robot.y))
 
     # Wall: distance to the nearest side below robot radius plus margin.
     cfg = world.config
@@ -414,13 +417,7 @@ def separating_test(
     return test
 
 
-def edge_follow_step(
-    robot_position: Vec2,
-    goal: Vec2,
-    obstacle_center: Vec2,
-    obstacle_radius: float,
-    config: ArenaConfig,
-) -> Vec2:
+def edge_follow_step(robot_position: Vec2, goal: Vec2, obstacle_center: Vec2) -> Vec2:
     """Unit heading tangent to the obstacle, choosing the tangent direction
     closer to the goal direction. Discrete tangent steps move along a chord
     and therefore never reduce the distance to the obstacle center."""

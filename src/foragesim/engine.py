@@ -40,7 +40,7 @@ from .arena import (
 )
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)  # compared by identity: ids are unique
 class Robot:
     id: int
     x: float
@@ -211,11 +211,7 @@ class Simulation:
             self._bounce(robot, contact.point)
         elif kind is ContactKind.OBJECT:
             direction = edge_follow_step(
-                robot.position,
-                Vec2(0.0, 0.0),
-                contact.obj.position,
-                cfg.object_radius,
-                cfg,
+                robot.position, Vec2(0.0, 0.0), contact.obj.position
             )
             robot.heading = math.atan2(direction.y, direction.x)
         elif kind is ContactKind.WALL:

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foragesim import ArenaConfig, Robot, Vec2, World, WorldObject
+from foragesim import ArenaConfig, Robot, SimClock, Simulation, Vec2, World, WorldObject
 from foragesim.allocation import Mode, ObjectType, VdrParams, initial_allocation
 from foragesim.arena import (
     SPAWN_ATTEMPT_CAP,
     Contact,
     ContactKind,
+    SimulationInvariantError,
     SpawnError,
     away_heading,
     bounce_heading,
@@ -22,6 +23,7 @@ from foragesim.arena import (
     spawn_object,
 )
 from foragesim.engine import RobotPhase
+from foragesim.experiment import _build_world, set2_config
 
 from conftest import ScriptedRng
 
@@ -449,7 +451,7 @@ def test_bounce_fallback_after_exhausted_redraws():
 
 
 def test_edge_follow_perpendicular_when_obstacle_blocks_goal():
-    direction = edge_follow_step(Vec2(4.0, 0.0), Vec2(0.0, 0.0), Vec2(3.7, 0.0), 0.15, CFG)
+    direction = edge_follow_step(Vec2(4.0, 0.0), Vec2(0.0, 0.0), Vec2(3.7, 0.0))
     radial = Vec2(4.0 - 3.7, 0.0)
     assert abs(direction.x * radial.x + direction.y * radial.y) < 1e-12
     assert math.hypot(direction.x, direction.y) == pytest.approx(1.0)
@@ -459,7 +461,7 @@ def test_edge_follow_picks_tangent_closer_to_goal():
     robot = Vec2(4.0, 0.0)
     goal = Vec2(0.0, 0.0)
     obstacle = Vec2(3.8, 0.2)  # offset left of the robot-to-origin line
-    chosen = edge_follow_step(robot, goal, obstacle, 0.15, CFG)
+    chosen = edge_follow_step(robot, goal, obstacle)
     # Brute force: both tangents, pick the one with larger dot toward goal.
     vx, vy = robot.x - obstacle.x, robot.y - obstacle.y
     n = math.hypot(vx, vy)
@@ -482,7 +484,7 @@ def test_edge_follow_detour_clears_obstacle():
     for _ in range(budget):
         before = math.hypot(pos.x - obstacle.x, pos.y - obstacle.y)
         if before < contact_range:
-            d = edge_follow_step(pos, goal, obstacle, cfg.object_radius, cfg)
+            d = edge_follow_step(pos, goal, obstacle)
             following = True
         else:
             gn = pos.norm()
@@ -538,3 +540,76 @@ def test_conservation_violation_raises():
     world.remove_object(world.objects[0])
     with pytest.raises(AssertionError):
         world.check_conservation()
+
+
+@pytest.mark.parametrize(
+    "free, carried",
+    [
+        ((ObjectType.TYPE1, ObjectType.TYPE1), ()),
+        ((ObjectType.TYPE2,), (ObjectType.TYPE2,)),  # a TYPE2 for the missing TYPE1
+    ],
+    ids=["two-free-type1", "carried-type2"],
+)
+def test_conservation_counts_each_type(free, carried):
+    # Totals (1, 1) want one object of each type: the total is right, the
+    # split is not.
+    world = make_world(totals=(1, 1))
+    for i, obj_type in enumerate(free):
+        world.add_object(obj_type, Vec2(5.0, 5.0 - i))
+    for rid, obj_type in enumerate(carried):
+        carrier = make_robot(rid, 0.0, 0.0)
+        carrier.carried = obj_type
+        world.add_robot(carrier)
+    with pytest.raises(SimulationInvariantError, match="for TYPE1"):
+        world.check_conservation()
+
+
+def filed_cells(grid):
+    """The sorted table slots each item is filed in, by item id."""
+    slots = {}
+    for slot, cell in enumerate(grid.cells):
+        for item in cell or ():
+            slots.setdefault(item.id, []).append(slot)
+    return slots
+
+
+def block_slots(grid, x, y):
+    """The slots of the four cells whose 2x2 block holds the point's cell."""
+    i, j = math.floor(x / grid.side), math.floor(y / grid.side)
+    size = len(grid.cells)
+    return sorted(
+        ((i - di) * grid.stride + j - dj) % size for di in (0, 1) for dj in (0, 1)
+    )
+
+
+def test_grids_file_each_item_under_its_block_cells():
+    # A seeded set2 run moves robots across cells, parks and releases them,
+    # and picks up and spawns objects; after every tick each moving robot and
+    # each free object is filed under exactly its four cells, once each.
+    config = set2_config(seed=3)
+    rng = random.Random(3)
+    world = _build_world(config, rng)
+    events = []
+    sim = Simulation(
+        world=world,
+        clock=SimClock(tick_duration=config.tick_duration, horizon=60.0),
+        rng=rng,
+        mode=config.mode,
+        leave_params=config.leave_params,
+        obj_params=config.obj_params,
+        search_timeout=config.search_timeout,
+        leave_check_period=config.leave_check_period,
+        events=events,
+    )
+    robots, objects = world.robot_grid, world.object_grid
+    for _ in range(sim.clock.total_ticks):
+        sim.tick()
+        moving = [r for r in world.robots if r.phase is not RobotPhase.STOPPING]
+        assert filed_cells(robots) == {r.id: block_slots(robots, r.x, r.y) for r in moving}
+        assert robots.where == {r.id: robots.key(r.x, r.y) for r in moving}
+        assert filed_cells(objects) == {
+            o.id: block_slots(objects, *o.position) for o in world.objects
+        }
+        assert objects.where == {o.id: objects.key(*o.position) for o in world.objects}
+    kinds = {record[0] for record in events}
+    assert {"phase", "pickup", "deliver"} <= kinds
