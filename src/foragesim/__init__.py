@@ -31,7 +31,6 @@ from .experiment import (
 )
 from .analysis import (
     BinomialComparison,
-    CapabilityRegion,
     ClassificationReport,
     PreferenceLabel,
     Summary,
@@ -39,8 +38,7 @@ from .analysis import (
     binomial_comparison,
     classify_foragers,
     classify_preferences,
-    expected_region,
+    expected_label,
     histogram,
-    region_matches_label,
     summarize,
 )

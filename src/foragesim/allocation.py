@@ -44,9 +44,11 @@ class VdrParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p_min <= self.p_initial <= self.p_max <= 1.0:
+        # p_min < p_max: the histograms of final probabilities span [p_min, p_max].
+        ordered = 0.0 <= self.p_min <= self.p_initial <= self.p_max <= 1.0
+        if not (ordered and self.p_min < self.p_max):
             raise ValueError(
-                "require 0 <= p_min <= p_initial <= p_max <= 1, got "
+                "require 0 <= p_min <= p_initial <= p_max <= 1 and p_min < p_max, got "
                 f"p_min={self.p_min}, p_initial={self.p_initial}, p_max={self.p_max}"
             )
         if not 0.0 < self.delta < math.inf:

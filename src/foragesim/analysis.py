@@ -1,6 +1,6 @@
 """Post-run analyses: histograms, forager/loafer classification, preference
-labels, capability-region map, and the binomial comparison. ``summarize``
-computes all of them for one batch of runs."""
+labels and the label each capability calls for, and the binomial comparison.
+``summarize`` computes all of them for one batch of runs."""
 
 from __future__ import annotations
 
@@ -21,17 +21,10 @@ class PreferenceLabel(enum.Enum):
     PURPLE = "purple"  # prefers object type 2
 
 
-class CapabilityRegion(enum.Enum):
-    LOAFER = "loafer"
-    TYPE1 = "type1"
-    TYPE2 = "type2"
-
-
 @dataclass
 class RunClassification:
     threshold: float
-    forager_ids: list
-    loafer_ids: list
+    forager_ids: list  # the others are loafers
     degenerate: bool
 
 
@@ -60,7 +53,7 @@ class Summary:
     ranges: dict  # (low, high) span of each histogram, by name
     bimodality: dict  # bimodality score of each histogram, by name
     binomial: BinomialComparison
-    match_rate: Optional[float]  # share of labels matching the region; MODIFIED only
+    match_rate: Optional[float]  # share of labels as expected_label; MODIFIED only
     loafer_yellow_rate: Optional[float]  # of loafer-region robots; None when none
 
 
@@ -80,8 +73,7 @@ def classify_foragers(results: Sequence[RunResult]) -> ClassificationReport:
         threshold = midpoint_threshold(p1)
         degenerate = min(p1) == max(p1)
         foragers = [i for i, p in enumerate(p1) if p > threshold]
-        loafers = [i for i, p in enumerate(p1) if p <= threshold]
-        runs.append(RunClassification(threshold, foragers, loafers, degenerate))
+        runs.append(RunClassification(threshold, foragers, degenerate))
         counts.append(len(foragers))
     return ClassificationReport(runs=runs, forager_counts=counts)
 
@@ -106,22 +98,14 @@ def classify_preferences(result: RunResult) -> list:
     return labels
 
 
-def expected_region(capability: Sequence[float]) -> CapabilityRegion:
-    """Where in capability space a robot is supposed to land: both below 0.5
-    is the loafer square; otherwise the diagonal splits the two forager
-    trapezoids (boundary ties go to TYPE1)."""
+def expected_label(capability: Sequence[float]) -> PreferenceLabel:
+    """The label a robot's capability region calls for: both capabilities
+    below 0.5 is the loafer square (YELLOW); otherwise the diagonal splits
+    the type-1 (GREEN) and type-2 (PURPLE) trapezoids, ties going GREEN."""
     c1, c2 = capability
     if c1 < 0.5 and c2 < 0.5:
-        return CapabilityRegion.LOAFER
-    return CapabilityRegion.TYPE1 if c1 >= c2 else CapabilityRegion.TYPE2
-
-
-def region_matches_label(region: CapabilityRegion, label: PreferenceLabel) -> bool:
-    return {
-        CapabilityRegion.LOAFER: PreferenceLabel.YELLOW,
-        CapabilityRegion.TYPE1: PreferenceLabel.GREEN,
-        CapabilityRegion.TYPE2: PreferenceLabel.PURPLE,
-    }[region] is label
+        return PreferenceLabel.YELLOW
+    return PreferenceLabel.GREEN if c1 >= c2 else PreferenceLabel.PURPLE
 
 
 def binomial_pmf(n: int, k: int, p: float) -> float:
@@ -182,7 +166,7 @@ def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> Summary
     histograms and bimodality scores of the final probabilities (``p1``, plus
     ``pobj1``/``pobj2`` in MODIFIED mode), the binomial fit of the forager
     counts and, in MODIFIED mode, how well preference labels follow
-    capability regions."""
+    ``expected_label``."""
     report = classify_foragers(results)
     groups = [("p1", config.leave_params, [p for r in results for p in r.final_p1])]
     labels = match_rate = loafer_yellow_rate = None
@@ -194,10 +178,10 @@ def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> Summary
         matches = loafers = loafer_yellow = 0
         for result, run_labels in zip(results, labels):
             for capability, label in zip(result.capabilities, run_labels):
-                region = expected_region(capability)
-                match = region_matches_label(region, label)
+                expected = expected_label(capability)
+                match = expected is label
                 matches += match
-                if region is CapabilityRegion.LOAFER:
+                if expected is PreferenceLabel.YELLOW:
                     loafers += 1
                     loafer_yellow += match
         match_rate = matches / sum(map(len, labels))

@@ -19,6 +19,7 @@ from .allocation import ObjectType
 TWO_PI = 2.0 * math.pi
 
 SPAWN_ATTEMPT_CAP = 10_000
+BOUNCE_REDRAW_CAP = 100
 
 
 class SpawnError(RuntimeError):
@@ -384,11 +385,10 @@ def bounce_heading(
     rng,
     clearance_test: Callable[[float], bool],
     fallback_heading: float,
-    max_redraws: int = 100,
 ) -> float:
     """Redraw a uniform random heading until it clears the contact, falling
-    back to the exact away-vector heading after ``max_redraws`` attempts."""
-    for _ in range(max_redraws):
+    back to the exact away-vector heading after ``BOUNCE_REDRAW_CAP`` attempts."""
+    for _ in range(BOUNCE_REDRAW_CAP):
         h = rng.random() * TWO_PI
         if clearance_test(h):
             return h

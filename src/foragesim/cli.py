@@ -4,6 +4,7 @@ replications, and write the result tables, analysis files, and manifest."""
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -149,18 +150,6 @@ def write_config(config: ExperimentConfig, path: str) -> None:
         fh.write("\n")
 
 
-def _fmt(value) -> str:
-    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
-
-
-def _write_histogram_csv(path: str, counts: list, low: float, high: float) -> None:
-    width = (high - low) / len(counts)
-    with open(path, "w") as fh:
-        fh.write("bin_low,bin_high,count\n")
-        for i, c in enumerate(counts):
-            fh.write(f"{_fmt(low + i * width)},{_fmt(low + (i + 1) * width)},{c}\n")
-
-
 def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = False) -> dict:
     """Execute the replications and write the full output bundle.
 
@@ -180,6 +169,13 @@ def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = Fal
         written.append(p)
         return p
 
+    def write_table(name: str, header: str, rows) -> None:
+        # csv writes None as an empty field and a float as its repr.
+        with open(path_for(name), "w") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header.split(","))
+            writer.writerows(rows)
+
     try:
         results = []
         for rep in range(config.replications):
@@ -192,60 +188,50 @@ def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = Fal
 
         summary = summarize(config, results)
         report, labels = summary.classification, summary.labels
-        modified = labels is not None
 
-        with open(path_for("results.csv"), "w") as fh:
-            fh.write(
-                "run,robot,cap_type1,cap_type2,final_p1,final_pobj1,final_pobj2,"
-                "trip_successes,trip_failures,forager,label\n"
-            )
-            for rep, result in enumerate(results):
-                cls = report.runs[rep]
-                for rid in range(config.robot_count):
-                    pobj1 = result.final_pobj[0][rid] if modified else None
-                    pobj2 = result.final_pobj[1][rid] if modified else None
-                    label = labels[rep][rid].value if modified else None
-                    fh.write(
-                        ",".join(
-                            [
-                                str(rep),
-                                str(rid),
-                                _fmt(result.capabilities[rid][0]),
-                                _fmt(result.capabilities[rid][1]),
-                                _fmt(result.final_p1[rid]),
-                                _fmt(pobj1),
-                                _fmt(pobj2),
-                                str(result.trips[rid][0]),
-                                str(result.trips[rid][1]),
-                                str(int(rid in cls.forager_ids)),
-                                label or "",
-                            ]
-                        )
-                        + "\n"
-                    )
+        none = [None] * config.robot_count  # the MODIFIED-only columns of an ORIGINAL run
+        rows = []
+        for rep, (result, cls) in enumerate(zip(results, report.runs)):
+            pobj1, pobj2 = result.final_pobj or (none, none)
+            run_labels = [label.value for label in labels[rep]] if labels else none
+            for rid in range(config.robot_count):
+                rows.append(
+                    (rep, rid, *result.capabilities[rid], result.final_p1[rid], pobj1[rid],
+                     pobj2[rid], *result.trips[rid], int(rid in cls.forager_ids),
+                     run_labels[rid])
+                )
+        write_table(
+            "results.csv",
+            "run,robot,cap_type1,cap_type2,final_p1,final_pobj1,final_pobj2,"
+            "trip_successes,trip_failures,forager,label",
+            rows,
+        )
 
         for name, counts in summary.bins.items():
-            _write_histogram_csv(
-                path_for(f"{name}_histogram.csv"), counts, *summary.ranges[name]
+            low, high = summary.ranges[name]
+            width = (high - low) / len(counts)
+            write_table(
+                f"{name}_histogram.csv",
+                "bin_low,bin_high,count",
+                [(low + i * width, low + (i + 1) * width, c) for i, c in enumerate(counts)],
             )
 
-        with open(path_for("classification.csv"), "w") as fh:
-            fh.write("run,threshold,degenerate,forager_count,forager_ids\n")
-            for rep, cls in enumerate(report.runs):
-                ids = ";".join(str(i) for i in cls.forager_ids)
-                fh.write(
-                    f"{rep},{_fmt(cls.threshold)},{int(cls.degenerate)},"
-                    f"{len(cls.forager_ids)},{ids}\n"
-                )
+        write_table(
+            "classification.csv",
+            "run,threshold,degenerate,forager_count,forager_ids",
+            [
+                (rep, cls.threshold, int(cls.degenerate), len(cls.forager_ids),
+                 ";".join(map(str, cls.forager_ids)))
+                for rep, cls in enumerate(report.runs)
+            ],
+        )
 
         comparison = summary.binomial
-        with open(path_for("binomial.csv"), "w") as fh:
-            fh.write("k,observed,theoretical\n")
-            for k in range(config.robot_count + 1):
-                fh.write(
-                    f"{k},{_fmt(comparison.observed[k])},"
-                    f"{_fmt(comparison.theoretical[k])}\n"
-                )
+        write_table(
+            "binomial.csv",
+            "k,observed,theoretical",
+            zip(range(config.robot_count + 1), comparison.observed, comparison.theoretical),
+        )
 
         manifest = {
             "package": "foragesim",

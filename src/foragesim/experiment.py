@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .allocation import Mode, ObjectType, VdrParams, initial_allocation
-from .arena import ArenaConfig, TWO_PI, Vec2, World, spawn_object
+from .arena import ArenaConfig, TWO_PI, World, spawn_object
 from .engine import Robot, SimClock, Simulation
 
 # Offsets mixed into (seed, replication) so distinct replications get
@@ -60,6 +60,10 @@ class ExperimentConfig:
             raise ValueError("horizon must be >= 0 and search_timeout > 0")
         if self.tick_duration <= 0 or self.leave_check_period <= 0:
             raise ValueError("tick_duration and leave_check_period must be > 0")
+        # assign_task divides by p1 + p2, and failures clamp each at its p_min.
+        floors = self.obj_params[0].p_min + self.obj_params[1].p_min
+        if self.mode is Mode.MODIFIED and floors == 0:
+            raise ValueError("modified mode needs obj1_p_min or obj2_p_min above 0")
         # Equal disks cover at most pi / sqrt(12) (0.9069) of any region they
         # are packed in, the hexagonal packing, so more object area than that
         # cannot be placed however long spawning draws.
@@ -91,6 +95,7 @@ def set1_config(seed: int = 1, replications: int = 20) -> ExperimentConfig:
     with the slow delta (0.0003) the leave probabilities only polarize when
     robots complete a few dozen trips per run.
     """
+    pickup = VdrParams(p_max=0.15, p_min=0.002, p_initial=0.075, delta=0.0025)
     return ExperimentConfig(
         mode=Mode.ORIGINAL,
         robot_count=15,
@@ -98,10 +103,7 @@ def set1_config(seed: int = 1, replications: int = 20) -> ExperimentConfig:
         horizon=180.0,
         search_timeout=15.0,
         leave_params=VdrParams(p_max=0.08, p_min=0.002, p_initial=0.04, delta=0.0003),
-        obj_params=(
-            VdrParams(p_max=0.15, p_min=0.002, p_initial=0.075, delta=0.0025),
-            VdrParams(p_max=0.15, p_min=0.002, p_initial=0.075, delta=0.0025),
-        ),
+        obj_params=(pickup, pickup),
         arena=ArenaConfig(
             arena_half_width=4.0,
             nest_radius=1.2,
@@ -117,34 +119,21 @@ def set1_config(seed: int = 1, replications: int = 20) -> ExperimentConfig:
 
 
 def set2_config(seed: int = 2, replications: int = 20) -> ExperimentConfig:
-    """Two-object-type rule: 300 s, 25 s search, per-type pickup probabilities.
+    """Set I with the two-object-type rule: 300 s, 25 s search, a faster
+    leave delta and a wider arena.
 
     Pickup probabilities update per attempt, so each one performs a streak
     random walk with success rate equal to the robot's mechanical capability
     for that type; capabilities above/below 0.5 drift to the clamps.
     """
-    return ExperimentConfig(
+    base = set1_config(seed, replications)
+    return replace(
+        base,
         mode=Mode.MODIFIED,
-        robot_count=15,
-        object_totals=(30, 35),
         horizon=300.0,
         search_timeout=25.0,
-        leave_params=VdrParams(p_max=0.08, p_min=0.002, p_initial=0.04, delta=0.0015),
-        obj_params=(
-            VdrParams(p_max=0.15, p_min=0.002, p_initial=0.075, delta=0.0025),
-            VdrParams(p_max=0.15, p_min=0.002, p_initial=0.075, delta=0.0025),
-        ),
-        arena=ArenaConfig(
-            arena_half_width=6.0,
-            nest_radius=1.2,
-            robot_radius=0.15,
-            object_radius=0.15,
-            robot_speed=1.5,
-            contact_margin=0.05,
-            heading_jitter=0.1,
-        ),
-        seed=seed,
-        replications=replications,
+        leave_params=replace(base.leave_params, delta=0.0015),
+        arena=replace(base.arena, arena_half_width=6.0),
     )
 
 

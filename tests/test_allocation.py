@@ -68,6 +68,9 @@ def test_params_reject_bad_ordering():
         VdrParams(p_max=0.08, p_min=0.002, p_initial=0.09, delta=0.0003)
     with pytest.raises(ValueError):
         VdrParams(p_max=0.08, p_min=0.002, p_initial=0.04, delta=0.0)
+    # The histograms of final probabilities span [p_min, p_max].
+    with pytest.raises(ValueError, match="p_min < p_max"):
+        VdrParams(p_max=0.04, p_min=0.04, p_initial=0.04, delta=0.0003)
 
 
 @pytest.mark.parametrize("delta", [float("nan"), float("inf")])

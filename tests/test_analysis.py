@@ -1,4 +1,4 @@
-"""Analysis pipeline tests: classification, region map, binomial fit,
+"""Analysis pipeline tests: classification, expected labels, binomial fit,
 histograms, and the bimodality score."""
 
 import math
@@ -9,16 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from foragesim import (
-    CapabilityRegion,
     PreferenceLabel,
     RunResult,
     bimodality_score,
     binomial_comparison,
     classify_foragers,
     classify_preferences,
-    expected_region,
+    expected_label,
     histogram,
-    region_matches_label,
     set2_config,
     summarize,
 )
@@ -42,11 +40,12 @@ def make_result(final_p1, final_pobj=None):
 
 
 def test_classify_midpoint_split():
-    report = classify_foragers([make_result([0.002, 0.08, 0.08])])
+    p1 = [0.002, 0.08, 0.08]
+    report = classify_foragers([make_result(p1)])
     cls = report.runs[0]
     assert cls.threshold == pytest.approx(0.041)
     assert cls.forager_ids == [1, 2]
-    assert cls.loafer_ids == [0]
+    assert p1[0] <= cls.threshold  # the loafer
     assert not cls.degenerate
     assert report.forager_counts == [2]
 
@@ -67,8 +66,11 @@ def test_classify_rejects_empty():
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30))
 def test_classify_partition_property(p1):
     cls = classify_foragers([make_result(p1)]).runs[0]
-    assert sorted(cls.forager_ids + cls.loafer_ids) == list(range(len(p1)))
-    assert not set(cls.forager_ids) & set(cls.loafer_ids)
+    # Foragers are the robots strictly above the threshold, in id order;
+    # every other robot is a loafer.
+    assert cls.forager_ids == sorted(set(cls.forager_ids))
+    for i, p in enumerate(p1):
+        assert (i in cls.forager_ids) == (p > cls.threshold)
 
 
 # -- preference labels ------------------------------------------------------------
@@ -118,26 +120,24 @@ def test_label_totality(pairs):
     assert all(isinstance(l, PreferenceLabel) for l in labels)
 
 
-# -- capability regions ------------------------------------------------------------
+# -- expected labels ---------------------------------------------------------------
 
 
-def test_expected_region_examples():
-    assert expected_region((0.3, 0.4)) is CapabilityRegion.LOAFER
-    assert expected_region((0.9, 0.2)) is CapabilityRegion.TYPE1
-    assert expected_region((0.5, 0.5)) is CapabilityRegion.TYPE1  # tie-break
-    assert expected_region((0.2, 0.9)) is CapabilityRegion.TYPE2
+def test_expected_label_examples():
+    # One point in each capability region: the loafer square and the two
+    # forager trapezoids either side of the diagonal.
+    assert expected_label((0.3, 0.4)) is PreferenceLabel.YELLOW
+    assert expected_label((0.9, 0.2)) is PreferenceLabel.GREEN
+    assert expected_label((0.5, 0.5)) is PreferenceLabel.GREEN  # tie-break
+    assert expected_label((0.2, 0.9)) is PreferenceLabel.PURPLE
 
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
 def test_region_map_partitions_unit_square(c1, c2):
-    assert isinstance(expected_region((c1, c2)), CapabilityRegion)
-
-
-def test_region_label_matching():
-    assert region_matches_label(CapabilityRegion.LOAFER, PreferenceLabel.YELLOW)
-    assert region_matches_label(CapabilityRegion.TYPE1, PreferenceLabel.GREEN)
-    assert region_matches_label(CapabilityRegion.TYPE2, PreferenceLabel.PURPLE)
-    assert not region_matches_label(CapabilityRegion.TYPE1, PreferenceLabel.PURPLE)
+    label = expected_label((c1, c2))
+    assert (label is PreferenceLabel.YELLOW) == (c1 < 0.5 and c2 < 0.5)
+    if label is not PreferenceLabel.YELLOW:
+        assert (label is PreferenceLabel.GREEN) == (c1 >= c2)
 
 
 # -- binomial comparison -------------------------------------------------------------

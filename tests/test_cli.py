@@ -3,11 +3,21 @@
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from foragesim import PRESETS, run_replications, set1_config, set2_config, summarize
+from foragesim import (
+    PRESETS,
+    ExperimentConfig,
+    run_replications,
+    set1_config,
+    set2_config,
+    summarize,
+)
 from foragesim.cli import (
     ConfigError,
     config_from_dict,
@@ -383,6 +393,82 @@ def test_main_preset_with_mode_override(tmp_path):
     assert manifest["config"]["seed"] == 7
     assert manifest["config"]["replications"] == 1
     assert (out / "pobj1_histogram.csv").exists()
+
+
+ZERO_PICKUP_FLOORS = dict(obj1_p_min=0.0, obj1_p_initial=0.0, obj2_p_min=0.0, obj2_p_initial=0.0)
+
+
+@pytest.mark.parametrize(
+    "preset, overrides, flags",
+    [
+        # histogram() needs p_min < p_max, so these used to fail after every run.
+        ("set1", dict(leave_p_min=0.04, leave_p_initial=0.04, leave_p_max=0.04), []),
+        # assign_task divides by p1 + p2, which zero floors let reach 0.
+        ("set2", ZERO_PICKUP_FLOORS, []),
+        ("set1", ZERO_PICKUP_FLOORS, ["--mode", "modified"]),
+    ],
+    ids=["equal-leave-bounds", "zero-pickup-floors", "zero-pickup-floors-mode-override"],
+)
+def test_main_unrunnable_probabilities_exit_2(tmp_path, capsys, preset, overrides, flags):
+    raw = config_to_dict(PRESETS[preset](replications=1))
+    raw.update(overrides)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    code = main(["--config", str(path), "--output", str(out), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# Values a hand-edited config may hold where a number belongs.
+ODD_VALUES = [float("nan"), float("inf"), float("-inf"), "1", True, False, None, -1, -0.5, 0, 0.0, 1]
+
+
+@st.composite
+def perturbed_preset(draw):
+    """A preset's config dict with a few keys dropped or set to odd values."""
+    raw = config_to_dict(PRESETS[draw(st.sampled_from(sorted(PRESETS)))]())
+    keys = sorted(raw)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["drop", "value", "equal bounds", "zero floors", "mode"]))
+        if edit == "drop":
+            raw.pop(draw(st.sampled_from(keys)), None)
+        elif edit == "value":
+            raw[draw(st.sampled_from(keys))] = draw(st.sampled_from(ODD_VALUES))
+        elif edit == "equal bounds":
+            prefix = draw(st.sampled_from(["leave", "obj1", "obj2"]))
+            value = draw(st.sampled_from([0.0, 0.04, 1.0]))
+            raw.update({f"{prefix}_{name}": value for name in ("p_min", "p_initial", "p_max")})
+        elif edit == "zero floors":
+            raw.update(ZERO_PICKUP_FLOORS)
+        else:
+            raw["mode"] = draw(st.sampled_from(["original", "modified"]))
+    return raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_preset())
+def test_config_boundary_property(raw):
+    # The boundary either builds a config or refuses it with ConfigError.
+    try:
+        config = config_from_dict(raw)
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)
+    # A config it builds runs, shrunk to a quick run, or is refused with rc 2.
+    small = replace(
+        config,
+        robot_count=min(config.robot_count, 5),
+        object_totals=tuple(min(n, 5) for n in config.object_totals),
+        horizon=min(config.horizon, 1.0),
+        replications=1,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        write_config(small, path)
+        assert main(["--config", path, "--output", os.path.join(tmp, "out")]) in (0, 2)
 
 
 @pytest.mark.parametrize("flag, value", [("--replications", "0"), ("--seed", "-1")])

@@ -71,6 +71,15 @@ def test_config_rejects_infeasible_packing():
         replace(set1_config(), arena=arena, object_totals=(14, 15))
 
 
+def test_config_rejects_zero_pickup_floors_in_modified_mode():
+    # assign_task draws type 1 with p1 / (p1 + p2); failures clamp at p_min.
+    zero = VdrParams(p_max=0.15, p_min=0.0, p_initial=0.0, delta=0.0025)
+    replace(set2_config(), obj_params=(zero, set2_config().obj_params[1]))
+    replace(set1_config(), obj_params=(zero, zero))  # ORIGINAL never draws a task
+    with pytest.raises(ValueError, match="p_min"):
+        replace(set2_config(), obj_params=(zero, zero))
+
+
 def test_set1_preset_parameters():
     config = set1_config()
     assert config.mode is Mode.ORIGINAL
