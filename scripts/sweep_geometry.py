@@ -30,9 +30,10 @@ def evaluate(config, reps=20):
     results = [run_experiment(config, i) for i in range(reps)]
     s = summarize(config, results)
     scores = ", ".join(f"{k}={v:.3f}" for k, v in s.bimodality.items())
+    counts = [len(run.forager_ids) for run in s.classification]
     line = (
         f"  scores={{{scores}}} tv={s.binomial.tv_distance:.3f} "
-        f"p_hat={s.binomial.p_hat:.2f} counts={s.classification.forager_counts}"
+        f"p_hat={s.binomial.p_hat:.2f} counts={counts}"
     )
     if s.match_rate is not None:
         yellow = s.loafer_yellow_rate

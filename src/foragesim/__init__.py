@@ -25,13 +25,11 @@ from .experiment import (
     PRESETS,
     RunResult,
     run_experiment,
-    run_replications,
     set1_config,
     set2_config,
 )
 from .analysis import (
     BinomialComparison,
-    ClassificationReport,
     PreferenceLabel,
     Summary,
     bimodality_score,

@@ -29,12 +29,6 @@ class RunClassification:
 
 
 @dataclass
-class ClassificationReport:
-    runs: list  # RunClassification per run
-    forager_counts: list  # int per run
-
-
-@dataclass
 class BinomialComparison:
     robot_count: int
     p_hat: float
@@ -47,7 +41,7 @@ class BinomialComparison:
 class Summary:
     """The numbers the paper's claims are judged on, for one batch of runs."""
 
-    classification: ClassificationReport
+    classification: list  # RunClassification per run
     labels: Optional[list]  # PreferenceLabel list per run; MODIFIED only
     bins: dict  # histogram counts of the final probabilities, by name
     ranges: dict  # (low, high) span of each histogram, by name
@@ -61,21 +55,20 @@ def midpoint_threshold(values: Sequence[float]) -> float:
     return (min(values) + max(values)) / 2.0
 
 
-def classify_foragers(results: Sequence[RunResult]) -> ClassificationReport:
+def classify_foragers(results: Sequence[RunResult]) -> list:
     """Split each run's robots at the midpoint of that run's min and max
-    final leave probability; strictly-above robots are foragers."""
+    final leave probability; strictly-above robots are foragers. Returns
+    one ``RunClassification`` per run."""
     if not results:
         raise ValueError("need at least one run result")
     runs = []
-    counts = []
     for result in results:
         p1 = result.final_p1
         threshold = midpoint_threshold(p1)
         degenerate = min(p1) == max(p1)
         foragers = [i for i, p in enumerate(p1) if p > threshold]
         runs.append(RunClassification(threshold, foragers, degenerate))
-        counts.append(len(foragers))
-    return ClassificationReport(runs=runs, forager_counts=counts)
+    return runs
 
 
 def classify_preferences(result: RunResult) -> list:
@@ -167,7 +160,7 @@ def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> Summary
     ``pobj1``/``pobj2`` in MODIFIED mode), the binomial fit of the forager
     counts and, in MODIFIED mode, how well preference labels follow
     ``expected_label``."""
-    report = classify_foragers(results)
+    runs = classify_foragers(results)
     groups = [("p1", config.leave_params, [p for r in results for p in r.final_p1])]
     labels = match_rate = loafer_yellow_rate = None
     if config.mode is Mode.MODIFIED:
@@ -191,12 +184,14 @@ def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> Summary
         for name, params, values in groups
     }
     return Summary(
-        classification=report,
+        classification=runs,
         labels=labels,
         bins=bins,
         ranges={name: (params.p_min, params.p_max) for name, params, _ in groups},
         bimodality={name: bimodality_score(counts) for name, counts in bins.items()},
-        binomial=binomial_comparison(report.forager_counts, config.robot_count),
+        binomial=binomial_comparison(
+            [len(run.forager_ids) for run in runs], config.robot_count
+        ),
         match_rate=match_rate,
         loafer_yellow_rate=loafer_yellow_rate,
     )

@@ -20,6 +20,10 @@ TWO_PI = 2.0 * math.pi
 
 SPAWN_ATTEMPT_CAP = 10_000
 BOUNCE_REDRAW_CAP = 100
+# Grid cells from the centre to a wall. Each grid's table grows with the
+# square of this, not with the item count: at the cap it holds about 4M
+# slots (32 MiB).
+MAX_GRID_CELLS = 1000
 
 
 class SpawnError(RuntimeError):
@@ -33,9 +37,6 @@ class SimulationInvariantError(AssertionError):
 class Vec2(NamedTuple):
     x: float
     y: float
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,21 @@ class ArenaConfig:
                 "nest_radius + 2*object_radius must be < arena_half_width "
                 "so objects can spawn outside the nest"
             )
+        cells = self.arena_half_width / self.cell_side()
+        if cells > MAX_GRID_CELLS:
+            raise ValueError(
+                f"arena_half_width {self.arena_half_width} spans {cells:.0f} grid "
+                f"cells from the centre to a wall; at most {MAX_GRID_CELLS} fit "
+                "in memory"
+            )
+
+    def cell_side(self) -> float:
+        """Side of the contact grids' cells: twice the largest contact or
+        separation threshold, padded so float rounding in a cell key cannot
+        leave a contact out of the 2x2 block."""
+        robot_contact = 2.0 * self.robot_radius + self.contact_margin
+        object_contact = self.robot_radius + self.object_radius + self.contact_margin
+        return 2.000002 * max(robot_contact, object_contact, 2.0 * self.object_radius)
 
 
 @dataclass(eq=False)  # compared by identity: ids are unique
@@ -197,10 +213,8 @@ class World:
         self.robot_contact_sq = rr * rr
         self.object_contact_sq = ro * ro
         self.edge_contact = cfg.robot_radius + margin
-        # Twice the largest contact or separation threshold, padded so float
-        # rounding in a cell key cannot leave a contact out of the 2x2 block.
         # Both grids share side and stride, so one key addresses both.
-        side = 2.000002 * max(rr, ro, 2.0 * cfg.object_radius)
+        side = cfg.cell_side()
         self.object_grid = CellGrid(side, cfg.arena_half_width)  # free objects
         self.robot_grid = CellGrid(side, cfg.arena_half_width)  # robots not STOPPING
 

@@ -187,11 +187,11 @@ def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = Fal
                         fh.write(json.dumps(record) + "\n")
 
         summary = summarize(config, results)
-        report, labels = summary.classification, summary.labels
+        labels = summary.labels
 
         none = [None] * config.robot_count  # the MODIFIED-only columns of an ORIGINAL run
         rows = []
-        for rep, (result, cls) in enumerate(zip(results, report.runs)):
+        for rep, (result, cls) in enumerate(zip(results, summary.classification)):
             pobj1, pobj2 = result.final_pobj or (none, none)
             run_labels = [label.value for label in labels[rep]] if labels else none
             for rid in range(config.robot_count):
@@ -222,7 +222,7 @@ def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = Fal
             [
                 (rep, cls.threshold, int(cls.degenerate), len(cls.forager_ids),
                  ";".join(map(str, cls.forager_ids)))
-                for rep, cls in enumerate(report.runs)
+                for rep, cls in enumerate(summary.classification)
             ],
         )
 

@@ -16,7 +16,6 @@ from .allocation import (
     AllocationState,
     Mode,
     ObjectType,
-    VdrParams,
     assign_task,
     leave_nest_decision,
     record_leave_outcome,
@@ -77,30 +76,18 @@ class SimClock:
 
 
 class Simulation:
-    """Owns one world, one clock and one random stream for one experiment."""
+    """Owns one world, one clock and one random stream for one run of
+    ``config``. The allocation rule and its timing come from ``config``;
+    geometry comes from ``world.config``."""
 
-    def __init__(
-        self,
-        world: World,
-        clock: SimClock,
-        rng,
-        mode: Mode,
-        leave_params: VdrParams,
-        obj_params: tuple[VdrParams, VdrParams],
-        search_timeout: float,
-        leave_check_period: float,
-        events: Optional[list] = None,
-    ):
+    def __init__(self, config, world: World, rng, events: Optional[list] = None):
+        self.config = config
         self.world = world
-        self.clock = clock
+        self.clock = SimClock(config.tick_duration, config.horizon)
         self.rng = rng
-        self.mode = mode
-        self.leave_params = leave_params
-        self.obj_params = obj_params
-        self.search_timeout = search_timeout
         self.events = events
-        self._check_every = max(1, round(leave_check_period / clock.tick_duration))
-        self._step = world.config.robot_speed * clock.tick_duration
+        self._check_every = max(1, round(config.leave_check_period / config.tick_duration))
+        self._step = world.config.robot_speed * config.tick_duration
         self._limit = world.config.arena_half_width - world.config.robot_radius
 
     # -- event log -----------------------------------------------------
@@ -148,8 +135,8 @@ class Simulation:
         if not leave_nest_decision(robot.alloc, self.rng.random()):
             return
         robot.heading = self.rng.random() * TWO_PI
-        robot.search_deadline = self.clock.now + self.search_timeout
-        if self.mode is Mode.MODIFIED:
+        robot.search_deadline = self.clock.now + self.config.search_timeout
+        if self.config.mode is Mode.MODIFIED:
             robot.assignment = assign_task(robot.alloc, self.rng.random())
         self._set_phase(robot, RobotPhase.SEARCHING)
         self._emit("leave", self.clock.tick_index, robot.id,
@@ -162,7 +149,7 @@ class Simulation:
         kind = contact.kind
         if kind is ContactKind.OBJECT:
             obj = contact.obj
-            if self.mode is Mode.MODIFIED and obj.obj_type != robot.assignment:
+            if self.config.mode is Mode.MODIFIED and obj.obj_type != robot.assignment:
                 # Non-assigned types are plain obstacles: no capability draw.
                 self._bounce(robot, obj.position)
                 self._advance(robot)
@@ -182,11 +169,11 @@ class Simulation:
 
     def pickup_attempt(self, robot: Robot, obj: WorldObject) -> None:
         success = self.rng.random() < robot.capability[obj.obj_type]
-        if self.mode is Mode.MODIFIED:
+        if self.config.mode is Mode.MODIFIED:
             # Pickup probabilities track individual attempts, not whole
             # trips; this is what couples them to mechanical capability.
             robot.alloc = record_pickup_event(
-                robot.alloc, obj.obj_type, success, self.obj_params
+                robot.alloc, obj.obj_type, success, self.config.obj_params
             )
         if success:
             self.world.remove_object(obj)
@@ -231,15 +218,16 @@ class Simulation:
             robot.trip_successes += 1
         else:
             robot.trip_failures += 1
-        if self.mode is Mode.MODIFIED:
+        if self.config.mode is Mode.MODIFIED:
             # Object-type states were already updated attempt by attempt;
             # the trip outcome feeds the leave-nest state only.
             robot.alloc = record_leave_outcome(
-                robot.alloc, delivered, self.leave_params
+                robot.alloc, delivered, self.config.leave_params
             )
         else:
             robot.alloc = record_trip_outcome(
-                robot.alloc, None, delivered, self.leave_params, self.obj_params
+                robot.alloc, None, delivered, self.config.leave_params,
+                self.config.obj_params,
             )
         self._emit(
             "trip", self.clock.tick_index, robot.id, delivered, robot.alloc.leave.p

@@ -10,7 +10,7 @@ from typing import Optional
 
 from .allocation import Mode, ObjectType, VdrParams, initial_allocation
 from .arena import ArenaConfig, TWO_PI, World, spawn_object
-from .engine import Robot, SimClock, Simulation
+from .engine import Robot, Simulation
 
 # Offsets mixed into (seed, replication) so distinct replications get
 # independent streams while staying reproducible from the manifest alone.
@@ -84,8 +84,6 @@ class RunResult:
     retrieved: tuple[int, int]
     trips: list  # (successes, failures) per robot
     capabilities: list  # (cap_type1, cap_type2) per robot
-    seed: int
-    replication: int
 
 
 def set1_config(seed: int = 1, replications: int = 20) -> ExperimentConfig:
@@ -174,19 +172,7 @@ def run_experiment(
     """Run one seeded replication to the horizon and extract its result."""
     rng = random.Random(config.seed * _STREAM_STRIDE + replication)
     world = _build_world(config, rng)
-    clock = SimClock(tick_duration=config.tick_duration, horizon=config.horizon)
-    sim = Simulation(
-        world=world,
-        clock=clock,
-        rng=rng,
-        mode=config.mode,
-        leave_params=config.leave_params,
-        obj_params=config.obj_params,
-        search_timeout=config.search_timeout,
-        leave_check_period=config.leave_check_period,
-        events=events,
-    )
-    sim.run()
+    Simulation(config, world, rng, events).run()
 
     robots = world.robots
     final_pobj = None
@@ -205,10 +191,4 @@ def run_experiment(
         retrieved=retrieved,
         trips=[(r.trip_successes, r.trip_failures) for r in robots],
         capabilities=[r.capability for r in robots],
-        seed=config.seed,
-        replication=replication,
     )
-
-
-def run_replications(config: ExperimentConfig) -> list:
-    return [run_experiment(config, rep) for rep in range(config.replications)]

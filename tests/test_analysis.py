@@ -31,8 +31,6 @@ def make_result(final_p1, final_pobj=None):
         retrieved=(0, 0),
         trips=[(0, 0)] * n,
         capabilities=[(0.5, 0.5)] * n,
-        seed=0,
-        replication=0,
     )
 
 
@@ -41,21 +39,17 @@ def make_result(final_p1, final_pobj=None):
 
 def test_classify_midpoint_split():
     p1 = [0.002, 0.08, 0.08]
-    report = classify_foragers([make_result(p1)])
-    cls = report.runs[0]
+    (cls,) = classify_foragers([make_result(p1)])
     assert cls.threshold == pytest.approx(0.041)
     assert cls.forager_ids == [1, 2]
     assert p1[0] <= cls.threshold  # the loafer
     assert not cls.degenerate
-    assert report.forager_counts == [2]
 
 
 def test_classify_degenerate_run():
-    report = classify_foragers([make_result([0.04] * 15)])
-    cls = report.runs[0]
+    (cls,) = classify_foragers([make_result([0.04] * 15)])
     assert cls.degenerate
     assert cls.forager_ids == []
-    assert report.forager_counts == [0]
 
 
 def test_classify_rejects_empty():
@@ -65,7 +59,7 @@ def test_classify_rejects_empty():
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30))
 def test_classify_partition_property(p1):
-    cls = classify_foragers([make_result(p1)]).runs[0]
+    (cls,) = classify_foragers([make_result(p1)])
     # Foragers are the robots strictly above the threshold, in id order;
     # every other robot is a loafer.
     assert cls.forager_ids == sorted(set(cls.forager_ids))

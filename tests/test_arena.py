@@ -2,14 +2,16 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foragesim import ArenaConfig, Robot, SimClock, Simulation, Vec2, World, WorldObject
+from foragesim import ArenaConfig, Robot, Simulation, Vec2, World, WorldObject
 from foragesim.allocation import Mode, ObjectType, VdrParams, initial_allocation
 from foragesim.arena import (
+    MAX_GRID_CELLS,
     SPAWN_ATTEMPT_CAP,
     Contact,
     ContactKind,
@@ -63,6 +65,13 @@ def test_config_rejects_nonpositive_lengths():
         ArenaConfig(robot_speed=-1.0)
 
 
+def test_config_rejects_arena_wider_than_grid_cap():
+    # Only a World allocates the grids, so building these configs is cheap.
+    ArenaConfig(arena_half_width=0.99 * MAX_GRID_CELLS * CFG.cell_side())
+    with pytest.raises(ValueError, match="grid cells"):
+        ArenaConfig(arena_half_width=1000.0)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["arena_half_width", "robot_radius", "heading_jitter"])
 def test_config_rejects_non_finite(name, value):
@@ -78,7 +87,7 @@ def test_config_rejects_non_finite(name, value):
 def test_spawn_constraints(seed):
     world = make_world()
     obj = spawn_object(world, ObjectType.TYPE1, random.Random(seed))
-    r = obj.position.norm()
+    r = math.hypot(*obj.position)
     assert r > CFG.nest_radius + CFG.object_radius
     assert abs(obj.position.x) <= CFG.arena_half_width - CFG.object_radius
     assert abs(obj.position.y) <= CFG.arena_half_width - CFG.object_radius
@@ -478,7 +487,7 @@ def test_edge_follow_detour_clears_obstacle():
     contact_range = cfg.robot_radius + cfg.object_radius + cfg.contact_margin
     pos = Vec2(obstacle.x + contact_range - 0.01, 0.0)  # in contact, goal behind it
     goal = Vec2(0.0, 0.0)
-    start_goal_dist = pos.norm()
+    start_goal_dist = math.hypot(*pos)
     budget = math.ceil(math.pi * (cfg.object_radius + cfg.robot_radius) / step) + 5
     improved = False
     for _ in range(budget):
@@ -487,14 +496,14 @@ def test_edge_follow_detour_clears_obstacle():
             d = edge_follow_step(pos, goal, obstacle)
             following = True
         else:
-            gn = pos.norm()
+            gn = math.hypot(*pos)
             d = Vec2(-pos.x / gn, -pos.y / gn)
             following = False
         pos = Vec2(pos.x + step * d.x, pos.y + step * d.y)
         if following:
             # Chord steps along the tangent never close in on the obstacle.
             assert math.hypot(pos.x - obstacle.x, pos.y - obstacle.y) >= before - 1e-9
-        if pos.norm() < start_goal_dist:
+        if math.hypot(*pos) < start_goal_dist:
             improved = True
             break
     assert improved
@@ -586,21 +595,11 @@ def test_grids_file_each_item_under_its_block_cells():
     # A seeded set2 run moves robots across cells, parks and releases them,
     # and picks up and spawns objects; after every tick each moving robot and
     # each free object is filed under exactly its four cells, once each.
-    config = set2_config(seed=3)
+    config = replace(set2_config(seed=3), horizon=60.0)
     rng = random.Random(3)
     world = _build_world(config, rng)
     events = []
-    sim = Simulation(
-        world=world,
-        clock=SimClock(tick_duration=config.tick_duration, horizon=60.0),
-        rng=rng,
-        mode=config.mode,
-        leave_params=config.leave_params,
-        obj_params=config.obj_params,
-        search_timeout=config.search_timeout,
-        leave_check_period=config.leave_check_period,
-        events=events,
-    )
+    sim = Simulation(config, world, rng, events)
     robots, objects = world.robot_grid, world.object_grid
     for _ in range(sim.clock.total_ticks):
         sim.tick()

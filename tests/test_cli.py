@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from foragesim import (
     PRESETS,
     ExperimentConfig,
-    run_replications,
+    run_experiment,
     set1_config,
     set2_config,
     summarize,
@@ -193,7 +193,8 @@ def test_run_command_manifest_matches_summarize(tmp_path):
     out = tmp_path / "out"
     run_command(config, str(out))
     manifest = json.loads((out / "manifest.json").read_text())
-    summary = summarize(config, run_replications(config))
+    results = [run_experiment(config, rep) for rep in range(config.replications)]
+    summary = summarize(config, results)
     assert manifest["bimodality_scores"] == summary.bimodality
     assert manifest["binomial_p_hat"] == summary.binomial.p_hat
     assert manifest["binomial_tv_distance"] == summary.binomial.tv_distance
@@ -270,6 +271,8 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
         ("nest_radius", 0.15),  # equal to robot_radius
         ("nest_radius", 0.1),
         ("heading_jitter", -0.1),
+        # 1429 grid cells from the centre to a wall, past the cap of 1000.
+        ("arena_half_width", 1000.0),
     ],
 )
 def test_main_non_finite_value_exits_2(tmp_path, capsys, key, value):

@@ -3,6 +3,7 @@ returning, delivery, and the deterministic tick loop."""
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -36,28 +37,14 @@ OBJ = VdrParams(p_max=0.15, p_min=0.002, p_initial=0.075, delta=0.0025)
 ARENA = ArenaConfig(robot_speed=1.0)
 
 
-def build_sim(
-    mode=Mode.ORIGINAL,
-    rng=None,
-    arena=ARENA,
-    totals=(30, 35),
-    horizon=180.0,
-    timeout=15.0,
-    events=None,
-):
-    world = World(config=arena, totals=totals)
-    clock = SimClock(tick_duration=0.1, horizon=horizon)
-    return Simulation(
-        world=world,
-        clock=clock,
-        rng=rng if rng is not None else random.Random(0),
-        mode=mode,
-        leave_params=LEAVE,
-        obj_params=(OBJ, OBJ),
-        search_timeout=timeout,
-        leave_check_period=0.1,
-        events=events,
+def build_sim(rng=None, totals=(30, 35), events=None, **overrides):
+    """A simulation of Set I's rule in the ARENA geometry, with ``overrides``
+    replacing config fields, over an empty world holding ``totals``."""
+    config = replace(
+        set1_config(), arena=ARENA, leave_params=LEAVE, obj_params=(OBJ, OBJ), **overrides
     )
+    world = World(config=config.arena, totals=totals)
+    return Simulation(config, world, rng if rng is not None else random.Random(0), events)
 
 
 def make_robot(rid, x, y, mode=Mode.ORIGINAL, heading=0.0, capability=(0.5, 0.5), p1=None):
@@ -101,14 +88,21 @@ def test_leave_modified_assigns_task():
 
 def test_leave_check_cadence():
     rng = ScriptedRng([])
-    sim = build_sim(rng=rng)
-    sim._check_every = 10  # once per simulated second
+    sim = build_sim(rng=rng, leave_check_period=1.0)  # every 10th tick
     sim.clock.tick_index = 5
     robot = make_robot(0, 0.0, 0.0, p1=0.08)
     sim.world.add_robot(robot)
     sim.try_leave_nest(robot)  # off-cadence tick: no draw at all
     assert robot.phase is RobotPhase.STOPPING
     assert rng.calls == 0
+
+
+def test_leave_records_follow_check_period():
+    config = replace(set1_config(seed=3), horizon=60.0, leave_check_period=1.0)
+    events = []
+    run_experiment(config, events=events)
+    ticks = [record[1] for record in events if record[0] == "leave"]
+    assert ticks and all(tick % 10 == 0 for tick in ticks)
 
 
 # -- searching -------------------------------------------------------------------

@@ -9,7 +9,6 @@ from foragesim import (
     Mode,
     VdrParams,
     run_experiment,
-    run_replications,
     set1_config,
     set2_config,
 )
@@ -149,13 +148,6 @@ def test_replications_are_distinct_streams():
     r0 = run_experiment(config, 0)
     r1 = run_experiment(config, 1)
     assert r0.capabilities != r1.capabilities
-
-
-def test_run_replications_count_and_tags():
-    config = quick_config(horizon=5.0, replications=3)
-    results = run_replications(config)
-    assert [r.replication for r in results] == [0, 1, 2]
-    assert all(r.seed == config.seed for r in results)
 
 
 def test_seed_changes_runs():
