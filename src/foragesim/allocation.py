@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 
 class ObjectType(enum.IntEnum):
@@ -60,20 +60,20 @@ class VdrParams:
 
 class AllocationState(NamedTuple):
     """Full per-robot allocation state: leave probability plus per-type pickup
-    probabilities. In ORIGINAL mode the obj states exist but are never touched."""
+    probabilities. In both modes a trip's outcome moves only the leave state. In
+    MODIFIED mode each pickup attempt moves the state of the type it tried; in
+    ORIGINAL mode the obj states exist but are never touched."""
 
     leave: VdrState
     obj: tuple[VdrState, VdrState]
-    mode: Mode
 
 
 def initial_allocation(
-    mode: Mode, leave_params: VdrParams, obj_params: tuple[VdrParams, VdrParams]
+    leave_params: VdrParams, obj_params: tuple[VdrParams, VdrParams]
 ) -> AllocationState:
     return AllocationState(
         leave=leave_params.initial_state(),
         obj=(obj_params[0].initial_state(), obj_params[1].initial_state()),
-        mode=mode,
     )
 
 
@@ -99,13 +99,7 @@ def leave_nest_decision(state: AllocationState, u: float) -> bool:
 
 
 def assign_task(state: AllocationState, u: float) -> ObjectType:
-    """Sample a task assignment proportionally to the two pickup probabilities.
-
-    Only meaningful in MODIFIED mode; ORIGINAL-mode robots never hold an
-    assignment and calling this for one is a bug in the caller.
-    """
-    if state.mode is not Mode.MODIFIED:
-        raise ValueError("task assignment is only defined in MODIFIED mode")
+    """Sample a task assignment proportionally to the two pickup probabilities."""
     p1, p2 = state.obj[0].p, state.obj[1].p
     return ObjectType.TYPE1 if u < p1 / (p1 + p2) else ObjectType.TYPE2
 
@@ -125,37 +119,12 @@ def record_pickup_event(
     params_obj: tuple[VdrParams, VdrParams],
 ) -> AllocationState:
     """Apply one pickup attempt's outcome to that object type's state only."""
-    if state.mode is not Mode.MODIFIED:
-        raise ValueError("pickup-probability updates only exist in MODIFIED mode")
     step = vdr_success if success else vdr_failure
     obj = list(state.obj)
     obj[obj_type] = step(obj[obj_type], params_obj[obj_type])
     return state._replace(obj=(obj[0], obj[1]))
 
 
-def record_trip_outcome(
-    state: AllocationState,
-    assignment: Optional[ObjectType],
-    delivered: bool,
-    params_leave: VdrParams,
-    params_obj: tuple[VdrParams, VdrParams],
-) -> AllocationState:
-    """Apply one completed trip's outcome to the allocation state.
-
-    ORIGINAL mode updates only the leave state. MODIFIED mode updates the
-    assigned object type's state and the leave state, in that order; the
-    non-assigned object state is untouched.
-    """
-    if state.mode is Mode.ORIGINAL:
-        if assignment is not None:
-            raise ValueError("assignment must be absent in ORIGINAL mode")
-        step = vdr_success if delivered else vdr_failure
-        return state._replace(leave=step(state.leave, params_leave))
-
-    if assignment is None:
-        raise ValueError("assignment is required in MODIFIED mode")
-    step = vdr_success if delivered else vdr_failure
-    obj = list(state.obj)
-    obj[assignment] = step(obj[assignment], params_obj[assignment])
-    leave = step(state.leave, params_leave)
-    return AllocationState(leave=leave, obj=(obj[0], obj[1]), mode=state.mode)
+# The engine calls this second name in ORIGINAL mode only because perfbench
+# counts ORIGINAL's trip updates under it (ROADMAP item 1).
+record_trip_outcome = record_leave_outcome

@@ -86,7 +86,7 @@ class Simulation:
         self.clock = SimClock(config.tick_duration, config.horizon)
         self.rng = rng
         self.events = events
-        self._check_every = max(1, round(config.leave_check_period / config.tick_duration))
+        self._check_every = round(config.leave_check_period / config.tick_duration)
         self._step = world.config.robot_speed * config.tick_duration
         self._limit = world.config.arena_half_width - world.config.robot_radius
 
@@ -218,17 +218,10 @@ class Simulation:
             robot.trip_successes += 1
         else:
             robot.trip_failures += 1
-        if self.config.mode is Mode.MODIFIED:
-            # Object-type states were already updated attempt by attempt;
-            # the trip outcome feeds the leave-nest state only.
-            robot.alloc = record_leave_outcome(
-                robot.alloc, delivered, self.config.leave_params
-            )
-        else:
-            robot.alloc = record_trip_outcome(
-                robot.alloc, None, delivered, self.config.leave_params,
-                self.config.obj_params,
-            )
+        # Both names are looked up at call time, so module wrappers see them.
+        modified = self.config.mode is Mode.MODIFIED
+        update = record_leave_outcome if modified else record_trip_outcome
+        robot.alloc = update(robot.alloc, delivered, self.config.leave_params)
         self._emit(
             "trip", self.clock.tick_index, robot.id, delivered, robot.alloc.leave.p
         )

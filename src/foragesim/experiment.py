@@ -16,6 +16,10 @@ from .engine import Robot, Simulation
 # independent streams while staying reproducible from the manifest alone.
 _STREAM_STRIDE = 1_000_003
 
+# analysis.binomial_pmf turns math.comb(n, k) into a float, which overflows
+# once C(n, n // 2) passes the float range: first at n = 1030.
+MAX_ROBOTS = 1029
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -46,8 +50,8 @@ class ExperimentConfig:
             # bool subclasses int, but True is no count.
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.robot_count <= 0:
-            raise ValueError("robot_count must be positive")
+        if not 0 < self.robot_count <= MAX_ROBOTS:
+            raise ValueError(f"robot_count must be in 1..{MAX_ROBOTS}")
         if self.object_totals[0] <= 0 or self.object_totals[1] <= 0:
             raise ValueError("object_totals must be componentwise positive")
         if self.replications < 1:
@@ -60,6 +64,13 @@ class ExperimentConfig:
             raise ValueError("horizon must be >= 0 and search_timeout > 0")
         if self.tick_duration <= 0 or self.leave_check_period <= 0:
             raise ValueError("tick_duration and leave_check_period must be > 0")
+        # The clock counts whole ticks, so it would round any other length, and
+        # a positive whole number of ticks is at least one. The tolerance
+        # admits quotients like 6.0 / 0.1 == 59.99999999999999.
+        for name in ("horizon", "leave_check_period"):
+            ticks = getattr(self, name) / self.tick_duration
+            if abs(ticks - round(ticks)) > 1e-9 * ticks:
+                raise ValueError(f"{name} must be a whole number of {self.tick_duration} s ticks")
         # assign_task divides by p1 + p2, and failures clamp each at its p_min.
         floors = self.obj_params[0].p_min + self.obj_params[1].p_min
         if self.mode is Mode.MODIFIED and floors == 0:
@@ -158,9 +169,7 @@ def _build_world(config: ExperimentConfig, rng) -> World:
                 y=y,
                 heading=rng.random() * TWO_PI,
                 capability=(rng.random(), rng.random()),
-                alloc=initial_allocation(
-                    config.mode, config.leave_params, config.obj_params
-                ),
+                alloc=initial_allocation(config.leave_params, config.obj_params),
             )
         )
     return world

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from foragesim import (
     AllocationState,
-    Mode,
     ObjectType,
     VdrParams,
     VdrState,
@@ -50,12 +49,10 @@ def apply_events(state, params, events):
     return state
 
 
-def alloc(mode, leave=None, obj1=None, obj2=None, params=None):
+def alloc(leave=None, obj1=None, obj2=None, params=None):
     params = params or SET2_LEAVE
     base = VdrState(params.p_initial)
-    return AllocationState(
-        leave=leave or base, obj=(obj1 or base, obj2 or base), mode=mode
-    )
+    return AllocationState(leave=leave or base, obj=(obj1 or base, obj2 or base))
 
 
 # -- params validation -------------------------------------------------------
@@ -129,77 +126,40 @@ def test_transitions_do_not_mutate_input(table4_params):
 
 
 def test_leave_decision_strict_threshold():
-    state = alloc(Mode.ORIGINAL, leave=VdrState(0.04))
+    state = alloc(leave=VdrState(0.04))
     assert leave_nest_decision(state, 0.0399) is True
     assert leave_nest_decision(state, 0.04) is False
-    low = alloc(Mode.ORIGINAL, leave=VdrState(0.002))
+    low = alloc(leave=VdrState(0.002))
     assert leave_nest_decision(low, 0.5) is False
 
 
 def test_assign_task_symmetric():
-    state = alloc(Mode.MODIFIED, obj1=VdrState(0.075), obj2=VdrState(0.075))
+    state = alloc(obj1=VdrState(0.075), obj2=VdrState(0.075))
     assert assign_task(state, 0.49) is ObjectType.TYPE1
     assert assign_task(state, 0.51) is ObjectType.TYPE2
 
 
 def test_assign_task_skewed_thresholds():
     # Normalized threshold 0.15 / 0.152, checked against the raw ratio.
-    state = alloc(Mode.MODIFIED, obj1=VdrState(0.15), obj2=VdrState(0.002))
+    state = alloc(obj1=VdrState(0.15), obj2=VdrState(0.002))
     assert 0.9 < 0.15 / (0.15 + 0.002)
     assert assign_task(state, 0.9) is ObjectType.TYPE1
-    flipped = alloc(Mode.MODIFIED, obj1=VdrState(0.002), obj2=VdrState(0.15))
+    flipped = alloc(obj1=VdrState(0.002), obj2=VdrState(0.15))
     assert assign_task(flipped, 0.5) is ObjectType.TYPE2
-
-
-def test_assign_task_rejects_original_mode():
-    with pytest.raises(ValueError):
-        assign_task(alloc(Mode.ORIGINAL), 0.5)
 
 
 # -- trip outcome recording ---------------------------------------------------
 
 
-def test_trip_outcome_original_delivered(table4_params, table9_params):
-    state = alloc(Mode.ORIGINAL, leave=VdrState(0.04), params=table4_params)
-    out = record_trip_outcome(
-        state, None, True, table4_params, (table9_params, table9_params)
-    )
+def test_trip_outcome_original_delivered(table4_params):
+    state = alloc(leave=VdrState(0.04), params=table4_params)
+    out = record_trip_outcome(state, True, table4_params)
     assert out.leave == vdr_success(VdrState(0.04), table4_params)
     assert out.obj == state.obj
 
 
-def test_trip_outcome_modified_delivered(table9_params):
-    state = alloc(Mode.MODIFIED, leave=VdrState(0.04), obj2=VdrState(0.075))
-    out = record_trip_outcome(
-        state, ObjectType.TYPE2, True, SET2_LEAVE, (table9_params, table9_params)
-    )
-    assert out.leave == VdrState(0.04 + 1 * 0.0015, 1, 0)
-    assert out.obj[1] == VdrState(0.075 + 1 * 0.0025, 1, 0)
-    assert out.obj[0] == state.obj[0]
-
-
-def test_trip_outcome_modified_failed_clamped(table9_params):
-    state = alloc(Mode.MODIFIED, obj1=VdrState(0.002, 0, 9))
-    out = record_trip_outcome(
-        state, ObjectType.TYPE1, False, SET2_LEAVE, (table9_params, table9_params)
-    )
-    assert out.obj[0] == VdrState(0.002, 0, 10)
-    assert out.obj[1] == state.obj[1]
-    assert out.leave == vdr_failure(state.leave, SET2_LEAVE)
-
-
-def test_trip_outcome_contract_violations(table4_params, table9_params):
-    obj_params = (table9_params, table9_params)
-    with pytest.raises(ValueError):
-        record_trip_outcome(
-            alloc(Mode.ORIGINAL), ObjectType.TYPE1, True, table4_params, obj_params
-        )
-    with pytest.raises(ValueError):
-        record_trip_outcome(alloc(Mode.MODIFIED), None, True, table4_params, obj_params)
-
-
 def test_record_leave_outcome_touches_leave_only(table4_params):
-    state = alloc(Mode.MODIFIED, leave=VdrState(0.04), params=table4_params)
+    state = alloc(leave=VdrState(0.04), params=table4_params)
     won = record_leave_outcome(state, True, table4_params)
     lost = record_leave_outcome(state, False, table4_params)
     assert won.leave == vdr_success(state.leave, table4_params)
@@ -209,20 +169,17 @@ def test_record_leave_outcome_touches_leave_only(table4_params):
 
 def test_record_pickup_event_per_type(table9_params):
     obj_params = (table9_params, table9_params)
-    state = alloc(Mode.MODIFIED)
+    state = alloc()
     out = record_pickup_event(state, ObjectType.TYPE2, True, obj_params)
     assert out.obj[1] == vdr_success(state.obj[1], table9_params)
     assert out.obj[0] == state.obj[0]
     assert out.leave == state.leave
-    with pytest.raises(ValueError):
-        record_pickup_event(alloc(Mode.ORIGINAL), ObjectType.TYPE1, True, obj_params)
 
 
 def test_initial_allocation(table4_params, table9_params):
-    state = initial_allocation(Mode.MODIFIED, table4_params, (table9_params, table9_params))
+    state = initial_allocation(table4_params, (table9_params, table9_params))
     assert state.leave == VdrState(0.04, 0, 0)
     assert state.obj == (VdrState(0.075, 0, 0), VdrState(0.075, 0, 0))
-    assert state.mode is Mode.MODIFIED
 
 
 # -- properties ---------------------------------------------------------------
@@ -268,8 +225,8 @@ def test_monotone_streak_growth(params, k):
 def test_mode_isolation_original(events):
     leave = VdrParams(p_max=0.08, p_min=0.002, p_initial=0.04, delta=0.0003)
     obj = VdrParams(p_max=0.15, p_min=0.002, p_initial=0.075, delta=0.0025)
-    state = initial_allocation(Mode.ORIGINAL, leave, (obj, obj))
+    state = initial_allocation(leave, (obj, obj))
     before = state.obj
     for success in events:
-        state = record_trip_outcome(state, None, success, leave, (obj, obj))
+        state = record_trip_outcome(state, success, leave)
     assert state.obj == before

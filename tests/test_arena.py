@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foragesim import ArenaConfig, Robot, Simulation, Vec2, World, WorldObject
-from foragesim.allocation import Mode, ObjectType, VdrParams, initial_allocation
+from foragesim.allocation import ObjectType, VdrParams, initial_allocation
 from foragesim.arena import (
     MAX_GRID_CELLS,
     SPAWN_ATTEMPT_CAP,
@@ -45,7 +45,7 @@ def make_robot(rid, x, y, phase=RobotPhase.SEARCHING):
         y=y,
         heading=0.0,
         capability=(0.5, 0.5),
-        alloc=initial_allocation(Mode.ORIGINAL, params, (obj, obj)),
+        alloc=initial_allocation(params, (obj, obj)),
         phase=phase,
     )
 

@@ -27,6 +27,7 @@ from foragesim.cli import (
     run_command,
     write_config,
 )
+from foragesim.experiment import MAX_ROBOTS
 
 
 def small_config(**overrides):
@@ -146,10 +147,12 @@ def test_run_command_row_counts(tmp_path):
 
 
 def test_run_command_zero_horizon_initial_p1(tmp_path):
-    config = small_config(horizon=0.0, replications=1)
+    # The largest swarm allowed: its binomial comparison stays in float range.
+    config = small_config(horizon=0.0, replications=1, robot_count=MAX_ROBOTS)
     out = tmp_path / "out"
     run_command(config, str(out))
     rows = (out / "results.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == MAX_ROBOTS
     assert all(row.split(",")[4] == repr(0.04) for row in rows)
 
 
@@ -273,6 +276,12 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
         ("heading_jitter", -0.1),
         # 1429 grid cells from the centre to a wall, past the cap of 1000.
         ("arena_half_width", 1000.0),
+        # C(1030, 515) overflows a float in the binomial comparison.
+        ("robot_count", 1030),
+        # Not whole numbers of 0.1 s ticks, and less than one tick.
+        ("horizon_seconds", 10.05),
+        ("leave_check_period", 0.15),
+        ("leave_check_period", 0.05),
     ],
 )
 def test_main_non_finite_value_exits_2(tmp_path, capsys, key, value):

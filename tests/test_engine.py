@@ -47,8 +47,8 @@ def build_sim(rng=None, totals=(30, 35), events=None, **overrides):
     return Simulation(config, world, rng if rng is not None else random.Random(0), events)
 
 
-def make_robot(rid, x, y, mode=Mode.ORIGINAL, heading=0.0, capability=(0.5, 0.5), p1=None):
-    alloc = initial_allocation(mode, LEAVE, (OBJ, OBJ))
+def make_robot(rid, x, y, heading=0.0, capability=(0.5, 0.5), p1=None):
+    alloc = initial_allocation(LEAVE, (OBJ, OBJ))
     if p1 is not None:
         alloc = alloc._replace(leave=VdrState(p1))
     return Robot(id=rid, x=x, y=y, heading=heading, capability=capability, alloc=alloc)
@@ -79,7 +79,7 @@ def test_leave_failure_stays_stopped():
 
 def test_leave_modified_assigns_task():
     sim = build_sim(mode=Mode.MODIFIED, rng=ScriptedRng([0.01, 0.5, 0.49]))
-    robot = make_robot(0, 0.0, 0.0, mode=Mode.MODIFIED, p1=0.08)
+    robot = make_robot(0, 0.0, 0.0, p1=0.08)
     sim.world.add_robot(robot)
     sim.try_leave_nest(robot)
     assert robot.phase is RobotPhase.SEARCHING
@@ -200,7 +200,7 @@ def test_modified_wrong_type_is_plain_obstacle():
     # Capability 1.0 would guarantee pickup if a capability draw happened;
     # a non-assigned type must bounce with no draw and no state update.
     sim = build_sim(mode=Mode.MODIFIED, rng=random.Random(5))
-    robot = make_robot(0, 5.0, 5.0, mode=Mode.MODIFIED, capability=(1.0, 1.0))
+    robot = make_robot(0, 5.0, 5.0, capability=(1.0, 1.0))
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 15.0
     robot.assignment = ObjectType.TYPE1
@@ -216,7 +216,7 @@ def test_modified_wrong_type_is_plain_obstacle():
 
 def test_modified_pickup_updates_per_attempt():
     sim = build_sim(mode=Mode.MODIFIED, rng=random.Random(5))
-    robot = make_robot(0, 5.0, 5.0, mode=Mode.MODIFIED, capability=(0.0, 0.0))
+    robot = make_robot(0, 5.0, 5.0, capability=(0.0, 0.0))
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 15.0
     robot.assignment = ObjectType.TYPE2
@@ -243,41 +243,47 @@ def test_returning_homes_on_origin():
     assert robot.y == pytest.approx(0.0)
 
 
+# A trip moves the leave state only, in both modes.
+
+
 def test_returning_delivery_updates_and_conserves():
-    events = []
-    sim = build_sim(rng=random.Random(3), totals=(1, 1), events=events)
-    sim.world.add_object(ObjectType.TYPE1, Vec2(5.0, 5.0))
-    robot = make_robot(0, 0.5, 0.0)
-    robot.phase = RobotPhase.RETURNING
-    robot.carried = ObjectType.TYPE2
-    sim.world.add_robot(robot)
-    before = robot.alloc
-    sim.returning_step(robot)
-    assert robot.phase is RobotPhase.STOPPING
-    assert robot.carried is None
-    assert robot.retrieved == [0, 1]
-    assert robot.trip_successes == 1
-    # The replacement spawned.
-    assert sum(o.obj_type == ObjectType.TYPE2 for o in sim.world.objects) == 1
-    sim.world.check_conservation()
-    assert robot.alloc.leave == vdr_success(before.leave, LEAVE)
-    kinds = [e[0] for e in events]
-    assert kinds == ["deliver", "trip", "phase"]
+    for mode in Mode:
+        events = []
+        sim = build_sim(rng=random.Random(3), totals=(1, 1), events=events, mode=mode)
+        sim.world.add_object(ObjectType.TYPE1, Vec2(5.0, 5.0))
+        robot = make_robot(0, 0.5, 0.0)
+        robot.phase = RobotPhase.RETURNING
+        robot.carried = ObjectType.TYPE2
+        sim.world.add_robot(robot)
+        before = robot.alloc
+        sim.returning_step(robot)
+        assert robot.phase is RobotPhase.STOPPING
+        assert robot.carried is None
+        assert robot.retrieved == [0, 1]
+        assert robot.trip_successes == 1
+        # The replacement spawned.
+        assert sum(o.obj_type == ObjectType.TYPE2 for o in sim.world.objects) == 1
+        sim.world.check_conservation()
+        assert robot.alloc.leave == vdr_success(before.leave, LEAVE), mode
+        assert robot.alloc.obj == before.obj, mode
+        kinds = [e[0] for e in events]
+        assert kinds == ["deliver", "trip", "phase"]
 
 
 def test_returning_empty_counts_failure():
-    sim = build_sim(rng=random.Random(3), totals=(1, 1))
-    sim.world.add_object(ObjectType.TYPE1, Vec2(5.0, 5.0))
-    sim.world.add_object(ObjectType.TYPE2, Vec2(-5.0, 5.0))
-    robot = make_robot(0, 0.5, 0.0)
-    robot.phase = RobotPhase.RETURNING
-    sim.world.add_robot(robot)
-    before = robot.alloc
-    sim.returning_step(robot)
-    assert robot.phase is RobotPhase.STOPPING
-    assert robot.trip_failures == 1
-    assert robot.alloc.leave == vdr_failure(before.leave, LEAVE)
-    assert robot.alloc.obj == before.obj
+    for mode in Mode:
+        sim = build_sim(rng=random.Random(3), totals=(1, 1), mode=mode)
+        sim.world.add_object(ObjectType.TYPE1, Vec2(5.0, 5.0))
+        sim.world.add_object(ObjectType.TYPE2, Vec2(-5.0, 5.0))
+        robot = make_robot(0, 0.5, 0.0)
+        robot.phase = RobotPhase.RETURNING
+        sim.world.add_robot(robot)
+        before = robot.alloc
+        sim.returning_step(robot)
+        assert robot.phase is RobotPhase.STOPPING
+        assert robot.trip_failures == 1
+        assert robot.alloc.leave == vdr_failure(before.leave, LEAVE), mode
+        assert robot.alloc.obj == before.obj, mode
 
 
 def test_returning_robot_contact_separates():
