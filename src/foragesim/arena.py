@@ -20,10 +20,6 @@ TWO_PI = 2.0 * math.pi
 
 SPAWN_ATTEMPT_CAP = 10_000
 BOUNCE_REDRAW_CAP = 100
-# Grid cells from the centre to a wall. Each grid's table grows with the
-# square of this, not with the item count: at the cap it holds about 4M
-# slots (32 MiB).
-MAX_GRID_CELLS = 1000
 
 
 class SpawnError(RuntimeError):
@@ -57,16 +53,8 @@ class ArenaConfig:
             value = getattr(self, spec.name)
             if not math.isfinite(value):
                 raise ValueError(f"{spec.name} must be finite, got {value}")
-        for name in (
-            "arena_half_width",
-            "nest_radius",
-            "robot_radius",
-            "object_radius",
-            "robot_speed",
-            "contact_margin",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if value <= 0.0 and spec.name != "heading_jitter":
+                raise ValueError(f"{spec.name} must be strictly positive")
         if self.heading_jitter < 0.0:
             raise ValueError("heading_jitter must be >= 0")
         if self.nest_radius <= self.robot_radius:
@@ -78,13 +66,10 @@ class ArenaConfig:
                 "nest_radius + 2*object_radius must be < arena_half_width "
                 "so objects can spawn outside the nest"
             )
-        cells = self.arena_half_width / self.cell_side()
-        if cells > MAX_GRID_CELLS:
-            raise ValueError(
-                f"arena_half_width {self.arena_half_width} spans {cells:.0f} grid "
-                f"cells from the centre to a wall; at most {MAX_GRID_CELLS} fit "
-                "in memory"
-            )
+        # ExperimentConfig's packing check squares the arena's width.
+        hw = self.arena_half_width
+        if (2.0 * hw) * (2.0 * hw) == math.inf:
+            raise ValueError(f"arena_half_width {hw} is too wide: its area overflows a float")
 
     def cell_side(self) -> float:
         """Side of the contact grids' cells: twice the largest contact or
@@ -140,13 +125,9 @@ class CellGrid:
     item touches four.
 
     Cell ``(floor(x / side), floor(y / side))`` has the single int key
-    ``i * stride + j``, and ``cells`` is a flat table indexed by that key. The
-    table wraps around, as Python indexing does for a negative key, so keys
-    need no offset. Every cell within two cells of the arena has a slot of its
-    own; a cell farther out, but with both coordinates within twice
-    ``half_width`` of the centre, shares a slot, which adds candidates to a
-    query but never loses one. A cell is ``None`` until an item is filed in
-    it, then a list of its items.
+    ``i * stride + j``, unique for every cell within two cells of the arena.
+    ``cells`` maps the key of each cell that holds items to the list of them,
+    so a grid's size follows its items, not the arena's area.
     """
 
     def __init__(self, side: float, half_width: float) -> None:
@@ -154,7 +135,7 @@ class CellGrid:
         stride = 2 * math.ceil(half_width / side) + 5
         self.stride = stride
         self.filed_at = (0, -1, -stride, -stride - 1)
-        self.cells: list = [None] * (stride * stride)
+        self.cells: dict = {}
         self.where: dict = {}  # item id -> key of the item's own cell
 
     def __contains__(self, item) -> bool:
@@ -173,7 +154,7 @@ class CellGrid:
         """File ``item`` as lying in the cell ``key``."""
         cells = self.cells
         for offset in self.filed_at:
-            cell = cells[key + offset]
+            cell = cells.get(key + offset)
             if cell is None:
                 cells[key + offset] = [item]
             else:
@@ -186,7 +167,10 @@ class CellGrid:
         for offset in self.filed_at:
             # Items compare by identity (``eq=False``), so the search past
             # the items ahead of ``item`` runs no Python ``__eq__``.
-            cells[key + offset].remove(item)
+            cell = cells[key + offset]
+            cell.remove(item)
+            if not cell:
+                del cells[key + offset]
 
 
 _object_id = operator.attrgetter("id")
@@ -305,7 +289,7 @@ def spawn_object(world: World, obj_type: ObjectType, rng) -> WorldObject:
         y = lo + rng.random() * span
         if x * x + y * y <= nest_keepout * nest_keepout:
             continue
-        near = cells[grid.block_key(x, y)]
+        near = cells.get(grid.block_key(x, y))
         if near and any(
             (o.position.x - x) ** 2 + (o.position.y - y) ** 2 < min_sep_sq
             for o in near
@@ -338,7 +322,7 @@ def nearest_contact(
 
     # Robot-robot: center distance below sum of radii plus margin. Robots,
     # like objects, are filed so that this one cell holds every near one.
-    near = robots.cells[key]
+    near = robots.cells.get(key)
     if near:
         best_robot = None
         best_d2 = world.robot_contact_sq
@@ -377,7 +361,7 @@ def nearest_contact(
         return Contact(ContactKind.NEST, ring)
 
     # Free objects: nearest one within threshold, all filed in this one cell.
-    near = world.object_grid.cells[key]
+    near = world.object_grid.cells.get(key)
     if not near:
         return NO_CONTACT
     best_obj = None

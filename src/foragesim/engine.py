@@ -60,19 +60,38 @@ class Robot:
         return Vec2(self.x, self.y)
 
 
+# 10**7 ticks of 0.1 s cover 11.6 days, a run that would take weeks.
+MAX_TICKS = 10**7
+
+
+def whole_ticks(name: str, seconds: float, tick_duration: float) -> int:
+    """``seconds`` as a count of ``tick_duration`` ticks; ``ValueError``
+    unless it is a whole count of at most ``MAX_TICKS``."""
+    ticks = seconds / tick_duration
+    if ticks > MAX_TICKS:  # first, so an infinite count gets this message too
+        raise ValueError(f"{name} is {ticks:.3g} ticks; the tick count is capped at {MAX_TICKS}")
+    # The clock counts whole ticks, so it would round any other length, and
+    # a positive whole number of ticks is at least one. The tolerance
+    # admits quotients like 6.0 / 0.1 == 59.99999999999999.
+    count = round(ticks)
+    if abs(ticks - count) > 1e-9 * ticks:
+        raise ValueError(f"{name} must be a whole number of {tick_duration} s ticks")
+    return count
+
+
 @dataclass
 class SimClock:
     tick_duration: float
     horizon: float
     tick_index: int = 0
+    total_ticks: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.total_ticks = whole_ticks("horizon", self.horizon, self.tick_duration)
 
     @property
     def now(self) -> float:
         return self.tick_index * self.tick_duration
-
-    @property
-    def total_ticks(self) -> int:
-        return round(self.horizon / self.tick_duration)
 
 
 class Simulation:
@@ -83,11 +102,12 @@ class Simulation:
     def __init__(self, config, world: World, rng, events: Optional[list] = None):
         self.config = config
         self.world = world
-        self.clock = SimClock(config.tick_duration, config.horizon)
+        tick = config.tick_duration
+        self.clock = SimClock(tick, config.horizon)
         self.rng = rng
         self.events = events
-        self._check_every = round(config.leave_check_period / config.tick_duration)
-        self._step = world.config.robot_speed * config.tick_duration
+        self._check_every = whole_ticks("leave_check_period", config.leave_check_period, tick)
+        self._step = world.config.robot_speed * tick
         self._limit = world.config.arena_half_width - world.config.robot_radius
 
     # -- event log -----------------------------------------------------

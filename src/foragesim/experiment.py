@@ -10,7 +10,7 @@ from typing import Optional
 
 from .allocation import Mode, ObjectType, VdrParams, initial_allocation
 from .arena import ArenaConfig, TWO_PI, World, spawn_object
-from .engine import Robot, Simulation
+from .engine import Robot, Simulation, whole_ticks
 
 # Offsets mixed into (seed, replication) so distinct replications get
 # independent streams while staying reproducible from the manifest alone.
@@ -64,13 +64,8 @@ class ExperimentConfig:
             raise ValueError("horizon must be >= 0 and search_timeout > 0")
         if self.tick_duration <= 0 or self.leave_check_period <= 0:
             raise ValueError("tick_duration and leave_check_period must be > 0")
-        # The clock counts whole ticks, so it would round any other length, and
-        # a positive whole number of ticks is at least one. The tolerance
-        # admits quotients like 6.0 / 0.1 == 59.99999999999999.
         for name in ("horizon", "leave_check_period"):
-            ticks = getattr(self, name) / self.tick_duration
-            if abs(ticks - round(ticks)) > 1e-9 * ticks:
-                raise ValueError(f"{name} must be a whole number of {self.tick_duration} s ticks")
+            whole_ticks(name, getattr(self, name), self.tick_duration)
         # assign_task divides by p1 + p2, and failures clamp each at its p_min.
         floors = self.obj_params[0].p_min + self.obj_params[1].p_min
         if self.mode is Mode.MODIFIED and floors == 0:

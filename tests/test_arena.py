@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from foragesim import ArenaConfig, Robot, Simulation, Vec2, World, WorldObject
 from foragesim.allocation import ObjectType, VdrParams, initial_allocation
 from foragesim.arena import (
-    MAX_GRID_CELLS,
     SPAWN_ATTEMPT_CAP,
     Contact,
     ContactKind,
@@ -63,13 +62,6 @@ def test_config_rejects_nonpositive_lengths():
         ArenaConfig(robot_radius=0.0)
     with pytest.raises(ValueError):
         ArenaConfig(robot_speed=-1.0)
-
-
-def test_config_rejects_arena_wider_than_grid_cap():
-    # Only a World allocates the grids, so building these configs is cheap.
-    ArenaConfig(arena_half_width=0.99 * MAX_GRID_CELLS * CFG.cell_side())
-    with pytest.raises(ValueError, match="grid cells"):
-        ArenaConfig(arena_half_width=1000.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -574,21 +566,18 @@ def test_conservation_counts_each_type(free, carried):
 
 
 def filed_cells(grid):
-    """The sorted table slots each item is filed in, by item id."""
-    slots = {}
-    for slot, cell in enumerate(grid.cells):
-        for item in cell or ():
-            slots.setdefault(item.id, []).append(slot)
-    return slots
+    """The sorted cell keys each item is filed under, by item id."""
+    keys = {}
+    for key, cell in grid.cells.items():
+        for item in cell:
+            keys.setdefault(item.id, []).append(key)
+    return {item_id: sorted(item_keys) for item_id, item_keys in keys.items()}
 
 
 def block_slots(grid, x, y):
-    """The slots of the four cells whose 2x2 block holds the point's cell."""
+    """The keys of the four cells whose 2x2 block holds the point's cell."""
     i, j = math.floor(x / grid.side), math.floor(y / grid.side)
-    size = len(grid.cells)
-    return sorted(
-        ((i - di) * grid.stride + j - dj) % size for di in (0, 1) for dj in (0, 1)
-    )
+    return sorted((i - di) * grid.stride + j - dj for di in (0, 1) for dj in (0, 1))
 
 
 def test_grids_file_each_item_under_its_block_cells():
@@ -612,3 +601,20 @@ def test_grids_file_each_item_under_its_block_cells():
         assert objects.where == {o.id: objects.key(*o.position) for o in world.objects}
     kinds = {record[0] for record in events}
     assert {"phase", "pickup", "deliver"} <= kinds
+
+
+def test_wide_arena_grids_hold_only_cells_with_items():
+    # 1,429 cells from the centre to a wall: the grids' size follows the
+    # robots and objects, and each holds at most the 4 cells of each item.
+    base = set2_config(seed=3)
+    config = replace(base, horizon=5.0, arena=replace(base.arena, arena_half_width=1000.0))
+    rng = random.Random(3)
+    world = _build_world(config, rng)
+    sim = Simulation(config, world, rng)
+    robots, objects = world.robot_grid, world.object_grid
+    for _ in range(sim.clock.total_ticks):
+        sim.tick()
+        moving = [r for r in world.robots if r.phase is not RobotPhase.STOPPING]
+        assert len(robots.cells) <= 4 * len(moving)
+        assert len(objects.cells) <= 4 * len(world.objects)
+    assert moving

@@ -274,8 +274,13 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
         ("nest_radius", 0.15),  # equal to robot_radius
         ("nest_radius", 0.1),
         ("heading_jitter", -0.1),
-        # 1429 grid cells from the centre to a wall, past the cap of 1000.
-        ("arena_half_width", 1000.0),
+        # The arena's area overflows a float.
+        ("arena_half_width", 1e154),
+        ("arena_half_width", 1e200),
+        ("arena_half_width", 1e308),
+        # 5e300 ticks, which would never end, and an infinite tick count.
+        ("tick_duration", 1e-300),
+        ("tick_duration", 1e-320),
         # C(1030, 515) overflows a float in the binomial comparison.
         ("robot_count", 1030),
         # Not whole numbers of 0.1 s ticks, and less than one tick.
@@ -292,7 +297,12 @@ def test_main_non_finite_value_exits_2(tmp_path, capsys, key, value):
     out = tmp_path / "out"
     code = main(["--config", str(path), "--output", str(out)])
     assert code == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    # A value refused for its size names what it overflows.
+    assert {"arena_half_width": "arena_half_width", "tick_duration": "tick count"}.get(
+        key, "config error"
+    ) in err
     assert not out.exists()
 
 

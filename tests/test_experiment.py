@@ -1,5 +1,6 @@
 """Experiment runner tests: config validation, presets, bounds, determinism."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -12,7 +13,8 @@ from foragesim import (
     set1_config,
     set2_config,
 )
-from foragesim.experiment import ExperimentConfig
+from foragesim.engine import MAX_TICKS
+from foragesim.experiment import ExperimentConfig, _build_world
 
 
 def test_config_validation():
@@ -68,6 +70,19 @@ def test_config_rejects_infeasible_packing():
     replace(set1_config(), arena=arena, object_totals=(14, 14))
     with pytest.raises(ValueError, match="too packed"):
         replace(set1_config(), arena=arena, object_totals=(14, 15))
+
+
+def test_config_caps_the_tick_count():
+    # No run starts: 1e-300 s ticks would never end, and 1e-320 s ticks make
+    # the tick count infinite.
+    replace(set1_config(), horizon=MAX_TICKS * 0.1)
+    for overrides in (
+        dict(horizon=MAX_TICKS * 0.1 + 0.1),
+        dict(horizon=5.0, tick_duration=1e-300),
+        dict(horizon=5.0, tick_duration=1e-320),
+    ):
+        with pytest.raises(ValueError, match="tick count is capped"):
+            replace(set1_config(), **overrides)
 
 
 def test_config_rejects_zero_pickup_floors_in_modified_mode():
@@ -154,3 +169,22 @@ def test_seed_changes_runs():
     r_a = run_experiment(quick_config(horizon=0.0, seed=1), 0)
     r_b = run_experiment(quick_config(horizon=0.0, seed=2), 0)
     assert r_a.capabilities != r_b.capabilities
+
+
+def test_world_build_is_the_same_in_both_modes():
+    # Paired runs of the two rules share their random numbers: the same seed
+    # builds the same world, whatever the mode.
+    config = replace(set1_config(), robot_count=4, object_totals=(3, 4))
+    worlds = [
+        _build_world(replace(config, mode=mode), random.Random(7))
+        for mode in (Mode.ORIGINAL, Mode.MODIFIED)
+    ]
+    original, modified = [
+        (
+            [(o.id, o.obj_type, o.position) for o in world.objects],
+            [(r.x, r.y, r.heading, r.capability, r.alloc) for r in world.robots],
+        )
+        for world in worlds
+    ]
+    assert len(original[0]) == 7 and len(original[1]) == 4
+    assert original == modified
