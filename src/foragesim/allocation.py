@@ -109,7 +109,7 @@ def record_leave_outcome(
 ) -> AllocationState:
     """Apply a trip's outcome to the leave-nest state only."""
     step = vdr_success if delivered else vdr_failure
-    return state._replace(leave=step(state.leave, params_leave))
+    return AllocationState(step(state.leave, params_leave), state.obj)
 
 
 def record_pickup_event(
@@ -120,9 +120,12 @@ def record_pickup_event(
 ) -> AllocationState:
     """Apply one pickup attempt's outcome to that object type's state only."""
     step = vdr_success if success else vdr_failure
-    obj = list(state.obj)
-    obj[obj_type] = step(obj[obj_type], params_obj[obj_type])
-    return state._replace(obj=(obj[0], obj[1]))
+    first, second = state.obj
+    if obj_type:
+        second = step(second, params_obj[1])
+    else:
+        first = step(first, params_obj[0])
+    return AllocationState(state.leave, (first, second))
 
 
 # The engine calls this second name in ORIGINAL mode only because perfbench

@@ -103,10 +103,10 @@ class ContactKind(enum.Enum):
 
 class Contact(NamedTuple):
     kind: ContactKind
-    # Reference point of the contact, used to compute away-vectors:
-    # the other robot's center, the object's center, the nearest wall point,
-    # or the nearest point on the nest circle.
-    point: Optional[Vec2] = None
+    # Reference point of the contact, used to compute away-vectors: an
+    # ``(x, y)`` pair for the other robot's center, the nearest wall point or
+    # the nearest point on the nest circle, and the object's ``Vec2`` center.
+    point: Optional[tuple[float, float]] = None
     obj: Optional[WorldObject] = None
 
 
@@ -128,15 +128,33 @@ class CellGrid:
     ``i * stride + j``, unique for every cell within two cells of the arena.
     ``cells`` maps the key of each cell that holds items to the list of them,
     so a grid's size follows its items, not the arena's area.
+
+    An item moving to a neighbouring cell keeps the cells its old and new
+    blocks share, so it is unfiled from and filed under only the others: 2
+    for a move along an axis, 3 for a diagonal one. Its place in the lists
+    it leaves and joins changes; queries read a cell in no particular order.
     """
 
     def __init__(self, side: float, half_width: float) -> None:
         self.side = side
         stride = 2 * math.ceil(half_width / side) + 5
         self.stride = stride
-        self.filed_at = (0, -1, -stride, -stride - 1)
+        filed_at = (0, -1, -stride, -stride - 1)
+        self.filed_at = filed_at
         self.cells: dict = {}
         self.where: dict = {}  # item id -> key of the item's own cell
+        # Key change of a move to a neighbouring cell -> the offsets, from
+        # the old key, of the cells to leave, and, from the new key, of the
+        # cells to join.
+        self.steps = {
+            di * stride + dj: (
+                tuple(o for o in filed_at if o - di * stride - dj not in filed_at),
+                tuple(o for o in filed_at if o + di * stride + dj not in filed_at),
+            )
+            for di in (-1, 0, 1)
+            for dj in (-1, 0, 1)
+            if di or dj
+        }
 
     def __contains__(self, item) -> bool:
         return item.id in self.where
@@ -152,19 +170,33 @@ class CellGrid:
 
     def add(self, item, key: int) -> None:
         """File ``item`` as lying in the cell ``key``."""
+        self._join(item, key, self.filed_at)
+        self.where[item.id] = key
+
+    def remove(self, item) -> None:
+        self._leave(item, self.where.pop(item.id), self.filed_at)
+
+    def move(self, item, key: int) -> None:
+        """Re-file ``item``, filed under another cell, as lying in ``key``."""
+        old = self.where[item.id]
+        # A jump past the neighbouring cells leaves and joins all four.
+        leave, join = self.steps.get(key - old, (self.filed_at, self.filed_at))
+        self._leave(item, old, leave)
+        self._join(item, key, join)
+        self.where[item.id] = key
+
+    def _join(self, item, key: int, offsets: tuple) -> None:
         cells = self.cells
-        for offset in self.filed_at:
+        for offset in offsets:
             cell = cells.get(key + offset)
             if cell is None:
                 cells[key + offset] = [item]
             else:
                 cell.append(item)
-        self.where[item.id] = key
 
-    def remove(self, item) -> None:
-        key = self.where.pop(item.id)
+    def _leave(self, item, key: int, offsets: tuple) -> None:
         cells = self.cells
-        for offset in self.filed_at:
+        for offset in offsets:
             # Items compare by identity (``eq=False``), so the search past
             # the items ahead of ``item`` runs no Python ``__eq__``.
             cell = cells[key + offset]
@@ -258,8 +290,7 @@ class World:
             side = grid.side
             key = math.floor(x / side) * grid.stride + math.floor(y / side)
             if key != old:
-                grid.remove(robot)
-                grid.add(robot, key)
+                grid.move(robot, key)
 
     def set_phase(self, robot, phase: RobotPhase) -> None:
         robot.phase = phase
@@ -336,7 +367,7 @@ def nearest_contact(
                 best_d2 = d2
                 best_robot = other
         if best_robot is not None:
-            return Contact(ContactKind.ROBOT, Vec2(best_robot.x, best_robot.y))
+            return Contact(ContactKind.ROBOT, (best_robot.x, best_robot.y))
 
     # Wall: distance to the nearest side below robot radius plus margin.
     cfg = world.config
@@ -346,18 +377,18 @@ def nearest_contact(
     ay = abs(y)
     if hw - (ax if ax >= ay else ay) < edge:
         if ax >= ay:
-            wall_point = Vec2(math.copysign(hw, x), y)
+            wall_point = (math.copysign(hw, x), y)
         else:
-            wall_point = Vec2(x, math.copysign(hw, y))
+            wall_point = (x, math.copysign(hw, y))
         return Contact(ContactKind.WALL, wall_point)
 
     # Nest boundary: radial distance from the circle below radius plus margin.
     r = math.hypot(x, y)
     if abs(r - cfg.nest_radius) < edge:
         if r > 0.0:
-            ring = Vec2(x / r * cfg.nest_radius, y / r * cfg.nest_radius)
+            ring = (x / r * cfg.nest_radius, y / r * cfg.nest_radius)
         else:
-            ring = Vec2(cfg.nest_radius, 0.0)
+            ring = (cfg.nest_radius, 0.0)
         return Contact(ContactKind.NEST, ring)
 
     # Free objects: nearest one within threshold, all filed in this one cell.
@@ -393,18 +424,19 @@ def bounce_heading(
     return fallback_heading
 
 
-def away_heading(position: Vec2, contact_point: Vec2) -> float:
+# The points below are ``(x, y)`` pairs: plain tuples or ``Vec2``s.
+
+
+def away_heading(position, contact_point) -> float:
     """Heading pointing exactly from the contact point through the position."""
-    return math.atan2(position.y - contact_point.y, position.x - contact_point.x)
+    return math.atan2(position[1] - contact_point[1], position[0] - contact_point[0])
 
 
-def separating_test(
-    position: Vec2, contact_point: Vec2, step: float
-) -> Callable[[float], bool]:
+def separating_test(position, contact_point, step: float) -> Callable[[float], bool]:
     """Predicate accepting headings whose one-tick step strictly increases
     the distance to the contact point."""
-    dx0 = position.x - contact_point.x
-    dy0 = position.y - contact_point.y
+    dx0 = position[0] - contact_point[0]
+    dy0 = position[1] - contact_point[1]
     d0_sq = dx0 * dx0 + dy0 * dy0
 
     def test(h: float) -> bool:
@@ -415,20 +447,20 @@ def separating_test(
     return test
 
 
-def edge_follow_step(robot_position: Vec2, goal: Vec2, obstacle_center: Vec2) -> Vec2:
+def edge_follow_step(robot_position, goal, obstacle_center) -> Vec2:
     """Unit heading tangent to the obstacle, choosing the tangent direction
     closer to the goal direction. Discrete tangent steps move along a chord
     and therefore never reduce the distance to the obstacle center."""
-    vx = robot_position.x - obstacle_center.x
-    vy = robot_position.y - obstacle_center.y
+    x, y = robot_position
+    vx = x - obstacle_center[0]
+    vy = y - obstacle_center[1]
     norm = math.hypot(vx, vy)
+    gx, gy = goal[0] - x, goal[1] - y
     if norm == 0.0:
         # Degenerate overlap; flee toward the goal.
-        gx, gy = goal.x - robot_position.x, goal.y - robot_position.y
         gn = math.hypot(gx, gy) or 1.0
         return Vec2(gx / gn, gy / gn)
     # The two tangents, perpendicular to the obstacle-to-robot vector.
     t1 = Vec2(-vy / norm, vx / norm)
     t2 = Vec2(vy / norm, -vx / norm)
-    gx, gy = goal.x - robot_position.x, goal.y - robot_position.y
     return t1 if t1.x * gx + t1.y * gy >= t2.x * gx + t2.y * gy else t2

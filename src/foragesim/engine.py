@@ -27,7 +27,6 @@ from .arena import (
     Contact,
     ContactKind,
     RobotPhase,
-    Vec2,
     World,
     WorldObject,
     away_heading,
@@ -54,10 +53,6 @@ class Robot:
     trip_successes: int = 0
     trip_failures: int = 0
     retrieved: list = field(default_factory=lambda: [0, 0])
-
-    @property
-    def position(self) -> Vec2:
-        return Vec2(self.x, self.y)
 
 
 # 10**7 ticks of 0.1 s cover 11.6 days, a run that would take weeks.
@@ -138,8 +133,8 @@ class Simulation:
             y = -limit
         self.world.move_robot(robot, x, y)
 
-    def _bounce(self, robot: Robot, contact_point: Vec2) -> None:
-        position = robot.position
+    def _bounce(self, robot: Robot, contact_point) -> None:
+        position = (robot.x, robot.y)
         robot.heading = bounce_heading(
             robot.heading,
             self.rng,
@@ -149,11 +144,8 @@ class Simulation:
 
     # -- per-phase behavior ----------------------------------------------
 
-    def try_leave_nest(self, robot: Robot) -> None:
-        if self.clock.tick_index % self._check_every != 0:
-            return
-        if not leave_nest_decision(robot.alloc, self.rng.random()):
-            return
+    def _depart(self, robot: Robot) -> None:
+        """Send a robot that decided to leave the nest out searching."""
         robot.heading = self.rng.random() * TWO_PI
         robot.search_deadline = self.clock.now + self.config.search_timeout
         if self.config.mode is Mode.MODIFIED:
@@ -218,7 +210,7 @@ class Simulation:
             self._bounce(robot, contact.point)
         elif kind is ContactKind.OBJECT:
             direction = edge_follow_step(
-                robot.position, Vec2(0.0, 0.0), contact.obj.position
+                (robot.x, robot.y), (0.0, 0.0), contact.obj.position
             )
             robot.heading = math.atan2(direction.y, direction.x)
         elif kind is ContactKind.WALL:
@@ -256,32 +248,50 @@ class Simulation:
         if clock.tick_index >= clock.total_ticks:
             raise ValueError("clock is past the horizon")
         now = clock.now
+        check = clock.tick_index % self._check_every == 0
         world = self.world
+        move = world.move_robot
         jitter = world.config.heading_jitter
+        step, limit = self._step, self._limit
         random = self.rng.random
+        cos, sin = math.cos, math.sin
         stopping, searching = RobotPhase.STOPPING, RobotPhase.SEARCHING
         no_contact = ContactKind.NONE
-        leave, search = self.try_leave_nest, self.searching_step
-        home, advance = self.returning_step, self._advance
+        # Looked up once a tick, so a wrapper installed on the module sees
+        # every call.
+        query, leaves = nearest_contact, leave_nest_decision
         for robot in world.robots:
             phase = robot.phase
             if phase is searching:
                 if now >= robot.search_deadline:
                     self._set_phase(robot, RobotPhase.RETURNING)
                     continue
-                # Looked up at call time, so a wrapper installed on the
-                # module sees every query.
-                contact = nearest_contact(world, (robot.x, robot.y), robot.id)
-                if contact.kind is no_contact:
-                    # The free step, which most searching ticks take.
-                    robot.heading += (random() * 2.0 - 1.0) * jitter
-                    advance(robot)
-                else:
-                    search(robot, contact)
+                x = robot.x
+                y = robot.y
+                contact = query(world, (x, y), robot.id)
+                if contact.kind is not no_contact:
+                    self.searching_step(robot, contact)
+                    continue
+                # The free step, which most searching ticks take: _advance
+                # after a heading jitter, inline.
+                heading = robot.heading + (random() * 2.0 - 1.0) * jitter
+                robot.heading = heading
+                x += step * cos(heading)
+                y += step * sin(heading)
+                if x > limit:
+                    x = limit
+                elif x < -limit:
+                    x = -limit
+                if y > limit:
+                    y = limit
+                elif y < -limit:
+                    y = -limit
+                move(robot, x, y)
             elif phase is stopping:
-                leave(robot)
+                if check and leaves(robot.alloc, random()):
+                    self._depart(robot)
             else:
-                home(robot)
+                self.returning_step(robot)
         clock.tick_index += 1
         world.check_conservation()
 

@@ -20,6 +20,14 @@ _STREAM_STRIDE = 1_000_003
 # once C(n, n // 2) passes the float range: first at n = 1030.
 MAX_ROBOTS = 1029
 
+# A world of 10**5 objects of each type holds about 150 MB, and its
+# per-tick conservation recount takes about 60 ms (2-core x86 host).
+MAX_OBJECTS = 10**5
+
+# 10**4 replications of set2 take about 20 minutes (same host); 10**9, which
+# a config could ask for, would take three years.
+MAX_REPLICATIONS = 10**4
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -42,8 +50,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name, value in (
             ("robot_count", self.robot_count),
-            ("object_totals[0]", self.object_totals[0]),
-            ("object_totals[1]", self.object_totals[1]),
+            ("objects_type1", self.object_totals[0]),
+            ("objects_type2", self.object_totals[1]),
             ("replications", self.replications),
             ("seed", self.seed),
         ):
@@ -52,10 +60,12 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 < self.robot_count <= MAX_ROBOTS:
             raise ValueError(f"robot_count must be in 1..{MAX_ROBOTS}")
-        if self.object_totals[0] <= 0 or self.object_totals[1] <= 0:
-            raise ValueError("object_totals must be componentwise positive")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        # Before the packing check, which turns the counts into floats.
+        for t, count in enumerate(self.object_totals):
+            if not 0 < count <= MAX_OBJECTS:
+                raise ValueError(f"objects_type{t + 1} must be in 1..{MAX_OBJECTS}")
+        if not 0 < self.replications <= MAX_REPLICATIONS:
+            raise ValueError(f"replications must be in 1..{MAX_REPLICATIONS}")
         # random.Random seeds by the absolute value, so seed -s would draw
         # the streams of seed s.
         if self.seed < 0:

@@ -326,8 +326,8 @@ def test_contact_grid_matches_linear_scan(robots, objects, operations, queries):
         # midpoints of close pairs, which are exact ties on the lattice, and
         # the points around each robot and object in all eight directions,
         # within contact range and often in a neighbouring cell.
-        probes = [(r.position, r.id) for r in world.robots] + [(q, None) for q in queries]
-        for group in ([r.position for r in world.robots], [o.position for o in world.objects]):
+        probes = [((r.x, r.y), r.id) for r in world.robots] + [(q, None) for q in queries]
+        for group in ([Vec2(r.x, r.y) for r in world.robots], [o.position for o in world.objects]):
             probes += [
                 (Vec2((a.x + b.x) / 2, (a.y + b.y) / 2), None)
                 for i, a in enumerate(group)
@@ -601,6 +601,63 @@ def test_grids_file_each_item_under_its_block_cells():
         assert objects.where == {o.id: objects.key(*o.position) for o in world.objects}
     kinds = {record[0] for record in events}
     assert {"phase", "pickup", "deliver"} <= kinds
+
+
+@pytest.mark.parametrize(
+    "di, dj",
+    [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj] + [(3, -2)],
+)
+def test_grid_move_refiles_under_the_new_block_cells(di, dj):
+    # Robot 0 moves one cell over in each of the 8 directions, or jumps
+    # further; robots 1 and 2 share cells with its old and its new block.
+    world = make_world(SMALL)
+    grid = world.robot_grid
+
+    def at(i, j):  # the centre of cell (i, j)
+        return (i + 0.5) * grid.side, (j + 0.5) * grid.side
+
+    for rid, (i, j) in enumerate([(0, 0), (0, 0), (di, dj)]):
+        world.add_robot(make_robot(rid, *at(i, j)))
+    world.move_robot(world.robots[0], *at(di, dj))
+    assert filed_cells(grid) == {r.id: block_slots(grid, r.x, r.y) for r in world.robots}
+    assert grid.where == {r.id: grid.key(r.x, r.y) for r in world.robots}
+    # Alone, it empties the cells it leaves, which must then be gone.
+    for robot in world.robots[1:]:
+        world.set_phase(robot, RobotPhase.STOPPING)
+    world.move_robot(world.robots[0], *at(0, 0))
+    assert filed_cells(grid) == {0: block_slots(grid, *at(0, 0))}
+    assert len(grid.cells) == 4
+
+
+def test_contact_query_ignores_the_order_of_cell_lists():
+    # Moves leave a robot at another place in its cells' lists. On a 1/8
+    # lattice, where distances are exact and ties common, shuffled cells
+    # must give every probe the same contact, ties going to the lower id.
+    world = make_world(SMALL)
+    rng = random.Random(5)
+    spots = [(i / 8, j / 8) for i in range(-14, 15) for j in range(-14, 15)]
+    rng.shuffle(spots)
+    for rid, (x, y) in enumerate(spots[:24]):
+        world.add_robot(make_robot(rid, x, y))
+    for i, (x, y) in enumerate(spots[24:60]):
+        world.add_object(ObjectType(i % 2), Vec2(x, y))
+    probes = [((i / 16, j / 16), None) for i in range(-30, 31) for j in range(-30, 31)]
+    probes += [((r.x, r.y), r.id) for r in world.robots]
+
+    def contacts():
+        return [nearest_contact(world, p, ignore_robot_id=rid) for p, rid in probes]
+
+    want = contacts()
+    ties = 0
+    for (x, y), rid in probes:
+        d2 = sorted((r.x - x) ** 2 + (r.y - y) ** 2 for r in world.robots if r.id != rid)
+        ties += d2[0] == d2[1] < world.robot_contact_sq
+    assert ties > 50
+    for shuffle in (list.reverse, rng.shuffle, rng.shuffle):
+        for grid in (world.robot_grid, world.object_grid):
+            for cell in grid.cells.values():
+                shuffle(cell)
+        assert contacts() == want  # objects compare by identity
 
 
 def test_wide_arena_grids_hold_only_cells_with_items():

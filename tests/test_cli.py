@@ -287,6 +287,12 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
         ("horizon_seconds", 10.05),
         ("leave_check_period", 0.15),
         ("leave_check_period", 0.05),
+        # Counts that would run for years, or overflow the packing check's floats.
+        ("replications", 10**9),
+        pytest.param("replications", 10**400, id="replications-10**400"),
+        ("objects_type1", 10**9),
+        pytest.param("objects_type1", 10**400, id="objects_type1-10**400"),
+        pytest.param("objects_type2", 10**400, id="objects_type2-10**400"),
     ],
 )
 def test_main_non_finite_value_exits_2(tmp_path, capsys, key, value):
@@ -299,10 +305,12 @@ def test_main_non_finite_value_exits_2(tmp_path, capsys, key, value):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
-    # A value refused for its size names what it overflows.
-    assert {"arena_half_width": "arena_half_width", "tick_duration": "tick count"}.get(
-        key, "config error"
-    ) in err
+    # A count, or a value refused for its size, names what it overflows.
+    names = {
+        "tick_duration": "tick count",
+        **{k: k for k in ("arena_half_width", "replications", "objects_type1", "objects_type2")},
+    }
+    assert names.get(key, "config error") in err
     assert not out.exists()
 
 

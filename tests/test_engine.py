@@ -54,14 +54,14 @@ def make_robot(rid, x, y, heading=0.0, capability=(0.5, 0.5), p1=None):
     return Robot(id=rid, x=x, y=y, heading=heading, capability=capability, alloc=alloc)
 
 
-# -- try_leave_nest -------------------------------------------------------------
+# -- leaving the nest ------------------------------------------------------------
 
 
 def test_leave_success_sets_deadline():
-    sim = build_sim(rng=ScriptedRng([0.01, 0.5]))
+    sim = build_sim(rng=ScriptedRng([0.01, 0.5]), totals=(0, 0))
     robot = make_robot(0, 0.0, 0.0, p1=0.08)
     sim.world.add_robot(robot)
-    sim.try_leave_nest(robot)
+    sim.tick()  # the tick checks every stopping robot's leave draw
     assert robot.phase is RobotPhase.SEARCHING
     assert robot.search_deadline == pytest.approx(15.0)  # Set I search budget
     assert robot.assignment is None
@@ -69,30 +69,30 @@ def test_leave_success_sets_deadline():
 
 def test_leave_failure_stays_stopped():
     rng = ScriptedRng([0.99])
-    sim = build_sim(rng=rng)
+    sim = build_sim(rng=rng, totals=(0, 0))
     robot = make_robot(0, 0.0, 0.0, p1=0.002)
     sim.world.add_robot(robot)
-    sim.try_leave_nest(robot)
+    sim.tick()
     assert robot.phase is RobotPhase.STOPPING
     assert rng.calls == 1  # no heading draw on a failed check
 
 
 def test_leave_modified_assigns_task():
-    sim = build_sim(mode=Mode.MODIFIED, rng=ScriptedRng([0.01, 0.5, 0.49]))
+    sim = build_sim(mode=Mode.MODIFIED, rng=ScriptedRng([0.01, 0.5, 0.49]), totals=(0, 0))
     robot = make_robot(0, 0.0, 0.0, p1=0.08)
     sim.world.add_robot(robot)
-    sim.try_leave_nest(robot)
+    sim.tick()
     assert robot.phase is RobotPhase.SEARCHING
     assert robot.assignment is ObjectType.TYPE1  # symmetric P_obj, draw 0.49
 
 
 def test_leave_check_cadence():
     rng = ScriptedRng([])
-    sim = build_sim(rng=rng, leave_check_period=1.0)  # every 10th tick
+    sim = build_sim(rng=rng, totals=(0, 0), leave_check_period=1.0)  # every 10th tick
     sim.clock.tick_index = 5
     robot = make_robot(0, 0.0, 0.0, p1=0.08)
     sim.world.add_robot(robot)
-    sim.try_leave_nest(robot)  # off-cadence tick: no draw at all
+    sim.tick()  # off-cadence tick: no draw at all
     assert robot.phase is RobotPhase.STOPPING
     assert rng.calls == 0
 
@@ -110,7 +110,7 @@ def test_leave_records_follow_check_period():
 
 def search(sim, robot):
     """A searching robot's step after a contact, as the tick takes it."""
-    sim.searching_step(robot, nearest_contact(sim.world, robot.position, robot.id))
+    sim.searching_step(robot, nearest_contact(sim.world, (robot.x, robot.y), robot.id))
 
 
 def test_searching_jitter_advance():

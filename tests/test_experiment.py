@@ -14,7 +14,7 @@ from foragesim import (
     set2_config,
 )
 from foragesim.engine import MAX_TICKS
-from foragesim.experiment import ExperimentConfig, _build_world
+from foragesim.experiment import MAX_OBJECTS, MAX_REPLICATIONS, ExperimentConfig, _build_world
 
 
 def test_config_validation():
@@ -83,6 +83,18 @@ def test_config_caps_the_tick_count():
     ):
         with pytest.raises(ValueError, match="tick count is capped"):
             replace(set1_config(), **overrides)
+
+
+def test_config_caps_replications_and_object_counts():
+    wide = replace(set1_config().arena, arena_half_width=1000.0)
+    replace(set1_config(), replications=MAX_REPLICATIONS)
+    replace(set1_config(), arena=wide, object_totals=(MAX_OBJECTS, MAX_OBJECTS))
+    with pytest.raises(ValueError, match="replications must be in"):
+        replace(set1_config(), replications=MAX_REPLICATIONS + 1)
+    # A count too large for a float is refused before the packing check.
+    for totals, name in (((MAX_OBJECTS + 1, 1), "objects_type1"), ((1, 10**400), "objects_type2")):
+        with pytest.raises(ValueError, match=f"{name} must be in"):
+            replace(set1_config(), arena=wide, object_totals=totals)
 
 
 def test_config_rejects_zero_pickup_floors_in_modified_mode():
