@@ -18,7 +18,7 @@ from .allocation import (
     vdr_failure,
     vdr_success,
 )
-from .arena import ArenaConfig, Vec2, World, WorldObject
+from .arena import ArenaConfig, World, WorldObject
 from .engine import Robot, RobotPhase, SimClock, Simulation
 from .experiment import (
     ExperimentConfig,

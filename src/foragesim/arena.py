@@ -30,11 +30,6 @@ class SimulationInvariantError(AssertionError):
     """A world invariant broke mid-run; indicates a simulator bug."""
 
 
-class Vec2(NamedTuple):
-    x: float
-    y: float
-
-
 @dataclass(frozen=True)
 class ArenaConfig:
     """Geometry and kinematics constants. The source material fixes none of
@@ -70,6 +65,12 @@ class ArenaConfig:
         hw = self.arena_half_width
         if (2.0 * hw) * (2.0 * hw) == math.inf:
             raise ValueError(f"arena_half_width {hw} is too wide: its area overflows a float")
+        # The contact grids count the arena's width in cells.
+        if not math.isfinite(hw / self.cell_side()):
+            raise ValueError(
+                f"robot_radius, object_radius and contact_margin are too small for "
+                f"arena_half_width {hw}: its width in grid cells overflows a float"
+            )
 
     def cell_side(self) -> float:
         """Side of the contact grids' cells: twice the largest contact or
@@ -84,7 +85,8 @@ class ArenaConfig:
 class WorldObject:
     id: int
     obj_type: ObjectType
-    position: Vec2
+    x: float
+    y: float
 
 
 class RobotPhase(enum.Enum):
@@ -103,9 +105,9 @@ class ContactKind(enum.Enum):
 
 class Contact(NamedTuple):
     kind: ContactKind
-    # Reference point of the contact, used to compute away-vectors: an
-    # ``(x, y)`` pair for the other robot's center, the nearest wall point or
-    # the nearest point on the nest circle, and the object's ``Vec2`` center.
+    # Reference point of the contact, used to compute away-vectors: the
+    # ``(x, y)`` of the other robot's or the object's center, the nearest
+    # wall point or the nearest point on the nest circle.
     point: Optional[tuple[float, float]] = None
     obj: Optional[WorldObject] = None
 
@@ -259,12 +261,12 @@ class World:
                     f"free+carried={count}, expected {self.totals[t]}"
                 )
 
-    def add_object(self, obj_type: ObjectType, position: Vec2) -> WorldObject:
+    def add_object(self, obj_type: ObjectType, x: float, y: float) -> WorldObject:
         """Add a free object with the next id, so ``objects`` stays in id order."""
-        obj = WorldObject(self._next_object_id, obj_type, position)
+        obj = WorldObject(self._next_object_id, obj_type, x, y)
         self._next_object_id += 1
         self.objects.append(obj)
-        self.object_grid.add(obj, self.object_grid.key(position.x, position.y))
+        self.object_grid.add(obj, self.object_grid.key(x, y))
         return obj
 
     def remove_object(self, obj: WorldObject) -> None:
@@ -321,12 +323,9 @@ def spawn_object(world: World, obj_type: ObjectType, rng) -> WorldObject:
         if x * x + y * y <= nest_keepout * nest_keepout:
             continue
         near = cells.get(grid.block_key(x, y))
-        if near and any(
-            (o.position.x - x) ** 2 + (o.position.y - y) ** 2 < min_sep_sq
-            for o in near
-        ):
+        if near and any((o.x - x) ** 2 + (o.y - y) ** 2 < min_sep_sq for o in near):
             continue
-        return world.add_object(obj_type, Vec2(x, y))
+        return world.add_object(obj_type, x, y)
     raise SpawnError(
         f"could not place a {obj_type.name} object after {SPAWN_ATTEMPT_CAP} attempts"
     )
@@ -337,8 +336,8 @@ def nearest_contact(
     position: tuple[float, float],
     ignore_robot_id: Optional[int] = None,
 ) -> Contact:
-    """Classify the highest-priority contact at ``position`` (a ``Vec2`` or
-    an ``(x, y)`` pair) for a robot of the configured radius.
+    """Classify the highest-priority contact at ``position``, an ``(x, y)``
+    pair, for a robot of the configured radius.
 
     Priority when several thresholds are crossed at once:
     robot > wall > nest boundary > object. Robots parked in the nest
@@ -398,14 +397,14 @@ def nearest_contact(
     best_obj = None
     best_d2 = world.object_contact_sq
     for obj in near:
-        d2 = (obj.position.x - x) ** 2 + (obj.position.y - y) ** 2
+        d2 = (obj.x - x) ** 2 + (obj.y - y) ** 2
         if d2 < best_d2 or (
             d2 == best_d2 and best_obj is not None and obj.id < best_obj.id
         ):
             best_d2 = d2
             best_obj = obj
     if best_obj is not None:
-        return Contact(ContactKind.OBJECT, best_obj.position, obj=best_obj)
+        return Contact(ContactKind.OBJECT, (best_obj.x, best_obj.y), obj=best_obj)
     return NO_CONTACT
 
 
@@ -424,7 +423,7 @@ def bounce_heading(
     return fallback_heading
 
 
-# The points below are ``(x, y)`` pairs: plain tuples or ``Vec2``s.
+# The points below are ``(x, y)`` pairs.
 
 
 def away_heading(position, contact_point) -> float:
@@ -447,8 +446,8 @@ def separating_test(position, contact_point, step: float) -> Callable[[float], b
     return test
 
 
-def edge_follow_step(robot_position, goal, obstacle_center) -> Vec2:
-    """Unit heading tangent to the obstacle, choosing the tangent direction
+def edge_follow_heading(robot_position, goal, obstacle_center) -> float:
+    """Heading tangent to the obstacle, choosing the tangent direction
     closer to the goal direction. Discrete tangent steps move along a chord
     and therefore never reduce the distance to the obstacle center."""
     x, y = robot_position
@@ -459,8 +458,10 @@ def edge_follow_step(robot_position, goal, obstacle_center) -> Vec2:
     if norm == 0.0:
         # Degenerate overlap; flee toward the goal.
         gn = math.hypot(gx, gy) or 1.0
-        return Vec2(gx / gn, gy / gn)
-    # The two tangents, perpendicular to the obstacle-to-robot vector.
-    t1 = Vec2(-vy / norm, vx / norm)
-    t2 = Vec2(vy / norm, -vx / norm)
-    return t1 if t1.x * gx + t1.y * gy >= t2.x * gx + t2.y * gy else t2
+        return math.atan2(gy / gn, gx / gn)
+    # The two unit tangents, perpendicular to the obstacle-to-robot vector.
+    t1x, t1y = -vy / norm, vx / norm
+    t2x, t2y = vy / norm, -vx / norm
+    if t1x * gx + t1y * gy >= t2x * gx + t2y * gy:
+        return math.atan2(t1y, t1x)
+    return math.atan2(t2y, t2x)

@@ -31,7 +31,7 @@ from .arena import (
     WorldObject,
     away_heading,
     bounce_heading,
-    edge_follow_step,
+    edge_follow_heading,
     nearest_contact,
     separating_test,
     spawn_object,
@@ -115,23 +115,9 @@ class Simulation:
         self._emit("phase", self.clock.tick_index, robot.id, robot.phase.value, phase.value)
         self.world.set_phase(robot, phase)
 
-    # -- movement helpers ----------------------------------------------
-
-    def _advance(self, robot: Robot) -> None:
-        step = self._step
-        heading = robot.heading
-        x = robot.x + step * math.cos(heading)
-        y = robot.y + step * math.sin(heading)
-        limit = self._limit
-        if x > limit:
-            x = limit
-        elif x < -limit:
-            x = -limit
-        if y > limit:
-            y = limit
-        elif y < -limit:
-            y = -limit
-        self.world.move_robot(robot, x, y)
+    # -- per-phase behavior ----------------------------------------------
+    #
+    # The handlers below only turn a robot; the tick then takes its step.
 
     def _bounce(self, robot: Robot, contact_point) -> None:
         position = (robot.x, robot.y)
@@ -141,8 +127,6 @@ class Simulation:
             separating_test(position, contact_point, self._step),
             away_heading(position, contact_point),
         )
-
-    # -- per-phase behavior ----------------------------------------------
 
     def _depart(self, robot: Robot) -> None:
         """Send a robot that decided to leave the nest out searching."""
@@ -154,20 +138,19 @@ class Simulation:
         self._emit("leave", self.clock.tick_index, robot.id,
                    None if robot.assignment is None else int(robot.assignment))
 
-    def searching_step(self, robot: Robot, contact: Contact) -> None:
-        """Act on ``contact``, a searching robot's contact this tick; the tick
-        itself checks the search deadline and takes the free step when there
-        is no contact."""
+    def searching_step(self, robot: Robot, contact: Contact) -> bool:
+        """Turn a searching robot on ``contact``, its contact this tick;
+        ``False`` if it picked the object up and stays put this tick. The
+        tick itself checks the search deadline and jitters the heading when
+        there is no contact."""
         kind = contact.kind
         if kind is ContactKind.OBJECT:
             obj = contact.obj
             if self.config.mode is Mode.MODIFIED and obj.obj_type != robot.assignment:
                 # Non-assigned types are plain obstacles: no capability draw.
-                self._bounce(robot, obj.position)
-                self._advance(robot)
-            else:
-                self.pickup_attempt(robot, obj)
-            return
+                self._bounce(robot, contact.point)
+                return True
+            return not self.pickup_attempt(robot, obj)
         cfg = self.world.config
         if kind is ContactKind.NEST and math.hypot(robot.x, robot.y) < cfg.nest_radius:
             # Freshly departed robots (still inside the nest) pass outward
@@ -177,9 +160,11 @@ class Simulation:
             # Robots and walls repel, and empty-handed robots may not
             # re-enter the nest.
             self._bounce(robot, contact.point)
-        self._advance(robot)
+        return True
 
-    def pickup_attempt(self, robot: Robot, obj: WorldObject) -> None:
+    def pickup_attempt(self, robot: Robot, obj: WorldObject) -> bool:
+        """Try to pick ``obj`` up; on a failure, bounce off it. ``True`` if
+        the robot now carries it."""
         success = self.rng.random() < robot.capability[obj.obj_type]
         if self.config.mode is Mode.MODIFIED:
             # Pickup probabilities track individual attempts, not whole
@@ -193,15 +178,12 @@ class Simulation:
             self._emit("pickup", self.clock.tick_index, robot.id, int(obj.obj_type))
             self._set_phase(robot, RobotPhase.RETURNING)
         else:
-            self._bounce(robot, obj.position)
-            self._advance(robot)
+            self._bounce(robot, (obj.x, obj.y))
+        return success
 
-    def returning_step(self, robot: Robot) -> None:
-        cfg = self.world.config
-        if math.hypot(robot.x, robot.y) < cfg.nest_radius:
-            self._complete_trip(robot)
-            return
-        contact = nearest_contact(self.world, (robot.x, robot.y), robot.id)
+    def returning_step(self, robot: Robot, contact: Contact) -> None:
+        """Turn a returning robot outside the nest on ``contact``, its
+        contact this tick."""
         kind = contact.kind
         if kind is ContactKind.ROBOT:
             # Random separating bounce, re-aim at the origin next tick. An
@@ -209,16 +191,12 @@ class Simulation:
             # on the origin: they retreat and re-meet forever.
             self._bounce(robot, contact.point)
         elif kind is ContactKind.OBJECT:
-            direction = edge_follow_step(
-                (robot.x, robot.y), (0.0, 0.0), contact.obj.position
-            )
-            robot.heading = math.atan2(direction.y, direction.x)
+            robot.heading = edge_follow_heading((robot.x, robot.y), (0.0, 0.0), contact.point)
         elif kind is ContactKind.WALL:
             self._bounce(robot, contact.point)
         else:
             # Nest boundary is passable on return; otherwise home in.
             robot.heading = math.atan2(-robot.y, -robot.x)
-        self._advance(robot)
 
     def _complete_trip(self, robot: Robot) -> None:
         delivered = robot.carried is not None
@@ -252,9 +230,10 @@ class Simulation:
         world = self.world
         move = world.move_robot
         jitter = world.config.heading_jitter
+        nest_radius = world.config.nest_radius
         step, limit = self._step, self._limit
         random = self.rng.random
-        cos, sin = math.cos, math.sin
+        cos, sin, hypot = math.cos, math.sin, math.hypot
         stopping, searching = RobotPhase.STOPPING, RobotPhase.SEARCHING
         no_contact = ContactKind.NONE
         # Looked up once a tick, so a wrapper installed on the module sees
@@ -269,29 +248,35 @@ class Simulation:
                 x = robot.x
                 y = robot.y
                 contact = query(world, (x, y), robot.id)
-                if contact.kind is not no_contact:
-                    self.searching_step(robot, contact)
+                if contact.kind is no_contact:
+                    # The free step, which most searching ticks take.
+                    robot.heading += (random() * 2.0 - 1.0) * jitter
+                elif not self.searching_step(robot, contact):
                     continue
-                # The free step, which most searching ticks take: _advance
-                # after a heading jitter, inline.
-                heading = robot.heading + (random() * 2.0 - 1.0) * jitter
-                robot.heading = heading
-                x += step * cos(heading)
-                y += step * sin(heading)
-                if x > limit:
-                    x = limit
-                elif x < -limit:
-                    x = -limit
-                if y > limit:
-                    y = limit
-                elif y < -limit:
-                    y = -limit
-                move(robot, x, y)
             elif phase is stopping:
                 if check and leaves(robot.alloc, random()):
                     self._depart(robot)
+                continue
             else:
-                self.returning_step(robot)
+                x = robot.x
+                y = robot.y
+                if hypot(x, y) < nest_radius:
+                    self._complete_trip(robot)
+                    continue
+                self.returning_step(robot, query(world, (x, y), robot.id))
+            # Every moving robot's one step, along the heading set above.
+            heading = robot.heading
+            x += step * cos(heading)
+            y += step * sin(heading)
+            if x > limit:
+                x = limit
+            elif x < -limit:
+                x = -limit
+            if y > limit:
+                y = limit
+            elif y < -limit:
+                y = -limit
+            move(robot, x, y)
         clock.tick_index += 1
         world.check_conservation()
 

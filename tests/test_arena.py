@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foragesim import ArenaConfig, Robot, Simulation, Vec2, World, WorldObject
+from foragesim import ArenaConfig, Robot, Simulation, World, WorldObject
 from foragesim.allocation import ObjectType, VdrParams, initial_allocation
 from foragesim.arena import (
     SPAWN_ATTEMPT_CAP,
@@ -18,7 +18,7 @@ from foragesim.arena import (
     SpawnError,
     away_heading,
     bounce_heading,
-    edge_follow_step,
+    edge_follow_heading,
     nearest_contact,
     separating_test,
     spawn_object,
@@ -71,6 +71,16 @@ def test_config_rejects_non_finite(name, value):
         ArenaConfig(**{name: value})
 
 
+def test_config_rejects_geometry_too_fine_for_the_grid():
+    tiny = dict(robot_radius=1e-310, object_radius=1e-310, contact_margin=1e-310)
+    with pytest.raises(ValueError, match="width in grid cells overflows"):
+        ArenaConfig(arena_half_width=4.0, nest_radius=1.2, **tiny)
+    # Small radii whose width in cells stays finite are accepted.
+    fine = ArenaConfig(arena_half_width=4.0, nest_radius=1.2, robot_radius=1e-300,
+                       object_radius=1e-300, contact_margin=1e-300)
+    assert math.isfinite(fine.arena_half_width / fine.cell_side())
+
+
 # -- spawning -------------------------------------------------------------------
 
 
@@ -79,10 +89,10 @@ def test_config_rejects_non_finite(name, value):
 def test_spawn_constraints(seed):
     world = make_world()
     obj = spawn_object(world, ObjectType.TYPE1, random.Random(seed))
-    r = math.hypot(*obj.position)
+    r = math.hypot(obj.x, obj.y)
     assert r > CFG.nest_radius + CFG.object_radius
-    assert abs(obj.position.x) <= CFG.arena_half_width - CFG.object_radius
-    assert abs(obj.position.y) <= CFG.arena_half_width - CFG.object_radius
+    assert abs(obj.x) <= CFG.arena_half_width - CFG.object_radius
+    assert abs(obj.y) <= CFG.arena_half_width - CFG.object_radius
 
 
 def test_spawn_packed_arena_pairwise_separation():
@@ -92,9 +102,9 @@ def test_spawn_packed_arena_pairwise_separation():
         spawn_object(world, ObjectType(i % 2), rng)
     spawn_object(world, ObjectType.TYPE2, rng)
     # Brute-force pairwise distance check over all 65 objects.
-    positions = [o.position for o in world.objects]
+    positions = [(o.x, o.y) for o in world.objects]
     min_sep = min(
-        math.hypot(a.x - b.x, a.y - b.y)
+        math.dist(a, b)
         for i, a in enumerate(positions)
         for b in positions[i + 1 :]
     )
@@ -130,9 +140,9 @@ def test_contact_robot_within_threshold():
     other = make_robot(1, 5.0 + gap, 5.0)
     world.add_robot(make_robot(0, 5.0, 5.0))
     world.add_robot(other)
-    contact = nearest_contact(world, Vec2(5.0, 5.0), ignore_robot_id=0)
+    contact = nearest_contact(world, (5.0, 5.0), ignore_robot_id=0)
     assert contact.kind is ContactKind.ROBOT
-    assert contact.point == Vec2(other.x, other.y)
+    assert contact.point == (other.x, other.y)
 
 
 def test_contact_ignores_stopped_robots():
@@ -141,26 +151,26 @@ def test_contact_ignores_stopped_robots():
     world.add_robot(
         make_robot(1, 0.5 + 2 * CFG.robot_radius, 0.0, phase=RobotPhase.STOPPING)
     )
-    contact = nearest_contact(world, Vec2(0.5, 0.0), ignore_robot_id=0)
+    contact = nearest_contact(world, (0.5, 0.0), ignore_robot_id=0)
     assert contact.kind is not ContactKind.ROBOT
 
 
 def test_contact_isolated_is_none():
     world = make_world()
-    contact = nearest_contact(world, Vec2(5.0, 5.0))
+    contact = nearest_contact(world, (5.0, 5.0))
     assert contact.kind is ContactKind.NONE
 
 
 def test_contact_nest_boundary_matches_sampled_oracle():
     world = make_world()
-    pos = Vec2(CFG.nest_radius + CFG.robot_radius, 0.0)
-    contact = nearest_contact(world, pos)
+    x, y = CFG.nest_radius + CFG.robot_radius, 0.0
+    contact = nearest_contact(world, (x, y))
     assert contact.kind is ContactKind.NEST
     # Oracle: minimum distance to densely sampled boundary points.
     sampled = min(
         math.hypot(
-            pos.x - CFG.nest_radius * math.cos(t / 5000 * 2 * math.pi),
-            pos.y - CFG.nest_radius * math.sin(t / 5000 * 2 * math.pi),
+            x - CFG.nest_radius * math.cos(t / 5000 * 2 * math.pi),
+            y - CFG.nest_radius * math.sin(t / 5000 * 2 * math.pi),
         )
         for t in range(5000)
     )
@@ -172,25 +182,26 @@ def test_contact_priority_robot_over_wall():
     x = CFG.arena_half_width - CFG.robot_radius  # flush against the wall
     world.add_robot(make_robot(0, x, 0.0))
     world.add_robot(make_robot(1, x - 2 * CFG.robot_radius, 0.0))
-    contact = nearest_contact(world, Vec2(x, 0.0), ignore_robot_id=0)
+    contact = nearest_contact(world, (x, 0.0), ignore_robot_id=0)
     assert contact.kind is ContactKind.ROBOT
 
 
 def test_contact_wall():
     world = make_world()
-    pos = Vec2(CFG.arena_half_width - CFG.robot_radius, 3.0)
+    pos = (CFG.arena_half_width - CFG.robot_radius, 3.0)
     contact = nearest_contact(world, pos)
     assert contact.kind is ContactKind.WALL
-    assert contact.point == Vec2(CFG.arena_half_width, 3.0)
+    assert contact.point == (CFG.arena_half_width, 3.0)
 
 
 def test_contact_object():
     world = make_world()
-    obj = world.add_object(ObjectType.TYPE2, Vec2(5.0, 5.0))
-    pos = Vec2(obj.position.x + 2 * CFG.robot_radius, obj.position.y)
+    obj = world.add_object(ObjectType.TYPE2, 5.0, 5.0)
+    pos = (obj.x + 2 * CFG.robot_radius, obj.y)
     contact = nearest_contact(world, pos)
     assert contact.kind is ContactKind.OBJECT
     assert contact.obj is obj
+    assert contact.point == (5.0, 5.0)
 
 
 # -- cell grid against a linear scan ------------------------------------------------
@@ -215,27 +226,27 @@ def scan_nearest_contact(world, position, ignore_robot_id=None):
         if d2 < best_d2:
             best_robot, best_d2 = other, d2
     if best_robot is not None:
-        return Contact(ContactKind.ROBOT, Vec2(best_robot.x, best_robot.y))
+        return Contact(ContactKind.ROBOT, (best_robot.x, best_robot.y))
     hw = cfg.arena_half_width
     if hw - max(abs(x), abs(y)) < cfg.robot_radius + margin:
         if abs(x) >= abs(y):
-            return Contact(ContactKind.WALL, Vec2(math.copysign(hw, x), y))
-        return Contact(ContactKind.WALL, Vec2(x, math.copysign(hw, y)))
+            return Contact(ContactKind.WALL, (math.copysign(hw, x), y))
+        return Contact(ContactKind.WALL, (x, math.copysign(hw, y)))
     r = math.hypot(x, y)
     if abs(r - cfg.nest_radius) < cfg.robot_radius + margin:
         if r > 0.0:
             return Contact(
-                ContactKind.NEST, Vec2(x / r * cfg.nest_radius, y / r * cfg.nest_radius)
+                ContactKind.NEST, (x / r * cfg.nest_radius, y / r * cfg.nest_radius)
             )
-        return Contact(ContactKind.NEST, Vec2(cfg.nest_radius, 0.0))
+        return Contact(ContactKind.NEST, (cfg.nest_radius, 0.0))
     ro = cfg.robot_radius + cfg.object_radius + margin
     best_obj, best_d2 = None, ro * ro
     for obj in world.objects:
-        d2 = (obj.position.x - x) ** 2 + (obj.position.y - y) ** 2
+        d2 = (obj.x - x) ** 2 + (obj.y - y) ** 2
         if d2 < best_d2:
             best_obj, best_d2 = obj, d2
     if best_obj is not None:
-        return Contact(ContactKind.OBJECT, best_obj.position, obj=best_obj)
+        return Contact(ContactKind.OBJECT, (best_obj.x, best_obj.y), obj=best_obj)
     return Contact(ContactKind.NONE)
 
 
@@ -251,12 +262,11 @@ def scan_spawn_position(world, rng):
         if x * x + y * y <= keepout * keepout:
             continue
         if any(
-            (o.position.x - x) ** 2 + (o.position.y - y) ** 2
-            < (2.0 * cfg.object_radius) ** 2
+            (o.x - x) ** 2 + (o.y - y) ** 2 < (2.0 * cfg.object_radius) ** 2
             for o in world.objects
         ):
             continue
-        return Vec2(x, y)
+        return (x, y)
     return None
 
 
@@ -288,8 +298,8 @@ coordinate = st.one_of(
     border,
 )
 point = st.one_of(
-    st.builds(Vec2, coordinate, coordinate),
-    st.builds(Vec2, border, border),  # the corners
+    st.tuples(coordinate, coordinate),
+    st.tuples(border, border),  # the corners
 )
 # Offsets to the eight points around a point, each within contact range.
 NEAR = (-0.1875, 0, 0.1875)
@@ -316,10 +326,10 @@ operation = st.one_of(
 )
 def test_contact_grid_matches_linear_scan(robots, objects, operations, queries):
     world = make_world(SMALL)
-    for rid, (pos, robot_phase) in enumerate(robots):
-        world.add_robot(make_robot(rid, pos.x, pos.y, phase=robot_phase))
-    for i, pos in enumerate(objects):
-        world.add_object(ObjectType(i % 2), pos)
+    for rid, ((x, y), robot_phase) in enumerate(robots):
+        world.add_robot(make_robot(rid, x, y, phase=robot_phase))
+    for i, (x, y) in enumerate(objects):
+        world.add_object(ObjectType(i % 2), x, y)
 
     def check():
         # Each robot's own query, as in a tick, free-standing points, the
@@ -327,16 +337,15 @@ def test_contact_grid_matches_linear_scan(robots, objects, operations, queries):
         # the points around each robot and object in all eight directions,
         # within contact range and often in a neighbouring cell.
         probes = [((r.x, r.y), r.id) for r in world.robots] + [(q, None) for q in queries]
-        for group in ([Vec2(r.x, r.y) for r in world.robots], [o.position for o in world.objects]):
+        for items in (world.robots, world.objects):
+            group = [(a.x, a.y) for a in items]
             probes += [
-                (Vec2((a.x + b.x) / 2, (a.y + b.y) / 2), None)
-                for i, a in enumerate(group)
-                for b in group[i + 1 :]
-                if math.dist(a, b) < 1.0
+                (((ax + bx) / 2, (ay + by) / 2), None)
+                for i, (ax, ay) in enumerate(group)
+                for bx, by in group[i + 1 :]
+                if math.dist((ax, ay), (bx, by)) < 1.0
             ]
-            probes += [
-                (Vec2(a.x + dx, a.y + dy), None) for a in group for dx, dy in AROUND
-            ]
+            probes += [((ax + dx, ay + dy), None) for ax, ay in group for dx, dy in AROUND]
         for position, ignore in probes:
             got = nearest_contact(world, position, ignore_robot_id=ignore)
             want = scan_nearest_contact(world, position, ignore_robot_id=ignore)
@@ -349,15 +358,14 @@ def test_contact_grid_matches_linear_scan(robots, objects, operations, queries):
     for op in operations:
         if op[0] == "move":
             robot = world.robots[op[1] % len(world.robots)]
-            world.move_robot(robot, op[2].x, op[2].y)
+            world.move_robot(robot, *op[2])
         elif op[0] == "phase":
             world.set_phase(world.robots[op[1] % len(world.robots)], op[2])
         elif world.objects:
             gone = world.objects[op[1] % len(world.objects)]
             world.remove_object(gone)
             if op[0] == "respawn":
-                x, y = gone.position
-                world.add_object(gone.obj_type, Vec2(x + op[2], y + op[3]))
+                world.add_object(gone.obj_type, gone.x + op[2], gone.y + op[3])
         check()
 
 
@@ -365,7 +373,7 @@ def scattered(seed):
     """Thirty points uniform over the small arena. They leave few clear spots,
     so most spawn draws land near an object, often in another cell."""
     rng = random.Random(seed)
-    return [Vec2(rng.uniform(-HW, HW), rng.uniform(-HW, HW)) for _ in range(30)]
+    return [(rng.uniform(-HW, HW), rng.uniform(-HW, HW)) for _ in range(30)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -378,8 +386,8 @@ def scattered(seed):
 )
 def test_spawn_grid_matches_linear_scan(objects, removals, seed):
     world = make_world(SMALL)
-    for pos in objects:
-        world.add_object(ObjectType.TYPE1, pos)
+    for x, y in objects:
+        world.add_object(ObjectType.TYPE1, x, y)
     # Picked-up objects no longer block a spawn.
     for i in removals:
         if world.objects:
@@ -390,7 +398,8 @@ def test_spawn_grid_matches_linear_scan(objects, removals, seed):
         with pytest.raises(SpawnError):
             spawn_object(world, ObjectType.TYPE2, grid_rng)
     else:
-        assert spawn_object(world, ObjectType.TYPE2, grid_rng).position == want
+        obj = spawn_object(world, ObjectType.TYPE2, grid_rng)
+        assert (obj.x, obj.y) == want
     assert grid_rng.getstate() == scan_rng.getstate()
 
 
@@ -400,18 +409,18 @@ def test_contact_tie_goes_to_lower_id(low_id_x):
     world = make_world(SMALL)
     world.add_robot(make_robot(0, low_id_x, 1.0))
     world.add_robot(make_robot(1, -low_id_x, 1.0))
-    world.add_object(ObjectType.TYPE1, Vec2(1.25, -1.0))
-    world.add_object(ObjectType.TYPE2, Vec2(0.75, -1.0))
-    assert nearest_contact(world, Vec2(0.0, 1.0)).point == Vec2(low_id_x, 1.0)
-    assert nearest_contact(world, Vec2(1.0, -1.0)).obj is world.objects[0]
+    world.add_object(ObjectType.TYPE1, 1.25, -1.0)
+    world.add_object(ObjectType.TYPE2, 0.75, -1.0)
+    assert nearest_contact(world, (0.0, 1.0)).point == (low_id_x, 1.0)
+    assert nearest_contact(world, (1.0, -1.0)).obj is world.objects[0]
 
 
 # -- bounce ----------------------------------------------------------------------
 
 
 def test_bounce_separates_from_contact_ahead():
-    position = Vec2(5.0, 0.0)
-    contact_point = Vec2(5.3, 0.0)  # directly ahead at bearing 0
+    position = (5.0, 0.0)
+    contact_point = (5.3, 0.0)  # directly ahead at bearing 0
     step = 0.1
     h = bounce_heading(
         0.0,
@@ -425,19 +434,19 @@ def test_bounce_separates_from_contact_ahead():
 
 def test_opposed_bounces_increase_distance():
     step = 0.1
-    a, b = Vec2(5.0, 0.0), Vec2(5.3, 0.0)
+    a, b = (5.0, 0.0), (5.3, 0.0)
     rng = random.Random(4)
     ha = bounce_heading(0.0, rng, separating_test(a, b, step), away_heading(a, b))
     hb = bounce_heading(math.pi, rng, separating_test(b, a, step), away_heading(b, a))
-    a2 = Vec2(a.x + step * math.cos(ha), a.y + step * math.sin(ha))
-    b2 = Vec2(b.x + step * math.cos(hb), b.y + step * math.sin(hb))
-    assert math.hypot(a2.x - b2.x, a2.y - b2.y) > math.hypot(a.x - b.x, a.y - b.y)
+    a2 = (a[0] + step * math.cos(ha), a[1] + step * math.sin(ha))
+    b2 = (b[0] + step * math.cos(hb), b[1] + step * math.sin(hb))
+    assert math.dist(a2, b2) > math.dist(a, b)
 
 
 def test_bounce_fallback_after_exhausted_redraws():
     # Scripted draws all map to heading 0, which points at the contact.
     rng = ScriptedRng([0.0] * 100)
-    position, contact_point = Vec2(5.0, 0.0), Vec2(5.3, 0.0)
+    position, contact_point = (5.0, 0.0), (5.3, 0.0)
     h = bounce_heading(
         0.25,
         rng,
@@ -452,49 +461,45 @@ def test_bounce_fallback_after_exhausted_redraws():
 
 
 def test_edge_follow_perpendicular_when_obstacle_blocks_goal():
-    direction = edge_follow_step(Vec2(4.0, 0.0), Vec2(0.0, 0.0), Vec2(3.7, 0.0))
-    radial = Vec2(4.0 - 3.7, 0.0)
-    assert abs(direction.x * radial.x + direction.y * radial.y) < 1e-12
-    assert math.hypot(direction.x, direction.y) == pytest.approx(1.0)
+    h = edge_follow_heading((4.0, 0.0), (0.0, 0.0), (3.7, 0.0))
+    radial = (4.0 - 3.7, 0.0)
+    assert abs(math.cos(h) * radial[0] + math.sin(h) * radial[1]) < 1e-12
 
 
 def test_edge_follow_picks_tangent_closer_to_goal():
-    robot = Vec2(4.0, 0.0)
-    goal = Vec2(0.0, 0.0)
-    obstacle = Vec2(3.8, 0.2)  # offset left of the robot-to-origin line
-    chosen = edge_follow_step(robot, goal, obstacle)
+    rx, ry = 4.0, 0.0
+    gx, gy = 0.0 - rx, 0.0 - ry
+    ox, oy = 3.8, 0.2  # offset left of the robot-to-origin line
+    chosen = edge_follow_heading((rx, ry), (0.0, 0.0), (ox, oy))
     # Brute force: both tangents, pick the one with larger dot toward goal.
-    vx, vy = robot.x - obstacle.x, robot.y - obstacle.y
+    vx, vy = rx - ox, ry - oy
     n = math.hypot(vx, vy)
-    tangents = [Vec2(-vy / n, vx / n), Vec2(vy / n, -vx / n)]
-    gx, gy = goal.x - robot.x, goal.y - robot.y
-    best = max(tangents, key=lambda t: t.x * gx + t.y * gy)
-    assert chosen == best
+    tangents = [(-vy / n, vx / n), (vy / n, -vx / n)]
+    tx, ty = max(tangents, key=lambda t: t[0] * gx + t[1] * gy)
+    assert chosen == math.atan2(ty, tx)
 
 
 def test_edge_follow_detour_clears_obstacle():
     cfg = CFG
     step = cfg.robot_speed * 0.1
-    obstacle = Vec2(3.0, 0.0)
+    obstacle = (3.0, 0.0)
     contact_range = cfg.robot_radius + cfg.object_radius + cfg.contact_margin
-    pos = Vec2(obstacle.x + contact_range - 0.01, 0.0)  # in contact, goal behind it
-    goal = Vec2(0.0, 0.0)
+    pos = (obstacle[0] + contact_range - 0.01, 0.0)  # in contact, goal behind it
+    goal = (0.0, 0.0)
     start_goal_dist = math.hypot(*pos)
     budget = math.ceil(math.pi * (cfg.object_radius + cfg.robot_radius) / step) + 5
     improved = False
     for _ in range(budget):
-        before = math.hypot(pos.x - obstacle.x, pos.y - obstacle.y)
-        if before < contact_range:
-            d = edge_follow_step(pos, goal, obstacle)
-            following = True
+        before = math.dist(pos, obstacle)
+        following = before < contact_range
+        if following:
+            h = edge_follow_heading(pos, goal, obstacle)
         else:
-            gn = math.hypot(*pos)
-            d = Vec2(-pos.x / gn, -pos.y / gn)
-            following = False
-        pos = Vec2(pos.x + step * d.x, pos.y + step * d.y)
+            h = math.atan2(-pos[1], -pos[0])
+        pos = (pos[0] + step * math.cos(h), pos[1] + step * math.sin(h))
         if following:
             # Chord steps along the tangent never close in on the obstacle.
-            assert math.hypot(pos.x - obstacle.x, pos.y - obstacle.y) >= before - 1e-9
+            assert math.dist(pos, obstacle) >= before - 1e-9
         if math.hypot(*pos) < start_goal_dist:
             improved = True
             break
@@ -526,11 +531,11 @@ def test_remove_object_not_in_world_raises():
     first, gone, last = (spawn_object(world, ObjectType.TYPE1, rng) for _ in range(3))
     world.remove_object(gone)
     # An object already removed, and one that was never added.
-    for stranger in (gone, WorldObject(99, ObjectType.TYPE1, Vec2(5.0, 5.0))):
+    for stranger in (gone, WorldObject(99, ObjectType.TYPE1, 5.0, 5.0)):
         with pytest.raises(ValueError):
             world.remove_object(stranger)
     assert world.objects == [first, last]
-    assert nearest_contact(world, gone.position).obj is not gone
+    assert nearest_contact(world, (gone.x, gone.y)).obj is not gone
 
 
 def test_conservation_violation_raises():
@@ -556,7 +561,7 @@ def test_conservation_counts_each_type(free, carried):
     # split is not.
     world = make_world(totals=(1, 1))
     for i, obj_type in enumerate(free):
-        world.add_object(obj_type, Vec2(5.0, 5.0 - i))
+        world.add_object(obj_type, 5.0, 5.0 - i)
     for rid, obj_type in enumerate(carried):
         carrier = make_robot(rid, 0.0, 0.0)
         carrier.carried = obj_type
@@ -596,9 +601,9 @@ def test_grids_file_each_item_under_its_block_cells():
         assert filed_cells(robots) == {r.id: block_slots(robots, r.x, r.y) for r in moving}
         assert robots.where == {r.id: robots.key(r.x, r.y) for r in moving}
         assert filed_cells(objects) == {
-            o.id: block_slots(objects, *o.position) for o in world.objects
+            o.id: block_slots(objects, o.x, o.y) for o in world.objects
         }
-        assert objects.where == {o.id: objects.key(*o.position) for o in world.objects}
+        assert objects.where == {o.id: objects.key(o.x, o.y) for o in world.objects}
     kinds = {record[0] for record in events}
     assert {"phase", "pickup", "deliver"} <= kinds
 
@@ -640,7 +645,7 @@ def test_contact_query_ignores_the_order_of_cell_lists():
     for rid, (x, y) in enumerate(spots[:24]):
         world.add_robot(make_robot(rid, x, y))
     for i, (x, y) in enumerate(spots[24:60]):
-        world.add_object(ObjectType(i % 2), Vec2(x, y))
+        world.add_object(ObjectType(i % 2), x, y)
     probes = [((i / 16, j / 16), None) for i in range(-30, 31) for j in range(-30, 31)]
     probes += [((r.x, r.y), r.id) for r in world.robots]
 

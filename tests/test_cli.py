@@ -314,6 +314,21 @@ def test_main_non_finite_value_exits_2(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+def test_main_geometry_too_fine_for_the_grid_exits_2(tmp_path, capsys):
+    # Radii and a margin near the smallest float pass every check one by one,
+    # but the arena's width in contact-grid cells overflows a float.
+    raw = config_to_dict(small_config())
+    raw.update(robot_radius=1e-310, object_radius=1e-310, contact_margin=1e-310)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert "robot_radius, object_radius and contact_margin" in err
+    assert not out.exists()
+
+
 def test_integral_float_count_accepted():
     raw = config_to_dict(small_config())
     raw["robot_count"] = 4.0

@@ -16,7 +16,6 @@ from foragesim import (
     Simulation,
     VdrParams,
     VdrState,
-    Vec2,
     World,
     initial_allocation,
     run_experiment,
@@ -24,7 +23,7 @@ from foragesim import (
     vdr_failure,
     vdr_success,
 )
-from foragesim.arena import nearest_contact
+from foragesim.arena import ContactKind, nearest_contact
 from foragesim.engine import RobotPhase
 
 from conftest import ScriptedRng
@@ -166,8 +165,7 @@ def test_searching_inside_nest_passes_outward():
 
 
 def place_contact_object(sim, obj_type, robot):
-    pos = Vec2(robot.x + 2 * ARENA.robot_radius, robot.y)
-    return sim.world.add_object(obj_type, pos)
+    return sim.world.add_object(obj_type, robot.x + 2 * ARENA.robot_radius, robot.y)
 
 
 def test_pickup_certain_capability_succeeds():
@@ -233,11 +231,11 @@ def test_modified_pickup_updates_per_attempt():
 
 
 def test_returning_homes_on_origin():
-    sim = build_sim(rng=ScriptedRng([]))
+    sim = build_sim(rng=ScriptedRng([]), totals=(0, 0))
     robot = make_robot(0, 5.0, 0.0, heading=0.0)
     robot.phase = RobotPhase.RETURNING
     sim.world.add_robot(robot)
-    sim.returning_step(robot)
+    sim.tick()
     assert abs(robot.heading) == pytest.approx(math.pi)  # -pi and pi coincide
     assert robot.x == pytest.approx(4.9)
     assert robot.y == pytest.approx(0.0)
@@ -250,13 +248,13 @@ def test_returning_delivery_updates_and_conserves():
     for mode in Mode:
         events = []
         sim = build_sim(rng=random.Random(3), totals=(1, 1), events=events, mode=mode)
-        sim.world.add_object(ObjectType.TYPE1, Vec2(5.0, 5.0))
+        sim.world.add_object(ObjectType.TYPE1, 5.0, 5.0)
         robot = make_robot(0, 0.5, 0.0)
         robot.phase = RobotPhase.RETURNING
         robot.carried = ObjectType.TYPE2
         sim.world.add_robot(robot)
         before = robot.alloc
-        sim.returning_step(robot)
+        sim.tick()
         assert robot.phase is RobotPhase.STOPPING
         assert robot.carried is None
         assert robot.retrieved == [0, 1]
@@ -273,13 +271,13 @@ def test_returning_delivery_updates_and_conserves():
 def test_returning_empty_counts_failure():
     for mode in Mode:
         sim = build_sim(rng=random.Random(3), totals=(1, 1), mode=mode)
-        sim.world.add_object(ObjectType.TYPE1, Vec2(5.0, 5.0))
-        sim.world.add_object(ObjectType.TYPE2, Vec2(-5.0, 5.0))
+        sim.world.add_object(ObjectType.TYPE1, 5.0, 5.0)
+        sim.world.add_object(ObjectType.TYPE2, -5.0, 5.0)
         robot = make_robot(0, 0.5, 0.0)
         robot.phase = RobotPhase.RETURNING
         sim.world.add_robot(robot)
         before = robot.alloc
-        sim.returning_step(robot)
+        sim.tick()
         assert robot.phase is RobotPhase.STOPPING
         assert robot.trip_failures == 1
         assert robot.alloc.leave == vdr_failure(before.leave, LEAVE), mode
@@ -287,7 +285,7 @@ def test_returning_empty_counts_failure():
 
 
 def test_returning_robot_contact_separates():
-    sim = build_sim(rng=random.Random(9))
+    sim = build_sim(rng=random.Random(9), totals=(0, 0))
     a = make_robot(0, 5.0, 0.0, heading=math.pi)
     b = make_robot(1, 5.0 - 2 * ARENA.robot_radius, 0.0, heading=0.0)
     a.phase = RobotPhase.RETURNING
@@ -295,8 +293,90 @@ def test_returning_robot_contact_separates():
     sim.world.add_robot(a)
     sim.world.add_robot(b)
     d0 = math.hypot(a.x - b.x, a.y - b.y)
-    sim.returning_step(a)
+    sim.tick()
     assert math.hypot(a.x - b.x, a.y - b.y) > d0
+
+
+# -- the step ---------------------------------------------------------------------
+
+T1, T2 = ObjectType.TYPE1, ObjectType.TYPE2
+TOUCH = 2 * ARENA.robot_radius  # within contact range of a robot or an object
+# A wall contact, far enough from the wall that no step away is clamped.
+NEAR_WALL = (ARENA.arena_half_width - ARENA.robot_radius - 0.04, 3.0)
+
+
+@pytest.mark.parametrize(
+    "setup, kind, moves",
+    [
+        pytest.param({}, ContactKind.NONE, True, id="free-step"),
+        pytest.param({"at": NEAR_WALL}, ContactKind.WALL, True, id="wall-bounce"),
+        pytest.param({"other": (5.0 + TOUCH, 5.0)}, ContactKind.ROBOT, True, id="robot-bounce"),
+        pytest.param(
+            {"capability": (0.0, 0.0), "objects": [(T1, 5.0 + TOUCH, 5.0)]},
+            ContactKind.OBJECT, True, id="failed-pickup",
+        ),
+        pytest.param(
+            {"mode": Mode.MODIFIED, "assignment": T1, "capability": (1.0, 1.0),
+             "objects": [(T2, 5.0 + TOUCH, 5.0)]},
+            ContactKind.OBJECT, True, id="wrong-type-obstacle",
+        ),
+        pytest.param(
+            {"at": (ARENA.nest_radius - 0.05, 0.0)}, ContactKind.NEST, True,
+            id="nest-pass-through",
+        ),
+        pytest.param(
+            {"phase": RobotPhase.RETURNING, "carried": T1, "at": (5.0, 0.0)},
+            ContactKind.NONE, True, id="return-home",
+        ),
+        pytest.param(
+            {"phase": RobotPhase.RETURNING, "carried": T1, "objects": [(T2, 5.0 - TOUCH, 5.0)]},
+            ContactKind.OBJECT, True, id="edge-follow",
+        ),
+        pytest.param(
+            {"capability": (1.0, 1.0), "objects": [(T1, 5.0 + TOUCH, 5.0)]},
+            ContactKind.OBJECT, False, id="pickup",
+        ),
+        pytest.param({"deadline": 0.0}, ContactKind.NONE, False, id="search-timeout"),
+        pytest.param(
+            {"phase": RobotPhase.RETURNING, "carried": T1, "at": (0.5, 0.0)},
+            ContactKind.NONE, False, id="delivery",
+        ),
+    ],
+)
+def test_tick_steps_each_moving_robot_once(setup, kind, moves):
+    # Robot 0 meets ``kind`` this tick. If it goes on in its phase, it moves
+    # one full step along the heading its handler left; a pickup, a timeout
+    # or a delivery changes its phase and leaves it where it was.
+    objects = setup.get("objects", [])
+    totals = [0, 0]
+    for obj_type, _, _ in objects + [(setup.get("carried"), 0, 0)]:
+        if obj_type is not None:
+            totals[obj_type] += 1
+    sim = build_sim(rng=random.Random(7), totals=tuple(totals),
+                    mode=setup.get("mode", Mode.ORIGINAL))
+    for obj_type, x, y in objects:
+        sim.world.add_object(obj_type, x, y)
+    x0, y0 = setup.get("at", (5.0, 5.0))
+    robot = make_robot(0, x0, y0, heading=0.3, capability=setup.get("capability", (0.5, 0.5)))
+    robot.phase = phase = setup.get("phase", RobotPhase.SEARCHING)
+    robot.search_deadline = setup.get("deadline", 15.0)
+    robot.carried = setup.get("carried")
+    robot.assignment = setup.get("assignment")
+    sim.world.add_robot(robot)
+    if "other" in setup:
+        other = make_robot(1, *setup["other"])
+        other.phase = RobotPhase.SEARCHING
+        other.search_deadline = 15.0
+        sim.world.add_robot(other)
+    assert nearest_contact(sim.world, (x0, y0), robot.id).kind is kind
+    sim.tick()
+    assert (robot.phase is phase) == moves
+    if moves:
+        step = ARENA.robot_speed * sim.config.tick_duration
+        h = robot.heading
+        assert (robot.x, robot.y) == (x0 + step * math.cos(h), y0 + step * math.sin(h))
+    else:
+        assert (robot.x, robot.y) == (x0, y0)
 
 
 # -- tick loop ----------------------------------------------------------------------
@@ -304,8 +384,8 @@ def test_returning_robot_contact_separates():
 
 def test_tick_fixed_point_when_all_draws_fail():
     sim = build_sim(rng=ScriptedRng([0.99] * 3), totals=(1, 1))
-    sim.world.add_object(ObjectType.TYPE1, Vec2(5.0, 5.0))
-    sim.world.add_object(ObjectType.TYPE2, Vec2(-5.0, 5.0))
+    sim.world.add_object(ObjectType.TYPE1, 5.0, 5.0)
+    sim.world.add_object(ObjectType.TYPE2, -5.0, 5.0)
     for rid in range(3):
         sim.world.add_robot(make_robot(rid, 0.2 * rid, 0.0))
     snapshot = [(r.x, r.y, r.heading, r.phase, r.alloc) for r in sim.world.robots]
@@ -317,8 +397,8 @@ def test_tick_fixed_point_when_all_draws_fail():
 def test_tick_count_matches_horizon():
     assert SimClock(tick_duration=0.1, horizon=180.0).total_ticks == 1800
     sim = build_sim(rng=random.Random(1), totals=(1, 1), horizon=180.0)
-    sim.world.add_object(ObjectType.TYPE1, Vec2(5.0, 5.0))
-    sim.world.add_object(ObjectType.TYPE2, Vec2(-5.0, 5.0))
+    sim.world.add_object(ObjectType.TYPE1, 5.0, 5.0)
+    sim.world.add_object(ObjectType.TYPE2, -5.0, 5.0)
     sim.world.add_robot(make_robot(0, 0.0, 0.0))
     sim.run()
     assert sim.clock.tick_index == 1800
