@@ -120,7 +120,12 @@ def binomial_comparison(
     for c in forager_counts:
         observed[c] += 1.0 / n_runs
     theoretical = [binomial_pmf(robot_count, k, p_hat) for k in range(robot_count + 1)]
-    tv = 0.5 * sum(abs(o - t) for o, t in zip(observed, theoretical))
+    # Added left to right: from Python 3.12 on, sum() of floats rounds
+    # differently, and the manifest must read the same on every version.
+    tv = 0.0
+    for o, t in zip(observed, theoretical):
+        tv += abs(o - t)
+    tv *= 0.5
     return BinomialComparison(robot_count, p_hat, observed, theoretical, tv)
 
 

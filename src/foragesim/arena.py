@@ -72,13 +72,21 @@ class ArenaConfig:
                 f"arena_half_width {hw}: its width in grid cells overflows a float"
             )
 
+    def robot_contact(self) -> float:
+        """Center distance below which a robot touches another robot."""
+        return 2.0 * self.robot_radius + self.contact_margin
+
+    def object_contact(self) -> float:
+        """Center distance below which a robot touches an object."""
+        return self.robot_radius + self.object_radius + self.contact_margin
+
     def cell_side(self) -> float:
         """Side of the contact grids' cells: twice the largest contact or
         separation threshold, padded so float rounding in a cell key cannot
         leave a contact out of the 2x2 block."""
-        robot_contact = 2.0 * self.robot_radius + self.contact_margin
-        object_contact = self.robot_radius + self.object_radius + self.contact_margin
-        return 2.000002 * max(robot_contact, object_contact, 2.0 * self.object_radius)
+        return 2.000002 * max(
+            self.robot_contact(), self.object_contact(), 2.0 * self.object_radius
+        )
 
 
 @dataclass(eq=False)  # compared by identity: ids are unique
@@ -223,14 +231,12 @@ class World:
 
     def __post_init__(self) -> None:
         cfg = self.config
-        margin = cfg.contact_margin
-        # Contact thresholds, computed once with the expressions the contact
-        # query has always used, so every comparison sees the same floats.
-        rr = 2.0 * cfg.robot_radius + margin
-        ro = cfg.robot_radius + cfg.object_radius + margin
+        # Contact thresholds, computed once for the contact query.
+        rr = cfg.robot_contact()
+        ro = cfg.object_contact()
         self.robot_contact_sq = rr * rr
         self.object_contact_sq = ro * ro
-        self.edge_contact = cfg.robot_radius + margin
+        self.edge_contact = cfg.robot_radius + cfg.contact_margin
         # Both grids share side and stride, so one key addresses both.
         side = cfg.cell_side()
         self.object_grid = CellGrid(side, cfg.arena_half_width)  # free objects

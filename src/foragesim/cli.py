@@ -133,11 +133,13 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # Malformed JSON, bytes that are not UTF-8 and integers past Python's
+    # digit limit raise ValueError; arrays nested too deep, RecursionError.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a flat JSON object")

@@ -24,7 +24,6 @@ from .allocation import (
 )
 from .arena import (
     TWO_PI,
-    Contact,
     ContactKind,
     RobotPhase,
     World,
@@ -50,7 +49,6 @@ class Robot:
     carried: Optional[ObjectType] = None
     search_deadline: float = 0.0
     assignment: Optional[ObjectType] = None
-    trip_successes: int = 0
     trip_failures: int = 0
     retrieved: list = field(default_factory=lambda: [0, 0])
 
@@ -115,9 +113,10 @@ class Simulation:
         self._emit("phase", self.clock.tick_index, robot.id, robot.phase.value, phase.value)
         self.world.set_phase(robot, phase)
 
-    # -- per-phase behavior ----------------------------------------------
+    # -- behavior ----------------------------------------------------------
     #
-    # The handlers below only turn a robot; the tick then takes its step.
+    # The helpers below only turn a robot or change its phase; the tick
+    # states each phase's response to each contact kind and takes the step.
 
     def _bounce(self, robot: Robot, contact_point) -> None:
         position = (robot.x, robot.y)
@@ -138,33 +137,8 @@ class Simulation:
         self._emit("leave", self.clock.tick_index, robot.id,
                    None if robot.assignment is None else int(robot.assignment))
 
-    def searching_step(self, robot: Robot, contact: Contact) -> bool:
-        """Turn a searching robot on ``contact``, its contact this tick;
-        ``False`` if it picked the object up and stays put this tick. The
-        tick itself checks the search deadline and jitters the heading when
-        there is no contact."""
-        kind = contact.kind
-        if kind is ContactKind.OBJECT:
-            obj = contact.obj
-            if self.config.mode is Mode.MODIFIED and obj.obj_type != robot.assignment:
-                # Non-assigned types are plain obstacles: no capability draw.
-                self._bounce(robot, contact.point)
-                return True
-            return not self.pickup_attempt(robot, obj)
-        cfg = self.world.config
-        if kind is ContactKind.NEST and math.hypot(robot.x, robot.y) < cfg.nest_radius:
-            # Freshly departed robots (still inside the nest) pass outward
-            # freely.
-            robot.heading += (self.rng.random() * 2.0 - 1.0) * cfg.heading_jitter
-        else:
-            # Robots and walls repel, and empty-handed robots may not
-            # re-enter the nest.
-            self._bounce(robot, contact.point)
-        return True
-
     def pickup_attempt(self, robot: Robot, obj: WorldObject) -> bool:
-        """Try to pick ``obj`` up; on a failure, bounce off it. ``True`` if
-        the robot now carries it."""
+        """Try to pick ``obj`` up; ``True`` if the robot now carries it."""
         success = self.rng.random() < robot.capability[obj.obj_type]
         if self.config.mode is Mode.MODIFIED:
             # Pickup probabilities track individual attempts, not whole
@@ -177,26 +151,7 @@ class Simulation:
             robot.carried = obj.obj_type
             self._emit("pickup", self.clock.tick_index, robot.id, int(obj.obj_type))
             self._set_phase(robot, RobotPhase.RETURNING)
-        else:
-            self._bounce(robot, (obj.x, obj.y))
         return success
-
-    def returning_step(self, robot: Robot, contact: Contact) -> None:
-        """Turn a returning robot outside the nest on ``contact``, its
-        contact this tick."""
-        kind = contact.kind
-        if kind is ContactKind.ROBOT:
-            # Random separating bounce, re-aim at the origin next tick. An
-            # exact heading reversal livelocks head-on pairs that both home
-            # on the origin: they retreat and re-meet forever.
-            self._bounce(robot, contact.point)
-        elif kind is ContactKind.OBJECT:
-            robot.heading = edge_follow_heading((robot.x, robot.y), (0.0, 0.0), contact.point)
-        elif kind is ContactKind.WALL:
-            self._bounce(robot, contact.point)
-        else:
-            # Nest boundary is passable on return; otherwise home in.
-            robot.heading = math.atan2(-robot.y, -robot.x)
 
     def _complete_trip(self, robot: Robot) -> None:
         delivered = robot.carried is not None
@@ -205,7 +160,6 @@ class Simulation:
             robot.retrieved[obj_type] += 1
             spawn_object(self.world, obj_type, self.rng)
             self._emit("deliver", self.clock.tick_index, robot.id, int(obj_type))
-            robot.trip_successes += 1
         else:
             robot.trip_failures += 1
         # Both names are looked up at call time, so module wrappers see them.
@@ -235,35 +189,59 @@ class Simulation:
         random = self.rng.random
         cos, sin, hypot = math.cos, math.sin, math.hypot
         stopping, searching = RobotPhase.STOPPING, RobotPhase.SEARCHING
-        no_contact = ContactKind.NONE
+        no_contact, nest = ContactKind.NONE, ContactKind.NEST
+        modified = self.config.mode is Mode.MODIFIED
         # Looked up once a tick, so a wrapper installed on the module sees
         # every call.
         query, leaves = nearest_contact, leave_nest_decision
         for robot in world.robots:
             phase = robot.phase
+            if phase is stopping:
+                if check and leaves(robot.alloc, random()):
+                    self._depart(robot)
+                continue
+            x = robot.x
+            y = robot.y
             if phase is searching:
                 if now >= robot.search_deadline:
                     self._set_phase(robot, RobotPhase.RETURNING)
                     continue
-                x = robot.x
-                y = robot.y
                 contact = query(world, (x, y), robot.id)
-                if contact.kind is no_contact:
-                    # The free step, which most searching ticks take.
+                kind = contact.kind
+                if kind is no_contact or (kind is nest and hypot(x, y) < nest_radius):
+                    # The free step, which most searching ticks take. Freshly
+                    # departed robots, still inside the nest, pass outward
+                    # freely.
                     robot.heading += (random() * 2.0 - 1.0) * jitter
-                elif not self.searching_step(robot, contact):
+                elif (
+                    kind is ContactKind.OBJECT
+                    # In MODIFIED mode a non-assigned type is a plain
+                    # obstacle: no capability draw.
+                    and (not modified or contact.obj.obj_type == robot.assignment)
+                    and self.pickup_attempt(robot, contact.obj)
+                ):
                     continue
-            elif phase is stopping:
-                if check and leaves(robot.alloc, random()):
-                    self._depart(robot)
-                continue
+                else:
+                    # Robots, walls and objects left in place repel, and
+                    # empty-handed robots may not re-enter the nest.
+                    self._bounce(robot, contact.point)
             else:
-                x = robot.x
-                y = robot.y
                 if hypot(x, y) < nest_radius:
                     self._complete_trip(robot)
                     continue
-                self.returning_step(robot, query(world, (x, y), robot.id))
+                contact = query(world, (x, y), robot.id)
+                kind = contact.kind
+                if kind is ContactKind.ROBOT or kind is ContactKind.WALL:
+                    # Random separating bounce, re-aim at the origin next
+                    # tick. An exact heading reversal livelocks head-on pairs
+                    # that both home on the origin: they retreat and re-meet
+                    # forever.
+                    self._bounce(robot, contact.point)
+                elif kind is ContactKind.OBJECT:
+                    robot.heading = edge_follow_heading((x, y), (0.0, 0.0), contact.point)
+                else:
+                    # The nest boundary is passable on return; home in.
+                    robot.heading = math.atan2(-y, -x)
             # Every moving robot's one step, along the heading set above.
             heading = robot.heading
             x += step * cos(heading)

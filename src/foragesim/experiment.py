@@ -203,6 +203,6 @@ def run_experiment(
         final_p1=[r.alloc.leave.p for r in robots],
         final_pobj=final_pobj,
         retrieved=retrieved,
-        trips=[(r.trip_successes, r.trip_failures) for r in robots],
+        trips=[(sum(r.retrieved), r.trip_failures) for r in robots],
         capabilities=[r.capability for r in robots],
     )

@@ -242,12 +242,24 @@ def test_main_with_config_file(tmp_path, capsys):
     assert "bimodality" in capsys.readouterr().out
 
 
-def test_main_bad_config_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b'{"mode": "original"}', id="missing-keys"),
+        pytest.param(b'{"mode": "\xff"}', id="not-utf-8"),
+        pytest.param(b'{"seed": ' + b"1" * 5000 + b"}", id="int-past-digit-limit"),
+        pytest.param(b"[" * 100_000, id="nested-too-deep"),
+    ],
+)
+def test_main_bad_config_exits_2(tmp_path, capsys, content):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"mode": "original"}')
-    code = main(["--config", str(bad), "--output", str(tmp_path / "out")])
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    code = main(["--config", str(bad), "--output", str(out)])
     assert code == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from foragesim import (
     vdr_failure,
     vdr_success,
 )
-from foragesim.arena import ContactKind, nearest_contact
+from foragesim.arena import ContactKind, edge_follow_heading, nearest_contact
 from foragesim.engine import RobotPhase
 
 from conftest import ScriptedRng
@@ -107,11 +107,6 @@ def test_leave_records_follow_check_period():
 # -- searching -------------------------------------------------------------------
 
 
-def search(sim, robot):
-    """A searching robot's step after a contact, as the tick takes it."""
-    sim.searching_step(robot, nearest_contact(sim.world, (robot.x, robot.y), robot.id))
-
-
 def test_searching_jitter_advance():
     # Jitter draw 0.75 maps to +0.05 rad with jitter half-width 0.1.
     sim = build_sim(rng=ScriptedRng([0.75]), totals=(0, 0))
@@ -138,12 +133,12 @@ def test_searching_timeout_returns_empty():
 
 
 def test_searching_nest_boundary_bounces_outward():
-    sim = build_sim()
+    sim = build_sim(totals=(0, 0))
     robot = make_robot(0, ARENA.nest_radius + ARENA.robot_radius, 0.0)
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 15.0
     sim.world.add_robot(robot)
-    search(sim, robot)
+    sim.tick()
     assert robot.phase is RobotPhase.SEARCHING
     # Post-bounce heading separates from the nest: positive outward component.
     assert math.cos(robot.heading) > 0.0
@@ -151,12 +146,12 @@ def test_searching_nest_boundary_bounces_outward():
 
 def test_searching_inside_nest_passes_outward():
     rng = ScriptedRng([0.5])  # only the jitter draw, no bounce redraws
-    sim = build_sim(rng=rng)
+    sim = build_sim(rng=rng, totals=(0, 0))
     robot = make_robot(0, ARENA.nest_radius - 0.05, 0.0)
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 15.0
     sim.world.add_robot(robot)
-    search(sim, robot)
+    sim.tick()
     assert rng.calls == 1
     assert robot.heading == pytest.approx(0.0)  # draw 0.5 is zero jitter
 
@@ -169,26 +164,27 @@ def place_contact_object(sim, obj_type, robot):
 
 
 def test_pickup_certain_capability_succeeds():
-    sim = build_sim(rng=ScriptedRng([0.999999]))
+    sim = build_sim(rng=ScriptedRng([0.999999]), totals=(1, 0))
     robot = make_robot(0, 5.0, 5.0, capability=(1.0, 1.0))
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 15.0
     sim.world.add_robot(robot)
     obj = place_contact_object(sim, ObjectType.TYPE1, robot)
-    search(sim, robot)
+    sim.tick()
     assert robot.carried is ObjectType.TYPE1
     assert robot.phase is RobotPhase.RETURNING
     assert obj not in sim.world.objects
+    assert (robot.x, robot.y) == (5.0, 5.0)  # the pickup uses the tick: no step
 
 
 def test_pickup_zero_capability_bounces():
-    sim = build_sim(rng=random.Random(5))
+    sim = build_sim(rng=random.Random(5), totals=(0, 1))
     robot = make_robot(0, 5.0, 5.0, capability=(0.0, 0.0))
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 15.0
     sim.world.add_robot(robot)
     obj = place_contact_object(sim, ObjectType.TYPE2, robot)
-    search(sim, robot)
+    sim.tick()
     assert robot.carried is None
     assert robot.phase is RobotPhase.SEARCHING
     assert obj in sim.world.objects
@@ -197,7 +193,7 @@ def test_pickup_zero_capability_bounces():
 def test_modified_wrong_type_is_plain_obstacle():
     # Capability 1.0 would guarantee pickup if a capability draw happened;
     # a non-assigned type must bounce with no draw and no state update.
-    sim = build_sim(mode=Mode.MODIFIED, rng=random.Random(5))
+    sim = build_sim(mode=Mode.MODIFIED, rng=random.Random(5), totals=(0, 1))
     robot = make_robot(0, 5.0, 5.0, capability=(1.0, 1.0))
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 15.0
@@ -205,7 +201,7 @@ def test_modified_wrong_type_is_plain_obstacle():
     sim.world.add_robot(robot)
     obj = place_contact_object(sim, ObjectType.TYPE2, robot)
     before = robot.alloc
-    search(sim, robot)
+    sim.tick()
     assert robot.carried is None
     assert robot.phase is RobotPhase.SEARCHING
     assert obj in sim.world.objects
@@ -213,7 +209,7 @@ def test_modified_wrong_type_is_plain_obstacle():
 
 
 def test_modified_pickup_updates_per_attempt():
-    sim = build_sim(mode=Mode.MODIFIED, rng=random.Random(5))
+    sim = build_sim(mode=Mode.MODIFIED, rng=random.Random(5), totals=(0, 1))
     robot = make_robot(0, 5.0, 5.0, capability=(0.0, 0.0))
     robot.phase = RobotPhase.SEARCHING
     robot.search_deadline = 15.0
@@ -221,7 +217,7 @@ def test_modified_pickup_updates_per_attempt():
     sim.world.add_robot(robot)
     place_contact_object(sim, ObjectType.TYPE2, robot)
     before = robot.alloc
-    search(sim, robot)  # failed attempt
+    sim.tick()  # failed attempt
     assert robot.alloc.obj[1] == vdr_failure(before.obj[1], OBJ)
     assert robot.alloc.obj[0] == before.obj[0]
     assert robot.alloc.leave == before.leave
@@ -258,7 +254,7 @@ def test_returning_delivery_updates_and_conserves():
         assert robot.phase is RobotPhase.STOPPING
         assert robot.carried is None
         assert robot.retrieved == [0, 1]
-        assert robot.trip_successes == 1
+        assert sum(robot.retrieved) == 1
         # The replacement spawned.
         assert sum(o.obj_type == ObjectType.TYPE2 for o in sim.world.objects) == 1
         sim.world.check_conservation()
@@ -282,6 +278,19 @@ def test_returning_empty_counts_failure():
         assert robot.trip_failures == 1
         assert robot.alloc.leave == vdr_failure(before.leave, LEAVE), mode
         assert robot.alloc.obj == before.obj, mode
+
+
+def test_returning_edge_follows_object():
+    # An object is no obstacle to bounce off on the way home: the robot
+    # turns along its edge with no draw.
+    sim = build_sim(rng=ScriptedRng([]), totals=(1, 1))
+    obj = sim.world.add_object(ObjectType.TYPE2, 5.0 - 2 * ARENA.robot_radius, 0.1)
+    robot = make_robot(0, 5.0, 0.0, heading=0.0)
+    robot.phase = RobotPhase.RETURNING
+    robot.carried = ObjectType.TYPE1
+    sim.world.add_robot(robot)
+    sim.tick()
+    assert robot.heading == edge_follow_heading((5.0, 0.0), (0.0, 0.0), (obj.x, obj.y))
 
 
 def test_returning_robot_contact_separates():
@@ -428,7 +437,7 @@ def test_capability_gate_zero_never_carries():
     robot = make_robot(0, 0.0, 0.0, capability=(0.0, 0.0), p1=0.08)
     sim.world.add_robot(robot)
     sim.run()
-    assert robot.trip_successes == 0
+    assert sum(robot.retrieved) == 0
     assert robot.retrieved == [0, 0]
     assert not any(e[0] == "pickup" for e in events)
     assert robot.trip_failures > 0  # it did go out and time out
