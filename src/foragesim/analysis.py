@@ -30,7 +30,6 @@ class RunClassification:
 
 @dataclass
 class BinomialComparison:
-    robot_count: int
     p_hat: float
     observed: list  # empirical frequency of each forager count k = 0..n
     theoretical: list  # Binomial(n, p_hat) mass at each k
@@ -126,7 +125,7 @@ def binomial_comparison(
     for o, t in zip(observed, theoretical):
         tv += abs(o - t)
     tv *= 0.5
-    return BinomialComparison(robot_count, p_hat, observed, theoretical, tv)
+    return BinomialComparison(p_hat, observed, theoretical, tv)
 
 
 def histogram(

@@ -2,15 +2,13 @@
 objects, contact classification, bounce and edge-follow maneuvers, and
 object spawning with the constant-population replacement rule.
 
-Contact and spawn queries read a uniform cell grid of free objects and one
-of collidable robots, which only ``World`` methods update."""
+Contact and spawn queries read the two cell grids ``World`` holds, one of
+free objects and one of collidable robots, which only its methods update."""
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
-import operator
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
@@ -123,36 +121,77 @@ class Contact(NamedTuple):
 NO_CONTACT = Contact(ContactKind.NONE)
 
 
-class CellGrid:
-    """Items in uniform square cells of side ``side`` (the cell-list method).
+def _join(cells: dict, item, key: int, offsets: tuple) -> None:
+    """File ``item``, lying in the cell ``key``, under the cells at ``offsets``."""
+    for offset in offsets:
+        cell = cells.get(key + offset)
+        if cell is None:
+            cells[key + offset] = [item]
+        else:
+            cell.append(item)
 
-    Every item closer than ``side / 2`` to a point lies in the 2x2 block of
-    cells around it. A block is addressed by its lower-left cell, whose key
-    ``block_key`` gives. Each item is filed under the four cells whose block
-    holds its own cell: that cell and the ones below, to the left, and
-    below-left of it. The lower-left cell of a point's block then holds every
-    item near the point, so a query reads one cell, and adding or removing an
-    item touches four.
+
+def _leave(cells: dict, item, key: int, offsets: tuple) -> None:
+    """Unfile ``item``, lying in the cell ``key``, from the cells at ``offsets``."""
+    for offset in offsets:
+        # Items compare by identity (``eq=False``), so the search past
+        # the items ahead of ``item`` runs no Python ``__eq__``.
+        cell = cells[key + offset]
+        cell.remove(item)
+        if not cell:
+            del cells[key + offset]
+
+
+@dataclass
+class World:
+    """Arena state. Objects and robots enter and change only through the
+    methods below, which keep the two contact grids in step with them.
+
+    The grids are uniform square cells of side ``side`` (the cell-list
+    method): ``object_cells`` files the free objects, ``robot_cells`` the
+    robots not STOPPING. Every item closer than ``side / 2`` to a point lies
+    in the 2x2 block of cells around it. A block is addressed by its
+    lower-left cell, whose key ``block_key`` gives. Each item is filed under
+    the four cells whose block holds its own cell: that cell and the ones
+    below, to the left, and below-left of it (``filed_at``). The lower-left
+    cell of a point's block then holds every item near the point, so a query
+    reads one cell, and adding or removing an item touches four.
 
     Cell ``(floor(x / side), floor(y / side))`` has the single int key
     ``i * stride + j``, unique for every cell within two cells of the arena.
-    ``cells`` maps the key of each cell that holds items to the list of them,
-    so a grid's size follows its items, not the arena's area.
+    Each grid maps the key of each cell that holds items to the list of
+    them, so its size follows its items, not the arena's area. A robot
+    carries its own cell's key in ``robot.cell``, ``None`` while STOPPING;
+    an object's key follows from its fixed ``x``/``y``.
 
-    An item moving to a neighbouring cell keeps the cells its old and new
-    blocks share, so it is unfiled from and filed under only the others: 2
-    for a move along an axis, 3 for a diagonal one. Its place in the lists
-    it leaves and joins changes; queries read a cell in no particular order.
+    A robot moving to a neighbouring cell keeps the cells its old and new
+    blocks share, so it is unfiled from and filed under only the others
+    (``steps``): 2 for a move along an axis, 3 for a diagonal one. Its place
+    in the lists it leaves and joins changes; queries read a cell in no
+    particular order.
     """
 
-    def __init__(self, side: float, half_width: float) -> None:
-        self.side = side
-        stride = 2 * math.ceil(half_width / side) + 5
-        self.stride = stride
+    config: ArenaConfig
+    totals: tuple[int, int]
+    objects: dict = field(default_factory=dict, init=False)  # id -> free WorldObject
+    robots: list = field(default_factory=list, init=False)  # engine.Robot instances
+    _next_object_id: int = field(default=0, init=False)
+
+    def __post_init__(self) -> None:
+        cfg = self.config
+        # Contact thresholds, computed once for the contact query.
+        rr = cfg.robot_contact()
+        ro = cfg.object_contact()
+        self.robot_contact_sq = rr * rr
+        self.object_contact_sq = ro * ro
+        self.edge_contact = cfg.robot_radius + cfg.contact_margin
+        # One geometry for both grids, so one key addresses both.
+        side = cfg.cell_side()
+        stride = 2 * math.ceil(cfg.arena_half_width / side) + 5
         filed_at = (0, -1, -stride, -stride - 1)
+        self.side = side
+        self.stride = stride
         self.filed_at = filed_at
-        self.cells: dict = {}
-        self.where: dict = {}  # item id -> key of the item's own cell
         # Key change of a move to a neighbouring cell -> the offsets, from
         # the old key, of the cells to leave, and, from the new key, of the
         # cells to join.
@@ -165,11 +204,10 @@ class CellGrid:
             for dj in (-1, 0, 1)
             if di or dj
         }
+        self.object_cells: dict = {}
+        self.robot_cells: dict = {}
 
-    def __contains__(self, item) -> bool:
-        return item.id in self.where
-
-    def key(self, x: float, y: float) -> int:
+    def cell_key(self, x: float, y: float) -> int:
         """Key of the cell that holds the point."""
         return math.floor(x / self.side) * self.stride + math.floor(y / self.side)
 
@@ -178,70 +216,6 @@ class CellGrid:
         side = self.side
         return math.floor(x / side - 0.5) * self.stride + math.floor(y / side - 0.5)
 
-    def add(self, item, key: int) -> None:
-        """File ``item`` as lying in the cell ``key``."""
-        self._join(item, key, self.filed_at)
-        self.where[item.id] = key
-
-    def remove(self, item) -> None:
-        self._leave(item, self.where.pop(item.id), self.filed_at)
-
-    def move(self, item, key: int) -> None:
-        """Re-file ``item``, filed under another cell, as lying in ``key``."""
-        old = self.where[item.id]
-        # A jump past the neighbouring cells leaves and joins all four.
-        leave, join = self.steps.get(key - old, (self.filed_at, self.filed_at))
-        self._leave(item, old, leave)
-        self._join(item, key, join)
-        self.where[item.id] = key
-
-    def _join(self, item, key: int, offsets: tuple) -> None:
-        cells = self.cells
-        for offset in offsets:
-            cell = cells.get(key + offset)
-            if cell is None:
-                cells[key + offset] = [item]
-            else:
-                cell.append(item)
-
-    def _leave(self, item, key: int, offsets: tuple) -> None:
-        cells = self.cells
-        for offset in offsets:
-            # Items compare by identity (``eq=False``), so the search past
-            # the items ahead of ``item`` runs no Python ``__eq__``.
-            cell = cells[key + offset]
-            cell.remove(item)
-            if not cell:
-                del cells[key + offset]
-
-
-_object_id = operator.attrgetter("id")
-
-
-@dataclass
-class World:
-    """Arena state. Objects and robots enter and change only through the
-    methods below, which keep the two cell grids in step with them."""
-
-    config: ArenaConfig
-    totals: tuple[int, int]
-    objects: list[WorldObject] = field(default_factory=list, init=False)
-    robots: list = field(default_factory=list, init=False)  # engine.Robot instances
-    _next_object_id: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        cfg = self.config
-        # Contact thresholds, computed once for the contact query.
-        rr = cfg.robot_contact()
-        ro = cfg.object_contact()
-        self.robot_contact_sq = rr * rr
-        self.object_contact_sq = ro * ro
-        self.edge_contact = cfg.robot_radius + cfg.contact_margin
-        # Both grids share side and stride, so one key addresses both.
-        side = cfg.cell_side()
-        self.object_grid = CellGrid(side, cfg.arena_half_width)  # free objects
-        self.robot_grid = CellGrid(side, cfg.arena_half_width)  # robots not STOPPING
-
     def check_conservation(self) -> None:
         """Recount every free and carried object against the totals."""
         # Counts TYPE2 by identity and TYPE1 as the rest: an ``IntEnum``
@@ -249,7 +223,7 @@ class World:
         type2 = ObjectType.TYPE2
         objects = self.objects
         n2 = 0
-        for o in objects:
+        for o in objects.values():
             if o.obj_type is type2:
                 n2 += 1
         carried = 0
@@ -268,47 +242,48 @@ class World:
                 )
 
     def add_object(self, obj_type: ObjectType, x: float, y: float) -> WorldObject:
-        """Add a free object with the next id, so ``objects`` stays in id order."""
+        """Add a free object with the next id."""
         obj = WorldObject(self._next_object_id, obj_type, x, y)
         self._next_object_id += 1
-        self.objects.append(obj)
-        self.object_grid.add(obj, self.object_grid.key(x, y))
+        self.objects[obj.id] = obj
+        _join(self.object_cells, obj, self.cell_key(x, y), self.filed_at)
         return obj
 
     def remove_object(self, obj: WorldObject) -> None:
         """Remove a free object; ``ValueError`` if it is not in the world."""
-        objects = self.objects
-        i = bisect.bisect_left(objects, obj.id, key=_object_id)
-        if i == len(objects) or objects[i] is not obj:
+        if self.objects.get(obj.id) is not obj:
             raise ValueError(f"object {obj.id} is not in the world")
-        del objects[i]
-        self.object_grid.remove(obj)
+        del self.objects[obj.id]
+        _leave(self.object_cells, obj, self.cell_key(obj.x, obj.y), self.filed_at)
 
     def add_robot(self, robot) -> None:
         self.robots.append(robot)
-        if robot.phase is not RobotPhase.STOPPING:
-            self.robot_grid.add(robot, self.robot_grid.key(robot.x, robot.y))
+        self.set_phase(robot, robot.phase)
 
     def move_robot(self, robot, x: float, y: float) -> None:
         robot.x = x
         robot.y = y
-        grid = self.robot_grid
-        old = grid.where.get(robot.id)
+        old = robot.cell
         if old is not None:  # STOPPING robots stay out of the grid
-            side = grid.side
-            key = math.floor(x / side) * grid.stride + math.floor(y / side)
+            side = self.side
+            key = math.floor(x / side) * self.stride + math.floor(y / side)
             if key != old:
-                grid.move(robot, key)
+                # A jump past the neighbouring cells leaves and joins all four.
+                leave, join = self.steps.get(key - old, (self.filed_at, self.filed_at))
+                cells = self.robot_cells
+                _leave(cells, robot, old, leave)
+                _join(cells, robot, key, join)
+                robot.cell = key
 
     def set_phase(self, robot, phase: RobotPhase) -> None:
         robot.phase = phase
-        grid = self.robot_grid
-        in_grid = robot in grid
         if phase is RobotPhase.STOPPING:
-            if in_grid:
-                grid.remove(robot)
-        elif not in_grid:
-            grid.add(robot, grid.key(robot.x, robot.y))
+            if robot.cell is not None:
+                _leave(self.robot_cells, robot, robot.cell, self.filed_at)
+                robot.cell = None
+        elif robot.cell is None:
+            robot.cell = self.cell_key(robot.x, robot.y)
+            _join(self.robot_cells, robot, robot.cell, self.filed_at)
 
 
 def spawn_object(world: World, obj_type: ObjectType, rng) -> WorldObject:
@@ -320,15 +295,14 @@ def spawn_object(world: World, obj_type: ObjectType, rng) -> WorldObject:
     span = hi - lo
     nest_keepout = cfg.nest_radius + cfg.object_radius + cfg.contact_margin
     min_sep_sq = (2.0 * cfg.object_radius) ** 2
-    grid = world.object_grid
-    cells = grid.cells
+    cells = world.object_cells
 
     for _ in range(SPAWN_ATTEMPT_CAP):
         x = lo + rng.random() * span
         y = lo + rng.random() * span
         if x * x + y * y <= nest_keepout * nest_keepout:
             continue
-        near = cells.get(grid.block_key(x, y))
+        near = cells.get(world.block_key(x, y))
         if near and any((o.x - x) ** 2 + (o.y - y) ** 2 < min_sep_sq for o in near):
             continue
         return world.add_object(obj_type, x, y)
@@ -351,14 +325,13 @@ def nearest_contact(
     objects the nearest wins, and an exact tie goes to the lower id.
     """
     x, y = position
-    robots = world.robot_grid
-    side = robots.side
-    # robots.block_key(x, y), inline: this runs for every moving robot each tick.
-    key = math.floor(x / side - 0.5) * robots.stride + math.floor(y / side - 0.5)
+    side = world.side
+    # world.block_key(x, y), inline: this runs for every moving robot each tick.
+    key = math.floor(x / side - 0.5) * world.stride + math.floor(y / side - 0.5)
 
     # Robot-robot: center distance below sum of radii plus margin. Robots,
     # like objects, are filed so that this one cell holds every near one.
-    near = robots.cells.get(key)
+    near = world.robot_cells.get(key)
     if near:
         best_robot = None
         best_d2 = world.robot_contact_sq
@@ -397,7 +370,7 @@ def nearest_contact(
         return Contact(ContactKind.NEST, ring)
 
     # Free objects: nearest one within threshold, all filed in this one cell.
-    near = world.object_grid.cells.get(key)
+    near = world.object_cells.get(key)
     if not near:
         return NO_CONTACT
     best_obj = None

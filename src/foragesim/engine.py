@@ -51,6 +51,7 @@ class Robot:
     assignment: Optional[ObjectType] = None
     trip_failures: int = 0
     retrieved: list = field(default_factory=lambda: [0, 0])
+    cell: Optional[int] = None  # key of its contact-grid cell; None while STOPPING
 
 
 # 10**7 ticks of 0.1 s cover 11.6 days, a run that would take weeks.

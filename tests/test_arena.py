@@ -102,7 +102,7 @@ def test_spawn_packed_arena_pairwise_separation():
         spawn_object(world, ObjectType(i % 2), rng)
     spawn_object(world, ObjectType.TYPE2, rng)
     # Brute-force pairwise distance check over all 65 objects.
-    positions = [(o.x, o.y) for o in world.objects]
+    positions = [(o.x, o.y) for o in world.objects.values()]
     min_sep = min(
         math.dist(a, b)
         for i, a in enumerate(positions)
@@ -208,7 +208,7 @@ def test_contact_object():
 
 # A small arena, so walls, the nest and negative coordinates all come up.
 SMALL = ArenaConfig(arena_half_width=2.0, nest_radius=0.5)
-SIDE = make_world(SMALL).robot_grid.side
+SIDE = make_world(SMALL).side
 
 
 def scan_nearest_contact(world, position, ignore_robot_id=None):
@@ -241,7 +241,7 @@ def scan_nearest_contact(world, position, ignore_robot_id=None):
         return Contact(ContactKind.NEST, (cfg.nest_radius, 0.0))
     ro = cfg.robot_radius + cfg.object_radius + margin
     best_obj, best_d2 = None, ro * ro
-    for obj in world.objects:
+    for obj in world.objects.values():
         d2 = (obj.x - x) ** 2 + (obj.y - y) ** 2
         if d2 < best_d2:
             best_obj, best_d2 = obj, d2
@@ -263,7 +263,7 @@ def scan_spawn_position(world, rng):
             continue
         if any(
             (o.x - x) ** 2 + (o.y - y) ** 2 < (2.0 * cfg.object_radius) ** 2
-            for o in world.objects
+            for o in world.objects.values()
         ):
             continue
         return (x, y)
@@ -337,7 +337,7 @@ def test_contact_grid_matches_linear_scan(robots, objects, operations, queries):
         # the points around each robot and object in all eight directions,
         # within contact range and often in a neighbouring cell.
         probes = [((r.x, r.y), r.id) for r in world.robots] + [(q, None) for q in queries]
-        for items in (world.robots, world.objects):
+        for items in (world.robots, world.objects.values()):
             group = [(a.x, a.y) for a in items]
             probes += [
                 (((ax + bx) / 2, (ay + by) / 2), None)
@@ -362,7 +362,7 @@ def test_contact_grid_matches_linear_scan(robots, objects, operations, queries):
         elif op[0] == "phase":
             world.set_phase(world.robots[op[1] % len(world.robots)], op[2])
         elif world.objects:
-            gone = world.objects[op[1] % len(world.objects)]
+            gone = list(world.objects.values())[op[1] % len(world.objects)]
             world.remove_object(gone)
             if op[0] == "respawn":
                 world.add_object(gone.obj_type, gone.x + op[2], gone.y + op[3])
@@ -391,7 +391,7 @@ def test_spawn_grid_matches_linear_scan(objects, removals, seed):
     # Picked-up objects no longer block a spawn.
     for i in removals:
         if world.objects:
-            world.remove_object(world.objects[i % len(world.objects)])
+            world.remove_object(list(world.objects.values())[i % len(world.objects)])
     scan_rng, grid_rng = random.Random(seed), random.Random(seed)
     want = scan_spawn_position(world, scan_rng)
     if want is None:
@@ -521,7 +521,7 @@ def test_world_counts_and_conservation():
     world.add_robot(carrier)
     world.remove_object(world.objects[0])
     world.check_conservation()
-    assert sum(o.obj_type == ObjectType.TYPE1 for o in world.objects) == 1
+    assert sum(o.obj_type == ObjectType.TYPE1 for o in world.objects.values()) == 1
     assert sum(r.carried == ObjectType.TYPE1 for r in world.robots) == 1
 
 
@@ -530,11 +530,13 @@ def test_remove_object_not_in_world_raises():
     rng = random.Random(0)
     first, gone, last = (spawn_object(world, ObjectType.TYPE1, rng) for _ in range(3))
     world.remove_object(gone)
-    # An object already removed, and one that was never added.
-    for stranger in (gone, WorldObject(99, ObjectType.TYPE1, 5.0, 5.0)):
+    # An object already removed, one that was never added, and a copy of a
+    # free one: the same id, but not the object in the world.
+    copy = WorldObject(first.id, first.obj_type, first.x, first.y)
+    for stranger in (gone, WorldObject(99, ObjectType.TYPE1, 5.0, 5.0), copy):
         with pytest.raises(ValueError):
             world.remove_object(stranger)
-    assert world.objects == [first, last]
+    assert world.objects == {first.id: first, last.id: last}
     assert nearest_contact(world, (gone.x, gone.y)).obj is not gone
 
 
@@ -570,40 +572,45 @@ def test_conservation_counts_each_type(free, carried):
         world.check_conservation()
 
 
-def filed_cells(grid):
+def filed_cells(cells):
     """The sorted cell keys each item is filed under, by item id."""
     keys = {}
-    for key, cell in grid.cells.items():
+    for key, cell in cells.items():
         for item in cell:
             keys.setdefault(item.id, []).append(key)
     return {item_id: sorted(item_keys) for item_id, item_keys in keys.items()}
 
 
-def block_slots(grid, x, y):
+def block_slots(world, x, y):
     """The keys of the four cells whose 2x2 block holds the point's cell."""
-    i, j = math.floor(x / grid.side), math.floor(y / grid.side)
-    return sorted((i - di) * grid.stride + j - dj for di in (0, 1) for dj in (0, 1))
+    i, j = math.floor(x / world.side), math.floor(y / world.side)
+    return sorted((i - di) * world.stride + j - dj for di in (0, 1) for dj in (0, 1))
 
 
 def test_grids_file_each_item_under_its_block_cells():
     # A seeded set2 run moves robots across cells, parks and releases them,
     # and picks up and spawns objects; after every tick each moving robot and
-    # each free object is filed under exactly its four cells, once each.
+    # each free object is filed under exactly its four cells, once each, and
+    # each robot carries its own cell's key, None while STOPPING.
     config = replace(set2_config(seed=3), horizon=60.0)
     rng = random.Random(3)
     world = _build_world(config, rng)
     events = []
     sim = Simulation(config, world, rng, events)
-    robots, objects = world.robot_grid, world.object_grid
     for _ in range(sim.clock.total_ticks):
         sim.tick()
         moving = [r for r in world.robots if r.phase is not RobotPhase.STOPPING]
-        assert filed_cells(robots) == {r.id: block_slots(robots, r.x, r.y) for r in moving}
-        assert robots.where == {r.id: robots.key(r.x, r.y) for r in moving}
-        assert filed_cells(objects) == {
-            o.id: block_slots(objects, o.x, o.y) for o in world.objects
+        assert filed_cells(world.robot_cells) == {
+            r.id: block_slots(world, r.x, r.y) for r in moving
         }
-        assert objects.where == {o.id: objects.key(o.x, o.y) for o in world.objects}
+        for r in world.robots:
+            if r.phase is RobotPhase.STOPPING:
+                assert r.cell is None
+            else:
+                assert r.cell == world.cell_key(r.x, r.y)
+        assert filed_cells(world.object_cells) == {
+            o.id: block_slots(world, o.x, o.y) for o in world.objects.values()
+        }
     kinds = {record[0] for record in events}
     assert {"phase", "pickup", "deliver"} <= kinds
 
@@ -616,22 +623,22 @@ def test_grid_move_refiles_under_the_new_block_cells(di, dj):
     # Robot 0 moves one cell over in each of the 8 directions, or jumps
     # further; robots 1 and 2 share cells with its old and its new block.
     world = make_world(SMALL)
-    grid = world.robot_grid
+    cells = world.robot_cells
 
     def at(i, j):  # the centre of cell (i, j)
-        return (i + 0.5) * grid.side, (j + 0.5) * grid.side
+        return (i + 0.5) * world.side, (j + 0.5) * world.side
 
     for rid, (i, j) in enumerate([(0, 0), (0, 0), (di, dj)]):
         world.add_robot(make_robot(rid, *at(i, j)))
     world.move_robot(world.robots[0], *at(di, dj))
-    assert filed_cells(grid) == {r.id: block_slots(grid, r.x, r.y) for r in world.robots}
-    assert grid.where == {r.id: grid.key(r.x, r.y) for r in world.robots}
+    assert filed_cells(cells) == {r.id: block_slots(world, r.x, r.y) for r in world.robots}
+    assert [r.cell for r in world.robots] == [world.cell_key(r.x, r.y) for r in world.robots]
     # Alone, it empties the cells it leaves, which must then be gone.
     for robot in world.robots[1:]:
         world.set_phase(robot, RobotPhase.STOPPING)
     world.move_robot(world.robots[0], *at(0, 0))
-    assert filed_cells(grid) == {0: block_slots(grid, *at(0, 0))}
-    assert len(grid.cells) == 4
+    assert filed_cells(cells) == {0: block_slots(world, *at(0, 0))}
+    assert len(cells) == 4
 
 
 def test_contact_query_ignores_the_order_of_cell_lists():
@@ -659,8 +666,8 @@ def test_contact_query_ignores_the_order_of_cell_lists():
         ties += d2[0] == d2[1] < world.robot_contact_sq
     assert ties > 50
     for shuffle in (list.reverse, rng.shuffle, rng.shuffle):
-        for grid in (world.robot_grid, world.object_grid):
-            for cell in grid.cells.values():
+        for cells in (world.robot_cells, world.object_cells):
+            for cell in cells.values():
                 shuffle(cell)
         assert contacts() == want  # objects compare by identity
 
@@ -673,10 +680,9 @@ def test_wide_arena_grids_hold_only_cells_with_items():
     rng = random.Random(3)
     world = _build_world(config, rng)
     sim = Simulation(config, world, rng)
-    robots, objects = world.robot_grid, world.object_grid
     for _ in range(sim.clock.total_ticks):
         sim.tick()
         moving = [r for r in world.robots if r.phase is not RobotPhase.STOPPING]
-        assert len(robots.cells) <= 4 * len(moving)
-        assert len(objects.cells) <= 4 * len(world.objects)
+        assert len(world.robot_cells) <= 4 * len(moving)
+        assert len(world.object_cells) <= 4 * len(world.objects)
     assert moving

@@ -173,7 +173,7 @@ def test_pickup_certain_capability_succeeds():
     sim.tick()
     assert robot.carried is ObjectType.TYPE1
     assert robot.phase is RobotPhase.RETURNING
-    assert obj not in sim.world.objects
+    assert obj.id not in sim.world.objects
     assert (robot.x, robot.y) == (5.0, 5.0)  # the pickup uses the tick: no step
 
 
@@ -187,7 +187,7 @@ def test_pickup_zero_capability_bounces():
     sim.tick()
     assert robot.carried is None
     assert robot.phase is RobotPhase.SEARCHING
-    assert obj in sim.world.objects
+    assert sim.world.objects.get(obj.id) is obj
 
 
 def test_modified_wrong_type_is_plain_obstacle():
@@ -204,7 +204,7 @@ def test_modified_wrong_type_is_plain_obstacle():
     sim.tick()
     assert robot.carried is None
     assert robot.phase is RobotPhase.SEARCHING
-    assert obj in sim.world.objects
+    assert sim.world.objects.get(obj.id) is obj
     assert robot.alloc == before
 
 
@@ -256,7 +256,7 @@ def test_returning_delivery_updates_and_conserves():
         assert robot.retrieved == [0, 1]
         assert sum(robot.retrieved) == 1
         # The replacement spawned.
-        assert sum(o.obj_type == ObjectType.TYPE2 for o in sim.world.objects) == 1
+        assert sum(o.obj_type == ObjectType.TYPE2 for o in sim.world.objects.values()) == 1
         sim.world.check_conservation()
         assert robot.alloc.leave == vdr_success(before.leave, LEAVE), mode
         assert robot.alloc.obj == before.obj, mode

@@ -193,7 +193,7 @@ def test_world_build_is_the_same_in_both_modes():
     ]
     original, modified = [
         (
-            [(o.id, o.obj_type, o.x, o.y) for o in world.objects],
+            [(o.id, o.obj_type, o.x, o.y) for o in world.objects.values()],
             [(r.x, r.y, r.heading, r.capability, r.alloc) for r in world.robots],
         )
         for world in worlds
