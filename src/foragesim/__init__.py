@@ -14,7 +14,6 @@ from .allocation import (
     leave_nest_decision,
     record_leave_outcome,
     record_pickup_event,
-    record_trip_outcome,
     vdr_failure,
     vdr_success,
 )

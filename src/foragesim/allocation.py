@@ -126,8 +126,3 @@ def record_pickup_event(
     else:
         first = step(first, params_obj[0])
     return AllocationState(state.leave, (first, second))
-
-
-# The engine calls this second name in ORIGINAL mode only because perfbench
-# counts ORIGINAL's trip updates under it (ROADMAP item 1).
-record_trip_outcome = record_leave_outcome

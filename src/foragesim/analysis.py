@@ -54,10 +54,13 @@ def midpoint_threshold(values: Sequence[float]) -> float:
     return (min(values) + max(values)) / 2.0
 
 
-def classify_foragers(results: Sequence[RunResult]) -> list:
+def classify_foragers(results: Sequence[RunResult], p_max: float) -> list:
     """Split each run's robots at the midpoint of that run's min and max
-    final leave probability; strictly-above robots are foragers. Returns
-    one ``RunClassification`` per run."""
+    final leave probability; strictly-above robots are foragers. A run in
+    which every robot ends at the same probability (degenerate) has no
+    midpoint to split at: all its robots are foragers if they sit at
+    ``p_max``, and none is otherwise. Returns one ``RunClassification`` per
+    run."""
     if not results:
         raise ValueError("need at least one run result")
     runs = []
@@ -65,7 +68,10 @@ def classify_foragers(results: Sequence[RunResult]) -> list:
         p1 = result.final_p1
         threshold = midpoint_threshold(p1)
         degenerate = min(p1) == max(p1)
-        foragers = [i for i, p in enumerate(p1) if p > threshold]
+        if degenerate:
+            foragers = list(range(len(p1))) if p1[0] == p_max else []
+        else:
+            foragers = [i for i, p in enumerate(p1) if p > threshold]
         runs.append(RunClassification(threshold, foragers, degenerate))
     return runs
 
@@ -164,7 +170,7 @@ def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> Summary
     ``pobj1``/``pobj2`` in MODIFIED mode), the binomial fit of the forager
     counts and, in MODIFIED mode, how well preference labels follow
     ``expected_label``."""
-    runs = classify_foragers(results)
+    runs = classify_foragers(results, config.leave_params.p_max)
     groups = [("p1", config.leave_params, [p for r in results for p in r.final_p1])]
     labels = match_rate = loafer_yellow_rate = None
     if config.mode is Mode.MODIFIED:

@@ -50,7 +50,6 @@ _FIELDS = (
     ("horizon_seconds", ("horizon",), float, True),
     ("search_timeout_seconds", ("search_timeout",), float, True),
     ("seed", ("seed",), int, True),
-    # Required although ExperimentConfig has a default: a file names its run count.
     ("replications", ("replications",), int, True),
     ("tick_duration", ("tick_duration",), float, False),
     ("leave_check_period", ("leave_check_period",), float, False),
@@ -152,6 +151,17 @@ def write_config(config: ExperimentConfig, path: str) -> None:
         fh.write("\n")
 
 
+class _EventWriter:
+    """The engine's event sink for a log file: writes each record it is
+    given as one JSON line."""
+
+    def __init__(self, fh) -> None:
+        self.fh = fh
+
+    def append(self, record) -> None:
+        self.fh.write(json.dumps(record) + "\n")
+
+
 def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = False) -> dict:
     """Execute the replications and write the full output bundle.
 
@@ -181,12 +191,12 @@ def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = Fal
     try:
         results = []
         for rep in range(config.replications):
-            events = [] if event_log else None
-            results.append(run_experiment(config, rep, events=events))
             if event_log:
+                # Streamed as the run goes, so memory does not grow with it.
                 with open(path_for(f"events_run{rep:03d}.jsonl"), "w") as fh:
-                    for record in events:
-                        fh.write(json.dumps(record) + "\n")
+                    results.append(run_experiment(config, rep, events=_EventWriter(fh)))
+            else:
+                results.append(run_experiment(config, rep))
 
         summary = summarize(config, results)
         labels = summary.labels

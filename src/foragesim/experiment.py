@@ -40,7 +40,7 @@ class ExperimentConfig:
     obj_params: tuple[VdrParams, VdrParams]
     arena: ArenaConfig
     seed: int
-    replications: int = 20
+    replications: int
     tick_duration: float = 0.1
     leave_check_period: float = 0.1
 

@@ -19,7 +19,6 @@ from foragesim import (
     leave_nest_decision,
     record_leave_outcome,
     record_pickup_event,
-    record_trip_outcome,
     vdr_failure,
     vdr_success,
 )
@@ -153,7 +152,7 @@ def test_assign_task_skewed_thresholds():
 
 def test_trip_outcome_original_delivered(table4_params):
     state = alloc(leave=VdrState(0.04), params=table4_params)
-    out = record_trip_outcome(state, True, table4_params)
+    out = record_leave_outcome(state, True, table4_params)
     assert out.leave == vdr_success(VdrState(0.04), table4_params)
     assert out.obj == state.obj
 
@@ -228,5 +227,5 @@ def test_mode_isolation_original(events):
     state = initial_allocation(leave, (obj, obj))
     before = state.obj
     for success in events:
-        state = record_trip_outcome(state, success, leave)
+        state = record_leave_outcome(state, success, leave)
     assert state.obj == before

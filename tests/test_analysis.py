@@ -39,7 +39,7 @@ def make_result(final_p1, final_pobj=None):
 
 def test_classify_midpoint_split():
     p1 = [0.002, 0.08, 0.08]
-    (cls,) = classify_foragers([make_result(p1)])
+    (cls,) = classify_foragers([make_result(p1)], 0.08)
     assert cls.threshold == pytest.approx(0.041)
     assert cls.forager_ids == [1, 2]
     assert p1[0] <= cls.threshold  # the loafer
@@ -47,22 +47,40 @@ def test_classify_midpoint_split():
 
 
 def test_classify_degenerate_run():
-    (cls,) = classify_foragers([make_result([0.04] * 15)])
-    assert cls.degenerate
-    assert cls.forager_ids == []
+    # Every robot at the same p1: all forage at p_max, none anywhere else.
+    at_max, at_min, between = classify_foragers(
+        [make_result([p] * 15) for p in (0.08, 0.002, 0.04)], 0.08
+    )
+    assert at_max.degenerate and at_min.degenerate and between.degenerate
+    assert at_max.forager_ids == list(range(15))
+    assert at_min.forager_ids == []
+    assert between.forager_ids == []
+    assert between.threshold == 0.04
 
 
 def test_classify_rejects_empty():
     with pytest.raises(ValueError):
-        classify_foragers([])
+        classify_foragers([], 0.08)
 
 
-@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30))
-def test_classify_partition_property(p1):
-    (cls,) = classify_foragers([make_result(p1)])
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.booleans(),
+)
+def test_classify_partition_property(p1, p_max, p_max_is_largest):
+    if p_max_is_largest:
+        p_max = max(p1)
+    (cls,) = classify_foragers([make_result(p1)], p_max)
+    assert cls.forager_ids == sorted(set(cls.forager_ids))
+    assert cls.degenerate == (min(p1) == max(p1))
+    if cls.degenerate:
+        # No midpoint splits the run: all forage at p_max, none otherwise.
+        expected = list(range(len(p1))) if p1[0] == p_max else []
+        assert cls.forager_ids == expected
+        return
     # Foragers are the robots strictly above the threshold, in id order;
     # every other robot is a loafer.
-    assert cls.forager_ids == sorted(set(cls.forager_ids))
     for i, p in enumerate(p1):
         assert (i in cls.forager_ids) == (p > cls.threshold)
 

@@ -3,8 +3,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -229,6 +233,23 @@ def test_event_log_written_and_parses(tmp_path):
     for line in path.read_text().splitlines():
         record = json.loads(line)
         assert record[0] in {"phase", "leave", "pickup", "deliver", "trip"}
+
+
+def test_event_log_memory_does_not_grow_with_the_horizon(tmp_path):
+    def peak_bytes(horizon):
+        config = replace(set1_config(), horizon=horizon, replications=1)
+        tracemalloc.start()
+        try:
+            run_command(config, str(tmp_path / str(horizon)), event_log=True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(1.0)  # pays the one-time allocations: caches, freelists
+    # The log is streamed to its file. A log held until the run ends raises
+    # the peak from 60 s to 240 s (2,527 more records) by 50 KiB or more; the
+    # 4 KiB allow for the run's own state, which varies by under 1 KiB.
+    assert peak_bytes(240.0) <= peak_bytes(60.0) + 4096
 
 
 # -- main ----------------------------------------------------------------------------
@@ -540,3 +561,29 @@ def test_main_bad_override_exits_2(tmp_path, capsys, flag, value):
 def test_main_requires_source(capsys):
     with pytest.raises(SystemExit):
         main(["--output", "x"])
+
+
+# -- the names perfbench's tracer rebinds ----------------------------------------------
+
+BUNDLE_SCRIPT = Path(__file__).resolve().parents[1] / "perfbench" / "bundle.py"
+
+
+@pytest.mark.parametrize("mode", ["original", "modified"])
+def test_benchmark_tracer_counts_each_mode_under_its_name(tmp_path, mode):
+    # 30 s outlasts both presets' search timeouts, so trips end in either mode.
+    preset = set1_config if mode == "original" else set2_config
+    config = replace(preset(), horizon=30.0, replications=1)
+    write_config(config, str(tmp_path / "config.json"))
+    flags = ["--event-log"] if mode == "modified" else []
+    subprocess.run(
+        [sys.executable, "-I", str(BUNDLE_SCRIPT), str(tmp_path / "config.json"),
+         str(tmp_path / "out"), "--trace", str(tmp_path / "trace.json"), *flags],
+        check=True, capture_output=True,
+    )
+    counts = json.loads((tmp_path / "trace.json").read_text())["counts"]
+    trip = counts.get("allocation.record_trip_outcome.calls", 0)
+    leave = counts.get("allocation.record_leave_outcome.calls", 0)
+    original = mode == "original"
+    assert (trip > 0, leave > 0) == (original, not original)
+    # One recount per tick, and 300 ticks of 0.1 s in the 30 s horizon.
+    assert counts["arena.check_conservation.calls"] == counts["engine.ticks"] == 300
