@@ -1,0 +1,242 @@
+#!/usr/bin/env python3
+"""Write BENCH_<short-commit>.json: the benchmark's numbers for one commit.
+
+    python3 scripts/bench.py [--seconds S] [--commit REV]
+
+Run it from a checkout; it uses only the standard library and pytest. It
+drives ``perfbench/run.py`` as it stands in the measured tree and records:
+
+- the environment (Python, ``nproc``, the commit);
+- per workload of ``BENCHMARK.json``, seed 1: the median and quartiles of
+  ``wall_ref``, ``robot_ticks_per_ref``, ``setup_s`` and ``peak_rss_mb``
+  over the bundles of one ``--trace 0`` run, read from the per-bundle units
+  that run leaves in ``perfbench/.work/``;
+- per workload, the traced layer split of one ``--trace 1`` run at seed 1;
+- the cost per robot-tick of Set II at constant density for N = 15, 60 and
+  240, configs from ``perfbench/run.py``'s ``make_config``, each with the
+  same robot-ticks;
+- the Tier-1 wall time and its three slowest tests.
+
+Without ``--commit`` it measures the working tree; with it, a ``git archive``
+of REV in a temporary directory. The file is written at the root of this
+checkout. ``--seconds`` is each perfbench run's length: 30 by default, the
+benchmark's, and 1 in CI, which checks that the file is complete, not what
+it measures. The exit code is 1 when the written file lacks a workload or metric,
+or a run was not ``correct``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import io
+import json
+import os
+import re
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from dataclasses import replace
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+SEED = 1
+# Set II at linear scale k holds 15 k^2 robots; a horizon of 384 / k^2
+# seconds gives every point 57,600 robot-ticks, four times the crowd
+# workload's.
+SWEEP_SCALES = (1, 2, 4)
+SWEEP_REPEATS = 5
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=HERE, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def quartiles(values: list) -> dict:
+    if len(values) < 2:  # statistics.quantiles needs two points
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
+
+
+def perfbench(root: Path, workload: str, seconds: float, trace: int) -> tuple:
+    """One ``perfbench/run.py`` run: its result line and its ``.work`` report."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=root, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"perfbench/run.py {workload} --trace {trace} failed:\n{proc.stderr}")
+    result = json.loads(proc.stdout.splitlines()[-1])
+    report = root / "perfbench" / ".work" / f"{workload}-seed{SEED}-trace{trace}.json"
+    return result, json.loads(report.read_text())
+
+
+def load_perfbench(root: Path):
+    """Import the measured tree's ``perfbench/run.py`` and its package."""
+    sys.path[:0] = [str(root / "perfbench"), str(root / "src")]
+    spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def measure_workload(root: Path, run, name: str, seconds: float) -> dict:
+    result, report = perfbench(root, name, seconds, trace=0)
+    ticks = run.robot_ticks(run.make_config(run.WORKLOADS[name], report["config_seed"]))
+    units = [u for u in report["units"] if u["ok"]]
+    samples = {
+        "wall_ref": [u["wall_s"] / u["ref_s"] for u in units],
+        "robot_ticks_per_ref": [ticks * u["ref_s"] / u["wall_s"] for u in units],
+        "setup_s": [u["wall_s"] for u in report["setup_units"] if u["ok"]],
+        "peak_rss_mb": [u["peak_rss_mb"] for u in units],
+    }
+    traced, _ = perfbench(root, name, seconds, trace=1)
+    return {
+        "correct": result["correct"] and traced["correct"],
+        "attempted": result["attempted"] + traced["attempted"],
+        "failed": result["failed"] + traced["failed"],
+        "metrics": {
+            metric: {"unit": result["metrics"][metric]["unit"], **quartiles(values)}
+            for metric, values in samples.items() if values
+        },
+        "layers": {metric: entry["value"] for metric, entry in traced["metrics"].items()},
+    }
+
+
+def sweep(run) -> list:
+    from foragesim.experiment import run_experiment
+
+    configs = [
+        run.make_config(
+            run.Workload("set2", replications=1, horizon=384.0 / (k * k), scale=k), SEED
+        )
+        for k in SWEEP_SCALES
+    ]
+    rows = [[] for _ in configs]
+    # The scales take turns, so host drift reaches each point alike.
+    for _ in range(SWEEP_REPEATS):
+        for config, samples in zip(configs, rows):
+            ticks = run.robot_ticks(config)
+            ref = run.reference_seconds()
+            start = time.perf_counter()
+            run_experiment(replace(config, horizon=0.0))
+            built = time.perf_counter()
+            run_experiment(config)
+            tick_s = time.perf_counter() - built - (built - start)
+            ref = (ref + run.reference_seconds()) / 2
+            samples.append((built - start, tick_s / ticks * 1e6, ticks * ref / tick_s))
+    return [
+        {
+            "robots": config.robot_count,
+            "objects": sum(config.object_totals),
+            "arena_half_width": config.arena.arena_half_width,
+            "horizon_s": config.horizon,
+            "robot_ticks": run.robot_ticks(config),
+            "build_s": statistics.median(r[0] for r in samples),
+            "us_per_robot_tick": statistics.median(r[1] for r in samples),
+            "robot_ticks_per_ref": statistics.median(r[2] for r in samples),
+        }
+        for config, samples in zip(configs, rows)
+    ]
+
+
+def tier1(root: Path) -> dict:
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider", "--durations=3"],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True,
+    )
+    wall = time.perf_counter() - start
+    lines = proc.stdout.splitlines()
+    slowest = [
+        {"s": float(m[1]), "phase": m[2], "test": m[3]}
+        for m in (re.match(r"([\d.]+)s (call|setup|teardown)\s+(\S+)", line) for line in lines)
+        if m
+    ]
+    return {"wall_s": wall, "rc": proc.returncode, "summary": lines[-1] if lines else "",
+            "slowest": slowest}
+
+
+def problems(bench: dict, spec: dict) -> list:
+    """What the file lacks or marks as failed, one line each."""
+    found = []
+    for workload in spec["workloads"]:
+        name = workload["name"]
+        entry = bench["workloads"].get(name)
+        if entry is None:
+            found.append(f"{name}: missing")
+            continue
+        if entry["correct"] is not True:
+            found.append(f"{name}: not correct")
+        for kind, key in (("end_to_end", "metrics"), ("per_layer", "layers")):
+            missing = {m["name"] for m in spec[kind]} - set(entry[key])
+            if missing:
+                found.append(f"{name}: lacks {sorted(missing)}")
+    if [p["robots"] for p in bench["sweep"]] != [15 * k * k for k in SWEEP_SCALES]:
+        found.append("sweep: incomplete")
+    if len(bench["tier1"]["slowest"]) != 3:
+        found.append(f"tier1: no test durations in {bench['tier1']['summary']!r}")
+    return found
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seconds", type=float, default=30.0,
+                        help="length of each perfbench run (default 30; CI runs 1)")
+    parser.add_argument("--commit", help="measure this commit instead of the working tree")
+    args = parser.parse_args()
+
+    commit = git("rev-parse", args.commit or "HEAD")
+    tmp = None
+    try:
+        if args.commit:
+            tmp = Path(tempfile.mkdtemp(prefix="bench-"))
+            archive = subprocess.run(["git", "archive", commit], cwd=HERE,
+                                     capture_output=True, check=True).stdout
+            with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+                tar.extractall(tmp, filter="data")
+            root = tmp
+        else:
+            root = HERE
+        spec = json.loads((root / "BENCHMARK.json").read_text())
+        run = load_perfbench(root)
+        workloads = {
+            w["name"]: measure_workload(root, run, w["name"], args.seconds)
+            for w in spec["workloads"]
+        }
+        bench = {
+            "commit": commit,
+            "dirty": not args.commit and bool(git("status", "--porcelain", "--untracked-files=no")),
+            "env": {**run.environment(), "git_commit": commit},
+            "seed": SEED,
+            "seconds": args.seconds,
+            "workloads": workloads,
+            "sweep": sweep(run),
+            "tier1": tier1(root),
+        }
+    finally:
+        if tmp is not None:
+            shutil.rmtree(tmp)
+
+    out = HERE / f"BENCH_{commit[:7]}.json"
+    out.write_text(json.dumps(bench, indent=2) + "\n")
+    found = problems(json.loads(out.read_text()), spec)
+    for line in found:
+        print(f"{out.name}: {line}", file=sys.stderr)
+    print(f"wrote {out}")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -151,17 +151,6 @@ def write_config(config: ExperimentConfig, path: str) -> None:
         fh.write("\n")
 
 
-class _EventWriter:
-    """The engine's event sink for a log file: writes each record it is
-    given as one JSON line."""
-
-    def __init__(self, fh) -> None:
-        self.fh = fh
-
-    def append(self, record) -> None:
-        self.fh.write(json.dumps(record) + "\n")
-
-
 def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = False) -> dict:
     """Execute the replications and write the full output bundle.
 
@@ -194,7 +183,10 @@ def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = Fal
             if event_log:
                 # Streamed as the run goes, so memory does not grow with it.
                 with open(path_for(f"events_run{rep:03d}.jsonl"), "w") as fh:
-                    results.append(run_experiment(config, rep, events=_EventWriter(fh)))
+                    def emit(record):
+                        fh.write(json.dumps(record) + "\n")
+
+                    results.append(run_experiment(config, rep, emit=emit))
             else:
                 results.append(run_experiment(config, rep))
 

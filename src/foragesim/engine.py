@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .allocation import (
     AllocationState,
@@ -90,18 +90,23 @@ class SimClock:
         return self.tick_index * self.tick_duration
 
 
+# Receives each event record, a tuple such as ("pickup", tick, robot id,
+# object type), as the run makes it.
+EventSink = Callable[[tuple], None]
+
+
 class Simulation:
     """Owns one world, one clock and one random stream for one run of
     ``config``. The allocation rule and its timing come from ``config``;
     geometry comes from ``world.config``."""
 
-    def __init__(self, config, world: World, rng, events: Optional[list] = None):
+    def __init__(self, config, world: World, rng, emit: Optional[EventSink] = None):
         self.config = config
         self.world = world
         tick = config.tick_duration
         self.clock = SimClock(tick, config.horizon)
         self.rng = rng
-        self.events = events
+        self.emit = emit
         self._check_every = whole_ticks("leave_check_period", config.leave_check_period, tick)
         self._step = world.config.robot_speed * tick
         self._limit = world.config.arena_half_width - world.config.robot_radius
@@ -109,8 +114,8 @@ class Simulation:
     # -- event log -----------------------------------------------------
 
     def _emit(self, *record) -> None:
-        if self.events is not None:
-            self.events.append(record)
+        if self.emit is not None:
+            self.emit(record)
 
     def _set_phase(self, robot: Robot, phase: RobotPhase) -> None:
         self._emit("phase", self.clock.tick_index, robot.id, robot.phase.value, phase.value)

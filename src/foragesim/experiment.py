@@ -10,7 +10,7 @@ from typing import Optional
 
 from .allocation import Mode, ObjectType, VdrParams, initial_allocation
 from .arena import ArenaConfig, TWO_PI, World, spawn_object
-from .engine import Robot, Simulation, whole_ticks
+from .engine import EventSink, Robot, Simulation, whole_ticks
 
 # Offsets mixed into (seed, replication) so distinct replications get
 # independent streams while staying reproducible from the manifest alone.
@@ -181,12 +181,12 @@ def _build_world(config: ExperimentConfig, rng) -> World:
 
 
 def run_experiment(
-    config: ExperimentConfig, replication: int = 0, events: Optional[list] = None
+    config: ExperimentConfig, replication: int = 0, emit: Optional[EventSink] = None
 ) -> RunResult:
     """Run one seeded replication to the horizon and extract its result."""
     rng = random.Random(config.seed * _STREAM_STRIDE + replication)
     world = _build_world(config, rng)
-    Simulation(config, world, rng, events).run()
+    Simulation(config, world, rng, emit).run()
 
     robots = world.robots
     final_pobj = None

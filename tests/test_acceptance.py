@@ -35,7 +35,7 @@ def run_preset(config):
     runs = []
     for rep in range(config.replications):
         events = []
-        result = run_experiment(config, rep, events=events)
+        result = run_experiment(config, rep, emit=events.append)
         runs.append((result, events))
     return runs
 

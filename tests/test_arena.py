@@ -596,7 +596,7 @@ def test_grids_file_each_item_under_its_block_cells():
     rng = random.Random(3)
     world = _build_world(config, rng)
     events = []
-    sim = Simulation(config, world, rng, events)
+    sim = Simulation(config, world, rng, emit=events.append)
     for _ in range(sim.clock.total_ticks):
         sim.tick()
         moving = [r for r in world.robots if r.phase is not RobotPhase.STOPPING]
