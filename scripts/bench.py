@@ -22,7 +22,7 @@ of REV in a temporary directory. The file is written at the root of this
 checkout. ``--seconds`` is each perfbench run's length: 30 by default, the
 benchmark's, and 1 in CI, which checks that the file is complete, not what
 it measures. The exit code is 1 when the written file lacks a workload or metric,
-or a run was not ``correct``.
+a run was not ``correct``, or the Tier-1 suite failed.
 """
 
 from __future__ import annotations
@@ -185,8 +185,11 @@ def problems(bench: dict, spec: dict) -> list:
                 found.append(f"{name}: lacks {sorted(missing)}")
     if [p["robots"] for p in bench["sweep"]] != [15 * k * k for k in SWEEP_SCALES]:
         found.append("sweep: incomplete")
-    if len(bench["tier1"]["slowest"]) != 3:
-        found.append(f"tier1: no test durations in {bench['tier1']['summary']!r}")
+    tier1 = bench["tier1"]
+    if tier1["rc"] != 0:
+        found.append(f"tier1: rc {tier1['rc']} ({tier1['summary']})")
+    if len(tier1["slowest"]) != 3:
+        found.append(f"tier1: no test durations in {tier1['summary']!r}")
     return found
 
 

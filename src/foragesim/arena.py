@@ -48,8 +48,9 @@ class ArenaConfig:
                 raise ValueError(f"{spec.name} must be finite, got {value}")
             if value <= 0.0 and spec.name != "heading_jitter":
                 raise ValueError(f"{spec.name} must be strictly positive")
-        if self.heading_jitter < 0.0:
-            raise ValueError("heading_jitter must be >= 0")
+        # At most half a turn a tick; near 1e308 it sums the unwrapped heading to inf.
+        if not 0.0 <= self.heading_jitter <= math.pi:
+            raise ValueError(f"heading_jitter must be in [0, pi], got {self.heading_jitter}")
         if self.nest_radius <= self.robot_radius:
             raise ValueError(
                 "nest_radius must be > robot_radius so robots fit in the nest"

@@ -56,34 +56,11 @@ class Robot:
     cell: Optional[int] = None  # key of its contact-grid cell; None while STOPPING
 
 
-# 10**7 ticks of 0.1 s cover 11.6 days, a run that would take weeks.
-MAX_TICKS = 10**7
-
-
-def whole_ticks(name: str, seconds: float, tick_duration: float) -> int:
-    """``seconds`` as a count of ``tick_duration`` ticks; ``ValueError``
-    unless it is a whole count of at most ``MAX_TICKS``."""
-    ticks = seconds / tick_duration
-    if ticks > MAX_TICKS:  # first, so an infinite count gets this message too
-        raise ValueError(f"{name} is {ticks:.3g} ticks; the tick count is capped at {MAX_TICKS}")
-    # The clock counts whole ticks, so it would round any other length, and
-    # a positive whole number of ticks is at least one. The tolerance
-    # admits quotients like 6.0 / 0.1 == 59.99999999999999.
-    count = round(ticks)
-    if abs(ticks - count) > 1e-9 * ticks:
-        raise ValueError(f"{name} must be a whole number of {tick_duration} s ticks")
-    return count
-
-
 @dataclass
 class SimClock:
     tick_duration: float
-    horizon: float
+    total_ticks: int
     tick_index: int = 0
-    total_ticks: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.total_ticks = whole_ticks("horizon", self.horizon, self.tick_duration)
 
     @property
     def now(self) -> float:
@@ -103,12 +80,10 @@ class Simulation:
     def __init__(self, config, world: World, rng, emit: Optional[EventSink] = None):
         self.config = config
         self.world = world
-        tick = config.tick_duration
-        self.clock = SimClock(tick, config.horizon)
+        self.clock = SimClock(config.tick_duration, config.total_ticks)
         self.rng = rng
         self.emit = emit
-        self._check_every = whole_ticks("leave_check_period", config.leave_check_period, tick)
-        self._step = world.config.robot_speed * tick
+        self._step = world.config.robot_speed * config.tick_duration
         self._limit = world.config.arena_half_width - world.config.robot_radius
 
     # -- event log -----------------------------------------------------
@@ -188,7 +163,7 @@ class Simulation:
         if clock.tick_index >= clock.total_ticks:
             raise ValueError("clock is past the horizon")
         now = clock.now
-        check = clock.tick_index % self._check_every == 0
+        check = clock.tick_index % self.config.leave_check_ticks == 0
         world = self.world
         move = world.move_robot
         jitter = world.config.heading_jitter

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .allocation import Mode, ObjectType, VdrParams, initial_allocation
 from .arena import ArenaConfig, TWO_PI, World, spawn_object
-from .engine import EventSink, Robot, Simulation, whole_ticks
+from .engine import EventSink, Robot, Simulation
 
 # Offsets mixed into (seed, replication) so distinct replications get
 # independent streams while staying reproducible from the manifest alone.
@@ -28,6 +28,24 @@ MAX_OBJECTS = 10**5
 # a config could ask for, would take three years.
 MAX_REPLICATIONS = 10**4
 
+# 10**7 ticks of 0.1 s cover 11.6 days, a run that would take weeks.
+MAX_TICKS = 10**7
+
+
+def whole_ticks(name: str, seconds: float, tick_duration: float) -> int:
+    """``seconds`` as a count of ``tick_duration`` ticks; ``ValueError``
+    unless it is a whole count of at most ``MAX_TICKS``."""
+    ticks = seconds / tick_duration
+    if ticks > MAX_TICKS:  # first, so an infinite count gets this message too
+        raise ValueError(f"{name} is {ticks:.3g} ticks; the tick count is capped at {MAX_TICKS}")
+    # The clock counts whole ticks, so it would round any other length, and
+    # a positive whole number of ticks is at least one. The tolerance
+    # admits quotients like 6.0 / 0.1 == 59.99999999999999.
+    count = round(ticks)
+    if abs(ticks - count) > 1e-9 * ticks:
+        raise ValueError(f"{name} must be a whole number of {tick_duration} s ticks")
+    return count
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -43,6 +61,9 @@ class ExperimentConfig:
     replications: int
     tick_duration: float = 0.1
     leave_check_period: float = 0.1
+    # The horizon and the leave-check period in ticks, the engine's units.
+    total_ticks: int = field(init=False, repr=False, compare=False)
+    leave_check_ticks: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("horizon", "search_timeout", "tick_duration", "leave_check_period"):
@@ -74,8 +95,11 @@ class ExperimentConfig:
             raise ValueError("horizon must be >= 0 and search_timeout > 0")
         if self.tick_duration <= 0 or self.leave_check_period <= 0:
             raise ValueError("tick_duration and leave_check_period must be > 0")
-        for name in ("horizon", "leave_check_period"):
-            whole_ticks(name, getattr(self, name), self.tick_duration)
+        # Frozen, so the counts are set past the dataclass's own __setattr__.
+        tick = self.tick_duration
+        object.__setattr__(self, "total_ticks", whole_ticks("horizon", self.horizon, tick))
+        period = whole_ticks("leave_check_period", self.leave_check_period, tick)
+        object.__setattr__(self, "leave_check_ticks", period)
         # assign_task divides by p1 + p2, and failures clamp each at its p_min.
         floors = self.obj_params[0].p_min + self.obj_params[1].p_min
         if self.mode is Mode.MODIFIED and floors == 0:

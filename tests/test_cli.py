@@ -307,6 +307,9 @@ def test_main_bad_config_exits_2(tmp_path, capsys, content):
         ("nest_radius", 0.15),  # equal to robot_radius
         ("nest_radius", 0.1),
         ("heading_jitter", -0.1),
+        # More than half a turn per tick; 1e308 summed the heading to infinity.
+        ("heading_jitter", 4.0),
+        ("heading_jitter", 1e308),
         # The arena's area overflows a float.
         ("arena_half_width", 1e154),
         ("arena_half_width", 1e200),
@@ -338,11 +341,9 @@ def test_main_non_finite_value_exits_2(tmp_path, capsys, key, value):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
-    # A count, or a value refused for its size, names what it overflows.
-    names = {
-        "tick_duration": "tick count",
-        **{k: k for k in ("arena_half_width", "replications", "objects_type1", "objects_type2")},
-    }
+    # A value refused for its size names its key; a tiny tick, the tick count.
+    sized = ("arena_half_width", "heading_jitter", "replications", "objects_type1", "objects_type2")
+    names = {"tick_duration": "tick count", **{k: k for k in sized}}
     assert names.get(key, "config error") in err
     assert not out.exists()
 

@@ -13,7 +13,6 @@ from foragesim import (
     Mode,
     ObjectType,
     Robot,
-    SimClock,
     Simulation,
     VdrParams,
     VdrState,
@@ -406,8 +405,8 @@ def test_tick_fixed_point_when_all_draws_fail():
 
 
 def test_tick_count_matches_horizon():
-    assert SimClock(tick_duration=0.1, horizon=180.0).total_ticks == 1800
     sim = build_sim(rng=random.Random(1), totals=(1, 1), horizon=180.0)
+    assert sim.clock.total_ticks == 1800
     sim.world.add_object(ObjectType.TYPE1, 5.0, 5.0)
     sim.world.add_object(ObjectType.TYPE2, -5.0, 5.0)
     sim.world.add_robot(make_robot(0, 0.0, 0.0))

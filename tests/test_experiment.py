@@ -13,8 +13,13 @@ from foragesim import (
     set1_config,
     set2_config,
 )
-from foragesim.engine import MAX_TICKS
-from foragesim.experiment import MAX_OBJECTS, MAX_REPLICATIONS, ExperimentConfig, _build_world
+from foragesim.experiment import (
+    MAX_OBJECTS,
+    MAX_REPLICATIONS,
+    MAX_TICKS,
+    ExperimentConfig,
+    _build_world,
+)
 
 
 def test_config_validation():
@@ -83,6 +88,15 @@ def test_config_caps_the_tick_count():
     ):
         with pytest.raises(ValueError, match="tick count is capped"):
             replace(set1_config(), **overrides)
+
+
+def test_config_counts_its_spans_in_ticks():
+    config = set1_config()
+    assert (config.total_ticks, config.leave_check_ticks) == (1800, 1)
+    # replace recomputes both, and neither shows in the config's repr.
+    setup = replace(config, horizon=0.0, leave_check_period=1.0)
+    assert (setup.total_ticks, setup.leave_check_ticks) == (0, 10)
+    assert "ticks" not in repr(config)
 
 
 def test_config_caps_replications_and_object_counts():
