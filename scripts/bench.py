@@ -14,7 +14,7 @@ drives ``perfbench/run.py`` as it stands in the measured tree and records:
 - per workload, the traced layer split of one ``--trace 1`` run at seed 1;
 - the cost per robot-tick of Set II at constant density for N = 15, 60 and
   240, configs from ``perfbench/run.py``'s ``make_config``, each with the
-  same robot-ticks;
+  same robot-ticks: the median and quartiles of its repeats;
 - the Tier-1 wall time and its three slowest tests.
 
 Without ``--commit`` it measures the working tree; with it, a ``git archive``
@@ -134,19 +134,22 @@ def sweep(run) -> list:
             tick_s = time.perf_counter() - built - (built - start)
             ref = (ref + run.reference_seconds()) / 2
             samples.append((built - start, tick_s / ticks * 1e6, ticks * ref / tick_s))
-    return [
-        {
+    points = []
+    for config, samples in zip(configs, rows):
+        point = {
             "robots": config.robot_count,
             "objects": sum(config.object_totals),
             "arena_half_width": config.arena.arena_half_width,
             "horizon_s": config.horizon,
             "robot_ticks": run.robot_ticks(config),
             "build_s": statistics.median(r[0] for r in samples),
-            "us_per_robot_tick": statistics.median(r[1] for r in samples),
-            "robot_ticks_per_ref": statistics.median(r[2] for r in samples),
         }
-        for config, samples in zip(configs, rows)
-    ]
+        # The median of each cost, and its quartiles for the spread.
+        for i, key in ((1, "us_per_robot_tick"), (2, "robot_ticks_per_ref")):
+            q = quartiles([r[i] for r in samples])
+            point.update({key: q["median"], f"{key}_q1": q["q1"], f"{key}_q3": q["q3"]})
+        points.append(point)
+    return points
 
 
 def tier1(root: Path) -> dict:

@@ -4,13 +4,11 @@ self-organized task allocation."""
 __version__ = "0.1.0"
 
 from .allocation import (
-    AllocationState,
     Mode,
     ObjectType,
     VdrParams,
     VdrState,
     assign_task,
-    initial_allocation,
     leave_nest_decision,
     record_leave_outcome,
     record_pickup_event,

@@ -6,6 +6,10 @@ pick up object type 1, pick up object type 2). A probability moves up by
 ``delta`` times the length of the current failure streak, clamped to
 ``[p_min, p_max]``. Transitions are pure functions of (state, params) so a
 brute-force replay from the initial value reproduces them exactly.
+
+Each rule takes and returns only the state it reads or moves: a trip's
+outcome moves the leave state, in both modes; a pickup attempt moves the
+pickup state of the type it tried, in MODIFIED mode only.
 """
 
 from __future__ import annotations
@@ -58,25 +62,6 @@ class VdrParams:
         return VdrState(self.p_initial, 0, 0)
 
 
-class AllocationState(NamedTuple):
-    """Full per-robot allocation state: leave probability plus per-type pickup
-    probabilities. In both modes a trip's outcome moves only the leave state. In
-    MODIFIED mode each pickup attempt moves the state of the type it tried; in
-    ORIGINAL mode the obj states exist but are never touched."""
-
-    leave: VdrState
-    obj: tuple[VdrState, VdrState]
-
-
-def initial_allocation(
-    leave_params: VdrParams, obj_params: tuple[VdrParams, VdrParams]
-) -> AllocationState:
-    return AllocationState(
-        leave=leave_params.initial_state(),
-        obj=(obj_params[0].initial_state(), obj_params[1].initial_state()),
-    )
-
-
 def vdr_success(state: VdrState, params: VdrParams) -> VdrState:
     """Grow the success streak, reset the failure streak, raise p (clamped)."""
     streak = state.succ_streak + 1
@@ -92,37 +77,32 @@ def vdr_failure(state: VdrState, params: VdrParams) -> VdrState:
     return VdrState(p if p > params.p_min else params.p_min, 0, streak)
 
 
-def leave_nest_decision(state: AllocationState, u: float) -> bool:
+def leave_nest_decision(leave: VdrState, u: float) -> bool:
     """True iff the uniform draw u in [0,1) falls strictly below the leave
     probability."""
-    return u < state.leave.p
+    return u < leave.p
 
 
-def assign_task(state: AllocationState, u: float) -> ObjectType:
+def assign_task(pickup: tuple[VdrState, VdrState], u: float) -> ObjectType:
     """Sample a task assignment proportionally to the two pickup probabilities."""
-    p1, p2 = state.obj[0].p, state.obj[1].p
+    p1, p2 = pickup[0].p, pickup[1].p
     return ObjectType.TYPE1 if u < p1 / (p1 + p2) else ObjectType.TYPE2
 
 
-def record_leave_outcome(
-    state: AllocationState, delivered: bool, params_leave: VdrParams
-) -> AllocationState:
-    """Apply a trip's outcome to the leave-nest state only."""
-    step = vdr_success if delivered else vdr_failure
-    return AllocationState(step(state.leave, params_leave), state.obj)
+def record_leave_outcome(leave: VdrState, delivered: bool, params_leave: VdrParams) -> VdrState:
+    """Apply a trip's outcome to the leave-nest state."""
+    return (vdr_success if delivered else vdr_failure)(leave, params_leave)
 
 
 def record_pickup_event(
-    state: AllocationState,
+    pickup: tuple[VdrState, VdrState],
     obj_type: ObjectType,
     success: bool,
     params_obj: tuple[VdrParams, VdrParams],
-) -> AllocationState:
+) -> tuple[VdrState, VdrState]:
     """Apply one pickup attempt's outcome to that object type's state only."""
     step = vdr_success if success else vdr_failure
-    first, second = state.obj
+    first, second = pickup
     if obj_type:
-        second = step(second, params_obj[1])
-    else:
-        first = step(first, params_obj[0])
-    return AllocationState(state.leave, (first, second))
+        return first, step(second, params_obj[1])
+    return step(first, params_obj[0]), second

@@ -8,6 +8,7 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import fields
 from typing import Optional
 
@@ -130,14 +131,23 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return out
 
 
+def _unique_keys(pairs: list) -> dict:
+    # A key given twice would otherwise silently take its last value.
+    twice = sorted(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+    if twice:
+        raise ValueError(f"duplicate keys: {twice}")
+    return dict(pairs)
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    # Malformed JSON, bytes that are not UTF-8 and integers past Python's
-    # digit limit raise ValueError; arrays nested too deep, RecursionError.
+    # Malformed JSON, bytes that are not UTF-8, integers past Python's digit
+    # limit and duplicate keys raise ValueError; arrays nested too deep,
+    # RecursionError.
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -156,10 +166,11 @@ def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = Fal
 
     Returns the manifest dict. Raises ``FileExistsError`` before running
     anything if ``output_dir`` already holds files, so a bundle never mixes
-    with files of an earlier run. On any later failure, files already
-    written to the output directory by this call are removed before the
+    with files of an earlier run. On any later failure, the files this call
+    wrote, and the directory if this call made it, are removed before the
     error propagates.
     """
+    made = not os.path.isdir(output_dir)
     os.makedirs(output_dir, exist_ok=True)
     if os.listdir(output_dir):
         raise FileExistsError(f"output directory {output_dir} is not empty")
@@ -258,6 +269,11 @@ def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = Fal
         for p in written:
             try:
                 os.remove(p)
+            except OSError:
+                pass
+        if made:
+            try:
+                os.rmdir(output_dir)
             except OSError:
                 pass
         raise

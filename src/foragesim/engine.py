@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .allocation import (
-    AllocationState,
     Mode,
     ObjectType,
+    VdrState,
     assign_task,
     leave_nest_decision,
     record_leave_outcome,
@@ -46,7 +46,8 @@ class Robot:
     y: float
     heading: float
     capability: tuple[float, float]  # mechanical pickup probability per type
-    alloc: AllocationState
+    leave: VdrState
+    pickup: tuple[VdrState, VdrState]
     phase: RobotPhase = RobotPhase.STOPPING
     carried: Optional[ObjectType] = None
     search_deadline: float = 0.0
@@ -115,7 +116,7 @@ class Simulation:
         robot.heading = self.rng.random() * TWO_PI
         robot.search_deadline = self.clock.now + self.config.search_timeout
         if self.config.mode is Mode.MODIFIED:
-            robot.assignment = assign_task(robot.alloc, self.rng.random())
+            robot.assignment = assign_task(robot.pickup, self.rng.random())
         self._set_phase(robot, RobotPhase.SEARCHING)
         self._emit("leave", self.clock.tick_index, robot.id,
                    None if robot.assignment is None else int(robot.assignment))
@@ -126,8 +127,8 @@ class Simulation:
         if self.config.mode is Mode.MODIFIED:
             # Pickup probabilities track individual attempts, not whole
             # trips; this is what couples them to mechanical capability.
-            robot.alloc = record_pickup_event(
-                robot.alloc, obj.obj_type, success, self.config.obj_params
+            robot.pickup = record_pickup_event(
+                robot.pickup, obj.obj_type, success, self.config.obj_params
             )
         if success:
             self.world.remove_object(obj)
@@ -148,10 +149,8 @@ class Simulation:
         # Both names are looked up at call time, so module wrappers see them.
         modified = self.config.mode is Mode.MODIFIED
         update = record_leave_outcome if modified else record_trip_outcome
-        robot.alloc = update(robot.alloc, delivered, self.config.leave_params)
-        self._emit(
-            "trip", self.clock.tick_index, robot.id, delivered, robot.alloc.leave.p
-        )
+        robot.leave = update(robot.leave, delivered, self.config.leave_params)
+        self._emit("trip", self.clock.tick_index, robot.id, delivered, robot.leave.p)
         robot.carried = None
         robot.assignment = None
         self._set_phase(robot, RobotPhase.STOPPING)
@@ -180,7 +179,7 @@ class Simulation:
         for robot in world.robots:
             phase = robot.phase
             if phase is stopping:
-                if check and leaves(robot.alloc, random()):
+                if check and leaves(robot.leave, random()):
                     self._depart(robot)
                 continue
             x = robot.x

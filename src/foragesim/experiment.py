@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .allocation import Mode, ObjectType, VdrParams, initial_allocation
+from .allocation import Mode, ObjectType, VdrParams
 from .arena import ArenaConfig, TWO_PI, World, spawn_object
 from .engine import EventSink, Robot, Simulation
 
@@ -198,7 +198,8 @@ def _build_world(config: ExperimentConfig, rng) -> World:
                 y=y,
                 heading=rng.random() * TWO_PI,
                 capability=(rng.random(), rng.random()),
-                alloc=initial_allocation(config.leave_params, config.obj_params),
+                leave=config.leave_params.initial_state(),
+                pickup=tuple(params.initial_state() for params in config.obj_params),
             )
         )
     return world
@@ -216,15 +217,15 @@ def run_experiment(
     final_pobj = None
     if config.mode is Mode.MODIFIED:
         final_pobj = (
-            [r.alloc.obj[0].p for r in robots],
-            [r.alloc.obj[1].p for r in robots],
+            [r.pickup[0].p for r in robots],
+            [r.pickup[1].p for r in robots],
         )
     retrieved = (
         sum(r.retrieved[0] for r in robots),
         sum(r.retrieved[1] for r in robots),
     )
     return RunResult(
-        final_p1=[r.alloc.leave.p for r in robots],
+        final_p1=[r.leave.p for r in robots],
         final_pobj=final_pobj,
         retrieved=retrieved,
         trips=[(sum(r.retrieved), r.trip_failures) for r in robots],

@@ -10,20 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foragesim import (
-    AllocationState,
     ObjectType,
     VdrParams,
     VdrState,
     assign_task,
-    initial_allocation,
     leave_nest_decision,
     record_leave_outcome,
     record_pickup_event,
     vdr_failure,
     vdr_success,
 )
-
-SET2_LEAVE = VdrParams(p_max=0.08, p_min=0.002, p_initial=0.04, delta=0.0015)
 
 
 def replay_oracle(params, events):
@@ -46,12 +42,6 @@ def apply_events(state, params, events):
     for success in events:
         state = vdr_success(state, params) if success else vdr_failure(state, params)
     return state
-
-
-def alloc(leave=None, obj1=None, obj2=None, params=None):
-    params = params or SET2_LEAVE
-    base = VdrState(params.p_initial)
-    return AllocationState(leave=leave or base, obj=(obj1 or base, obj2 or base))
 
 
 # -- params validation -------------------------------------------------------
@@ -125,25 +115,24 @@ def test_transitions_do_not_mutate_input(table4_params):
 
 
 def test_leave_decision_strict_threshold():
-    state = alloc(leave=VdrState(0.04))
-    assert leave_nest_decision(state, 0.0399) is True
-    assert leave_nest_decision(state, 0.04) is False
-    low = alloc(leave=VdrState(0.002))
-    assert leave_nest_decision(low, 0.5) is False
+    leave = VdrState(0.04)
+    assert leave_nest_decision(leave, 0.0399) is True
+    assert leave_nest_decision(leave, 0.04) is False
+    assert leave_nest_decision(VdrState(0.002), 0.5) is False
 
 
 def test_assign_task_symmetric():
-    state = alloc(obj1=VdrState(0.075), obj2=VdrState(0.075))
-    assert assign_task(state, 0.49) is ObjectType.TYPE1
-    assert assign_task(state, 0.51) is ObjectType.TYPE2
+    pickup = (VdrState(0.075), VdrState(0.075))
+    assert assign_task(pickup, 0.49) is ObjectType.TYPE1
+    assert assign_task(pickup, 0.51) is ObjectType.TYPE2
 
 
 def test_assign_task_skewed_thresholds():
     # Normalized threshold 0.15 / 0.152, checked against the raw ratio.
-    state = alloc(obj1=VdrState(0.15), obj2=VdrState(0.002))
+    pickup = (VdrState(0.15), VdrState(0.002))
     assert 0.9 < 0.15 / (0.15 + 0.002)
-    assert assign_task(state, 0.9) is ObjectType.TYPE1
-    flipped = alloc(obj1=VdrState(0.002), obj2=VdrState(0.15))
+    assert assign_task(pickup, 0.9) is ObjectType.TYPE1
+    flipped = (VdrState(0.002), VdrState(0.15))
     assert assign_task(flipped, 0.5) is ObjectType.TYPE2
 
 
@@ -151,34 +140,29 @@ def test_assign_task_skewed_thresholds():
 
 
 def test_trip_outcome_original_delivered(table4_params):
-    state = alloc(leave=VdrState(0.04), params=table4_params)
-    out = record_leave_outcome(state, True, table4_params)
-    assert out.leave == vdr_success(VdrState(0.04), table4_params)
-    assert out.obj == state.obj
+    out = record_leave_outcome(VdrState(0.04), True, table4_params)
+    assert out == vdr_success(VdrState(0.04), table4_params)
 
 
 def test_record_leave_outcome_touches_leave_only(table4_params):
-    state = alloc(leave=VdrState(0.04), params=table4_params)
-    won = record_leave_outcome(state, True, table4_params)
-    lost = record_leave_outcome(state, False, table4_params)
-    assert won.leave == vdr_success(state.leave, table4_params)
-    assert lost.leave == vdr_failure(state.leave, table4_params)
-    assert won.obj == state.obj and lost.obj == state.obj
+    # The rule takes and returns the leave state alone: no pickup state
+    # reaches it.
+    leave = VdrState(0.04)
+    won = record_leave_outcome(leave, True, table4_params)
+    lost = record_leave_outcome(leave, False, table4_params)
+    assert type(won) is VdrState and type(lost) is VdrState
+    assert won == vdr_success(leave, table4_params)
+    assert lost == vdr_failure(leave, table4_params)
 
 
 def test_record_pickup_event_per_type(table9_params):
     obj_params = (table9_params, table9_params)
-    state = alloc()
-    out = record_pickup_event(state, ObjectType.TYPE2, True, obj_params)
-    assert out.obj[1] == vdr_success(state.obj[1], table9_params)
-    assert out.obj[0] == state.obj[0]
-    assert out.leave == state.leave
-
-
-def test_initial_allocation(table4_params, table9_params):
-    state = initial_allocation(table4_params, (table9_params, table9_params))
-    assert state.leave == VdrState(0.04, 0, 0)
-    assert state.obj == (VdrState(0.075, 0, 0), VdrState(0.075, 0, 0))
+    pickup = (table9_params.initial_state(), table9_params.initial_state())
+    out = record_pickup_event(pickup, ObjectType.TYPE2, True, obj_params)
+    assert out[1] == vdr_success(pickup[1], table9_params)
+    assert out[0] == pickup[0]
+    out = record_pickup_event(pickup, ObjectType.TYPE1, False, obj_params)
+    assert out == (vdr_failure(pickup[0], table9_params), pickup[1])
 
 
 # -- properties ---------------------------------------------------------------
@@ -217,15 +201,3 @@ def test_monotone_streak_growth(params, k):
     if unclamped <= params.p_max:
         assert state.succ_streak == k
         assert state == replay_oracle(params, [True] * k)
-
-
-@settings(max_examples=100)
-@given(events=st.lists(st.booleans(), max_size=100))
-def test_mode_isolation_original(events):
-    leave = VdrParams(p_max=0.08, p_min=0.002, p_initial=0.04, delta=0.0003)
-    obj = VdrParams(p_max=0.15, p_min=0.002, p_initial=0.075, delta=0.0025)
-    state = initial_allocation(leave, (obj, obj))
-    before = state.obj
-    for success in events:
-        state = record_leave_outcome(state, success, leave)
-    assert state.obj == before

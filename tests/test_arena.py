@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foragesim import ArenaConfig, Robot, Simulation, World, WorldObject
-from foragesim.allocation import ObjectType, VdrParams, initial_allocation
+from foragesim.allocation import ObjectType, VdrParams
 from foragesim.arena import (
     SPAWN_ATTEMPT_CAP,
     Contact,
@@ -44,7 +44,8 @@ def make_robot(rid, x, y, phase=RobotPhase.SEARCHING):
         y=y,
         heading=0.0,
         capability=(0.5, 0.5),
-        alloc=initial_allocation(params, (obj, obj)),
+        leave=params.initial_state(),
+        pickup=(obj.initial_state(), obj.initial_state()),
         phase=phase,
     )
 

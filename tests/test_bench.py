@@ -1,9 +1,13 @@
-"""scripts/bench.py's check of a benchmark file, on hand-built files: no
-benchmark runs."""
+"""scripts/bench.py's check of a benchmark file, on hand-built files, and
+its sweep on tiny configs: no benchmark runs."""
 
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
+
+from foragesim import set2_config
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -37,3 +41,19 @@ def test_problems_flags_a_failing_tier1_suite():
     summary = "1 failed, 251 passed in 20.3s"
     failed = {**good, "tier1": {**good["tier1"], "rc": 1, "summary": summary}}
     assert bench.problems(failed, SPEC) == [f"tier1: rc 1 ({summary})"]
+
+
+def test_sweep_records_the_spread_of_each_point():
+    bench = load_bench()
+    tiny = replace(set2_config(), robot_count=2, horizon=1.0, replications=1)
+    run = SimpleNamespace(
+        Workload=lambda *args, **kwargs: None,
+        make_config=lambda workload, seed: tiny,
+        robot_ticks=lambda config: 20,
+        reference_seconds=lambda: 1.0,
+    )
+    points = bench.sweep(run)
+    assert len(points) == len(bench.SWEEP_SCALES)
+    for point in points:
+        for key in ("us_per_robot_tick", "robot_ticks_per_ref"):
+            assert point[f"{key}_q1"] <= point[key] <= point[f"{key}_q3"]

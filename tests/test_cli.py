@@ -220,8 +220,9 @@ def test_run_command_cleans_partial_output(tmp_path, monkeypatch):
     out = tmp_path / "out"
     with pytest.raises(RuntimeError):
         run_command(small_config(), str(out))
-    # Everything written before the failure is cleaned up.
-    assert os.listdir(out) == []
+    # Everything written before the failure is cleaned up, and the directory
+    # the run made is gone too.
+    assert not out.exists()
 
 
 def test_event_log_written_and_parses(tmp_path):
@@ -264,15 +265,23 @@ def test_main_with_config_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "content",
+    "content, named",
     [
-        pytest.param(b'{"mode": "original"}', id="missing-keys"),
-        pytest.param(b'{"mode": "\xff"}', id="not-utf-8"),
-        pytest.param(b'{"seed": ' + b"1" * 5000 + b"}", id="int-past-digit-limit"),
-        pytest.param(b"[" * 100_000, id="nested-too-deep"),
+        pytest.param(b'{"mode": "original"}', "missing config keys", id="missing-keys"),
+        pytest.param(b'{"mode": "\xff"}', "cannot parse", id="not-utf-8"),
+        pytest.param(
+            b'{"seed": ' + b"1" * 5000 + b"}", "cannot parse", id="int-past-digit-limit"
+        ),
+        pytest.param(b"[" * 100_000, "cannot parse", id="nested-too-deep"),
+        # A key given twice would run with its last value.
+        pytest.param(
+            json.dumps(config_to_dict(small_config()))[:-1].encode() + b', "seed": 99}',
+            "duplicate keys: ['seed']",
+            id="duplicate-key",
+        ),
     ],
 )
-def test_main_bad_config_exits_2(tmp_path, capsys, content):
+def test_main_bad_config_exits_2(tmp_path, capsys, content, named):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
     out = tmp_path / "out"
@@ -280,6 +289,7 @@ def test_main_bad_config_exits_2(tmp_path, capsys, content):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
+    assert named in err
     assert not out.exists()
 
 
@@ -383,6 +393,10 @@ def test_main_overpacked_arena_exits_2(tmp_path, capsys):
     code = main(["--config", str(path), "--output", str(out)])
     assert code == 2
     assert "too packed" in capsys.readouterr().err
+    assert not out.exists()
+    # A directory the user made stays, empty.
+    out.mkdir()
+    assert main(["--config", str(path), "--output", str(out)]) == 2
     assert os.listdir(out) == []
 
 
@@ -420,7 +434,7 @@ def test_main_invariant_error_exits_3(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == "simulator bug: object conservation broken\n"
     assert captured.out == ""
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -562,6 +576,23 @@ def test_main_bad_override_exits_2(tmp_path, capsys, flag, value):
 def test_main_requires_source(capsys):
     with pytest.raises(SystemExit):
         main(["--output", "x"])
+
+
+def test_main_runs_on_the_standard_library_alone(tmp_path):
+    # -I -S: no site-packages, no user site and no PYTHONPATH, so any
+    # third-party import in the package fails here.
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = tmp_path / "out"
+    argv = ["--preset", "set2", "--replications", "1", "--event-log", "--output", str(out)]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); "
+        f"from foragesim.cli import main; sys.exit(main({argv!r}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "events_run000.jsonl").stat().st_size > 0
 
 
 # -- the names perfbench's tracer rebinds ----------------------------------------------

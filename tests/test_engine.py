@@ -17,7 +17,6 @@ from foragesim import (
     VdrParams,
     VdrState,
     World,
-    initial_allocation,
     run_experiment,
     set1_config,
     vdr_failure,
@@ -48,10 +47,15 @@ def build_sim(rng=None, totals=(30, 35), emit=None, **overrides):
 
 
 def make_robot(rid, x, y, heading=0.0, capability=(0.5, 0.5), p1=None):
-    alloc = initial_allocation(LEAVE, (OBJ, OBJ))
-    if p1 is not None:
-        alloc = alloc._replace(leave=VdrState(p1))
-    return Robot(id=rid, x=x, y=y, heading=heading, capability=capability, alloc=alloc)
+    return Robot(
+        id=rid,
+        x=x,
+        y=y,
+        heading=heading,
+        capability=capability,
+        leave=LEAVE.initial_state() if p1 is None else VdrState(p1),
+        pickup=(OBJ.initial_state(), OBJ.initial_state()),
+    )
 
 
 # -- leaving the nest ------------------------------------------------------------
@@ -201,12 +205,12 @@ def test_modified_wrong_type_is_plain_obstacle():
     robot.assignment = ObjectType.TYPE1
     sim.world.add_robot(robot)
     obj = place_contact_object(sim, ObjectType.TYPE2, robot)
-    before = robot.alloc
+    before = (robot.leave, robot.pickup)
     sim.tick()
     assert robot.carried is None
     assert robot.phase is RobotPhase.SEARCHING
     assert sim.world.objects.get(obj.id) is obj
-    assert robot.alloc == before
+    assert (robot.leave, robot.pickup) == before
 
 
 def test_modified_pickup_updates_per_attempt():
@@ -217,11 +221,11 @@ def test_modified_pickup_updates_per_attempt():
     robot.assignment = ObjectType.TYPE2
     sim.world.add_robot(robot)
     place_contact_object(sim, ObjectType.TYPE2, robot)
-    before = robot.alloc
+    leave, pickup = robot.leave, robot.pickup
     sim.tick()  # failed attempt
-    assert robot.alloc.obj[1] == vdr_failure(before.obj[1], OBJ)
-    assert robot.alloc.obj[0] == before.obj[0]
-    assert robot.alloc.leave == before.leave
+    assert robot.pickup[1] == vdr_failure(pickup[1], OBJ)
+    assert robot.pickup[0] == pickup[0]
+    assert robot.leave == leave
 
 
 # -- returning --------------------------------------------------------------------
@@ -250,7 +254,7 @@ def test_returning_delivery_updates_and_conserves():
         robot.phase = RobotPhase.RETURNING
         robot.carried = ObjectType.TYPE2
         sim.world.add_robot(robot)
-        before = robot.alloc
+        leave, pickup = robot.leave, robot.pickup
         sim.tick()
         assert robot.phase is RobotPhase.STOPPING
         assert robot.carried is None
@@ -259,8 +263,8 @@ def test_returning_delivery_updates_and_conserves():
         # The replacement spawned.
         assert sum(o.obj_type == ObjectType.TYPE2 for o in sim.world.objects.values()) == 1
         sim.world.check_conservation()
-        assert robot.alloc.leave == vdr_success(before.leave, LEAVE), mode
-        assert robot.alloc.obj == before.obj, mode
+        assert robot.leave == vdr_success(leave, LEAVE), mode
+        assert robot.pickup == pickup, mode
         kinds = [e[0] for e in events]
         assert kinds == ["deliver", "trip", "phase"]
 
@@ -273,12 +277,12 @@ def test_returning_empty_counts_failure():
         robot = make_robot(0, 0.5, 0.0)
         robot.phase = RobotPhase.RETURNING
         sim.world.add_robot(robot)
-        before = robot.alloc
+        leave, pickup = robot.leave, robot.pickup
         sim.tick()
         assert robot.phase is RobotPhase.STOPPING
         assert robot.trip_failures == 1
-        assert robot.alloc.leave == vdr_failure(before.leave, LEAVE), mode
-        assert robot.alloc.obj == before.obj, mode
+        assert robot.leave == vdr_failure(leave, LEAVE), mode
+        assert robot.pickup == pickup, mode
 
 
 def test_returning_edge_follows_object():
@@ -398,10 +402,13 @@ def test_tick_fixed_point_when_all_draws_fail():
     sim.world.add_object(ObjectType.TYPE2, -5.0, 5.0)
     for rid in range(3):
         sim.world.add_robot(make_robot(rid, 0.2 * rid, 0.0))
-    snapshot = [(r.x, r.y, r.heading, r.phase, r.alloc) for r in sim.world.robots]
+    def snapshot():
+        return [(r.x, r.y, r.heading, r.phase, r.leave, r.pickup) for r in sim.world.robots]
+
+    before = snapshot()
     sim.tick()
     assert sim.clock.tick_index == 1
-    assert snapshot == [(r.x, r.y, r.heading, r.phase, r.alloc) for r in sim.world.robots]
+    assert snapshot() == before
 
 
 def test_tick_count_matches_horizon():
@@ -479,6 +486,21 @@ def test_trip_accounting_matches_departures():
         assert trips[rid] == total
         # Every completed trip came from a departure; at most one trip open.
         assert departures[rid] - trips[rid] in (0, 1)
+
+
+def test_original_run_leaves_pickup_states_untouched():
+    # In ORIGINAL mode only trips move a robot's state, and only its leave
+    # state: after a whole Set I replication every pickup state is initial.
+    config = set1_config(seed=1)
+    assert config.mode is Mode.ORIGINAL
+    rng = random.Random(1)
+    sim = Simulation(config, _build_world(config, rng), rng)
+    sim.run()
+    robots = sim.world.robots
+    initial = tuple(params.initial_state() for params in config.obj_params)
+    assert sum(sum(r.retrieved) for r in robots) > 0  # pickups did happen
+    assert any(r.leave != config.leave_params.initial_state() for r in robots)
+    assert [r.pickup for r in robots] == [initial] * config.robot_count
 
 
 def test_run_memory_does_not_grow_with_the_horizon():

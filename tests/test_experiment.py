@@ -9,6 +9,7 @@ from foragesim import (
     ArenaConfig,
     Mode,
     VdrParams,
+    VdrState,
     run_experiment,
     set1_config,
     set2_config,
@@ -208,9 +209,17 @@ def test_world_build_is_the_same_in_both_modes():
     original, modified = [
         (
             [(o.id, o.obj_type, o.x, o.y) for o in world.objects.values()],
-            [(r.x, r.y, r.heading, r.capability, r.alloc) for r in world.robots],
+            [(r.x, r.y, r.heading, r.capability, r.leave, r.pickup) for r in world.robots],
         )
         for world in worlds
     ]
     assert len(original[0]) == 7 and len(original[1]) == 4
     assert original == modified
+
+
+def test_build_world_starts_robots_at_initial_states():
+    config = replace(set1_config(), robot_count=4)
+    world = _build_world(config, random.Random(7))
+    assert [r.leave for r in world.robots] == [VdrState(0.04, 0, 0)] * 4
+    pickup = (VdrState(0.075, 0, 0), VdrState(0.075, 0, 0))
+    assert [r.pickup for r in world.robots] == [pickup] * 4
