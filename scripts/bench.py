@@ -10,8 +10,10 @@ drives ``perfbench/run.py`` as it stands in the measured tree and records:
 - per workload of ``BENCHMARK.json``, seed 1: the median and quartiles of
   ``wall_ref``, ``robot_ticks_per_ref``, ``setup_s`` and ``peak_rss_mb``
   over the bundles of one ``--trace 0`` run, read from the per-bundle units
-  that run leaves in ``perfbench/.work/``;
-- per workload, the traced layer split of one ``--trace 1`` run at seed 1;
+  that run leaves in ``perfbench/.work/``, and the traced layer split of one
+  ``--trace 1`` run;
+- per workload, each run's ``correct``, ``attempted`` and ``failed``: the
+  two above and, at the hold-out seed 1001, one 1 s run at each ``--trace``;
 - the cost per robot-tick of Set II at constant density for N = 15, 60 and
   240, configs from ``perfbench/run.py``'s ``make_config``, each with the
   same robot-ticks: the median and quartiles of its repeats;
@@ -21,8 +23,9 @@ Without ``--commit`` it measures the working tree; with it, a ``git archive``
 of REV in a temporary directory. The file is written at the root of this
 checkout. ``--seconds`` is each perfbench run's length: 30 by default, the
 benchmark's, and 1 in CI, which checks that the file is complete, not what
-it measures. The exit code is 1 when the written file lacks a workload or metric,
-a run was not ``correct``, or the Tier-1 suite failed.
+it measures. The exit code is 1 when the file lacks a workload or metric, a
+run failed (it prints its last lines), a median differs from the value
+perfbench printed, or the Tier-1 suite failed.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 SEED = 1
+# No change is tuned against the hold-out seed; its runs check correctness only.
+HOLDOUT_SEED = 1001
+HOLDOUT_SECONDS = 1.0
 # Set II at linear scale k holds 15 k^2 robots; a horizon of 384 / k^2
 # seconds gives every point 57,600 robot-ticks, four times the crowd
 # workload's.
@@ -66,18 +72,25 @@ def quartiles(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
 
 
-def perfbench(root: Path, workload: str, seconds: float, trace: int) -> tuple:
-    """One ``perfbench/run.py`` run: its result line and its ``.work`` report."""
+def perfbench(root: Path, workload: str, seed: int, trace: int, seconds: float) -> tuple:
+    """One ``perfbench/run.py`` run: its record for the file, its result line
+    and its ``.work`` report, the last two ``None`` if it exited non-zero."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True,
     )
-    if proc.returncode != 0:
-        raise RuntimeError(f"perfbench/run.py {workload} --trace {trace} failed:\n{proc.stderr}")
-    result = json.loads(proc.stdout.splitlines()[-1])
-    report = root / "perfbench" / ".work" / f"{workload}-seed{SEED}-trace{trace}.json"
-    return result, json.loads(report.read_text())
+    record = {"seed": seed, "trace": trace, "rc": proc.returncode, "correct": False}
+    result = report = None
+    if proc.returncode == 0:
+        result = json.loads(proc.stdout.splitlines()[-1])
+        record.update((key, result[key]) for key in ("correct", "attempted", "failed"))
+        path = root / "perfbench" / ".work" / f"{workload}-seed{seed}-trace{trace}.json"
+        report = json.loads(path.read_text())
+    if record["correct"] is not True:
+        tail = proc.stdout.splitlines()[-5:] + proc.stderr.splitlines()[-5:]
+        print(f"{workload} seed {seed} trace {trace} failed:", *tail, sep="\n  ", file=sys.stderr)
+    return record, result, report
 
 
 def load_perfbench(root: Path):
@@ -90,25 +103,29 @@ def load_perfbench(root: Path):
 
 
 def measure_workload(root: Path, run, name: str, seconds: float) -> dict:
-    result, report = perfbench(root, name, seconds, trace=0)
-    ticks = run.robot_ticks(run.make_config(run.WORKLOADS[name], report["config_seed"]))
-    units = [u for u in report["units"] if u["ok"]]
-    samples = {
-        "wall_ref": [u["wall_s"] / u["ref_s"] for u in units],
-        "robot_ticks_per_ref": [ticks * u["ref_s"] / u["wall_s"] for u in units],
-        "setup_s": [u["wall_s"] for u in report["setup_units"] if u["ok"]],
-        "peak_rss_mb": [u["peak_rss_mb"] for u in units],
-    }
-    traced, _ = perfbench(root, name, seconds, trace=1)
-    return {
-        "correct": result["correct"] and traced["correct"],
-        "attempted": result["attempted"] + traced["attempted"],
-        "failed": result["failed"] + traced["failed"],
-        "metrics": {
-            metric: {"unit": result["metrics"][metric]["unit"], **quartiles(values)}
+    timed, timed_out, report = perfbench(root, name, SEED, 0, seconds)
+    traced, traced_out, _ = perfbench(root, name, SEED, 1, seconds)
+    holdout = [perfbench(root, name, HOLDOUT_SEED, trace, HOLDOUT_SECONDS)[0] for trace in (0, 1)]
+    metrics = {}
+    if report is not None:
+        # perfbench/run.py's formulas over its units; problems() checks that
+        # each median is the value it printed.
+        ticks = run.robot_ticks(run.make_config(run.WORKLOADS[name], report["config_seed"]))
+        units = report["units"]
+        samples = {
+            "wall_ref": [u["wall_s"] / u["ref_s"] for u in units],
+            "robot_ticks_per_ref": [ticks * u["ref_s"] / u["wall_s"] for u in units],
+            "setup_s": [u["wall_s"] for u in report["setup_units"]],
+            "peak_rss_mb": [u["peak_rss_mb"] for u in units if "peak_rss_mb" in u],
+        }
+        metrics = {
+            metric: {**timed_out["metrics"][metric], **quartiles(values)}
             for metric, values in samples.items() if values
-        },
-        "layers": {metric: entry["value"] for metric, entry in traced["metrics"].items()},
+        }
+    return {
+        "runs": [timed, traced, *holdout],
+        "metrics": metrics,
+        "layers": {m: e["value"] for m, e in traced_out["metrics"].items()} if traced_out else {},
     }
 
 
@@ -180,8 +197,15 @@ def problems(bench: dict, spec: dict) -> list:
         if entry is None:
             found.append(f"{name}: missing")
             continue
-        if entry["correct"] is not True:
-            found.append(f"{name}: not correct")
+        for run in entry["runs"]:
+            where = f"{name} seed {run['seed']} trace {run['trace']}"
+            if run["rc"] != 0:
+                found.append(f"{where}: exit {run['rc']}")
+            elif run["correct"] is not True:
+                found.append(f"{where}: not correct")
+        for metric, m in entry["metrics"].items():
+            if m["median"] != m["value"]:
+                found.append(f"{name}: {metric} median {m['median']} != printed {m['value']}")
         for kind, key in (("end_to_end", "metrics"), ("per_layer", "layers")):
             missing = {m["name"] for m in spec[kind]} - set(entry[key])
             if missing:

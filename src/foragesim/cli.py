@@ -167,10 +167,14 @@ def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = Fal
     Returns the manifest dict. Raises ``FileExistsError`` before running
     anything if ``output_dir`` already holds files, so a bundle never mixes
     with files of an earlier run. On any later failure, the files this call
-    wrote, and the directory if this call made it, are removed before the
-    error propagates.
+    wrote, and the directories this call made, are removed before the error
+    propagates.
     """
-    made = not os.path.isdir(output_dir)
+    made = []  # the directories makedirs is about to create, innermost first
+    path = os.path.abspath(output_dir)
+    while not os.path.isdir(path):
+        made.append(path)
+        path = os.path.dirname(path)
     os.makedirs(output_dir, exist_ok=True)
     if os.listdir(output_dir):
         raise FileExistsError(f"output directory {output_dir} is not empty")
@@ -271,11 +275,11 @@ def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = Fal
                 os.remove(p)
             except OSError:
                 pass
-        if made:
+        for path in made:
             try:
-                os.rmdir(output_dir)
+                os.rmdir(path)
             except OSError:
-                pass
+                break
         raise
 
 

@@ -21,10 +21,13 @@ def load_bench():
 
 
 def complete_file(bench):
-    """A benchmark file with every workload, metric and sweep point."""
+    """A benchmark file with every workload, run, metric and sweep point."""
     workload = {
-        "correct": True,
-        "metrics": {m["name"]: {} for m in SPEC["end_to_end"]},
+        "runs": [
+            {"seed": seed, "trace": trace, "rc": 0, "correct": True, "attempted": 4, "failed": 0}
+            for seed in (bench.SEED, bench.HOLDOUT_SEED) for trace in (0, 1)
+        ],
+        "metrics": {m["name"]: {"value": 1.5, "median": 1.5} for m in SPEC["end_to_end"]},
         "layers": {m["name"]: 0 for m in SPEC["per_layer"]},
     }
     return {
@@ -41,6 +44,46 @@ def test_problems_flags_a_failing_tier1_suite():
     summary = "1 failed, 251 passed in 20.3s"
     failed = {**good, "tier1": {**good["tier1"], "rc": 1, "summary": summary}}
     assert bench.problems(failed, SPEC) == [f"tier1: rc 1 ({summary})"]
+
+
+def test_problems_names_each_failed_run_by_workload_seed_and_trace():
+    bench = load_bench()
+    good = complete_file(bench)
+    entry = good["workloads"]["crowd"]
+    runs = [dict(run) for run in entry["runs"]]
+    runs[1]["correct"] = False
+    runs[2].update(correct=False, failed=1)
+    runs[3].update(rc=1, correct=False)
+    bad = {**good, "workloads": {**good["workloads"], "crowd": {**entry, "runs": runs}}}
+    assert bench.problems(bad, SPEC) == [
+        "crowd seed 1 trace 1: not correct",
+        "crowd seed 1001 trace 0: not correct",
+        "crowd seed 1001 trace 1: exit 1",
+    ]
+
+
+def test_problems_names_a_median_that_is_not_perfbenchs_value():
+    bench = load_bench()
+    good = complete_file(bench)
+    entry = good["workloads"]["set1"]
+    metrics = {**entry["metrics"], "wall_ref": {"value": 2.9, "median": 2.95}}
+    bad = {**good, "workloads": {**good["workloads"], "set1": {**entry, "metrics": metrics}}}
+    assert bench.problems(bad, SPEC) == ["set1: wall_ref median 2.95 != printed 2.9"]
+
+
+def test_perfbench_records_a_run_that_exits_non_zero_and_prints_its_last_lines(
+    tmp_path, capsys
+):
+    bench = load_bench()
+    (tmp_path / "perfbench").mkdir()
+    script = "import sys\nfor i in range(7):\n    print(i)\nsys.exit('boom')\n"
+    (tmp_path / "perfbench" / "run.py").write_text(script)
+    assert bench.perfbench(tmp_path, "crowd", 1001, 1, 1.0) == (
+        {"seed": 1001, "trace": 1, "rc": 1, "correct": False}, None, None
+    )
+    assert capsys.readouterr().err.splitlines() == [
+        "crowd seed 1001 trace 1 failed:", "  2", "  3", "  4", "  5", "  6", "  boom"
+    ]
 
 
 def test_sweep_records_the_spread_of_each_point():

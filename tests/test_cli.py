@@ -394,9 +394,14 @@ def test_main_overpacked_arena_exits_2(tmp_path, capsys):
     assert code == 2
     assert "too packed" in capsys.readouterr().err
     assert not out.exists()
-    # A directory the user made stays, empty.
+    # Nor do the parent directories it made.
+    assert main(["--config", str(path), "--output", str(tmp_path / "nest" / "a" / "out")]) == 2
+    assert not (tmp_path / "nest").exists()
+    # A directory the user made stays, empty, as its own output or a parent.
     out.mkdir()
     assert main(["--config", str(path), "--output", str(out)]) == 2
+    assert os.listdir(out) == []
+    assert main(["--config", str(path), "--output", str(out / "a" / "out")]) == 2
     assert os.listdir(out) == []
 
 
