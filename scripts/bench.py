@@ -16,8 +16,11 @@ drives ``perfbench/run.py`` as it stands in the measured tree and records:
   two above and, at the hold-out seed 1001, one 1 s run at each ``--trace``;
 - the cost per robot-tick of Set II at constant density for N = 15, 60 and
   240, configs from ``perfbench/run.py``'s ``make_config``, each with the
-  same robot-ticks: the median and quartiles of its repeats;
-- the Tier-1 wall time and its three slowest tests.
+  same robot-ticks: the median and quartiles of its repeats. The sweep
+  tracks how that cost scales with N; its points move by up to 14% between
+  two runs of one commit, so it cannot resolve a change under about 15%;
+- the Tier-1 wall time, its three slowest tests and, when it fails, the
+  last lines pytest wrote to stderr.
 
 Without ``--commit`` it measures the working tree; with it, a ``git archive``
 of REV in a temporary directory. The file is written at the root of this
@@ -184,8 +187,9 @@ def tier1(root: Path) -> dict:
         for m in (re.match(r"([\d.]+)s (call|setup|teardown)\s+(\S+)", line) for line in lines)
         if m
     ]
+    # A suite that cannot start (no pytest, say) says why on stderr only.
     return {"wall_s": wall, "rc": proc.returncode, "summary": lines[-1] if lines else "",
-            "slowest": slowest}
+            "stderr": proc.stderr.splitlines()[-5:], "slowest": slowest}
 
 
 def problems(bench: dict, spec: dict) -> list:
@@ -214,7 +218,8 @@ def problems(bench: dict, spec: dict) -> list:
         found.append("sweep: incomplete")
     tier1 = bench["tier1"]
     if tier1["rc"] != 0:
-        found.append(f"tier1: rc {tier1['rc']} ({tier1['summary']})")
+        stderr = "".join(f" | {line}" for line in tier1["stderr"])
+        found.append(f"tier1: rc {tier1['rc']} ({tier1['summary']}){stderr}")
     if len(tier1["slowest"]) != 3:
         found.append(f"tier1: no test durations in {tier1['summary']!r}")
     return found

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional
 
 from .allocation import ObjectType
@@ -143,7 +143,6 @@ def _leave(cells: dict, item, key: int, offsets: tuple) -> None:
             del cells[key + offset]
 
 
-@dataclass
 class World:
     """Arena state. Objects and robots enter and change only through the
     methods below, which keep the two contact grids in step with them.
@@ -172,14 +171,12 @@ class World:
     particular order.
     """
 
-    config: ArenaConfig
-    totals: tuple[int, int]
-    objects: dict = field(default_factory=dict, init=False)  # id -> free WorldObject
-    robots: list = field(default_factory=list, init=False)  # engine.Robot instances
-    _next_object_id: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        cfg = self.config
+    def __init__(self, config: ArenaConfig, totals: tuple[int, int]) -> None:
+        self.config = cfg = config
+        self.totals = totals
+        self.objects: dict = {}  # id -> free WorldObject
+        self.robots: list = []  # engine.Robot instances
+        self._next_object_id = 0
         # Contact thresholds, computed once for the contact query.
         rr = cfg.robot_contact()
         ro = cfg.object_contact()
@@ -304,7 +301,9 @@ def spawn_object(world: World, obj_type: ObjectType, rng) -> WorldObject:
         if x * x + y * y <= nest_keepout * nest_keepout:
             continue
         near = cells.get(world.block_key(x, y))
-        if near and any((o.x - x) ** 2 + (o.y - y) ** 2 < min_sep_sq for o in near):
+        if near and any(
+            (o.x - x) * (o.x - x) + (o.y - y) * (o.y - y) < min_sep_sq for o in near
+        ):
             continue
         return world.add_object(obj_type, x, y)
     raise SpawnError(
@@ -339,7 +338,9 @@ def nearest_contact(
         for other in near:
             if other.id == ignore_robot_id:
                 continue
-            d2 = (other.x - x) ** 2 + (other.y - y) ** 2
+            dx = other.x - x
+            dy = other.y - y
+            d2 = dx * dx + dy * dy
             if d2 < best_d2 or (
                 d2 == best_d2 and best_robot is not None and other.id < best_robot.id
             ):
@@ -377,7 +378,9 @@ def nearest_contact(
     best_obj = None
     best_d2 = world.object_contact_sq
     for obj in near:
-        d2 = (obj.x - x) ** 2 + (obj.y - y) ** 2
+        dx = obj.x - x
+        dy = obj.y - y
+        d2 = dx * dx + dy * dy
         if d2 < best_d2 or (
             d2 == best_d2 and best_obj is not None and obj.id < best_obj.id
         ):
@@ -403,19 +406,10 @@ def bounce_heading(
     return fallback_heading
 
 
-# The points below are ``(x, y)`` pairs.
-
-
-def away_heading(position, contact_point) -> float:
-    """Heading pointing exactly from the contact point through the position."""
-    return math.atan2(position[1] - contact_point[1], position[0] - contact_point[0])
-
-
-def separating_test(position, contact_point, step: float) -> Callable[[float], bool]:
+def separating_test(dx0: float, dy0: float, step: float) -> Callable[[float], bool]:
     """Predicate accepting headings whose one-tick step strictly increases
-    the distance to the contact point."""
-    dx0 = position[0] - contact_point[0]
-    dy0 = position[1] - contact_point[1]
+    the distance to a contact point, from a position offset ``(dx0, dy0)``
+    from it."""
     d0_sq = dx0 * dx0 + dy0 * dy0
 
     def test(h: float) -> bool:
@@ -426,17 +420,19 @@ def separating_test(position, contact_point, step: float) -> Callable[[float], b
     return test
 
 
-def edge_follow_heading(robot_position, goal, obstacle_center) -> float:
+def edge_follow_heading(robot_position, obstacle_center) -> float:
     """Heading tangent to the obstacle, choosing the tangent direction
-    closer to the goal direction. Discrete tangent steps move along a chord
-    and therefore never reduce the distance to the obstacle center."""
+    closer to the direction of the nest center, the origin. Both points are
+    ``(x, y)`` pairs. Discrete tangent steps move along a chord and
+    therefore never reduce the distance to the obstacle center."""
     x, y = robot_position
     vx = x - obstacle_center[0]
     vy = y - obstacle_center[1]
     norm = math.hypot(vx, vy)
-    gx, gy = goal[0] - x, goal[1] - y
+    # 0.0 - x, not -x: at x = 0.0 it is +0.0, where -0.0 would turn atan2 by pi.
+    gx, gy = 0.0 - x, 0.0 - y
     if norm == 0.0:
-        # Degenerate overlap; flee toward the goal.
+        # Degenerate overlap; flee toward the nest center.
         gn = math.hypot(gx, gy) or 1.0
         return math.atan2(gy / gn, gx / gn)
     # The two unit tangents, perpendicular to the obstacle-to-robot vector.

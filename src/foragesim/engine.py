@@ -30,7 +30,6 @@ from .arena import (
     RobotPhase,
     World,
     WorldObject,
-    away_heading,
     bounce_heading,
     edge_follow_heading,
     nearest_contact,
@@ -59,13 +58,7 @@ class Robot:
 
 @dataclass
 class SimClock:
-    tick_duration: float
-    total_ticks: int
-    tick_index: int = 0
-
-    @property
-    def now(self) -> float:
-        return self.tick_index * self.tick_duration
+    tick_index: int = 0  # ticks run so far; their count and length are the config's
 
 
 # Receives each event record, a tuple such as ("pickup", tick, robot id,
@@ -81,7 +74,7 @@ class Simulation:
     def __init__(self, config, world: World, rng, emit: Optional[EventSink] = None):
         self.config = config
         self.world = world
-        self.clock = SimClock(config.tick_duration, config.total_ticks)
+        self.clock = SimClock()
         self.rng = rng
         self.emit = emit
         self._step = world.config.robot_speed * config.tick_duration
@@ -103,19 +96,23 @@ class Simulation:
     # states each phase's response to each contact kind and takes the step.
 
     def _bounce(self, robot: Robot, contact_point) -> None:
-        position = (robot.x, robot.y)
+        cx, cy = contact_point
+        dx = robot.x - cx
+        dy = robot.y - cy
         robot.heading = bounce_heading(
             robot.heading,
             self.rng,
-            separating_test(position, contact_point, self._step),
-            away_heading(position, contact_point),
+            separating_test(dx, dy, self._step),
+            math.atan2(dy, dx),  # straight away from the contact
         )
 
     def _depart(self, robot: Robot) -> None:
         """Send a robot that decided to leave the nest out searching."""
         robot.heading = self.rng.random() * TWO_PI
-        robot.search_deadline = self.clock.now + self.config.search_timeout
-        if self.config.mode is Mode.MODIFIED:
+        config = self.config
+        now = self.clock.tick_index * config.tick_duration
+        robot.search_deadline = now + config.search_timeout
+        if config.mode is Mode.MODIFIED:
             robot.assignment = assign_task(robot.pickup, self.rng.random())
         self._set_phase(robot, RobotPhase.SEARCHING)
         self._emit("leave", self.clock.tick_index, robot.id,
@@ -158,11 +155,12 @@ class Simulation:
     # -- driver ----------------------------------------------------------
 
     def tick(self) -> None:
+        config = self.config
         clock = self.clock
-        if clock.tick_index >= clock.total_ticks:
+        if clock.tick_index >= config.total_ticks:
             raise ValueError("clock is past the horizon")
-        now = clock.now
-        check = clock.tick_index % self.config.leave_check_ticks == 0
+        now = clock.tick_index * config.tick_duration
+        check = clock.tick_index % config.leave_check_ticks == 0
         world = self.world
         move = world.move_robot
         jitter = world.config.heading_jitter
@@ -172,7 +170,7 @@ class Simulation:
         cos, sin, hypot = math.cos, math.sin, math.hypot
         stopping, searching = RobotPhase.STOPPING, RobotPhase.SEARCHING
         no_contact, nest = ContactKind.NONE, ContactKind.NEST
-        modified = self.config.mode is Mode.MODIFIED
+        modified = config.mode is Mode.MODIFIED
         # Looked up once a tick, so a wrapper installed on the module sees
         # every call.
         query, leaves = nearest_contact, leave_nest_decision
@@ -220,7 +218,7 @@ class Simulation:
                     # forever.
                     self._bounce(robot, contact.point)
                 elif kind is ContactKind.OBJECT:
-                    robot.heading = edge_follow_heading((x, y), (0.0, 0.0), contact.point)
+                    robot.heading = edge_follow_heading((x, y), contact.point)
                 else:
                     # The nest boundary is passable on return; home in.
                     robot.heading = math.atan2(-y, -x)
@@ -241,5 +239,5 @@ class Simulation:
         world.check_conservation()
 
     def run(self) -> None:
-        while self.clock.tick_index < self.clock.total_ticks:
+        while self.clock.tick_index < self.config.total_ticks:
             self.tick()

@@ -16,7 +16,6 @@ from foragesim.arena import (
     ContactKind,
     SimulationInvariantError,
     SpawnError,
-    away_heading,
     bounce_heading,
     edge_follow_heading,
     nearest_contact,
@@ -419,17 +418,19 @@ def test_contact_tie_goes_to_lower_id(low_id_x):
 # -- bounce ----------------------------------------------------------------------
 
 
+def bounce(heading, rng, position, contact_point, step):
+    """``bounce_heading`` called as ``Simulation._bounce`` calls it: the
+    separating test and the away heading from one offset to the contact."""
+    dx = position[0] - contact_point[0]
+    dy = position[1] - contact_point[1]
+    return bounce_heading(heading, rng, separating_test(dx, dy, step), math.atan2(dy, dx))
+
+
 def test_bounce_separates_from_contact_ahead():
     position = (5.0, 0.0)
     contact_point = (5.3, 0.0)  # directly ahead at bearing 0
-    step = 0.1
-    h = bounce_heading(
-        0.0,
-        random.Random(11),
-        separating_test(position, contact_point, step),
-        away_heading(position, contact_point),
-    )
-    away = away_heading(position, contact_point)
+    h = bounce(0.0, random.Random(11), position, contact_point, 0.1)
+    away = math.atan2(position[1] - contact_point[1], position[0] - contact_point[0])
     assert math.cos(h - away) > 0.0
 
 
@@ -437,8 +438,8 @@ def test_opposed_bounces_increase_distance():
     step = 0.1
     a, b = (5.0, 0.0), (5.3, 0.0)
     rng = random.Random(4)
-    ha = bounce_heading(0.0, rng, separating_test(a, b, step), away_heading(a, b))
-    hb = bounce_heading(math.pi, rng, separating_test(b, a, step), away_heading(b, a))
+    ha = bounce(0.0, rng, a, b, step)
+    hb = bounce(math.pi, rng, b, a, step)
     a2 = (a[0] + step * math.cos(ha), a[1] + step * math.sin(ha))
     b2 = (b[0] + step * math.cos(hb), b[1] + step * math.sin(hb))
     assert math.dist(a2, b2) > math.dist(a, b)
@@ -448,21 +449,17 @@ def test_bounce_fallback_after_exhausted_redraws():
     # Scripted draws all map to heading 0, which points at the contact.
     rng = ScriptedRng([0.0] * 100)
     position, contact_point = (5.0, 0.0), (5.3, 0.0)
-    h = bounce_heading(
-        0.25,
-        rng,
-        separating_test(position, contact_point, 0.1),
-        away_heading(position, contact_point),
-    )
+    h = bounce(0.25, rng, position, contact_point, 0.1)
     assert rng.calls == 100
-    assert h == away_heading(position, contact_point) == pytest.approx(math.pi)
+    # The exact away heading, from the contact through the position.
+    assert h == math.atan2(0.0 - 0.0, 5.0 - 5.3) == pytest.approx(math.pi)
 
 
 # -- edge follow ------------------------------------------------------------------
 
 
 def test_edge_follow_perpendicular_when_obstacle_blocks_goal():
-    h = edge_follow_heading((4.0, 0.0), (0.0, 0.0), (3.7, 0.0))
+    h = edge_follow_heading((4.0, 0.0), (3.7, 0.0))
     radial = (4.0 - 3.7, 0.0)
     assert abs(math.cos(h) * radial[0] + math.sin(h) * radial[1]) < 1e-12
 
@@ -471,7 +468,7 @@ def test_edge_follow_picks_tangent_closer_to_goal():
     rx, ry = 4.0, 0.0
     gx, gy = 0.0 - rx, 0.0 - ry
     ox, oy = 3.8, 0.2  # offset left of the robot-to-origin line
-    chosen = edge_follow_heading((rx, ry), (0.0, 0.0), (ox, oy))
+    chosen = edge_follow_heading((rx, ry), (ox, oy))
     # Brute force: both tangents, pick the one with larger dot toward goal.
     vx, vy = rx - ox, ry - oy
     n = math.hypot(vx, vy)
@@ -485,8 +482,7 @@ def test_edge_follow_detour_clears_obstacle():
     step = cfg.robot_speed * 0.1
     obstacle = (3.0, 0.0)
     contact_range = cfg.robot_radius + cfg.object_radius + cfg.contact_margin
-    pos = (obstacle[0] + contact_range - 0.01, 0.0)  # in contact, goal behind it
-    goal = (0.0, 0.0)
+    pos = (obstacle[0] + contact_range - 0.01, 0.0)  # in contact, nest behind it
     start_goal_dist = math.hypot(*pos)
     budget = math.ceil(math.pi * (cfg.object_radius + cfg.robot_radius) / step) + 5
     improved = False
@@ -494,7 +490,7 @@ def test_edge_follow_detour_clears_obstacle():
         before = math.dist(pos, obstacle)
         following = before < contact_range
         if following:
-            h = edge_follow_heading(pos, goal, obstacle)
+            h = edge_follow_heading(pos, obstacle)
         else:
             h = math.atan2(-pos[1], -pos[0])
         pos = (pos[0] + step * math.cos(h), pos[1] + step * math.sin(h))
@@ -598,7 +594,7 @@ def test_grids_file_each_item_under_its_block_cells():
     world = _build_world(config, rng)
     events = []
     sim = Simulation(config, world, rng, emit=events.append)
-    for _ in range(sim.clock.total_ticks):
+    for _ in range(sim.config.total_ticks):
         sim.tick()
         moving = [r for r in world.robots if r.phase is not RobotPhase.STOPPING]
         assert filed_cells(world.robot_cells) == {
@@ -681,7 +677,7 @@ def test_wide_arena_grids_hold_only_cells_with_items():
     rng = random.Random(3)
     world = _build_world(config, rng)
     sim = Simulation(config, world, rng)
-    for _ in range(sim.clock.total_ticks):
+    for _ in range(sim.config.total_ticks):
         sim.tick()
         moving = [r for r in world.robots if r.phase is not RobotPhase.STOPPING]
         assert len(world.robot_cells) <= 4 * len(moving)

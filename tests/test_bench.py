@@ -3,6 +3,7 @@ its sweep on tiny configs: no benchmark runs."""
 
 import importlib.util
 import json
+import subprocess
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -33,7 +34,9 @@ def complete_file(bench):
     return {
         "workloads": {w["name"]: workload for w in SPEC["workloads"]},
         "sweep": [{"robots": 15 * k * k} for k in bench.SWEEP_SCALES],
-        "tier1": {"rc": 0, "summary": "252 passed in 20.1s", "slowest": [{}, {}, {}]},
+        "tier1": {
+            "rc": 0, "summary": "252 passed in 20.1s", "stderr": [], "slowest": [{}, {}, {}]
+        },
     }
 
 
@@ -44,6 +47,22 @@ def test_problems_flags_a_failing_tier1_suite():
     summary = "1 failed, 251 passed in 20.3s"
     failed = {**good, "tier1": {**good["tier1"], "rc": 1, "summary": summary}}
     assert bench.problems(failed, SPEC) == [f"tier1: rc 1 ({summary})"]
+
+
+def test_tier1_keeps_the_stderr_of_a_suite_that_cannot_start(tmp_path, monkeypatch):
+    bench = load_bench()
+    stderr = "".join(f"line {i}\n" for i in range(6)) + "python3: No module named pytest\n"
+    monkeypatch.setattr(
+        subprocess, "run", lambda args, **kwargs: subprocess.CompletedProcess(args, 1, "", stderr)
+    )
+    record = bench.tier1(tmp_path)
+    assert record["stderr"] == [
+        "line 2", "line 3", "line 4", "line 5", "python3: No module named pytest"
+    ]
+    assert bench.problems({**complete_file(bench), "tier1": record}, SPEC) == [
+        "tier1: rc 1 () | line 2 | line 3 | line 4 | line 5 | python3: No module named pytest",
+        "tier1: no test durations in ''",
+    ]
 
 
 def test_problems_names_each_failed_run_by_workload_seed_and_trace():

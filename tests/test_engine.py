@@ -295,7 +295,7 @@ def test_returning_edge_follows_object():
     robot.carried = ObjectType.TYPE1
     sim.world.add_robot(robot)
     sim.tick()
-    assert robot.heading == edge_follow_heading((5.0, 0.0), (0.0, 0.0), (obj.x, obj.y))
+    assert robot.heading == edge_follow_heading((5.0, 0.0), (obj.x, obj.y))
 
 
 def test_returning_robot_contact_separates():
@@ -413,7 +413,7 @@ def test_tick_fixed_point_when_all_draws_fail():
 
 def test_tick_count_matches_horizon():
     sim = build_sim(rng=random.Random(1), totals=(1, 1), horizon=180.0)
-    assert sim.clock.total_ticks == 1800
+    assert sim.config.total_ticks == 1800
     sim.world.add_object(ObjectType.TYPE1, 5.0, 5.0)
     sim.world.add_object(ObjectType.TYPE2, -5.0, 5.0)
     sim.world.add_robot(make_robot(0, 0.0, 0.0))
@@ -510,7 +510,7 @@ def test_run_memory_does_not_grow_with_the_horizon():
     tracemalloc.start()
     try:
         sim = Simulation(config, _build_world(config, rng), rng)
-        while sim.clock.tick_index < sim.clock.total_ticks:
+        while sim.clock.tick_index < sim.config.total_ticks:
             sim.tick()
             if sim.clock.tick_index == 600:
                 at_60_s = tracemalloc.get_traced_memory()[0]
