@@ -344,9 +344,15 @@ def main(argv: Optional[list] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote bundle to {args.output}")
-    print(f"bimodality scores: {manifest['bimodality_scores']}")
-    print(f"binomial TV distance: {manifest['binomial_tv_distance']:.4f}")
+    try:
+        print(f"wrote bundle to {args.output}")
+        print(f"bimodality scores: {manifest['bimodality_scores']}")
+        print(f"binomial TV distance: {manifest['binomial_tv_distance']:.4f}", flush=True)
+    except BrokenPipeError:
+        # The reader of stdout has gone (``| head -0``), but the bundle is
+        # whole. Stdout goes to devnull so the interpreter's last flush of
+        # the lines still buffered cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

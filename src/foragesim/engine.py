@@ -66,12 +66,16 @@ class SimClock:
 EventSink = Callable[[tuple], None]
 
 
+def discard(record: tuple) -> None:
+    """The default sink: a run without an event log drops each record."""
+
+
 class Simulation:
     """Owns one world, one clock and one random stream for one run of
     ``config``. The allocation rule and its timing come from ``config``;
     geometry comes from ``world.config``."""
 
-    def __init__(self, config, world: World, rng, emit: Optional[EventSink] = None):
+    def __init__(self, config, world: World, rng, emit: EventSink = discard):
         self.config = config
         self.world = world
         self.clock = SimClock()
@@ -80,14 +84,8 @@ class Simulation:
         self._step = world.config.robot_speed * config.tick_duration
         self._limit = world.config.arena_half_width - world.config.robot_radius
 
-    # -- event log -----------------------------------------------------
-
-    def _emit(self, *record) -> None:
-        if self.emit is not None:
-            self.emit(record)
-
     def _set_phase(self, robot: Robot, phase: RobotPhase) -> None:
-        self._emit("phase", self.clock.tick_index, robot.id, robot.phase.value, phase.value)
+        self.emit(("phase", self.clock.tick_index, robot.id, robot.phase.value, phase.value))
         self.world.set_phase(robot, phase)
 
     # -- behavior ----------------------------------------------------------
@@ -106,17 +104,17 @@ class Simulation:
             math.atan2(dy, dx),  # straight away from the contact
         )
 
-    def _depart(self, robot: Robot) -> None:
-        """Send a robot that decided to leave the nest out searching."""
+    def _depart(self, robot: Robot, now: float) -> None:
+        """Send a robot that decided at time ``now`` to leave the nest out
+        searching."""
         robot.heading = self.rng.random() * TWO_PI
         config = self.config
-        now = self.clock.tick_index * config.tick_duration
         robot.search_deadline = now + config.search_timeout
         if config.mode is Mode.MODIFIED:
             robot.assignment = assign_task(robot.pickup, self.rng.random())
         self._set_phase(robot, RobotPhase.SEARCHING)
-        self._emit("leave", self.clock.tick_index, robot.id,
-                   None if robot.assignment is None else int(robot.assignment))
+        self.emit(("leave", self.clock.tick_index, robot.id,
+                   None if robot.assignment is None else int(robot.assignment)))
 
     def pickup_attempt(self, robot: Robot, obj: WorldObject) -> bool:
         """Try to pick ``obj`` up; ``True`` if the robot now carries it."""
@@ -130,7 +128,7 @@ class Simulation:
         if success:
             self.world.remove_object(obj)
             robot.carried = obj.obj_type
-            self._emit("pickup", self.clock.tick_index, robot.id, int(obj.obj_type))
+            self.emit(("pickup", self.clock.tick_index, robot.id, int(obj.obj_type)))
             self._set_phase(robot, RobotPhase.RETURNING)
         return success
 
@@ -140,14 +138,14 @@ class Simulation:
             obj_type = robot.carried
             robot.retrieved[obj_type] += 1
             spawn_object(self.world, obj_type, self.rng)
-            self._emit("deliver", self.clock.tick_index, robot.id, int(obj_type))
+            self.emit(("deliver", self.clock.tick_index, robot.id, int(obj_type)))
         else:
             robot.trip_failures += 1
         # Both names are looked up at call time, so module wrappers see them.
         modified = self.config.mode is Mode.MODIFIED
         update = record_leave_outcome if modified else record_trip_outcome
         robot.leave = update(robot.leave, delivered, self.config.leave_params)
-        self._emit("trip", self.clock.tick_index, robot.id, delivered, robot.leave.p)
+        self.emit(("trip", self.clock.tick_index, robot.id, delivered, robot.leave.p))
         robot.carried = None
         robot.assignment = None
         self._set_phase(robot, RobotPhase.STOPPING)
@@ -178,7 +176,7 @@ class Simulation:
             phase = robot.phase
             if phase is stopping:
                 if check and leaves(robot.leave, random()):
-                    self._depart(robot)
+                    self._depart(robot, now)
                 continue
             x = robot.x
             y = robot.y

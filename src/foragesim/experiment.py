@@ -10,7 +10,7 @@ from typing import Optional
 
 from .allocation import Mode, ObjectType, VdrParams
 from .arena import ArenaConfig, TWO_PI, World, spawn_object
-from .engine import EventSink, Robot, Simulation
+from .engine import EventSink, Robot, Simulation, discard
 
 # Offsets mixed into (seed, replication) so distinct replications get
 # independent streams while staying reproducible from the manifest alone.
@@ -206,7 +206,7 @@ def _build_world(config: ExperimentConfig, rng) -> World:
 
 
 def run_experiment(
-    config: ExperimentConfig, replication: int = 0, emit: Optional[EventSink] = None
+    config: ExperimentConfig, replication: int = 0, emit: EventSink = discard
 ) -> RunResult:
     """Run one seeded replication to the horizon and extract its result."""
     rng = random.Random(config.seed * _STREAM_STRIDE + replication)

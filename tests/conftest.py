@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from foragesim import VdrParams
+from foragesim.allocation import VdrParams
 
 
 class ScriptedRng:

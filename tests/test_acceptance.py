@@ -8,17 +8,10 @@ import time
 
 import pytest
 
-from foragesim import (
-    VdrParams,
-    VdrState,
-    run_experiment,
-    set1_config,
-    set2_config,
-    summarize,
-    vdr_failure,
-    vdr_success,
-)
+from foragesim.allocation import VdrParams, VdrState, vdr_failure, vdr_success
+from foragesim.analysis import summarize
 from foragesim.cli import run_command
+from foragesim.experiment import run_experiment, set1_config, set2_config, whole_ticks
 
 TABLE4 = VdrParams(p_max=0.08, p_min=0.002, p_initial=0.04, delta=0.0003)
 TABLE9 = VdrParams(p_max=0.15, p_min=0.002, p_initial=0.075, delta=0.0025)
@@ -165,7 +158,8 @@ def test_criterion_8_state_machine_soundness(set1_data, set2_data):
     for config, runs in (set1_data, set2_data):
         # Timeout plus one tick of slack, compared in whole ticks to keep
         # the bound exact under float accumulation.
-        slack_ticks = round(config.search_timeout / config.tick_duration) + 1
+        timeout = whole_ticks("search_timeout", config.search_timeout, config.tick_duration)
+        slack_ticks = timeout + 1
         for _, events in runs:
             entered = {}
             for record in events:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foragesim import (
+from foragesim.allocation import (
     ObjectType,
     VdrParams,
     VdrState,

@@ -1,26 +1,25 @@
 """Analysis pipeline tests: classification, expected labels, binomial fit,
 histograms, and the bimodality score."""
 
-import math
 from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from foragesim import (
+from foragesim.analysis import (
     PreferenceLabel,
-    RunResult,
     bimodality_score,
     binomial_comparison,
+    binomial_pmf,
     classify_foragers,
     classify_preferences,
     expected_label,
     histogram,
-    set2_config,
+    midpoint_threshold,
     summarize,
 )
-from foragesim.analysis import binomial_pmf, midpoint_threshold
+from foragesim.experiment import RunResult, set2_config
 
 
 def make_result(final_p1, final_pobj=None):

@@ -8,21 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foragesim import ArenaConfig, Robot, Simulation, World, WorldObject
 from foragesim.allocation import ObjectType, VdrParams
 from foragesim.arena import (
     SPAWN_ATTEMPT_CAP,
+    ArenaConfig,
     Contact,
     ContactKind,
+    RobotPhase,
     SimulationInvariantError,
     SpawnError,
+    World,
+    WorldObject,
     bounce_heading,
     edge_follow_heading,
     nearest_contact,
     separating_test,
     spawn_object,
 )
-from foragesim.engine import RobotPhase
+from foragesim.engine import Robot, Simulation
 from foragesim.experiment import _build_world, set2_config
 
 from conftest import ScriptedRng

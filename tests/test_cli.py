@@ -14,14 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foragesim import (
-    PRESETS,
-    ExperimentConfig,
-    run_experiment,
-    set1_config,
-    set2_config,
-    summarize,
-)
+from foragesim.analysis import summarize
 from foragesim.cli import (
     ConfigError,
     config_from_dict,
@@ -31,7 +24,14 @@ from foragesim.cli import (
     run_command,
     write_config,
 )
-from foragesim.experiment import MAX_ROBOTS
+from foragesim.experiment import (
+    MAX_ROBOTS,
+    PRESETS,
+    ExperimentConfig,
+    run_experiment,
+    set1_config,
+    set2_config,
+)
 
 
 def small_config(**overrides):
@@ -598,6 +598,30 @@ def test_main_runs_on_the_standard_library_alone(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "events_run000.jsonl").stat().st_size > 0
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_main_with_stdout_closed_exits_0_and_keeps_the_bundle(tmp_path, unbuffered):
+    # A pipe whose reader has gone, as in `foragesim ... | head -0`; with
+    # buffered stdout the lines fail at the flush, unbuffered at the print.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
+    out = tmp_path / "out"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "foragesim.cli", "--preset", "set1",
+             "--replications", "1", "--output", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "binomial.csv", "classification.csv", "manifest.json", "p1_histogram.csv",
+        "results.csv",
+    ]
 
 
 # -- the names perfbench's tracer rebinds ----------------------------------------------

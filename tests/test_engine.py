@@ -8,23 +8,17 @@ from dataclasses import replace
 
 import pytest
 
-from foragesim import (
+from foragesim.allocation import Mode, ObjectType, VdrParams, VdrState, vdr_failure, vdr_success
+from foragesim.arena import (
     ArenaConfig,
-    Mode,
-    ObjectType,
-    Robot,
-    Simulation,
-    VdrParams,
-    VdrState,
+    ContactKind,
+    RobotPhase,
     World,
-    run_experiment,
-    set1_config,
-    vdr_failure,
-    vdr_success,
+    edge_follow_heading,
+    nearest_contact,
 )
-from foragesim.arena import ContactKind, edge_follow_heading, nearest_contact
-from foragesim.engine import RobotPhase
-from foragesim.experiment import _build_world
+from foragesim.engine import Robot, Simulation, discard
+from foragesim.experiment import _build_world, run_experiment, set1_config, whole_ticks
 
 from conftest import ScriptedRng
 
@@ -36,7 +30,7 @@ OBJ = VdrParams(p_max=0.15, p_min=0.002, p_initial=0.075, delta=0.0025)
 ARENA = ArenaConfig(robot_speed=1.0)
 
 
-def build_sim(rng=None, totals=(30, 35), emit=None, **overrides):
+def build_sim(rng=None, totals=(30, 35), emit=discard, **overrides):
     """A simulation of Set I's rule in the ARENA geometry, with ``overrides``
     replacing config fields, over an empty world holding ``totals``."""
     config = replace(
@@ -466,7 +460,8 @@ def test_full_run_phase_audit():
             entered[rid] = tick
         elif old == "searching":
             # Timeout bound: searching lasts at most timeout plus one tick.
-            slack_ticks = round(config.search_timeout / config.tick_duration) + 1
+            timeout = whole_ticks("search_timeout", config.search_timeout, config.tick_duration)
+            slack_ticks = timeout + 1
             assert tick - entered.pop(rid) <= slack_ticks
 
 

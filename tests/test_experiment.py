@@ -5,21 +5,16 @@ from dataclasses import replace
 
 import pytest
 
-from foragesim import (
-    ArenaConfig,
-    Mode,
-    VdrParams,
-    VdrState,
-    run_experiment,
-    set1_config,
-    set2_config,
-)
+from foragesim.allocation import Mode, VdrParams, VdrState
+from foragesim.arena import ArenaConfig
 from foragesim.experiment import (
     MAX_OBJECTS,
     MAX_REPLICATIONS,
     MAX_TICKS,
-    ExperimentConfig,
     _build_world,
+    run_experiment,
+    set1_config,
+    set2_config,
 )
 
 
