@@ -435,9 +435,9 @@ def edge_follow_heading(robot_position, obstacle_center) -> float:
         # Degenerate overlap; flee toward the nest center.
         gn = math.hypot(gx, gy) or 1.0
         return math.atan2(gy / gn, gx / gn)
-    # The two unit tangents, perpendicular to the obstacle-to-robot vector.
-    t1x, t1y = -vy / norm, vx / norm
-    t2x, t2y = vy / norm, -vx / norm
-    if t1x * gx + t1y * gy >= t2x * gx + t2y * gy:
-        return math.atan2(t1y, t1x)
-    return math.atan2(t2y, t2x)
+    # A unit tangent, perpendicular to the obstacle-to-robot vector. The
+    # other is its exact negation, and so is its dot product with the goal.
+    tx, ty = -vy / norm, vx / norm
+    if tx * gx + ty * gy >= 0.0:
+        return math.atan2(ty, tx)
+    return math.atan2(-ty, -tx)

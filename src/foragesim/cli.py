@@ -166,9 +166,9 @@ def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = Fal
 
     Returns the manifest dict. Raises ``FileExistsError`` before running
     anything if ``output_dir`` already holds files, so a bundle never mixes
-    with files of an earlier run. On any later failure, the files this call
-    wrote, and the directories this call made, are removed before the error
-    propagates.
+    with files of an earlier run. On any later failure, the files in
+    ``output_dir``, and the directories this call made, are removed before
+    the error propagates.
     """
     made = []  # the directories makedirs is about to create, innermost first
     path = os.path.abspath(output_dir)
@@ -178,16 +178,10 @@ def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = Fal
     os.makedirs(output_dir, exist_ok=True)
     if os.listdir(output_dir):
         raise FileExistsError(f"output directory {output_dir} is not empty")
-    written: list = []
-
-    def path_for(name: str) -> str:
-        p = os.path.join(output_dir, name)
-        written.append(p)
-        return p
 
     def write_table(name: str, header: str, rows) -> None:
         # csv writes None as an empty field and a float as its repr.
-        with open(path_for(name), "w") as fh:
+        with open(os.path.join(output_dir, name), "w") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header.split(","))
             writer.writerows(rows)
@@ -197,7 +191,8 @@ def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = Fal
         for rep in range(config.replications):
             if event_log:
                 # Streamed as the run goes, so memory does not grow with it.
-                with open(path_for(f"events_run{rep:03d}.jsonl"), "w") as fh:
+                name = f"events_run{rep:03d}.jsonl"
+                with open(os.path.join(output_dir, name), "w") as fh:
                     def emit(record):
                         fh.write(json.dumps(record) + "\n")
 
@@ -265,14 +260,15 @@ def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = Fal
             ],
             "event_log": event_log,
         }
-        with open(path_for("manifest.json"), "w") as fh:
+        with open(os.path.join(output_dir, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return manifest
     except BaseException:
-        for p in written:
+        # The directory was empty when the run began.
+        for name in os.listdir(output_dir):
             try:
-                os.remove(p)
+                os.remove(os.path.join(output_dir, name))
             except OSError:
                 pass
         for path in made:
@@ -313,45 +309,45 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            config = load_config(args.config)
-        else:
-            config = PRESETS[args.preset]()
-        # A flag named after a config key (--mode, --seed, --replications)
-        # overrides it, through the same checks as the file it overrides.
-        overrides = {
-            key: value
-            for key, value in vars(args).items()
-            if key in _KEYS and value is not None
-        }
-        config = config_from_dict({**config_to_dict(config), **overrides})
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        manifest = run_command(config, args.output, event_log=args.event_log)
-    except SpawnError as exc:
-        print(f"config error: {exc}; the arena is too packed", file=sys.stderr)
-        return 2
-    except SimulationInvariantError as exc:
-        print(f"simulator bug: {exc}", file=sys.stderr)
-        return 3
-    except FileExistsError as exc:
-        print(f"output error: {exc}; choose a new or empty directory", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        print(f"wrote bundle to {args.output}")
-        print(f"bimodality scores: {manifest['bimodality_scores']}")
-        print(f"binomial TV distance: {manifest['binomial_tv_distance']:.4f}", flush=True)
+        try:
+            args = build_parser().parse_args(argv)
+            try:
+                config = load_config(args.config) if args.config else PRESETS[args.preset]()
+                # A flag named after a config key (--mode, --seed, --replications)
+                # overrides it, through the same checks as the file it overrides.
+                overrides = {
+                    key: value
+                    for key, value in vars(args).items()
+                    if key in _KEYS and value is not None
+                }
+                config = config_from_dict({**config_to_dict(config), **overrides})
+                manifest = run_command(config, args.output, event_log=args.event_log)
+            except ConfigError as exc:
+                print(f"config error: {exc}", file=sys.stderr)
+                return 2
+            except SpawnError as exc:
+                print(f"config error: {exc}; the arena is too packed", file=sys.stderr)
+                return 2
+            except SimulationInvariantError as exc:
+                print(f"simulator bug: {exc}", file=sys.stderr)
+                return 3
+            except FileExistsError as exc:
+                print(f"output error: {exc}; choose a new or empty directory",
+                      file=sys.stderr)
+                return 2
+            except OSError as exc:
+                print(f"i/o error: {exc}", file=sys.stderr)
+                return 1
+            print(f"wrote bundle to {args.output}")
+            print(f"bimodality scores: {manifest['bimodality_scores']}")
+            print(f"binomial TV distance: {manifest['binomial_tv_distance']:.4f}")
+        finally:
+            sys.stdout.flush()  # also as argparse exits after --help
     except BrokenPipeError:
-        # The reader of stdout has gone (``| head -0``), but the bundle is
-        # whole. Stdout goes to devnull so the interpreter's last flush of
-        # the lines still buffered cannot fail too.
+        # The reader of stdout has gone (``| head -0``). Stdout carries only
+        # --help and a finished run's summary, so the run has succeeded. Stdout
+        # goes to devnull so the interpreter's last flush cannot fail too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 

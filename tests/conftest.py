@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from foragesim.allocation import VdrParams
@@ -17,18 +15,6 @@ class ScriptedRng:
         if not self.draws:
             raise AssertionError("scripted rng exhausted")
         return self.draws.pop(0)
-
-
-class CountingRng(random.Random):
-    """Real rng that counts how many unit draws were consumed."""
-
-    def __init__(self, seed=0):
-        super().__init__(seed)
-        self.calls = 0
-
-    def random(self):
-        self.calls += 1
-        return super().random()
 
 
 @pytest.fixture

@@ -210,19 +210,29 @@ def test_run_command_manifest_matches_summarize(tmp_path):
         assert sum(counts) == config.robot_count * config.replications
 
 
-def test_run_command_cleans_partial_output(tmp_path, monkeypatch):
+@pytest.mark.parametrize("made_by_user", [False, True], ids=["new", "empty"])
+def test_run_command_cleans_partial_output(tmp_path, monkeypatch, made_by_user):
     import foragesim.cli as cli
 
+    out = tmp_path / "out"
+    if made_by_user:
+        out.mkdir()
+    at_failure = []
+
     def boom(*args, **kwargs):
+        # Called for the manifest, after the CSVs are written.
+        at_failure.extend(sorted(os.listdir(out)))
         raise RuntimeError("injected failure")
 
     monkeypatch.setattr(cli, "config_to_dict", boom)
-    out = tmp_path / "out"
     with pytest.raises(RuntimeError):
         run_command(small_config(), str(out))
-    # Everything written before the failure is cleaned up, and the directory
-    # the run made is gone too.
-    assert not out.exists()
+    assert at_failure == [
+        "binomial.csv", "classification.csv", "p1_histogram.csv", "results.csv",
+    ]
+    # Everything written before the failure is cleaned up. A directory the
+    # run made is gone too; one the user made stays, empty.
+    assert (os.listdir(out) == []) if made_by_user else not out.exists()
 
 
 def test_event_log_written_and_parses(tmp_path):
@@ -600,8 +610,15 @@ def test_main_runs_on_the_standard_library_alone(tmp_path):
     assert (out / "events_run000.jsonl").stat().st_size > 0
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"])
-def test_main_with_stdout_closed_exits_0_and_keeps_the_bundle(tmp_path, unbuffered):
+RUN = ["--preset", "set1", "--replications", "1"]
+
+
+@pytest.mark.parametrize(
+    "flags, unbuffered",
+    [(RUN, ""), (RUN, "1"), (["--help"], ""), (["--help"], "1")],
+    ids=["", "1", "help-", "help-1"],
+)
+def test_main_with_stdout_closed_exits_0_and_keeps_the_bundle(tmp_path, flags, unbuffered):
     # A pipe whose reader has gone, as in `foragesim ... | head -0`; with
     # buffered stdout the lines fail at the flush, unbuffered at the print.
     src = Path(__file__).resolve().parents[1] / "src"
@@ -611,13 +628,15 @@ def test_main_with_stdout_closed_exits_0_and_keeps_the_bundle(tmp_path, unbuffer
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "foragesim.cli", "--preset", "set1",
-             "--replications", "1", "--output", str(out)],
+            [sys.executable, "-m", "foragesim.cli", *flags, "--output", str(out)],
             stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
         )
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, "")
+    if flags != RUN:
+        assert not out.exists()
+        return
     assert sorted(p.name for p in out.iterdir()) == [
         "binomial.csv", "classification.csv", "manifest.json", "p1_histogram.csv",
         "results.csv",
