@@ -145,7 +145,7 @@ def sweep(run) -> list:
     # The scales take turns, so host drift reaches each point alike.
     for _ in range(SWEEP_REPEATS):
         for config, samples in zip(configs, rows):
-            ticks = run.robot_ticks(config)
+            ticks = config.robot_count * config.total_ticks
             ref = run.reference_seconds()
             start = time.perf_counter()
             run_experiment(replace(config, horizon=0.0))
@@ -161,7 +161,7 @@ def sweep(run) -> list:
             "objects": sum(config.object_totals),
             "arena_half_width": config.arena.arena_half_width,
             "horizon_s": config.horizon,
-            "robot_ticks": run.robot_ticks(config),
+            "robot_ticks": config.robot_count * config.total_ticks,
             "build_s": statistics.median(r[0] for r in samples),
         }
         # The median of each cost, and its quartiles for the spread.

@@ -332,7 +332,7 @@ def main(argv: Optional[list] = None) -> int:
             except SimulationInvariantError as exc:
                 print(f"simulator bug: {exc}", file=sys.stderr)
                 return 3
-            except FileExistsError as exc:
+            except (FileExistsError, NotADirectoryError) as exc:
                 print(f"output error: {exc}; choose a new or empty directory",
                       file=sys.stderr)
                 return 2

@@ -66,9 +66,16 @@ class ExperimentConfig:
     leave_check_ticks: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("horizon", "search_timeout", "tick_duration", "leave_check_period"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # Each span under the config key that gives it.
+        spans = (
+            ("horizon_seconds", self.horizon),
+            ("search_timeout_seconds", self.search_timeout),
+            ("tick_duration", self.tick_duration),
+            ("leave_check_period", self.leave_check_period),
+        )
+        for name, value in spans:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name, value in (
             ("robot_count", self.robot_count),
             ("objects_type1", self.object_totals[0]),
@@ -91,13 +98,16 @@ class ExperimentConfig:
         # the streams of seed s.
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.horizon < 0 or self.search_timeout <= 0:
-            raise ValueError("horizon must be >= 0 and search_timeout > 0")
-        if self.tick_duration <= 0 or self.leave_check_period <= 0:
-            raise ValueError("tick_duration and leave_check_period must be > 0")
+        # A zero horizon builds the world and runs no tick.
+        if self.horizon < 0:
+            raise ValueError(f"horizon_seconds must be >= 0, got {self.horizon}")
+        for name, value in spans[1:]:
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
         # Frozen, so the counts are set past the dataclass's own __setattr__.
         tick = self.tick_duration
-        object.__setattr__(self, "total_ticks", whole_ticks("horizon", self.horizon, tick))
+        total = whole_ticks("horizon_seconds", self.horizon, tick)
+        object.__setattr__(self, "total_ticks", total)
         period = whole_ticks("leave_check_period", self.leave_check_period, tick)
         object.__setattr__(self, "leave_check_ticks", period)
         # assign_task divides by p1 + p2, and failures clamp each at its p_min.

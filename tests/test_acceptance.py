@@ -8,13 +8,12 @@ import time
 
 import pytest
 
-from foragesim.allocation import VdrParams, VdrState, vdr_failure, vdr_success
+from foragesim.allocation import VdrState, vdr_failure, vdr_success
 from foragesim.analysis import summarize
 from foragesim.cli import run_command
 from foragesim.experiment import run_experiment, set1_config, set2_config, whole_ticks
 
-TABLE4 = VdrParams(p_max=0.08, p_min=0.002, p_initial=0.04, delta=0.0003)
-TABLE9 = VdrParams(p_max=0.15, p_min=0.002, p_initial=0.075, delta=0.0025)
+from conftest import TABLE4, TABLE9
 
 
 def report(number, description, ok, detail=""):

@@ -21,6 +21,8 @@ from foragesim.allocation import (
     vdr_success,
 )
 
+from conftest import TABLE4, TABLE9
+
 
 def replay_oracle(params, events):
     """Line-by-line replay: recompute the state from p_initial."""
@@ -65,49 +67,49 @@ def test_params_reject_non_finite_delta(delta):
         VdrParams(p_max=0.08, p_min=0.002, p_initial=0.04, delta=delta)
 
 
-def test_initial_state(table4_params):
-    assert table4_params.initial_state() == VdrState(0.04, 0, 0)
+def test_initial_state():
+    assert TABLE4.initial_state() == VdrState(0.04, 0, 0)
 
 
 # -- single transitions -------------------------------------------------------
 
 
-def test_success_from_fresh_state(table4_params):
-    assert vdr_success(VdrState(0.04, 0, 0), table4_params) == VdrState(
+def test_success_from_fresh_state():
+    assert vdr_success(VdrState(0.04, 0, 0), TABLE4) == VdrState(
         0.04 + 1 * 0.0003, 1, 0
     )
 
 
-def test_success_clamps_at_p_max(table4_params):
-    assert vdr_success(VdrState(0.0799, 1, 0), table4_params) == VdrState(0.08, 2, 0)
+def test_success_clamps_at_p_max():
+    assert vdr_success(VdrState(0.0799, 1, 0), TABLE4) == VdrState(0.08, 2, 0)
 
 
-def test_success_resets_failure_streak(table4_params):
-    assert vdr_success(VdrState(0.075, 0, 3), table4_params) == VdrState(
+def test_success_resets_failure_streak():
+    assert vdr_success(VdrState(0.075, 0, 3), TABLE4) == VdrState(
         0.075 + 1 * 0.0003, 1, 0
     )
 
 
-def test_failure_from_fresh_state(table4_params):
-    assert vdr_failure(VdrState(0.04, 0, 0), table4_params) == VdrState(
+def test_failure_from_fresh_state():
+    assert vdr_failure(VdrState(0.04, 0, 0), TABLE4) == VdrState(
         0.04 - 1 * 0.0003, 0, 1
     )
 
 
-def test_failure_clamps_at_p_min(table4_params):
-    assert vdr_failure(VdrState(0.0021, 0, 5), table4_params) == VdrState(0.002, 0, 6)
+def test_failure_clamps_at_p_min():
+    assert vdr_failure(VdrState(0.0021, 0, 5), TABLE4) == VdrState(0.002, 0, 6)
 
 
-def test_failure_resets_success_streak(table9_params):
-    assert vdr_failure(VdrState(0.075, 2, 0), table9_params) == VdrState(
+def test_failure_resets_success_streak():
+    assert vdr_failure(VdrState(0.075, 2, 0), TABLE9) == VdrState(
         0.075 - 1 * 0.0025, 0, 1
     )
 
 
-def test_transitions_do_not_mutate_input(table4_params):
+def test_transitions_do_not_mutate_input():
     state = VdrState(0.04, 0, 0)
-    vdr_success(state, table4_params)
-    vdr_failure(state, table4_params)
+    vdr_success(state, TABLE4)
+    vdr_failure(state, TABLE4)
     assert state == VdrState(0.04, 0, 0)
 
 
@@ -139,30 +141,30 @@ def test_assign_task_skewed_thresholds():
 # -- trip outcome recording ---------------------------------------------------
 
 
-def test_trip_outcome_original_delivered(table4_params):
-    out = record_leave_outcome(VdrState(0.04), True, table4_params)
-    assert out == vdr_success(VdrState(0.04), table4_params)
+def test_trip_outcome_original_delivered():
+    out = record_leave_outcome(VdrState(0.04), True, TABLE4)
+    assert out == vdr_success(VdrState(0.04), TABLE4)
 
 
-def test_record_leave_outcome_touches_leave_only(table4_params):
+def test_record_leave_outcome_touches_leave_only():
     # The rule takes and returns the leave state alone: no pickup state
     # reaches it.
     leave = VdrState(0.04)
-    won = record_leave_outcome(leave, True, table4_params)
-    lost = record_leave_outcome(leave, False, table4_params)
+    won = record_leave_outcome(leave, True, TABLE4)
+    lost = record_leave_outcome(leave, False, TABLE4)
     assert type(won) is VdrState and type(lost) is VdrState
-    assert won == vdr_success(leave, table4_params)
-    assert lost == vdr_failure(leave, table4_params)
+    assert won == vdr_success(leave, TABLE4)
+    assert lost == vdr_failure(leave, TABLE4)
 
 
-def test_record_pickup_event_per_type(table9_params):
-    obj_params = (table9_params, table9_params)
-    pickup = (table9_params.initial_state(), table9_params.initial_state())
+def test_record_pickup_event_per_type():
+    obj_params = (TABLE9, TABLE9)
+    pickup = (TABLE9.initial_state(), TABLE9.initial_state())
     out = record_pickup_event(pickup, ObjectType.TYPE2, True, obj_params)
-    assert out[1] == vdr_success(pickup[1], table9_params)
+    assert out[1] == vdr_success(pickup[1], TABLE9)
     assert out[0] == pickup[0]
     out = record_pickup_event(pickup, ObjectType.TYPE1, False, obj_params)
-    assert out == (vdr_failure(pickup[0], table9_params), pickup[1])
+    assert out == (vdr_failure(pickup[0], TABLE9), pickup[1])
 
 
 # -- properties ---------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foragesim.allocation import ObjectType, VdrParams
+from foragesim.allocation import ObjectType
 from foragesim.arena import (
     SPAWN_ATTEMPT_CAP,
     ArenaConfig,
@@ -25,31 +25,16 @@ from foragesim.arena import (
     separating_test,
     spawn_object,
 )
-from foragesim.engine import Robot, Simulation
+from foragesim.engine import Simulation
 from foragesim.experiment import _build_world, set2_config
 
-from conftest import ScriptedRng
+from conftest import ScriptedRng, make_robot
 
 CFG = ArenaConfig()  # declared defaults: hw=10, nest=2, radii 0.15, margin 0.05
 
 
 def make_world(config=CFG, totals=(30, 35)):
     return World(config=config, totals=totals)
-
-
-def make_robot(rid, x, y, phase=RobotPhase.SEARCHING):
-    params = VdrParams(p_max=0.08, p_min=0.002, p_initial=0.04, delta=0.0003)
-    obj = VdrParams(p_max=0.15, p_min=0.002, p_initial=0.075, delta=0.0025)
-    return Robot(
-        id=rid,
-        x=x,
-        y=y,
-        heading=0.0,
-        capability=(0.5, 0.5),
-        leave=params.initial_state(),
-        pickup=(obj.initial_state(), obj.initial_state()),
-        phase=phase,
-    )
 
 
 # -- config validation ---------------------------------------------------------

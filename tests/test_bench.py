@@ -111,7 +111,6 @@ def test_sweep_records_the_spread_of_each_point():
     run = SimpleNamespace(
         Workload=lambda *args, **kwargs: None,
         make_config=lambda workload, seed: tiny,
-        robot_ticks=lambda config: 20,
         reference_seconds=lambda: 1.0,
     )
     points = bench.sweep(run)

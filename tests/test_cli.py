@@ -61,34 +61,6 @@ def test_preset_values_via_dict():
     assert raw2["obj1_delta"] == raw2["obj2_delta"] == 0.0025
 
 
-def test_unknown_key_rejected():
-    raw = config_to_dict(set1_config())
-    raw["robot_speeed"] = 2.0
-    with pytest.raises(ConfigError, match="robot_speeed"):
-        config_from_dict(raw)
-
-
-def test_missing_key_rejected():
-    raw = config_to_dict(set1_config())
-    del raw["seed"]
-    with pytest.raises(ConfigError, match="seed"):
-        config_from_dict(raw)
-
-
-def test_inverted_bounds_rejected_naming_prefix():
-    raw = config_to_dict(set1_config())
-    raw["leave_p_min"] = 0.5  # now p_min > p_max
-    with pytest.raises(ConfigError, match="leave_"):
-        config_from_dict(raw)
-
-
-def test_bad_mode_rejected():
-    raw = config_to_dict(set1_config())
-    raw["mode"] = "hybrid"
-    with pytest.raises(ConfigError, match="mode"):
-        config_from_dict(raw)
-
-
 def test_geometry_keys_optional():
     raw = config_to_dict(set1_config())
     for key in ("arena_half_width", "nest_radius", "robot_speed"):
@@ -113,19 +85,6 @@ def test_write_config_digest(preset, tmp_path):
     path = tmp_path / "config.json"
     write_config(PRESETS[preset](), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CONFIG_GOLDEN[preset]
-
-
-def test_load_config_errors(tmp_path):
-    with pytest.raises(ConfigError):
-        load_config(str(tmp_path / "missing.json"))
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ConfigError):
-        load_config(str(bad))
-    arr = tmp_path / "arr.json"
-    arr.write_text("[1, 2]")
-    with pytest.raises(ConfigError):
-        load_config(str(arr))
 
 
 # -- run_command -------------------------------------------------------------------
@@ -158,16 +117,6 @@ def test_run_command_zero_horizon_initial_p1(tmp_path):
     rows = (out / "results.csv").read_text().strip().splitlines()[1:]
     assert len(rows) == MAX_ROBOTS
     assert all(row.split(",")[4] == repr(0.04) for row in rows)
-
-
-def test_run_command_byte_identical(tmp_path):
-    config = small_config()
-    a, b = tmp_path / "a", tmp_path / "b"
-    run_command(config, str(a), event_log=True)
-    run_command(config, str(b), event_log=True)
-    bundle_a, bundle_b = read_bundle(a), read_bundle(b)
-    assert list(bundle_a) == list(bundle_b)
-    assert bundle_a == bundle_b
 
 
 def test_run_command_overrides(tmp_path):
@@ -274,112 +223,149 @@ def test_main_with_config_file(tmp_path, capsys):
     assert "bimodality" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize(
-    "content, named",
-    [
-        pytest.param(b'{"mode": "original"}', "missing config keys", id="missing-keys"),
-        pytest.param(b'{"mode": "\xff"}', "cannot parse", id="not-utf-8"),
-        pytest.param(
-            b'{"seed": ' + b"1" * 5000 + b"}", "cannot parse", id="int-past-digit-limit"
-        ),
-        pytest.param(b"[" * 100_000, "cannot parse", id="nested-too-deep"),
-        # A key given twice would run with its last value.
-        pytest.param(
-            json.dumps(config_to_dict(small_config()))[:-1].encode() + b', "seed": 99}',
-            "duplicate keys: ['seed']",
-            id="duplicate-key",
-        ),
-    ],
-)
-def test_main_bad_config_exits_2(tmp_path, capsys, content, named):
-    bad = tmp_path / "bad.json"
-    bad.write_bytes(content)
-    out = tmp_path / "out"
-    code = main(["--config", str(bad), "--output", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and err.count("\n") == 1
-    assert named in err
-    assert not out.exists()
+ZERO_PICKUP_FLOORS = dict(obj1_p_min=0.0, obj1_p_initial=0.0, obj2_p_min=0.0, obj2_p_initial=0.0)
 
 
-@pytest.mark.parametrize(
-    "key, value",
-    [
-        ("arena_half_width", float("nan")),
-        ("horizon_seconds", float("inf")),
-        ("robot_count", float("inf")),
-        ("leave_delta", float("nan")),
-        # Counts that are not integers, and impossible geometry.
-        ("robot_count", 2.7),
-        ("robot_count", True),
-        ("objects_type1", 1.5),
-        ("objects_type2", 2.5),
-        ("replications", True),
-        ("replications", 1.9),
-        ("seed", 3.5),
-        ("seed", -1),  # random.Random(-n) draws the stream of Random(n)
-        # float() would read these as 10.0, 4.0 and 1.0.
-        ("horizon_seconds", "10"),
-        ("arena_half_width", "4"),
-        ("robot_speed", True),
-        ("leave_p_max", True),
-        ("nest_radius", 0.15),  # equal to robot_radius
-        ("nest_radius", 0.1),
-        ("heading_jitter", -0.1),
-        # More than half a turn per tick; 1e308 summed the heading to infinity.
-        ("heading_jitter", 4.0),
-        ("heading_jitter", 1e308),
-        # The arena's area overflows a float.
-        ("arena_half_width", 1e154),
-        ("arena_half_width", 1e200),
-        ("arena_half_width", 1e308),
-        # 5e300 ticks, which would never end, and an infinite tick count.
-        ("tick_duration", 1e-300),
-        ("tick_duration", 1e-320),
-        # C(1030, 515) overflows a float in the binomial comparison.
-        ("robot_count", 1030),
-        # Not whole numbers of 0.1 s ticks, and less than one tick.
-        ("horizon_seconds", 10.05),
-        ("leave_check_period", 0.15),
-        ("leave_check_period", 0.05),
-        # Counts that would run for years, or overflow the packing check's floats.
-        ("replications", 10**9),
-        pytest.param("replications", 10**400, id="replications-10**400"),
-        ("objects_type1", 10**9),
-        pytest.param("objects_type1", 10**400, id="objects_type1-10**400"),
-        pytest.param("objects_type2", 10**400, id="objects_type2-10**400"),
-    ],
-)
-def test_main_non_finite_value_exits_2(tmp_path, capsys, key, value):
-    raw = config_to_dict(small_config())
-    raw[key] = value
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(raw))  # writes NaN / Infinity, which json.load reads
-    out = tmp_path / "out"
-    code = main(["--config", str(path), "--output", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and err.count("\n") == 1
-    # A value refused for its size names its key; a tiny tick, the tick count.
-    sized = ("arena_half_width", "heading_jitter", "replications", "objects_type1", "objects_type2")
-    names = {"tick_duration": "tick count", **{k: k for k in sized}}
-    assert names.get(key, "config error") in err
-    assert not out.exists()
+# Marks a key that a refusal row drops from its config.
+DROP = object()
 
 
-def test_main_geometry_too_fine_for_the_grid_exits_2(tmp_path, capsys):
+def refusal(named, source=None, flags=(), id=None, **edit):
+    """A row of REFUSALS. ``source`` is small_config() by default."""
+    if id is None:
+        ((key, value),) = edit.items()
+        id = f"{key}-{value}"
+    return pytest.param(source or small_config(), edit, flags, named, id=id)
+
+
+# Each row: the source (a config, written out with the edit's keys set or
+# dropped; raw file bytes; a preset name, run by --preset; or None, a
+# --config path with no file), the edit, extra flags, and text that the one
+# stderr line must hold.
+REFUSALS = [
+    # Files that cannot be read or parsed.
+    pytest.param(None, {}, [], "cannot read config", id="no-file"),
+    refusal("cannot parse config", source=b"{not json", id="not-json"),
+    refusal("cannot parse config", source=b'{"mode": "\xff"}', id="not-utf-8"),
+    refusal(
+        "cannot parse config", source=b'{"seed": ' + b"1" * 5000 + b"}",
+        id="int-past-digit-limit",
+    ),
+    refusal("cannot parse config", source=b"[" * 100_000, id="nested-too-deep"),
+    refusal("config file must hold a flat JSON object", source=b"[1, 2]", id="not-an-object"),
+    # A key given twice would run with its last value.
+    refusal(
+        "duplicate keys: ['seed']", id="duplicate-key",
+        source=json.dumps(config_to_dict(small_config()))[:-1].encode() + b', "seed": 99}',
+    ),
+    # Keys unknown or missing, and values of the wrong kind.
+    refusal("missing config keys", source=b'{"mode": "original"}', id="missing-keys"),
+    refusal("missing config keys: ['seed']", seed=DROP, id="missing-key"),
+    refusal("unknown config keys: ['robot_speeed']", robot_speeed=2.0, id="unknown-key"),
+    refusal("mode: 'hybrid' is not a valid Mode", mode="hybrid", id="bad-mode"),
+    # float() would read these as 10.0, 4.0 and 1.0.
+    refusal("horizon_seconds: must be a number", horizon_seconds="10"),
+    refusal("arena_half_width: must be a number", arena_half_width="4"),
+    refusal("robot_speed: must be a number", robot_speed=True),
+    refusal("leave_p_max: must be a number", leave_p_max=True),
+    # NaN and infinity, which json.dumps writes and json.load reads.
+    refusal("arena_half_width must be finite", arena_half_width=float("nan")),
+    refusal("leave_* probability parameters: delta must be", leave_delta=float("nan")),
+    refusal("robot_count must be an integer", robot_count=float("inf")),
+    refusal("horizon_seconds must be finite", horizon_seconds=float("nan")),
+    refusal("horizon_seconds must be finite", horizon_seconds=float("inf")),
+    refusal("search_timeout_seconds must be finite", search_timeout_seconds=float("-inf")),
+    # Spans below their floor.
+    refusal("horizon_seconds must be >= 0, got -1.0", horizon_seconds=-1.0),
+    refusal("search_timeout_seconds must be > 0, got 0.0", search_timeout_seconds=0.0),
+    refusal("tick_duration must be > 0, got 0.0", tick_duration=0.0),
+    refusal("leave_check_period must be > 0, got 0.0", leave_check_period=0.0),
+    # Counts that are not integers.
+    refusal("robot_count must be an integer", robot_count=2.7),
+    refusal("robot_count must be an integer", robot_count=True),
+    refusal("objects_type1 must be an integer", objects_type1=1.5),
+    refusal("objects_type2 must be an integer", objects_type2=2.5),
+    refusal("replications must be an integer", replications=True),
+    refusal("replications must be an integer", replications=1.9),
+    refusal("seed must be an integer", seed=3.5),
+    # random.Random(-n) draws the stream of Random(n).
+    refusal("seed must be >= 0", seed=-1),
+    # Impossible geometry: a nest as wide as a robot (0.15), or narrower.
+    refusal("nest_radius must be > robot_radius", nest_radius=0.15),
+    refusal("nest_radius must be > robot_radius", nest_radius=0.1),
+    refusal("heading_jitter must be in [0, pi]", heading_jitter=-0.1),
+    # More than half a turn per tick; 1e308 summed the heading to infinity.
+    refusal("heading_jitter must be in [0, pi]", heading_jitter=4.0),
+    refusal("heading_jitter must be in [0, pi]", heading_jitter=1e308),
+    # The arena's area overflows a float.
+    refusal("arena_half_width 1e+154 is too wide", arena_half_width=1e154),
+    refusal("arena_half_width 1e+200 is too wide", arena_half_width=1e200),
+    refusal("arena_half_width 1e+308 is too wide", arena_half_width=1e308),
     # Radii and a margin near the smallest float pass every check one by one,
     # but the arena's width in contact-grid cells overflows a float.
-    raw = config_to_dict(small_config())
-    raw.update(robot_radius=1e-310, object_radius=1e-310, contact_margin=1e-310)
+    refusal(
+        "robot_radius, object_radius and contact_margin", id="geometry-too-fine-for-the-grid",
+        robot_radius=1e-310, object_radius=1e-310, contact_margin=1e-310,
+    ),
+    # 5e300 ticks, which would never end, and an infinite tick count.
+    refusal("horizon_seconds is 5e+300 ticks; the tick count is capped", tick_duration=1e-300),
+    refusal("horizon_seconds is inf ticks; the tick count is capped", tick_duration=1e-320),
+    refusal("horizon_seconds is 1e+07 ticks", horizon_seconds=1_000_000.1),
+    # Not whole numbers of 0.1 s ticks, and less than one tick.
+    refusal("horizon_seconds must be a whole number of 0.1 s ticks", horizon_seconds=10.05),
+    refusal("leave_check_period must be a whole number", leave_check_period=0.15),
+    refusal("leave_check_period must be a whole number", leave_check_period=0.05),
+    # C(1030, 515) overflows a float in the binomial comparison.
+    refusal("robot_count must be in 1..1029", robot_count=1030),
+    # Counts that would run for years, or overflow the packing check's floats.
+    refusal("replications must be in 1..10000", replications=10**9),
+    refusal("replications must be in", replications=10**400, id="replications-10**400"),
+    refusal("objects_type1 must be in 1..100000", objects_type1=10**9),
+    refusal("objects_type1 must be in", objects_type1=10**400, id="objects_type1-10**400"),
+    refusal("objects_type2 must be in", objects_type2=10**400, id="objects_type2-10**400"),
+    # Probabilities that cannot run. histogram() needs p_min < p_max, so
+    # equal bounds used to fail after every run; an inverted pair is refused
+    # under its prefix.
+    refusal(
+        "invalid leave_* probability parameters", source=set1_config(replications=1),
+        id="equal-leave-bounds", leave_p_min=0.04, leave_p_initial=0.04, leave_p_max=0.04,
+    ),
+    refusal("leave_* probability parameters", leave_p_min=0.5, id="inverted-bounds"),
+    # assign_task divides by p1 + p2, which zero floors let reach 0.
+    refusal(
+        "modified mode needs obj1_p_min or obj2_p_min above 0",
+        source=set2_config(replications=1), id="zero-pickup-floors", **ZERO_PICKUP_FLOORS,
+    ),
+    # Flags named after a config key pass the same checks.
+    refusal(
+        "modified mode needs obj1_p_min or obj2_p_min above 0",
+        source=set1_config(replications=1), flags=["--mode", "modified"],
+        id="zero-pickup-floors-mode-override", **ZERO_PICKUP_FLOORS,
+    ),
+    refusal("replications must be in", source="set1", flags=["--replications", "0"],
+            id="--replications-0"),
+    refusal("seed must be >= 0", source="set1", flags=["--seed", "-1"], id="--seed--1"),
+]
+
+
+@pytest.mark.parametrize("source, edit, flags, named", REFUSALS)
+def test_main_bad_config_exits_2(tmp_path, capsys, source, edit, flags, named):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps(raw))
+    if isinstance(source, str):
+        argv = ["--preset", source]
+    else:
+        argv = ["--config", str(path)]
+        if isinstance(source, ExperimentConfig):
+            raw = {**config_to_dict(source), **edit}
+            kept = {key: value for key, value in raw.items() if value is not DROP}
+            source = json.dumps(kept).encode()
+        if source is not None:
+            path.write_bytes(source)
     out = tmp_path / "out"
-    assert main(["--config", str(path), "--output", str(out)]) == 2
+    assert main([*argv, "--output", str(out), *flags]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error") and err.count("\n") == 1
-    assert "robot_radius, object_radius and contact_margin" in err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert named in err
     assert not out.exists()
 
 
@@ -479,6 +465,17 @@ def test_main_refuses_non_empty_output(tmp_path, capsys, first, second):
     assert read_bundle(out) == before
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_main_output_on_a_file_exits_2(tmp_path, capsys, under):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "out" if under else taken
+    assert main(["--preset", "set1", "--replications", "1", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["taken"] and taken.read_text() == "kept\n"
+
+
 def test_main_preset_with_mode_override(tmp_path):
     out = tmp_path / "out"
     code = main(
@@ -501,33 +498,6 @@ def test_main_preset_with_mode_override(tmp_path):
     assert manifest["config"]["seed"] == 7
     assert manifest["config"]["replications"] == 1
     assert (out / "pobj1_histogram.csv").exists()
-
-
-ZERO_PICKUP_FLOORS = dict(obj1_p_min=0.0, obj1_p_initial=0.0, obj2_p_min=0.0, obj2_p_initial=0.0)
-
-
-@pytest.mark.parametrize(
-    "preset, overrides, flags",
-    [
-        # histogram() needs p_min < p_max, so these used to fail after every run.
-        ("set1", dict(leave_p_min=0.04, leave_p_initial=0.04, leave_p_max=0.04), []),
-        # assign_task divides by p1 + p2, which zero floors let reach 0.
-        ("set2", ZERO_PICKUP_FLOORS, []),
-        ("set1", ZERO_PICKUP_FLOORS, ["--mode", "modified"]),
-    ],
-    ids=["equal-leave-bounds", "zero-pickup-floors", "zero-pickup-floors-mode-override"],
-)
-def test_main_unrunnable_probabilities_exit_2(tmp_path, capsys, preset, overrides, flags):
-    raw = config_to_dict(PRESETS[preset](replications=1))
-    raw.update(overrides)
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(raw))
-    out = tmp_path / "out"
-    code = main(["--config", str(path), "--output", str(out), *flags])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
-    assert not out.exists()
 
 
 # Values a hand-edited config may hold where a number belongs.
@@ -577,15 +547,6 @@ def test_config_boundary_property(raw):
         path = os.path.join(tmp, "config.json")
         write_config(small, path)
         assert main(["--config", path, "--output", os.path.join(tmp, "out")]) in (0, 2)
-
-
-@pytest.mark.parametrize("flag, value", [("--replications", "0"), ("--seed", "-1")])
-def test_main_bad_override_exits_2(tmp_path, capsys, flag, value):
-    out = tmp_path / "out"
-    code = main(["--preset", "set1", "--output", str(out), flag, value])
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_main_requires_source(capsys):

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from foragesim.allocation import Mode, ObjectType, VdrParams, VdrState, vdr_failure, vdr_success
+from foragesim.allocation import Mode, ObjectType, vdr_failure, vdr_success
 from foragesim.arena import (
     ArenaConfig,
     ContactKind,
@@ -17,13 +17,10 @@ from foragesim.arena import (
     edge_follow_heading,
     nearest_contact,
 )
-from foragesim.engine import Robot, Simulation, discard
-from foragesim.experiment import _build_world, run_experiment, set1_config, whole_ticks
+from foragesim.engine import Simulation, discard
+from foragesim.experiment import _build_world, run_experiment, set1_config
 
-from conftest import ScriptedRng
-
-LEAVE = VdrParams(p_max=0.08, p_min=0.002, p_initial=0.04, delta=0.0003)
-OBJ = VdrParams(p_max=0.15, p_min=0.002, p_initial=0.075, delta=0.0025)
+from conftest import TABLE4, TABLE9, ScriptedRng, make_robot
 
 # Kinematics examples below assume the declared interpretation constants:
 # speed 1 unit/s, tick 0.1 s, so one step is 0.1 units.
@@ -34,22 +31,11 @@ def build_sim(rng=None, totals=(30, 35), emit=discard, **overrides):
     """A simulation of Set I's rule in the ARENA geometry, with ``overrides``
     replacing config fields, over an empty world holding ``totals``."""
     config = replace(
-        set1_config(), arena=ARENA, leave_params=LEAVE, obj_params=(OBJ, OBJ), **overrides
+        set1_config(), arena=ARENA, leave_params=TABLE4, obj_params=(TABLE9, TABLE9),
+        **overrides,
     )
     world = World(config=config.arena, totals=totals)
     return Simulation(config, world, rng if rng is not None else random.Random(0), emit)
-
-
-def make_robot(rid, x, y, heading=0.0, capability=(0.5, 0.5), p1=None):
-    return Robot(
-        id=rid,
-        x=x,
-        y=y,
-        heading=heading,
-        capability=capability,
-        leave=LEAVE.initial_state() if p1 is None else VdrState(p1),
-        pickup=(OBJ.initial_state(), OBJ.initial_state()),
-    )
 
 
 # -- leaving the nest ------------------------------------------------------------
@@ -57,7 +43,7 @@ def make_robot(rid, x, y, heading=0.0, capability=(0.5, 0.5), p1=None):
 
 def test_leave_success_sets_deadline():
     sim = build_sim(rng=ScriptedRng([0.01, 0.5]), totals=(0, 0))
-    robot = make_robot(0, 0.0, 0.0, p1=0.08)
+    robot = make_robot(0, 0.0, 0.0, phase=RobotPhase.STOPPING, p1=0.08)
     sim.world.add_robot(robot)
     sim.tick()  # the tick checks every stopping robot's leave draw
     assert robot.phase is RobotPhase.SEARCHING
@@ -68,7 +54,7 @@ def test_leave_success_sets_deadline():
 def test_leave_failure_stays_stopped():
     rng = ScriptedRng([0.99])
     sim = build_sim(rng=rng, totals=(0, 0))
-    robot = make_robot(0, 0.0, 0.0, p1=0.002)
+    robot = make_robot(0, 0.0, 0.0, phase=RobotPhase.STOPPING, p1=0.002)
     sim.world.add_robot(robot)
     sim.tick()
     assert robot.phase is RobotPhase.STOPPING
@@ -77,7 +63,7 @@ def test_leave_failure_stays_stopped():
 
 def test_leave_modified_assigns_task():
     sim = build_sim(mode=Mode.MODIFIED, rng=ScriptedRng([0.01, 0.5, 0.49]), totals=(0, 0))
-    robot = make_robot(0, 0.0, 0.0, p1=0.08)
+    robot = make_robot(0, 0.0, 0.0, phase=RobotPhase.STOPPING, p1=0.08)
     sim.world.add_robot(robot)
     sim.tick()
     assert robot.phase is RobotPhase.SEARCHING
@@ -88,7 +74,7 @@ def test_leave_check_cadence():
     rng = ScriptedRng([])
     sim = build_sim(rng=rng, totals=(0, 0), leave_check_period=1.0)  # every 10th tick
     sim.clock.tick_index = 5
-    robot = make_robot(0, 0.0, 0.0, p1=0.08)
+    robot = make_robot(0, 0.0, 0.0, phase=RobotPhase.STOPPING, p1=0.08)
     sim.world.add_robot(robot)
     sim.tick()  # off-cadence tick: no draw at all
     assert robot.phase is RobotPhase.STOPPING
@@ -109,9 +95,7 @@ def test_leave_records_follow_check_period():
 def test_searching_jitter_advance():
     # Jitter draw 0.75 maps to +0.05 rad with jitter half-width 0.1.
     sim = build_sim(rng=ScriptedRng([0.75]), totals=(0, 0))
-    robot = make_robot(0, 5.0, 5.0, heading=0.0)
-    robot.phase = RobotPhase.SEARCHING
-    robot.search_deadline = 15.0
+    robot = make_robot(0, 5.0, 5.0, heading=0.0, search_deadline=15.0)
     sim.world.add_robot(robot)
     sim.tick()  # no contact: the tick takes the free step itself
     assert robot.heading == pytest.approx(0.05)
@@ -121,9 +105,7 @@ def test_searching_jitter_advance():
 
 def test_searching_timeout_returns_empty():
     sim = build_sim(rng=ScriptedRng([]), totals=(0, 0))
-    robot = make_robot(0, 5.0, 5.0)
-    robot.phase = RobotPhase.SEARCHING
-    robot.search_deadline = 10.0
+    robot = make_robot(0, 5.0, 5.0, search_deadline=10.0)
     sim.clock.tick_index = 100  # now = 10.0 s, deadline reached
     sim.world.add_robot(robot)
     sim.tick()  # the tick checks the deadline
@@ -133,9 +115,7 @@ def test_searching_timeout_returns_empty():
 
 def test_searching_nest_boundary_bounces_outward():
     sim = build_sim(totals=(0, 0))
-    robot = make_robot(0, ARENA.nest_radius + ARENA.robot_radius, 0.0)
-    robot.phase = RobotPhase.SEARCHING
-    robot.search_deadline = 15.0
+    robot = make_robot(0, ARENA.nest_radius + ARENA.robot_radius, 0.0, search_deadline=15.0)
     sim.world.add_robot(robot)
     sim.tick()
     assert robot.phase is RobotPhase.SEARCHING
@@ -146,9 +126,7 @@ def test_searching_nest_boundary_bounces_outward():
 def test_searching_inside_nest_passes_outward():
     rng = ScriptedRng([0.5])  # only the jitter draw, no bounce redraws
     sim = build_sim(rng=rng, totals=(0, 0))
-    robot = make_robot(0, ARENA.nest_radius - 0.05, 0.0)
-    robot.phase = RobotPhase.SEARCHING
-    robot.search_deadline = 15.0
+    robot = make_robot(0, ARENA.nest_radius - 0.05, 0.0, search_deadline=15.0)
     sim.world.add_robot(robot)
     sim.tick()
     assert rng.calls == 1
@@ -164,9 +142,7 @@ def place_contact_object(sim, obj_type, robot):
 
 def test_pickup_certain_capability_succeeds():
     sim = build_sim(rng=ScriptedRng([0.999999]), totals=(1, 0))
-    robot = make_robot(0, 5.0, 5.0, capability=(1.0, 1.0))
-    robot.phase = RobotPhase.SEARCHING
-    robot.search_deadline = 15.0
+    robot = make_robot(0, 5.0, 5.0, capability=(1.0, 1.0), search_deadline=15.0)
     sim.world.add_robot(robot)
     obj = place_contact_object(sim, ObjectType.TYPE1, robot)
     sim.tick()
@@ -178,9 +154,7 @@ def test_pickup_certain_capability_succeeds():
 
 def test_pickup_zero_capability_bounces():
     sim = build_sim(rng=random.Random(5), totals=(0, 1))
-    robot = make_robot(0, 5.0, 5.0, capability=(0.0, 0.0))
-    robot.phase = RobotPhase.SEARCHING
-    robot.search_deadline = 15.0
+    robot = make_robot(0, 5.0, 5.0, capability=(0.0, 0.0), search_deadline=15.0)
     sim.world.add_robot(robot)
     obj = place_contact_object(sim, ObjectType.TYPE2, robot)
     sim.tick()
@@ -193,9 +167,7 @@ def test_modified_wrong_type_is_plain_obstacle():
     # Capability 1.0 would guarantee pickup if a capability draw happened;
     # a non-assigned type must bounce with no draw and no state update.
     sim = build_sim(mode=Mode.MODIFIED, rng=random.Random(5), totals=(0, 1))
-    robot = make_robot(0, 5.0, 5.0, capability=(1.0, 1.0))
-    robot.phase = RobotPhase.SEARCHING
-    robot.search_deadline = 15.0
+    robot = make_robot(0, 5.0, 5.0, capability=(1.0, 1.0), search_deadline=15.0)
     robot.assignment = ObjectType.TYPE1
     sim.world.add_robot(robot)
     obj = place_contact_object(sim, ObjectType.TYPE2, robot)
@@ -209,15 +181,13 @@ def test_modified_wrong_type_is_plain_obstacle():
 
 def test_modified_pickup_updates_per_attempt():
     sim = build_sim(mode=Mode.MODIFIED, rng=random.Random(5), totals=(0, 1))
-    robot = make_robot(0, 5.0, 5.0, capability=(0.0, 0.0))
-    robot.phase = RobotPhase.SEARCHING
-    robot.search_deadline = 15.0
+    robot = make_robot(0, 5.0, 5.0, capability=(0.0, 0.0), search_deadline=15.0)
     robot.assignment = ObjectType.TYPE2
     sim.world.add_robot(robot)
     place_contact_object(sim, ObjectType.TYPE2, robot)
     leave, pickup = robot.leave, robot.pickup
     sim.tick()  # failed attempt
-    assert robot.pickup[1] == vdr_failure(pickup[1], OBJ)
+    assert robot.pickup[1] == vdr_failure(pickup[1], TABLE9)
     assert robot.pickup[0] == pickup[0]
     assert robot.leave == leave
 
@@ -227,8 +197,7 @@ def test_modified_pickup_updates_per_attempt():
 
 def test_returning_homes_on_origin():
     sim = build_sim(rng=ScriptedRng([]), totals=(0, 0))
-    robot = make_robot(0, 5.0, 0.0, heading=0.0)
-    robot.phase = RobotPhase.RETURNING
+    robot = make_robot(0, 5.0, 0.0, heading=0.0, phase=RobotPhase.RETURNING)
     sim.world.add_robot(robot)
     sim.tick()
     assert abs(robot.heading) == pytest.approx(math.pi)  # -pi and pi coincide
@@ -244,8 +213,7 @@ def test_returning_delivery_updates_and_conserves():
         events = []
         sim = build_sim(rng=random.Random(3), totals=(1, 1), emit=events.append, mode=mode)
         sim.world.add_object(ObjectType.TYPE1, 5.0, 5.0)
-        robot = make_robot(0, 0.5, 0.0)
-        robot.phase = RobotPhase.RETURNING
+        robot = make_robot(0, 0.5, 0.0, phase=RobotPhase.RETURNING)
         robot.carried = ObjectType.TYPE2
         sim.world.add_robot(robot)
         leave, pickup = robot.leave, robot.pickup
@@ -257,7 +225,7 @@ def test_returning_delivery_updates_and_conserves():
         # The replacement spawned.
         assert sum(o.obj_type == ObjectType.TYPE2 for o in sim.world.objects.values()) == 1
         sim.world.check_conservation()
-        assert robot.leave == vdr_success(leave, LEAVE), mode
+        assert robot.leave == vdr_success(leave, TABLE4), mode
         assert robot.pickup == pickup, mode
         kinds = [e[0] for e in events]
         assert kinds == ["deliver", "trip", "phase"]
@@ -268,14 +236,13 @@ def test_returning_empty_counts_failure():
         sim = build_sim(rng=random.Random(3), totals=(1, 1), mode=mode)
         sim.world.add_object(ObjectType.TYPE1, 5.0, 5.0)
         sim.world.add_object(ObjectType.TYPE2, -5.0, 5.0)
-        robot = make_robot(0, 0.5, 0.0)
-        robot.phase = RobotPhase.RETURNING
+        robot = make_robot(0, 0.5, 0.0, phase=RobotPhase.RETURNING)
         sim.world.add_robot(robot)
         leave, pickup = robot.leave, robot.pickup
         sim.tick()
         assert robot.phase is RobotPhase.STOPPING
         assert robot.trip_failures == 1
-        assert robot.leave == vdr_failure(leave, LEAVE), mode
+        assert robot.leave == vdr_failure(leave, TABLE4), mode
         assert robot.pickup == pickup, mode
 
 
@@ -284,8 +251,7 @@ def test_returning_edge_follows_object():
     # turns along its edge with no draw.
     sim = build_sim(rng=ScriptedRng([]), totals=(1, 1))
     obj = sim.world.add_object(ObjectType.TYPE2, 5.0 - 2 * ARENA.robot_radius, 0.1)
-    robot = make_robot(0, 5.0, 0.0, heading=0.0)
-    robot.phase = RobotPhase.RETURNING
+    robot = make_robot(0, 5.0, 0.0, heading=0.0, phase=RobotPhase.RETURNING)
     robot.carried = ObjectType.TYPE1
     sim.world.add_robot(robot)
     sim.tick()
@@ -294,10 +260,8 @@ def test_returning_edge_follows_object():
 
 def test_returning_robot_contact_separates():
     sim = build_sim(rng=random.Random(9), totals=(0, 0))
-    a = make_robot(0, 5.0, 0.0, heading=math.pi)
-    b = make_robot(1, 5.0 - 2 * ARENA.robot_radius, 0.0, heading=0.0)
-    a.phase = RobotPhase.RETURNING
-    b.phase = RobotPhase.RETURNING
+    a = make_robot(0, 5.0, 0.0, phase=RobotPhase.RETURNING, heading=math.pi)
+    b = make_robot(1, 5.0 - 2 * ARENA.robot_radius, 0.0, phase=RobotPhase.RETURNING)
     sim.world.add_robot(a)
     sim.world.add_robot(b)
     d0 = math.hypot(a.x - b.x, a.y - b.y)
@@ -365,17 +329,16 @@ def test_tick_steps_each_moving_robot_once(setup, kind, moves):
     for obj_type, x, y in objects:
         sim.world.add_object(obj_type, x, y)
     x0, y0 = setup.get("at", (5.0, 5.0))
-    robot = make_robot(0, x0, y0, heading=0.3, capability=setup.get("capability", (0.5, 0.5)))
-    robot.phase = phase = setup.get("phase", RobotPhase.SEARCHING)
-    robot.search_deadline = setup.get("deadline", 15.0)
+    phase = setup.get("phase", RobotPhase.SEARCHING)
+    robot = make_robot(
+        0, x0, y0, phase=phase, search_deadline=setup.get("deadline", 15.0), heading=0.3,
+        capability=setup.get("capability", (0.5, 0.5)),
+    )
     robot.carried = setup.get("carried")
     robot.assignment = setup.get("assignment")
     sim.world.add_robot(robot)
     if "other" in setup:
-        other = make_robot(1, *setup["other"])
-        other.phase = RobotPhase.SEARCHING
-        other.search_deadline = 15.0
-        sim.world.add_robot(other)
+        sim.world.add_robot(make_robot(1, *setup["other"], search_deadline=15.0))
     assert nearest_contact(sim.world, (x0, y0), robot.id).kind is kind
     sim.tick()
     assert (robot.phase is phase) == moves
@@ -395,7 +358,7 @@ def test_tick_fixed_point_when_all_draws_fail():
     sim.world.add_object(ObjectType.TYPE1, 5.0, 5.0)
     sim.world.add_object(ObjectType.TYPE2, -5.0, 5.0)
     for rid in range(3):
-        sim.world.add_robot(make_robot(rid, 0.2 * rid, 0.0))
+        sim.world.add_robot(make_robot(rid, 0.2 * rid, 0.0, phase=RobotPhase.STOPPING))
     def snapshot():
         return [(r.x, r.y, r.heading, r.phase, r.leave, r.pickup) for r in sim.world.robots]
 
@@ -410,22 +373,11 @@ def test_tick_count_matches_horizon():
     assert sim.config.total_ticks == 1800
     sim.world.add_object(ObjectType.TYPE1, 5.0, 5.0)
     sim.world.add_object(ObjectType.TYPE2, -5.0, 5.0)
-    sim.world.add_robot(make_robot(0, 0.0, 0.0))
+    sim.world.add_robot(make_robot(0, 0.0, 0.0, phase=RobotPhase.STOPPING))
     sim.run()
     assert sim.clock.tick_index == 1800
     with pytest.raises(ValueError):
         sim.tick()
-
-
-def test_run_determinism_bit_identical():
-    config = set1_config(seed=5)
-    ev1, ev2 = [], []
-    r1 = run_experiment(config, replication=3, emit=ev1.append)
-    r2 = run_experiment(config, replication=3, emit=ev2.append)
-    assert r1.final_p1 == r2.final_p1
-    assert r1.trips == r2.trips
-    assert r1.capabilities == r2.capabilities
-    assert ev1 == ev2
 
 
 def test_capability_gate_zero_never_carries():
@@ -436,33 +388,15 @@ def test_capability_gate_zero_never_carries():
 
     for t in (ObjectType.TYPE1, ObjectType.TYPE1, ObjectType.TYPE2, ObjectType.TYPE2):
         spawn_object(sim.world, t, rng)
-    robot = make_robot(0, 0.0, 0.0, capability=(0.0, 0.0), p1=0.08)
+    robot = make_robot(
+        0, 0.0, 0.0, phase=RobotPhase.STOPPING, capability=(0.0, 0.0), p1=0.08
+    )
     sim.world.add_robot(robot)
     sim.run()
     assert sum(robot.retrieved) == 0
     assert robot.retrieved == [0, 0]
     assert not any(e[0] == "pickup" for e in events)
     assert robot.trip_failures > 0  # it did go out and time out
-
-
-def test_full_run_phase_audit():
-    config = set1_config(seed=3)
-    events = []
-    run_experiment(config, replication=0, emit=events.append)
-    legal = {("stopping", "searching"), ("searching", "returning"), ("returning", "stopping")}
-    entered = {}
-    for record in events:
-        if record[0] != "phase":
-            continue
-        _, tick, rid, old, new = record
-        assert (old, new) in legal
-        if new == "searching":
-            entered[rid] = tick
-        elif old == "searching":
-            # Timeout bound: searching lasts at most timeout plus one tick.
-            timeout = whole_ticks("search_timeout", config.search_timeout, config.tick_duration)
-            slack_ticks = timeout + 1
-            assert tick - entered.pop(rid) <= slack_ticks
 
 
 def test_trip_accounting_matches_departures():

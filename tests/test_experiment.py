@@ -17,73 +17,94 @@ from foragesim.experiment import (
     set2_config,
 )
 
+from conftest import TABLE9
 
-def test_config_validation():
-    config = set1_config()
-    with pytest.raises(ValueError):
-        replace(config, robot_count=0)
-    with pytest.raises(ValueError):
-        replace(config, object_totals=(0, 35))
-    with pytest.raises(ValueError):
-        replace(config, replications=0)
-    with pytest.raises(ValueError):
-        replace(config, search_timeout=0.0)
-    with pytest.raises(ValueError):
-        replace(config, tick_duration=-0.1)
-    # random.Random seeds by |seed|, so seed -1 would repeat seed 1's streams.
-    with pytest.raises(ValueError, match="seed"):
-        replace(config, seed=-1)
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize(
-    "name", ["horizon", "search_timeout", "tick_duration", "leave_check_period"]
+# Pickup parameters whose floor, p_min, is 0.
+ZERO_FLOOR = VdrParams(p_max=0.15, p_min=0.0, p_initial=0.0, delta=0.0025)
+# 0.9069 of a 2 x 2 square holds at most 28 disks of radius 0.2.
+PACKED = ArenaConfig(
+    arena_half_width=1.0, nest_radius=0.45, object_radius=0.2, robot_radius=0.1
 )
-def test_config_rejects_non_finite(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
-        replace(set1_config(), **{name: value})
+WIDE = replace(set1_config().arena, arena_half_width=1000.0)
+CAPPED = "horizon_seconds is .* ticks; the tick count is capped"
 
 
-@pytest.mark.parametrize(
-    "name, value",
-    [
-        ("robot_count", True),
-        ("robot_count", 2.7),
-        ("robot_count", 4.0),  # only the CLI converts an integral float
-        ("object_totals", (1.5, 35)),
-        ("object_totals", (30, True)),
-        ("replications", True),
-        ("replications", 1.9),
-        ("seed", 3.5),
-        ("seed", False),
-    ],
-)
-def test_config_rejects_non_integer_counts(name, value):
-    with pytest.raises(ValueError, match="must be an integer"):
-        replace(set1_config(), **{name: value})
+def case(match, id=None, **edit):
+    """``edit`` applied to set1_config(): refused with a message that
+    ``match`` finds, or accepted if ``match`` is None."""
+    if id is None:
+        ((key, value),) = edit.items()
+        id = f"{key}-{value}"
+    return pytest.param(edit, match, id=id)
 
 
-def test_config_rejects_infeasible_packing():
-    # 0.9069 of a 2 x 2 square holds at most 28 disks of radius 0.2.
-    arena = ArenaConfig(
-        arena_half_width=1.0, nest_radius=0.45, object_radius=0.2, robot_radius=0.1
-    )
-    replace(set1_config(), arena=arena, object_totals=(14, 14))
-    with pytest.raises(ValueError, match="too packed"):
-        replace(set1_config(), arena=arena, object_totals=(14, 15))
+CONFIG_CASES = [
+    # Spans that are not finite, each named by its config key.
+    *(
+        case(f"{key} must be finite", **{name: value})
+        for name, key in (
+            ("horizon", "horizon_seconds"),
+            ("search_timeout", "search_timeout_seconds"),
+            ("tick_duration", "tick_duration"),
+            ("leave_check_period", "leave_check_period"),
+        )
+        for value in (float("nan"), float("inf"), float("-inf"))
+    ),
+    # Spans below their floor, or not a whole number of ticks.
+    case("horizon_seconds must be >= 0, got -1.0", horizon=-1.0),
+    case("search_timeout_seconds must be > 0, got 0.0", search_timeout=0.0),
+    case("search_timeout_seconds must be > 0, got -1.0", search_timeout=-1.0),
+    case("tick_duration must be > 0, got -0.1", tick_duration=-0.1),
+    case("leave_check_period must be > 0, got 0.0", leave_check_period=0.0),
+    case("horizon_seconds must be a whole number", horizon=10.05),
+    # No run starts: 1e-300 s ticks would never end, and 1e-320 s ticks
+    # make the tick count infinite.
+    case(None, horizon=MAX_TICKS * 0.1),
+    case(CAPPED, horizon=MAX_TICKS * 0.1 + 0.1),
+    case(CAPPED, horizon=5.0, tick_duration=1e-300, id="tick_duration-1e-300"),
+    case(CAPPED, horizon=5.0, tick_duration=1e-320, id="tick_duration-1e-320"),
+    # Counts that are not integers; only the CLI converts an integral float.
+    case("robot_count must be an integer", robot_count=True),
+    case("robot_count must be an integer", robot_count=2.7),
+    case("robot_count must be an integer", robot_count=4.0),
+    case("objects_type1 must be an integer", object_totals=(1.5, 35), id="objects_type1-1.5"),
+    case("objects_type2 must be an integer", object_totals=(30, True), id="objects_type2-True"),
+    case("replications must be an integer", replications=True),
+    case("replications must be an integer", replications=1.9),
+    case("seed must be an integer", seed=3.5),
+    case("seed must be an integer", seed=False),
+    # Counts out of range. random.Random seeds by |seed|, so seed -1 would
+    # repeat seed 1's streams.
+    case("robot_count must be in", robot_count=0),
+    case("objects_type1 must be in", object_totals=(0, 35), id="objects_type1-0"),
+    case("replications must be in", replications=0),
+    case(None, replications=MAX_REPLICATIONS),
+    case("replications must be in", replications=MAX_REPLICATIONS + 1),
+    case("seed must be >= 0", seed=-1),
+    # A count too large for a float is refused before the packing check.
+    case(None, arena=WIDE, object_totals=(MAX_OBJECTS, MAX_OBJECTS), id="max-objects"),
+    case("objects_type1 must be in", arena=WIDE, object_totals=(MAX_OBJECTS + 1, 1),
+         id="objects_type1-over-max"),
+    case("objects_type2 must be in", arena=WIDE, object_totals=(1, 10**400),
+         id="objects_type2-10**400"),
+    case(None, arena=PACKED, object_totals=(14, 14), id="packed-28"),
+    case("too packed", arena=PACKED, object_totals=(14, 15), id="packed-29"),
+    # assign_task draws type 1 with p1 / (p1 + p2); failures clamp each at
+    # its p_min. ORIGINAL never draws a task.
+    case(None, mode=Mode.MODIFIED, obj_params=(ZERO_FLOOR, TABLE9), id="one-zero-floor"),
+    case(None, obj_params=(ZERO_FLOOR, ZERO_FLOOR), id="zero-floors-original"),
+    case("modified mode needs obj1_p_min or obj2_p_min above 0", mode=Mode.MODIFIED,
+         obj_params=(ZERO_FLOOR, ZERO_FLOOR), id="zero-floors-modified"),
+]
 
 
-def test_config_caps_the_tick_count():
-    # No run starts: 1e-300 s ticks would never end, and 1e-320 s ticks make
-    # the tick count infinite.
-    replace(set1_config(), horizon=MAX_TICKS * 0.1)
-    for overrides in (
-        dict(horizon=MAX_TICKS * 0.1 + 0.1),
-        dict(horizon=5.0, tick_duration=1e-300),
-        dict(horizon=5.0, tick_duration=1e-320),
-    ):
-        with pytest.raises(ValueError, match="tick count is capped"):
-            replace(set1_config(), **overrides)
+@pytest.mark.parametrize("edit, match", CONFIG_CASES)
+def test_config_validation(edit, match):
+    if match is None:
+        replace(set1_config(), **edit)
+    else:
+        with pytest.raises(ValueError, match=match):
+            replace(set1_config(), **edit)
 
 
 def test_config_counts_its_spans_in_ticks():
@@ -93,27 +114,6 @@ def test_config_counts_its_spans_in_ticks():
     setup = replace(config, horizon=0.0, leave_check_period=1.0)
     assert (setup.total_ticks, setup.leave_check_ticks) == (0, 10)
     assert "ticks" not in repr(config)
-
-
-def test_config_caps_replications_and_object_counts():
-    wide = replace(set1_config().arena, arena_half_width=1000.0)
-    replace(set1_config(), replications=MAX_REPLICATIONS)
-    replace(set1_config(), arena=wide, object_totals=(MAX_OBJECTS, MAX_OBJECTS))
-    with pytest.raises(ValueError, match="replications must be in"):
-        replace(set1_config(), replications=MAX_REPLICATIONS + 1)
-    # A count too large for a float is refused before the packing check.
-    for totals, name in (((MAX_OBJECTS + 1, 1), "objects_type1"), ((1, 10**400), "objects_type2")):
-        with pytest.raises(ValueError, match=f"{name} must be in"):
-            replace(set1_config(), arena=wide, object_totals=totals)
-
-
-def test_config_rejects_zero_pickup_floors_in_modified_mode():
-    # assign_task draws type 1 with p1 / (p1 + p2); failures clamp at p_min.
-    zero = VdrParams(p_max=0.15, p_min=0.0, p_initial=0.0, delta=0.0025)
-    replace(set2_config(), obj_params=(zero, set2_config().obj_params[1]))
-    replace(set1_config(), obj_params=(zero, zero))  # ORIGINAL never draws a task
-    with pytest.raises(ValueError, match="p_min"):
-        replace(set2_config(), obj_params=(zero, zero))
 
 
 def test_set1_preset_parameters():
