@@ -258,12 +258,64 @@ REFUSALS = [
         "duplicate keys: ['seed']", id="duplicate-key",
         source=json.dumps(config_to_dict(small_config()))[:-1].encode() + b', "seed": 99}',
     ),
-    # Keys unknown or missing, and values of the wrong kind.
+    # Keys unknown or missing, and a mode that does not exist.
     refusal("missing config keys", source=b'{"mode": "original"}', id="missing-keys"),
     refusal("missing config keys: ['seed']", seed=DROP, id="missing-key"),
     refusal("unknown config keys: ['robot_speeed']", robot_speeed=2.0, id="unknown-key"),
     refusal("mode: 'hybrid' is not a valid Mode", mode="hybrid", id="bad-mode"),
-    # float() would read these as 10.0, 4.0 and 1.0.
+    # Probabilities that cannot run. histogram() needs p_min < p_max, so
+    # equal bounds used to fail after every run; an inverted pair is refused
+    # under its prefix.
+    refusal(
+        "invalid leave_* probability parameters", source=set1_config(replications=1),
+        id="equal-leave-bounds", leave_p_min=0.04, leave_p_initial=0.04, leave_p_max=0.04,
+    ),
+    refusal("leave_* probability parameters", leave_p_min=0.5, id="inverted-bounds"),
+    # assign_task divides by p1 + p2, which zero floors let reach 0.
+    refusal(
+        "modified mode needs obj1_p_min or obj2_p_min above 0",
+        source=set2_config(replications=1), id="zero-pickup-floors", **ZERO_PICKUP_FLOORS,
+    ),
+    # Flags named after a config key pass the same checks.
+    refusal(
+        "modified mode needs obj1_p_min or obj2_p_min above 0",
+        source=set1_config(replications=1), flags=["--mode", "modified"],
+        id="zero-pickup-floors-mode-override", **ZERO_PICKUP_FLOORS,
+    ),
+    refusal("replications must be in", source="set1", flags=["--replications", "0"],
+            id="--replications-0"),
+    refusal("seed must be >= 0", source="set1", flags=["--seed", "-1"], id="--seed--1"),
+]
+
+
+def assert_refused(tmp_path, capsys, source, edit, flags, named):
+    path = tmp_path / "c.json"
+    if isinstance(source, str):
+        argv = ["--preset", source]
+    else:
+        argv = ["--config", str(path)]
+        if isinstance(source, ExperimentConfig):
+            raw = {**config_to_dict(source), **edit}
+            kept = {key: value for key, value in raw.items() if value is not DROP}
+            source = json.dumps(kept).encode()
+        if source is not None:
+            path.write_bytes(source)
+    out = tmp_path / "out"
+    assert main([*argv, "--output", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source, edit, flags, named", REFUSALS)
+def test_main_bad_config_exits_2(tmp_path, capsys, source, edit, flags, named):
+    assert_refused(tmp_path, capsys, source, edit, flags, named)
+
+
+# Rows of the same form whose config file holds a value that is refused.
+VALUE_REFUSALS = [
+    # Values of the wrong kind, which float() would read as 10.0, 4.0 and 1.0.
     refusal("horizon_seconds: must be a number", horizon_seconds="10"),
     refusal("arena_half_width: must be a number", arena_half_width="4"),
     refusal("robot_speed: must be a number", robot_speed=True),
@@ -323,50 +375,12 @@ REFUSALS = [
     refusal("objects_type1 must be in 1..100000", objects_type1=10**9),
     refusal("objects_type1 must be in", objects_type1=10**400, id="objects_type1-10**400"),
     refusal("objects_type2 must be in", objects_type2=10**400, id="objects_type2-10**400"),
-    # Probabilities that cannot run. histogram() needs p_min < p_max, so
-    # equal bounds used to fail after every run; an inverted pair is refused
-    # under its prefix.
-    refusal(
-        "invalid leave_* probability parameters", source=set1_config(replications=1),
-        id="equal-leave-bounds", leave_p_min=0.04, leave_p_initial=0.04, leave_p_max=0.04,
-    ),
-    refusal("leave_* probability parameters", leave_p_min=0.5, id="inverted-bounds"),
-    # assign_task divides by p1 + p2, which zero floors let reach 0.
-    refusal(
-        "modified mode needs obj1_p_min or obj2_p_min above 0",
-        source=set2_config(replications=1), id="zero-pickup-floors", **ZERO_PICKUP_FLOORS,
-    ),
-    # Flags named after a config key pass the same checks.
-    refusal(
-        "modified mode needs obj1_p_min or obj2_p_min above 0",
-        source=set1_config(replications=1), flags=["--mode", "modified"],
-        id="zero-pickup-floors-mode-override", **ZERO_PICKUP_FLOORS,
-    ),
-    refusal("replications must be in", source="set1", flags=["--replications", "0"],
-            id="--replications-0"),
-    refusal("seed must be >= 0", source="set1", flags=["--seed", "-1"], id="--seed--1"),
 ]
 
 
-@pytest.mark.parametrize("source, edit, flags, named", REFUSALS)
-def test_main_bad_config_exits_2(tmp_path, capsys, source, edit, flags, named):
-    path = tmp_path / "c.json"
-    if isinstance(source, str):
-        argv = ["--preset", source]
-    else:
-        argv = ["--config", str(path)]
-        if isinstance(source, ExperimentConfig):
-            raw = {**config_to_dict(source), **edit}
-            kept = {key: value for key, value in raw.items() if value is not DROP}
-            source = json.dumps(kept).encode()
-        if source is not None:
-            path.write_bytes(source)
-    out = tmp_path / "out"
-    assert main([*argv, "--output", str(out), *flags]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
-    assert named in err
-    assert not out.exists()
+@pytest.mark.parametrize("source, edit, flags, named", VALUE_REFUSALS)
+def test_main_non_finite_value_exits_2(tmp_path, capsys, source, edit, flags, named):
+    assert_refused(tmp_path, capsys, source, edit, flags, named)
 
 
 def test_integral_float_count_accepted():

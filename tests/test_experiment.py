@@ -39,17 +39,6 @@ def case(match, id=None, **edit):
 
 
 CONFIG_CASES = [
-    # Spans that are not finite, each named by its config key.
-    *(
-        case(f"{key} must be finite", **{name: value})
-        for name, key in (
-            ("horizon", "horizon_seconds"),
-            ("search_timeout", "search_timeout_seconds"),
-            ("tick_duration", "tick_duration"),
-            ("leave_check_period", "leave_check_period"),
-        )
-        for value in (float("nan"), float("inf"), float("-inf"))
-    ),
     # Spans below their floor, or not a whole number of ticks.
     case("horizon_seconds must be >= 0, got -1.0", horizon=-1.0),
     case("search_timeout_seconds must be > 0, got 0.0", search_timeout=0.0),
@@ -63,16 +52,6 @@ CONFIG_CASES = [
     case(CAPPED, horizon=MAX_TICKS * 0.1 + 0.1),
     case(CAPPED, horizon=5.0, tick_duration=1e-300, id="tick_duration-1e-300"),
     case(CAPPED, horizon=5.0, tick_duration=1e-320, id="tick_duration-1e-320"),
-    # Counts that are not integers; only the CLI converts an integral float.
-    case("robot_count must be an integer", robot_count=True),
-    case("robot_count must be an integer", robot_count=2.7),
-    case("robot_count must be an integer", robot_count=4.0),
-    case("objects_type1 must be an integer", object_totals=(1.5, 35), id="objects_type1-1.5"),
-    case("objects_type2 must be an integer", object_totals=(30, True), id="objects_type2-True"),
-    case("replications must be an integer", replications=True),
-    case("replications must be an integer", replications=1.9),
-    case("seed must be an integer", seed=3.5),
-    case("seed must be an integer", seed=False),
     # Counts out of range. random.Random seeds by |seed|, so seed -1 would
     # repeat seed 1's streams.
     case("robot_count must be in", robot_count=0),
@@ -98,13 +77,56 @@ CONFIG_CASES = [
 ]
 
 
-@pytest.mark.parametrize("edit, match", CONFIG_CASES)
-def test_config_validation(edit, match):
+def check(edit, match):
     if match is None:
         replace(set1_config(), **edit)
     else:
         with pytest.raises(ValueError, match=match):
             replace(set1_config(), **edit)
+
+
+@pytest.mark.parametrize("edit, match", CONFIG_CASES)
+def test_config_validation(edit, match):
+    check(edit, match)
+
+
+# Spans that are not finite, each named by its config key.
+NON_FINITE = [
+    *(
+        case(f"{key} must be finite", **{name: value})
+        for name, key in (
+            ("horizon", "horizon_seconds"),
+            ("search_timeout", "search_timeout_seconds"),
+            ("tick_duration", "tick_duration"),
+            ("leave_check_period", "leave_check_period"),
+        )
+        for value in (float("nan"), float("inf"), float("-inf"))
+    ),
+]
+
+
+@pytest.mark.parametrize("edit, match", NON_FINITE)
+def test_config_rejects_non_finite(edit, match):
+    check(edit, match)
+
+
+# Counts that are not integers; only the CLI converts an integral float.
+NON_INTEGER = [
+    case("robot_count must be an integer", robot_count=True),
+    case("robot_count must be an integer", robot_count=2.7),
+    case("robot_count must be an integer", robot_count=4.0),
+    case("objects_type1 must be an integer", object_totals=(1.5, 35), id="objects_type1-1.5"),
+    case("objects_type2 must be an integer", object_totals=(30, True), id="objects_type2-True"),
+    case("replications must be an integer", replications=True),
+    case("replications must be an integer", replications=1.9),
+    case("seed must be an integer", seed=3.5),
+    case("seed must be an integer", seed=False),
+]
+
+
+@pytest.mark.parametrize("edit, match", NON_INTEGER)
+def test_config_rejects_non_integer_counts(edit, match):
+    check(edit, match)
 
 
 def test_config_counts_its_spans_in_ticks():
