@@ -61,8 +61,6 @@ def classify_foragers(results: Sequence[RunResult], p_max: float) -> list:
     midpoint to split at: all its robots are foragers if they sit at
     ``p_max``, and none is otherwise. Returns one ``RunClassification`` per
     run."""
-    if not results:
-        raise ValueError("need at least one run result")
     runs = []
     for result in results:
         p1 = result.final_p1
@@ -80,8 +78,6 @@ def classify_preferences(result: RunResult) -> list:
     """Label each robot of a modified-mode run by its final pickup
     probabilities: YELLOW when both fall below their per-run midpoints,
     otherwise GREEN/PURPLE by the larger of the two (ties go GREEN)."""
-    if result.final_pobj is None:
-        raise ValueError("preference labels require a modified-mode result")
     pobj1, pobj2 = result.final_pobj
     mid1 = midpoint_threshold(pobj1)
     mid2 = midpoint_threshold(pobj2)
@@ -115,10 +111,6 @@ def binomial_comparison(
 ) -> BinomialComparison:
     """Compare the observed forager-count distribution against a binomial
     with moment-matched success probability, via total-variation distance."""
-    if not forager_counts:
-        raise ValueError("need at least one forager count")
-    if any(c < 0 or c > robot_count for c in forager_counts):
-        raise ValueError("forager counts must lie in [0, robot_count]")
     n_runs = len(forager_counts)
     p_hat = sum(forager_counts) / (n_runs * robot_count)
     observed = [0.0] * (robot_count + 1)
@@ -134,21 +126,15 @@ def binomial_comparison(
     return BinomialComparison(p_hat, observed, theoretical, tv)
 
 
-def histogram(
-    values: Sequence[float], bin_count: int, low: float, high: float
-) -> list:
-    """Equal-width bin counts over [low, high]; out-of-range values are
-    clamped into the edge bins, so counts always sum to len(values)."""
-    if bin_count < 2:
-        raise ValueError("bin_count must be >= 2")
-    if not low < high:
-        raise ValueError("need low < high")
-    counts = [0] * bin_count
-    width = (high - low) / bin_count
+def histogram(values: Sequence[float], low: float, high: float) -> list:
+    """``HISTOGRAM_BINS`` equal-width bin counts over [low, high]; values out
+    of range are clamped into the edge bins, so counts sum to len(values)."""
+    counts = [0] * HISTOGRAM_BINS
+    width = (high - low) / HISTOGRAM_BINS
     for v in values:
         # Clamp before truncating: (v - low) / width can overflow int() for
         # extreme inputs even though the bin index is saturated anyway.
-        scaled = min(float(bin_count - 1), max(0.0, (v - low) / width))
+        scaled = min(float(HISTOGRAM_BINS - 1), max(0.0, (v - low) / width))
         counts[int(scaled)] += 1
     return counts
 
@@ -156,12 +142,7 @@ def histogram(
 def bimodality_score(bins: Sequence[int]) -> float:
     """Fraction of histogram mass sitting in the two extreme bins; the
     quantitative stand-in for a visual two-peak judgement."""
-    if len(bins) < 4:
-        raise ValueError("need at least 4 bins")
-    total = sum(bins)
-    if total == 0:
-        return 0.0
-    return (bins[0] + bins[-1]) / total
+    return (bins[0] + bins[-1]) / sum(bins)
 
 
 def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> Summary:
@@ -190,7 +171,7 @@ def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> Summary
         match_rate = matches / sum(map(len, labels))
         loafer_yellow_rate = loafer_yellow / loafers if loafers else None
     bins = {
-        name: histogram(values, HISTOGRAM_BINS, params.p_min, params.p_max)
+        name: histogram(values, params.p_min, params.p_max)
         for name, params, values in groups
     }
     return Summary(

@@ -292,7 +292,8 @@ def spawn_object(world: World, obj_type: ObjectType, rng) -> WorldObject:
     hi = cfg.arena_half_width - cfg.object_radius
     span = hi - lo
     nest_keepout = cfg.nest_radius + cfg.object_radius + cfg.contact_margin
-    min_sep_sq = (2.0 * cfg.object_radius) ** 2
+    min_sep = 2.0 * cfg.object_radius
+    min_sep_sq = min_sep * min_sep
     cells = world.object_cells
 
     for _ in range(SPAWN_ATTEMPT_CAP):

@@ -9,7 +9,6 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import fields
 from typing import Optional
 
 from . import __version__
@@ -24,45 +23,12 @@ from .analysis import (
     classify_preferences,
     histogram,
 )
-from .experiment import PRESETS, ExperimentConfig, run_experiment
+from .experiment import PRESETS, ExperimentConfig, config_items, run_experiment
+from .experiment import _FIELDS, _KEYS, _REQUIRED, _VDR_GROUPS  # the config schema
 
 
 class ConfigError(ValueError):
     """Bad configuration file: parse failure, unknown key, or invalid value."""
-
-
-# The three probability groups: key prefix, and path to the VdrParams.
-_VDR_GROUPS = (
-    ("leave", ("leave_params",)),
-    ("obj1", ("obj_params", 0)),
-    ("obj2", ("obj_params", 1)),
-)
-
-# The config file schema, one row per JSON key: the key, its path in
-# ExperimentConfig (attribute names, and indices into its tuples), its type,
-# and whether the file must give it. An omitted key takes the dataclass
-# default. Geometry and probability keys are the field names of ArenaConfig
-# and VdrParams, so renaming such a field renames its key.
-_FIELDS = (
-    ("mode", ("mode",), Mode, True),
-    ("robot_count", ("robot_count",), int, True),
-    ("objects_type1", ("object_totals", 0), int, True),
-    ("objects_type2", ("object_totals", 1), int, True),
-    ("horizon_seconds", ("horizon",), float, True),
-    ("search_timeout_seconds", ("search_timeout",), float, True),
-    ("seed", ("seed",), int, True),
-    ("replications", ("replications",), int, True),
-    ("tick_duration", ("tick_duration",), float, False),
-    ("leave_check_period", ("leave_check_period",), float, False),
-    *((spec.name, ("arena", spec.name), float, False) for spec in fields(ArenaConfig)),
-    *(
-        (f"{prefix}_{spec.name}", (*path, spec.name), float, True)
-        for prefix, path in _VDR_GROUPS
-        for spec in fields(VdrParams)
-    ),
-)
-_KEYS = {row[0] for row in _FIELDS}
-_REQUIRED = {row[0] for row in _FIELDS if row[3]}
 
 
 def _number(value) -> float:
@@ -122,13 +88,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    out = {}
-    for key, path, kind, _ in _FIELDS:
-        value = config
-        for step in path:
-            value = value[step] if isinstance(step, int) else getattr(value, step)
-        out[key] = value.value if kind is Mode else value
-    return out
+    return {
+        key: value.value if kind is Mode else value for key, kind, value in config_items(config)
+    }
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -155,8 +155,6 @@ class Simulation:
     def tick(self) -> None:
         config = self.config
         clock = self.clock
-        if clock.tick_index >= config.total_ticks:
-            raise ValueError("clock is past the horizon")
         now = clock.tick_index * config.tick_duration
         check = clock.tick_index % config.leave_check_ticks == 0
         world = self.world

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from .allocation import Mode, ObjectType, VdrParams
@@ -37,7 +37,10 @@ def whole_ticks(name: str, seconds: float, tick_duration: float) -> int:
     unless it is a whole count of at most ``MAX_TICKS``."""
     ticks = seconds / tick_duration
     if ticks > MAX_TICKS:  # first, so an infinite count gets this message too
-        raise ValueError(f"{name} is {ticks:.3g} ticks; the tick count is capped at {MAX_TICKS}")
+        raise ValueError(
+            f"{name} is {ticks:.3g} ticks at tick_duration {tick_duration}; "
+            f"the tick count is capped at {MAX_TICKS}"
+        )
     # The clock counts whole ticks, so it would round any other length, and
     # a positive whole number of ticks is at least one. The tolerance
     # admits quotients like 6.0 / 0.1 == 59.99999999999999.
@@ -45,6 +48,53 @@ def whole_ticks(name: str, seconds: float, tick_duration: float) -> int:
     if abs(ticks - count) > 1e-9 * ticks:
         raise ValueError(f"{name} must be a whole number of {tick_duration} s ticks")
     return count
+
+
+# The three probability groups: key prefix, and path to the VdrParams.
+_VDR_GROUPS = (
+    ("leave", ("leave_params",)),
+    ("obj1", ("obj_params", 0)),
+    ("obj2", ("obj_params", 1)),
+)
+
+# The config schema, one row per config file key: the key, its path in
+# ExperimentConfig (attribute names, and indices into its tuples), its type,
+# and whether the file must give it. An omitted key takes the dataclass
+# default. Geometry and probability keys are the field names of ArenaConfig
+# and VdrParams, so renaming such a field renames its key.
+_FIELDS = (
+    ("mode", ("mode",), Mode, True),
+    ("robot_count", ("robot_count",), int, True),
+    ("objects_type1", ("object_totals", 0), int, True),
+    ("objects_type2", ("object_totals", 1), int, True),
+    ("horizon_seconds", ("horizon",), float, True),
+    ("search_timeout_seconds", ("search_timeout",), float, True),
+    ("seed", ("seed",), int, True),
+    ("replications", ("replications",), int, True),
+    ("tick_duration", ("tick_duration",), float, False),
+    ("leave_check_period", ("leave_check_period",), float, False),
+    *((spec.name, ("arena", spec.name), float, False) for spec in fields(ArenaConfig)),
+    *(
+        (f"{prefix}_{spec.name}", (*path, spec.name), float, True)
+        for prefix, path in _VDR_GROUPS
+        for spec in fields(VdrParams)
+    ),
+)
+_KEYS = {row[0] for row in _FIELDS}
+_REQUIRED = {row[0] for row in _FIELDS if row[3]}
+
+# The Python types each schema type admits, and how a refusal names it. A
+# float key also takes an int; bool subclasses int, but True is neither.
+_ADMITS = {Mode: (Mode, "a Mode"), int: (int, "an integer"), float: ((int, float), "a number")}
+
+
+def config_items(config: ExperimentConfig):
+    """Yield each config key with its schema type and its value in ``config``."""
+    for key, path, kind, _ in _FIELDS:
+        value = config
+        for step in path:
+            value = value[step] if isinstance(step, int) else getattr(value, step)
+        yield key, kind, value
 
 
 @dataclass(frozen=True)
@@ -66,26 +116,12 @@ class ExperimentConfig:
     leave_check_ticks: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Each span under the config key that gives it.
-        spans = (
-            ("horizon_seconds", self.horizon),
-            ("search_timeout_seconds", self.search_timeout),
-            ("tick_duration", self.tick_duration),
-            ("leave_check_period", self.leave_check_period),
-        )
-        for name, value in spans:
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        for name, value in (
-            ("robot_count", self.robot_count),
-            ("objects_type1", self.object_totals[0]),
-            ("objects_type2", self.object_totals[1]),
-            ("replications", self.replications),
-            ("seed", self.seed),
-        ):
-            # bool subclasses int, but True is no count.
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for key, kind, value in config_items(self):
+            admits, name = _ADMITS[kind]
+            if isinstance(value, bool) or not isinstance(value, admits):
+                raise ValueError(f"{key} must be {name}, got {value!r}")
+            if kind is float and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         if not 0 < self.robot_count <= MAX_ROBOTS:
             raise ValueError(f"robot_count must be in 1..{MAX_ROBOTS}")
         # Before the packing check, which turns the counts into floats.
@@ -101,7 +137,11 @@ class ExperimentConfig:
         # A zero horizon builds the world and runs no tick.
         if self.horizon < 0:
             raise ValueError(f"horizon_seconds must be >= 0, got {self.horizon}")
-        for name, value in spans[1:]:
+        for name, value in (
+            ("search_timeout_seconds", self.search_timeout),
+            ("tick_duration", self.tick_duration),
+            ("leave_check_period", self.leave_check_period),
+        ):
             if value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
         # Frozen, so the counts are set past the dataclass's own __setattr__.

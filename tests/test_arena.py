@@ -210,7 +210,8 @@ def scan_nearest_contact(world, position, ignore_robot_id=None):
     for other in world.robots:
         if other.id == ignore_robot_id or other.phase is RobotPhase.STOPPING:
             continue
-        d2 = (other.x - x) ** 2 + (other.y - y) ** 2
+        dx, dy = other.x - x, other.y - y
+        d2 = dx * dx + dy * dy
         if d2 < best_d2:
             best_robot, best_d2 = other, d2
     if best_robot is not None:
@@ -230,7 +231,8 @@ def scan_nearest_contact(world, position, ignore_robot_id=None):
     ro = cfg.robot_radius + cfg.object_radius + margin
     best_obj, best_d2 = None, ro * ro
     for obj in world.objects.values():
-        d2 = (obj.x - x) ** 2 + (obj.y - y) ** 2
+        dx, dy = obj.x - x, obj.y - y
+        d2 = dx * dx + dy * dy
         if d2 < best_d2:
             best_obj, best_d2 = obj, d2
     if best_obj is not None:
@@ -244,13 +246,14 @@ def scan_spawn_position(world, rng):
     lo = -cfg.arena_half_width + cfg.object_radius
     span = 2.0 * (cfg.arena_half_width - cfg.object_radius)
     keepout = cfg.nest_radius + cfg.object_radius + cfg.contact_margin
+    sep = 2.0 * cfg.object_radius
     for _ in range(SPAWN_ATTEMPT_CAP):
         x = lo + rng.random() * span
         y = lo + rng.random() * span
         if x * x + y * y <= keepout * keepout:
             continue
         if any(
-            (o.x - x) ** 2 + (o.y - y) ** 2 < (2.0 * cfg.object_radius) ** 2
+            (o.x - x) * (o.x - x) + (o.y - y) * (o.y - y) < sep * sep
             for o in world.objects.values()
         ):
             continue
@@ -647,7 +650,9 @@ def test_contact_query_ignores_the_order_of_cell_lists():
     want = contacts()
     ties = 0
     for (x, y), rid in probes:
-        d2 = sorted((r.x - x) ** 2 + (r.y - y) ** 2 for r in world.robots if r.id != rid)
+        d2 = sorted(
+            (r.x - x) * (r.x - x) + (r.y - y) * (r.y - y) for r in world.robots if r.id != rid
+        )
         ties += d2[0] == d2[1] < world.robot_contact_sq
     assert ties > 50
     for shuffle in (list.reverse, rng.shuffle, rng.shuffle):

@@ -360,8 +360,14 @@ VALUE_REFUSALS = [
         robot_radius=1e-310, object_radius=1e-310, contact_margin=1e-310,
     ),
     # 5e300 ticks, which would never end, and an infinite tick count.
-    refusal("horizon_seconds is 5e+300 ticks; the tick count is capped", tick_duration=1e-300),
-    refusal("horizon_seconds is inf ticks; the tick count is capped", tick_duration=1e-320),
+    refusal(
+        "horizon_seconds is 5e+300 ticks at tick_duration 1e-300; the tick count is capped",
+        tick_duration=1e-300,
+    ),
+    refusal(
+        "horizon_seconds is inf ticks at tick_duration 1e-320; the tick count is capped",
+        tick_duration=1e-320,
+    ),
     refusal("horizon_seconds is 1e+07 ticks", horizon_seconds=1_000_000.1),
     # Not whole numbers of 0.1 s ticks, and less than one tick.
     refusal("horizon_seconds must be a whole number of 0.1 s ticks", horizon_seconds=10.05),

@@ -26,7 +26,7 @@ PACKED = ArenaConfig(
     arena_half_width=1.0, nest_radius=0.45, object_radius=0.2, robot_radius=0.1
 )
 WIDE = replace(set1_config().arena, arena_half_width=1000.0)
-CAPPED = "horizon_seconds is .* ticks; the tick count is capped"
+CAPPED = "horizon_seconds is .* ticks at tick_duration {}; the tick count is capped"
 
 
 def case(match, id=None, **edit):
@@ -49,9 +49,9 @@ CONFIG_CASES = [
     # No run starts: 1e-300 s ticks would never end, and 1e-320 s ticks
     # make the tick count infinite.
     case(None, horizon=MAX_TICKS * 0.1),
-    case(CAPPED, horizon=MAX_TICKS * 0.1 + 0.1),
-    case(CAPPED, horizon=5.0, tick_duration=1e-300, id="tick_duration-1e-300"),
-    case(CAPPED, horizon=5.0, tick_duration=1e-320, id="tick_duration-1e-320"),
+    case(CAPPED.format(0.1), horizon=MAX_TICKS * 0.1 + 0.1),
+    case(CAPPED.format(1e-300), horizon=5.0, tick_duration=1e-300, id="tick_duration-1e-300"),
+    case(CAPPED.format(1e-320), horizon=5.0, tick_duration=1e-320, id="tick_duration-1e-320"),
     # Counts out of range. random.Random seeds by |seed|, so seed -1 would
     # repeat seed 1's streams.
     case("robot_count must be in", robot_count=0),
@@ -74,6 +74,11 @@ CONFIG_CASES = [
     case(None, obj_params=(ZERO_FLOOR, ZERO_FLOOR), id="zero-floors-original"),
     case("modified mode needs obj1_p_min or obj2_p_min above 0", mode=Mode.MODIFIED,
          obj_params=(ZERO_FLOOR, ZERO_FLOOR), id="zero-floors-modified"),
+    # Values of the wrong type, which a config file's converters refuse too.
+    case("mode must be a Mode, got 'modified'", mode="modified"),
+    case("horizon_seconds must be a number, got True", horizon=True),
+    case("robot_speed must be a number, got True",
+         arena=replace(set1_config().arena, robot_speed=True), id="robot_speed-True"),
 ]
 
 
