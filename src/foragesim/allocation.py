@@ -15,7 +15,7 @@ pickup state of the type it tried, in MODIFIED mode only.
 from __future__ import annotations
 
 import enum
-import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,7 +55,7 @@ class VdrParams:
                 "require 0 <= p_min <= p_initial <= p_max <= 1 and p_min < p_max, got "
                 f"p_min={self.p_min}, p_initial={self.p_initial}, p_max={self.p_max}"
             )
-        if not 0.0 < self.delta < math.inf:
+        if not 0.0 < self.delta <= sys.float_info.max:  # also an int past the float range
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
 
     def initial_state(self) -> VdrState:

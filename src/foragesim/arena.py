@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional
 
@@ -44,7 +45,7 @@ class ArenaConfig:
     def __post_init__(self) -> None:
         for spec in fields(self):
             value = getattr(self, spec.name)
-            if not math.isfinite(value):
+            if not abs(value) <= sys.float_info.max:  # also an int past the float range
                 raise ValueError(f"{spec.name} must be finite, got {value}")
             if value <= 0.0 and spec.name != "heading_jitter":
                 raise ValueError(f"{spec.name} must be strictly positive")

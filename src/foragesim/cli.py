@@ -1,29 +1,24 @@
-"""Command-line front end: load a config (file or shipped preset), run the
-replications, and write the result tables, analysis files, and manifest."""
+"""Command-line front end: load a config (file or shipped preset), run its
+replications, and hand their results to ``bundle``, which writes the files."""
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from collections import Counter
-from typing import Optional
+from contextlib import nullcontext
 
-from . import __version__
 from .allocation import Mode, VdrParams
 from .arena import ArenaConfig, SimulationInvariantError, SpawnError
-from .analysis import summarize
 # Unused here: perfbench/tracer.py rebinds these names on this module.
 from .analysis import (
-    bimodality_score,
-    binomial_comparison,
-    classify_foragers,
-    classify_preferences,
-    histogram,
+    bimodality_score, binomial_comparison, classify_foragers, classify_preferences, histogram,
 )
-from .experiment import PRESETS, ExperimentConfig, config_items, run_experiment
+from .bundle import fresh_directory, open_event_log, write_bundle, write_json
+from .engine import discard
+from .experiment import PRESETS, ExperimentConfig, config_to_dict, run_experiment
 from .experiment import _FIELDS, _KEYS, _REQUIRED, _VDR_GROUPS  # the config schema
 
 
@@ -87,12 +82,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        key: value.value if kind is Mode else value for key, kind, value in config_items(config)
-    }
-
-
 def _unique_keys(pairs: list) -> dict:
     # A key given twice would otherwise silently take its last value.
     twice = sorted(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
@@ -118,127 +107,18 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def write_config(config: ExperimentConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, config_to_dict(config))
 
 
 def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = False) -> dict:
-    """Execute the replications and write the full output bundle.
-
-    Returns the manifest dict. Raises ``FileExistsError`` before running
-    anything if ``output_dir`` already holds files, so a bundle never mixes
-    with files of an earlier run. On any later failure, the files in
-    ``output_dir``, and the directories this call made, are removed before
-    the error propagates.
-    """
-    made = []  # the directories makedirs is about to create, innermost first
-    path = os.path.abspath(output_dir)
-    while not os.path.isdir(path):
-        made.append(path)
-        path = os.path.dirname(path)
-    os.makedirs(output_dir, exist_ok=True)
-    if os.listdir(output_dir):
-        raise FileExistsError(f"output directory {output_dir} is not empty")
-
-    def write_table(name: str, header: str, rows) -> None:
-        # csv writes None as an empty field and a float as its repr.
-        with open(os.path.join(output_dir, name), "w") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header.split(","))
-            writer.writerows(rows)
-
-    try:
+    """Run the replications and write their bundle to ``output_dir``; returns
+    the manifest dict. ``bundle.fresh_directory`` guards the directory."""
+    with fresh_directory(output_dir):
         results = []
         for rep in range(config.replications):
-            if event_log:
-                # Streamed as the run goes, so memory does not grow with it.
-                name = f"events_run{rep:03d}.jsonl"
-                with open(os.path.join(output_dir, name), "w") as fh:
-                    def emit(record):
-                        fh.write(json.dumps(record) + "\n")
-
-                    results.append(run_experiment(config, rep, emit=emit))
-            else:
-                results.append(run_experiment(config, rep))
-
-        summary = summarize(config, results)
-        labels = summary.labels
-
-        none = [None] * config.robot_count  # the MODIFIED-only columns of an ORIGINAL run
-        rows = []
-        for rep, (result, cls) in enumerate(zip(results, summary.classification)):
-            pobj1, pobj2 = result.final_pobj or (none, none)
-            run_labels = [label.value for label in labels[rep]] if labels else none
-            for rid in range(config.robot_count):
-                rows.append(
-                    (rep, rid, *result.capabilities[rid], result.final_p1[rid], pobj1[rid],
-                     pobj2[rid], *result.trips[rid], int(rid in cls.forager_ids),
-                     run_labels[rid])
-                )
-        write_table(
-            "results.csv",
-            "run,robot,cap_type1,cap_type2,final_p1,final_pobj1,final_pobj2,"
-            "trip_successes,trip_failures,forager,label",
-            rows,
-        )
-
-        for name, counts in summary.bins.items():
-            low, high = summary.ranges[name]
-            width = (high - low) / len(counts)
-            write_table(
-                f"{name}_histogram.csv",
-                "bin_low,bin_high,count",
-                [(low + i * width, low + (i + 1) * width, c) for i, c in enumerate(counts)],
-            )
-
-        write_table(
-            "classification.csv",
-            "run,threshold,degenerate,forager_count,forager_ids",
-            [
-                (rep, cls.threshold, int(cls.degenerate), len(cls.forager_ids),
-                 ";".join(map(str, cls.forager_ids)))
-                for rep, cls in enumerate(summary.classification)
-            ],
-        )
-
-        comparison = summary.binomial
-        write_table(
-            "binomial.csv",
-            "k,observed,theoretical",
-            zip(range(config.robot_count + 1), comparison.observed, comparison.theoretical),
-        )
-
-        manifest = {
-            "package": "foragesim",
-            "version": __version__,
-            "config": config_to_dict(config),
-            "bimodality_scores": summary.bimodality,
-            "binomial_p_hat": comparison.p_hat,
-            "binomial_tv_distance": comparison.tv_distance,
-            "retrieved_totals": [
-                sum(r.retrieved[0] for r in results),
-                sum(r.retrieved[1] for r in results),
-            ],
-            "event_log": event_log,
-        }
-        with open(os.path.join(output_dir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return manifest
-    except BaseException:
-        # The directory was empty when the run began.
-        for name in os.listdir(output_dir):
-            try:
-                os.remove(os.path.join(output_dir, name))
-            except OSError:
-                pass
-        for path in made:
-            try:
-                os.rmdir(path)
-            except OSError:
-                break
-        raise
+            with open_event_log(output_dir, rep) if event_log else nullcontext(discard) as emit:
+                results.append(run_experiment(config, rep, emit=emit))
+        return write_bundle(output_dir, config, results, event_log)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,28 +129,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", help="path to a flat JSON config file")
-    source.add_argument(
-        "--preset", choices=sorted(PRESETS), help="shipped experiment preset"
-    )
+    source.add_argument("--preset", choices=sorted(PRESETS), help="shipped experiment preset")
     parser.add_argument("--output", required=True, help="output directory")
     parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--replications", type=int, help="override the replication count")
     parser.add_argument(
-        "--replications", type=int, help="override the replication count"
+        "--mode", choices=["original", "modified"], help="override the allocation mode"
     )
     parser.add_argument(
-        "--mode",
-        choices=["original", "modified"],
-        help="override the allocation mode",
-    )
-    parser.add_argument(
-        "--event-log",
-        action="store_true",
-        help="write one JSONL event log per replication",
+        "--event-log", action="store_true", help="write one JSONL event log per replication"
     )
     return parser
 
 
-def main(argv: Optional[list] = None) -> int:
+def main(argv: list | None = None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
@@ -278,11 +150,8 @@ def main(argv: Optional[list] = None) -> int:
                 config = load_config(args.config) if args.config else PRESETS[args.preset]()
                 # A flag named after a config key (--mode, --seed, --replications)
                 # overrides it, through the same checks as the file it overrides.
-                overrides = {
-                    key: value
-                    for key, value in vars(args).items()
-                    if key in _KEYS and value is not None
-                }
+                overrides = {key: value for key, value in vars(args).items()
+                             if key in _KEYS and value is not None}
                 config = config_from_dict({**config_to_dict(config), **overrides})
                 manifest = run_command(config, args.output, event_log=args.event_log)
             except ConfigError as exc:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -84,7 +85,7 @@ _KEYS = {row[0] for row in _FIELDS}
 _REQUIRED = {row[0] for row in _FIELDS if row[3]}
 
 # The Python types each schema type admits, and how a refusal names it. A
-# float key also takes an int; bool subclasses int, but True is neither.
+# float key also takes an int in the float range; bool subclasses int, but True is neither.
 _ADMITS = {Mode: (Mode, "a Mode"), int: (int, "an integer"), float: ((int, float), "a number")}
 
 
@@ -95,6 +96,11 @@ def config_items(config: ExperimentConfig):
         for step in path:
             value = value[step] if isinstance(step, int) else getattr(value, step)
         yield key, kind, value
+
+
+def config_to_dict(config: ExperimentConfig) -> dict:
+    """``config`` as a config file holds it: each key with its JSON value."""
+    return {key: v.value if kind is Mode else v for key, kind, v in config_items(config)}
 
 
 @dataclass(frozen=True)
@@ -120,7 +126,7 @@ class ExperimentConfig:
             admits, name = _ADMITS[kind]
             if isinstance(value, bool) or not isinstance(value, admits):
                 raise ValueError(f"{key} must be {name}, got {value!r}")
-            if kind is float and not math.isfinite(value):
+            if kind is float and not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{key} must be finite, got {value}")
         if not 0 < self.robot_count <= MAX_ROBOTS:
             raise ValueError(f"robot_count must be in 1..{MAX_ROBOTS}")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 from foragesim.allocation import VdrParams, VdrState
 from foragesim.arena import RobotPhase
 from foragesim.engine import Robot
@@ -40,3 +42,7 @@ def make_robot(
         search_deadline=search_deadline,
     )
 
+
+def bundle_files(directory):
+    """Each file of a bundle directory, by name, as bytes."""
+    return {path.name: path.read_bytes() for path in sorted(Path(directory).iterdir())}

@@ -13,7 +13,7 @@ from foragesim.analysis import summarize
 from foragesim.cli import run_command
 from foragesim.experiment import run_experiment, set1_config, set2_config, whole_ticks
 
-from conftest import TABLE4, TABLE9
+from conftest import TABLE4, TABLE9, bundle_files
 
 
 def report(number, description, ok, detail=""):
@@ -139,9 +139,7 @@ def test_criterion_7_determinism(tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         run_command(config, str(out), event_log=True)
-        bundles.append(
-            {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        )
+        bundles.append(bundle_files(out))
     ok = bundles[0] == bundles[1] and len(bundles[0]) >= 6
     report(7, "identical config+seed produce byte-identical bundles", ok,
            f"{len(bundles[0])} files compared")

@@ -61,7 +61,7 @@ def test_params_reject_bad_ordering():
         VdrParams(p_max=0.04, p_min=0.04, p_initial=0.04, delta=0.0003)
 
 
-@pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), pytest.param(10**400, id="10**400")])
 def test_params_reject_non_finite_delta(delta):
     with pytest.raises(ValueError, match="delta must be positive and finite"):
         VdrParams(p_max=0.08, p_min=0.002, p_initial=0.04, delta=delta)

@@ -33,6 +33,8 @@ from foragesim.experiment import (
     set2_config,
 )
 
+from conftest import bundle_files
+
 
 def small_config(**overrides):
     config = replace(set1_config(), horizon=5.0, replications=2, robot_count=4)
@@ -88,12 +90,6 @@ def test_write_config_digest(preset, tmp_path):
 
 
 # -- run_command -------------------------------------------------------------------
-
-
-def read_bundle(outdir):
-    return {
-        name: (outdir / name).read_bytes() for name in sorted(os.listdir(outdir))
-    }
 
 
 def test_run_command_row_counts(tmp_path):
@@ -159,9 +155,31 @@ def test_run_command_manifest_matches_summarize(tmp_path):
         assert sum(counts) == config.robot_count * config.replications
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--preset", "set2", "--replications", "2", "--event-log"],
+     ["--preset", "set1", "--replications", "1"]],
+    ids=["set2-event-log", "set1"],
+)
+def test_bundle_reruns_byte_for_byte_from_its_manifest(tmp_path, argv):
+    # The manifest echoes the whole config, so a rerun from it writes every
+    # file again, the manifest included.
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([*argv, "--output", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(manifest["config"]))
+    flags = ["--event-log"] if manifest["event_log"] else []
+    assert main(["--config", str(path), "--output", str(second), *flags]) == 0
+    written, rerun = bundle_files(first), bundle_files(second)
+    assert sorted(rerun) == sorted(written)
+    for name, data in written.items():
+        assert rerun[name] == data, name
+
+
 @pytest.mark.parametrize("made_by_user", [False, True], ids=["new", "empty"])
 def test_run_command_cleans_partial_output(tmp_path, monkeypatch, made_by_user):
-    import foragesim.cli as cli
+    import foragesim.bundle as bundle
 
     out = tmp_path / "out"
     if made_by_user:
@@ -173,7 +191,7 @@ def test_run_command_cleans_partial_output(tmp_path, monkeypatch, made_by_user):
         at_failure.extend(sorted(os.listdir(out)))
         raise RuntimeError("injected failure")
 
-    monkeypatch.setattr(cli, "config_to_dict", boom)
+    monkeypatch.setattr(bundle, "config_to_dict", boom)
     with pytest.raises(RuntimeError):
         run_command(small_config(), str(out))
     assert at_failure == [
@@ -442,7 +460,9 @@ def test_main_infeasible_packing_exits_2_before_running(tmp_path, capsys, monkey
     assert not out.exists()
 
 
-def test_main_invariant_error_exits_3(tmp_path, capsys, monkeypatch):
+# With --event-log the failure comes while events_run000.jsonl is open.
+@pytest.mark.parametrize("flags", [[], ["--event-log"]], ids=["plain", "event-log"])
+def test_main_invariant_error_exits_3(tmp_path, capsys, monkeypatch, flags):
     from foragesim.arena import SimulationInvariantError, World
 
     def broken(self):
@@ -450,7 +470,7 @@ def test_main_invariant_error_exits_3(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(World, "check_conservation", broken)
     out = tmp_path / "out"
-    code = main(["--preset", "set1", "--replications", "1", "--output", str(out)])
+    code = main(["--preset", "set1", "--replications", "1", "--output", str(out), *flags])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.err == "simulator bug: object conservation broken\n"
@@ -479,18 +499,20 @@ def test_main_refuses_non_empty_output(tmp_path, capsys, first, second):
         return main(["--config", str(path), "--output", str(out), *flags])
 
     assert run(*first) == 0
-    before = read_bundle(out)
+    before = bundle_files(out)
     assert run(*second) == 2
     assert "not empty" in capsys.readouterr().err
-    assert read_bundle(out) == before
+    assert bundle_files(out) == before
 
 
-@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
-def test_main_output_on_a_file_exits_2(tmp_path, capsys, under):
+@pytest.mark.parametrize(
+    "out", ["taken", os.path.join("taken", "out"), ""], ids=["file", "under-a-file", "empty"]
+)
+def test_main_output_on_a_file_exits_2(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)  # where each output path, "" too, resolves
     taken = tmp_path / "taken"
     taken.write_text("kept\n")
-    out = taken / "out" if under else taken
-    assert main(["--preset", "set1", "--replications", "1", "--output", str(out)]) == 2
+    assert main(["--preset", "set1", "--replications", "1", "--output", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("output error") and err.count("\n") == 1
     assert os.listdir(tmp_path) == ["taken"] and taken.read_text() == "kept\n"
@@ -633,7 +655,7 @@ BUNDLE_SCRIPT = Path(__file__).resolve().parents[1] / "perfbench" / "bundle.py"
 def test_benchmark_tracer_counts_each_mode_under_its_name(tmp_path, mode):
     # 30 s outlasts both presets' search timeouts, so trips end in either mode.
     preset = set1_config if mode == "original" else set2_config
-    config = replace(preset(), horizon=30.0, replications=1)
+    config = replace(preset(), horizon=30.0, replications=2)
     write_config(config, str(tmp_path / "config.json"))
     flags = ["--event-log"] if mode == "modified" else []
     subprocess.run(
@@ -641,10 +663,20 @@ def test_benchmark_tracer_counts_each_mode_under_its_name(tmp_path, mode):
          str(tmp_path / "out"), "--trace", str(tmp_path / "trace.json"), *flags],
         check=True, capture_output=True,
     )
-    counts = json.loads((tmp_path / "trace.json").read_text())["counts"]
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    counts = trace["counts"]
     trip = counts.get("allocation.record_trip_outcome.calls", 0)
     leave = counts.get("allocation.record_leave_outcome.calls", 0)
     original = mode == "original"
     assert (trip > 0, leave > 0) == (original, not original)
-    # One recount per tick, and 300 ticks of 0.1 s in the 30 s horizon.
-    assert counts["arena.check_conservation.calls"] == counts["engine.ticks"] == 300
+    # One recount per tick, and 300 ticks of 0.1 s in each 30 s replication.
+    assert counts["arena.check_conservation.calls"] == counts["engine.ticks"] == 2 * 300
+    # Each replication runs inside run_command through cli.run_experiment,
+    # and builds its world and runs its engine under its own span.
+    spans = trace["spans"]
+    (command,) = [sid for sid, name, _, _, _ in spans if name == "cli.run_command"]
+    replications = [span for span in spans if span[1] == "experiment.replication"]
+    assert [span[4] for span in replications] == [command] * config.replications
+    for sid, *_ in replications:
+        children = sorted(name for _, name, _, _, parent in spans if parent == sid)
+        assert children == ["engine.run", "experiment.build_world"]

@@ -83,11 +83,15 @@ CONFIG_CASES = [
 
 
 def check(edit, match):
+    def build():
+        values = {key: value() if callable(value) else value for key, value in edit.items()}
+        return replace(set1_config(), **values)
+
     if match is None:
-        replace(set1_config(), **edit)
+        build()
     else:
         with pytest.raises(ValueError, match=match):
-            replace(set1_config(), **edit)
+            build()
 
 
 @pytest.mark.parametrize("edit, match", CONFIG_CASES)
@@ -95,18 +99,25 @@ def test_config_validation(edit, match):
     check(edit, match)
 
 
-# Spans that are not finite, each named by its config key.
+# Spans that are not finite, or an int past the float range, each named by
+# its config key. A callable value is called inside the check, because an
+# ArenaConfig is refused as it is built.
 NON_FINITE = [
     *(
-        case(f"{key} must be finite", **{name: value})
+        case(f"{key} must be finite", id=f"{name}-{shown}", **{name: value})
         for name, key in (
             ("horizon", "horizon_seconds"),
             ("search_timeout", "search_timeout_seconds"),
             ("tick_duration", "tick_duration"),
             ("leave_check_period", "leave_check_period"),
         )
-        for value in (float("nan"), float("inf"), float("-inf"))
+        for shown, value in (
+            ("nan", float("nan")), ("inf", float("inf")), ("-inf", float("-inf")),
+            ("10**400", 10**400),
+        )
     ),
+    case("robot_speed must be finite", id="robot_speed-10**400",
+         arena=lambda: replace(set1_config().arena, robot_speed=10**400)),
 ]
 
 

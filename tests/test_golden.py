@@ -13,6 +13,8 @@ import pytest
 
 from foragesim.cli import main
 
+from conftest import bundle_files
+
 GOLDEN = {
     "set1": {
         "binomial.csv": "4412b29b575c59d4c68c16afdf35814db8c52f93a28e99df3d2afd6dc0268ba9",
@@ -42,8 +44,8 @@ def test_preset_bundle_digests(preset, tmp_path):
     )
     assert rc == 0
     digests = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(tmp_path.iterdir())
-        if path.name != "manifest.json"
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in bundle_files(tmp_path).items()
+        if name != "manifest.json"
     }
     assert digests == GOLDEN[preset]
