@@ -15,8 +15,9 @@ pickup state of the type it tried, in MODIFIED mode only.
 from __future__ import annotations
 
 import enum
+import reprlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 
@@ -30,6 +31,16 @@ class ObjectType(enum.IntEnum):
 class Mode(enum.Enum):
     ORIGINAL = "original"
     MODIFIED = "modified"
+
+
+def check_number(name: str, value) -> None:
+    """``ValueError`` naming the config key ``name`` unless ``value`` is a finite int
+    or float (a bool is neither; an int past the float range is not finite)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {reprlib.repr(value)}")
+    if not abs(value) <= sys.float_info.max:  # NaN compares false too
+        echo = value if isinstance(value, float) else "an int past the float range"
+        raise ValueError(f"{name} must be finite, got {echo}")
 
 
 class VdrState(NamedTuple):
@@ -48,15 +59,14 @@ class VdrParams:
     delta: float
 
     def __post_init__(self) -> None:
+        for spec in fields(self):
+            check_number(spec.name, getattr(self, spec.name))
         # p_min < p_max: the histograms of final probabilities span [p_min, p_max].
         ordered = 0.0 <= self.p_min <= self.p_initial <= self.p_max <= 1.0
         if not (ordered and self.p_min < self.p_max):
-            raise ValueError(
-                "require 0 <= p_min <= p_initial <= p_max <= 1 and p_min < p_max, got "
-                f"p_min={self.p_min}, p_initial={self.p_initial}, p_max={self.p_max}"
-            )
-        if not 0.0 < self.delta <= sys.float_info.max:  # also an int past the float range
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+            raise ValueError("require 0 <= p_min <= p_initial <= p_max <= 1 and p_min < p_max")
+        if self.delta <= 0.0:
+            raise ValueError(f"delta must be > 0, got {reprlib.repr(self.delta)}")
 
     def initial_state(self) -> VdrState:
         return VdrState(self.p_initial, 0, 0)

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
+import reprlib
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional
 
-from .allocation import ObjectType
+from .allocation import ObjectType, check_number
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,13 +45,13 @@ class ArenaConfig:
     def __post_init__(self) -> None:
         for spec in fields(self):
             value = getattr(self, spec.name)
-            if not abs(value) <= sys.float_info.max:  # also an int past the float range
-                raise ValueError(f"{spec.name} must be finite, got {value}")
+            check_number(spec.name, value)
             if value <= 0.0 and spec.name != "heading_jitter":
                 raise ValueError(f"{spec.name} must be strictly positive")
         # At most half a turn a tick; near 1e308 it sums the unwrapped heading to inf.
-        if not 0.0 <= self.heading_jitter <= math.pi:
-            raise ValueError(f"heading_jitter must be in [0, pi], got {self.heading_jitter}")
+        jitter = self.heading_jitter
+        if not 0.0 <= jitter <= math.pi:
+            raise ValueError(f"heading_jitter must be in [0, pi], got {reprlib.repr(jitter)}")
         if self.nest_radius <= self.robot_radius:
             raise ValueError(
                 "nest_radius must be > robot_radius so robots fit in the nest"
@@ -64,12 +64,13 @@ class ArenaConfig:
         # ExperimentConfig's packing check squares the arena's width.
         hw = self.arena_half_width
         if (2.0 * hw) * (2.0 * hw) == math.inf:
-            raise ValueError(f"arena_half_width {hw} is too wide: its area overflows a float")
+            echo = reprlib.repr(hw)  # an int of hundreds of digits would show them all
+            raise ValueError(f"arena_half_width {echo} is too wide: its area overflows a float")
         # The contact grids count the arena's width in cells.
         if not math.isfinite(hw / self.cell_side()):
             raise ValueError(
-                f"robot_radius, object_radius and contact_margin are too small for "
-                f"arena_half_width {hw}: its width in grid cells overflows a float"
+                "robot_radius, object_radius and contact_margin are too small for "
+                "arena_half_width: its width in grid cells overflows"
             )
 
     def robot_contact(self) -> float:

@@ -1,109 +1,23 @@
-"""Command-line front end: load a config (file or shipped preset), run its
-replications, and hand their results to ``bundle``, which writes the files."""
+"""Command-line front end: the arguments, the flags that override config keys,
+the replication loop and the exit codes. ``experiment`` reads a config file
+and checks every config; ``bundle`` writes the output files."""
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from collections import Counter
 from contextlib import nullcontext
 
-from .allocation import Mode, VdrParams
-from .arena import ArenaConfig, SimulationInvariantError, SpawnError
+from .arena import SimulationInvariantError, SpawnError
 # Unused here: perfbench/tracer.py rebinds these names on this module.
 from .analysis import (
     bimodality_score, binomial_comparison, classify_foragers, classify_preferences, histogram,
 )
 from .bundle import fresh_directory, open_event_log, write_bundle, write_json
 from .engine import discard
-from .experiment import PRESETS, ExperimentConfig, config_to_dict, run_experiment
-from .experiment import _FIELDS, _KEYS, _REQUIRED, _VDR_GROUPS  # the config schema
-
-
-class ConfigError(ValueError):
-    """Bad configuration file: parse failure, unknown key, or invalid value."""
-
-
-def _number(value) -> float:
-    # float() would also read "10" and True; a config number is neither.
-    if isinstance(value, (str, bool)):
-        raise TypeError(f"must be a number, got {value!r}")
-    return float(value)
-
-
-def _count(value):
-    """An integral JSON float such as ``4.0`` as an int. Any other value
-    passes unchanged, for ``ExperimentConfig`` to reject if it is no integer."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
-
-
-_CONVERT = {Mode: Mode, int: _count, float: _number}
-
-
-def _vdr_params(parts: dict, prefix: str, path: tuple) -> VdrParams:
-    try:
-        return VdrParams(**parts[path])
-    except ValueError as exc:
-        raise ConfigError(f"invalid {prefix}_* probability parameters: {exc}") from exc
-
-
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    unknown = set(raw) - _KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = _REQUIRED - set(raw)
-    if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
-
-    # Values grouped by the path of the object that holds them: () for
-    # ExperimentConfig itself, ("arena",), ("obj_params", 0) and so on.
-    parts = {path[:-1]: {} for _, path, _, _ in _FIELDS}
-    for key, path, kind, _ in _FIELDS:
-        if key in raw:
-            try:
-                parts[path[:-1]][path[-1]] = _CONVERT[kind](raw[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
-    leave, obj1, obj2 = [_vdr_params(parts, *group) for group in _VDR_GROUPS]
-    totals = parts[("object_totals",)]
-    try:
-        return ExperimentConfig(
-            **parts[()],
-            object_totals=(totals[0], totals[1]),
-            leave_params=leave,
-            obj_params=(obj1, obj2),
-            arena=ArenaConfig(**parts[("arena",)]),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _unique_keys(pairs: list) -> dict:
-    # A key given twice would otherwise silently take its last value.
-    twice = sorted(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
-    if twice:
-        raise ValueError(f"duplicate keys: {twice}")
-    return dict(pairs)
-
-
-def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh, object_pairs_hook=_unique_keys)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    # Malformed JSON, bytes that are not UTF-8, integers past Python's digit
-    # limit and duplicate keys raise ValueError; arrays nested too deep,
-    # RecursionError.
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config file must hold a flat JSON object")
-    return config_from_dict(raw)
+from .experiment import PRESETS, ConfigError, ExperimentConfig, config_from_dict, config_to_dict
+from .experiment import load_config, run_experiment
 
 
 def write_config(config: ExperimentConfig, path: str) -> None:
@@ -150,9 +64,9 @@ def main(argv: list | None = None) -> int:
                 config = load_config(args.config) if args.config else PRESETS[args.preset]()
                 # A flag named after a config key (--mode, --seed, --replications)
                 # overrides it, through the same checks as the file it overrides.
-                overrides = {key: value for key, value in vars(args).items()
-                             if key in _KEYS and value is not None}
-                config = config_from_dict({**config_to_dict(config), **overrides})
+                raw = config_to_dict(config)
+                raw.update((k, v) for k, v in vars(args).items() if k in raw and v is not None)
+                config = config_from_dict(raw)
                 manifest = run_command(config, args.output, event_log=args.event_log)
             except ConfigError as exc:
                 print(f"config error: {exc}", file=sys.stderr)

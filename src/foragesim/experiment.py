@@ -1,15 +1,18 @@
-"""Experiment configuration, the two shipped presets, and the seeded
-single-run driver that turns a config into a RunResult."""
+"""Experiment configuration (its schema, checks and file reader), the two shipped
+presets, and the seeded single-run driver that turns a config into a RunResult."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
-import sys
+import reprlib
+from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
-from .allocation import Mode, ObjectType, VdrParams
+from .allocation import Mode, ObjectType, VdrParams, check_number
 from .arena import ArenaConfig, TWO_PI, World, spawn_object
 from .engine import EventSink, Robot, Simulation, discard
 
@@ -36,10 +39,10 @@ MAX_TICKS = 10**7
 def whole_ticks(name: str, seconds: float, tick_duration: float) -> int:
     """``seconds`` as a count of ``tick_duration`` ticks; ``ValueError``
     unless it is a whole count of at most ``MAX_TICKS``."""
-    ticks = seconds / tick_duration
+    ticks, echo = seconds / tick_duration, reprlib.repr(tick_duration)
     if ticks > MAX_TICKS:  # first, so an infinite count gets this message too
         raise ValueError(
-            f"{name} is {ticks:.3g} ticks at tick_duration {tick_duration}; "
+            f"{name} is {ticks:.3g} ticks at tick_duration {echo}; "
             f"the tick count is capped at {MAX_TICKS}"
         )
     # The clock counts whole ticks, so it would round any other length, and
@@ -47,7 +50,7 @@ def whole_ticks(name: str, seconds: float, tick_duration: float) -> int:
     # admits quotients like 6.0 / 0.1 == 59.99999999999999.
     count = round(ticks)
     if abs(ticks - count) > 1e-9 * ticks:
-        raise ValueError(f"{name} must be a whole number of {tick_duration} s ticks")
+        raise ValueError(f"{name} must be a whole number of {echo} s ticks")
     return count
 
 
@@ -84,10 +87,6 @@ _FIELDS = (
 _KEYS = {row[0] for row in _FIELDS}
 _REQUIRED = {row[0] for row in _FIELDS if row[3]}
 
-# The Python types each schema type admits, and how a refusal names it. A
-# float key also takes an int in the float range; bool subclasses int, but True is neither.
-_ADMITS = {Mode: (Mode, "a Mode"), int: (int, "an integer"), float: ((int, float), "a number")}
-
 
 def config_items(config: ExperimentConfig):
     """Yield each config key with its schema type and its value in ``config``."""
@@ -101,6 +100,82 @@ def config_items(config: ExperimentConfig):
 def config_to_dict(config: ExperimentConfig) -> dict:
     """``config`` as a config file holds it: each key with its JSON value."""
     return {key: v.value if kind is Mode else v for key, kind, v in config_items(config)}
+
+
+class ConfigError(ValueError):
+    """A config file unreadable or unparsable, or a key or value refused."""
+
+
+def _file_value(key: str, kind, value):
+    """A config file's ``value`` for ``key`` as its schema type ``kind`` holds it. Only
+    a mode's name is refused here; the config classes check the rest as from Python."""
+    if kind is Mode:
+        try:
+            return Mode(value)
+        except ValueError:
+            raise ConfigError(f"{key}: {reprlib.repr(value)} is not a valid Mode") from None
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)  # a count written as 4.0
+    if kind is float and type(value) is int:
+        with suppress(OverflowError):  # past the float range: check_number refuses it
+            return float(value)  # so the echo of a file's 180 reads 180.0
+    return value
+
+
+def _vdr_params(parts: dict, prefix: str, path: tuple) -> VdrParams:
+    try:
+        return VdrParams(**parts[path])
+    except ValueError as exc:
+        raise ConfigError(f"invalid {prefix}_* probability parameters: {exc}") from exc
+
+
+def config_from_dict(raw: dict) -> ExperimentConfig:
+    """The config a flat dict of config file keys describes."""
+    unknown = set(raw) - _KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    missing = _REQUIRED - set(raw)
+    if missing:
+        raise ConfigError(f"missing config keys: {sorted(missing)}")
+
+    # Values grouped by the path of the object that holds them: () for
+    # ExperimentConfig itself, ("arena",), ("obj_params", 0) and so on.
+    parts = {path[:-1]: {} for _, path, _, _ in _FIELDS}
+    for key, path, kind, _ in _FIELDS:
+        if key in raw:
+            parts[path[:-1]][path[-1]] = _file_value(key, kind, raw[key])
+    leave, obj1, obj2 = [_vdr_params(parts, *group) for group in _VDR_GROUPS]
+    totals = parts[("object_totals",)]
+    try:
+        return ExperimentConfig(
+            **parts[()], object_totals=(totals[0], totals[1]), leave_params=leave,
+            obj_params=(obj1, obj2), arena=ArenaConfig(**parts[("arena",)]),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _unique_keys(pairs: list) -> dict:
+    # A key given twice would otherwise silently take its last value.
+    twice = sorted(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+    if twice:
+        raise ValueError(f"duplicate keys: {twice}")
+    return dict(pairs)
+
+
+def load_config(path: str) -> ExperimentConfig:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    # Malformed JSON, bytes not UTF-8, integers past Python's digit limit and
+    # duplicate keys raise ValueError; arrays nested too deep, RecursionError.
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config file must hold a flat JSON object")
+    return config_from_dict(raw)
 
 
 @dataclass(frozen=True)
@@ -123,11 +198,11 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for key, kind, value in config_items(self):
-            admits, name = _ADMITS[kind]
-            if isinstance(value, bool) or not isinstance(value, admits):
-                raise ValueError(f"{key} must be {name}, got {value!r}")
-            if kind is float and not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{key} must be finite, got {value}")
+            if kind is float:
+                check_number(key, value)
+            elif isinstance(value, bool) or not isinstance(value, kind):
+                name = "a Mode" if kind is Mode else "an integer"
+                raise ValueError(f"{key} must be {name}, got {reprlib.repr(value)}")
         if not 0 < self.robot_count <= MAX_ROBOTS:
             raise ValueError(f"robot_count must be in 1..{MAX_ROBOTS}")
         # Before the packing check, which turns the counts into floats.
@@ -138,18 +213,18 @@ class ExperimentConfig:
             raise ValueError(f"replications must be in 1..{MAX_REPLICATIONS}")
         # random.Random seeds by the absolute value, so seed -s would draw
         # the streams of seed s.
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.seed < 0:  # not echoed: it may have hundreds of digits
+            raise ValueError("seed must be >= 0")
         # A zero horizon builds the world and runs no tick.
         if self.horizon < 0:
-            raise ValueError(f"horizon_seconds must be >= 0, got {self.horizon}")
+            raise ValueError(f"horizon_seconds must be >= 0, got {reprlib.repr(self.horizon)}")
         for name, value in (
             ("search_timeout_seconds", self.search_timeout),
             ("tick_duration", self.tick_duration),
             ("leave_check_period", self.leave_check_period),
         ):
             if value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
+                raise ValueError(f"{name} must be > 0, got {reprlib.repr(value)}")
         # Frozen, so the counts are set past the dataclass's own __setattr__.
         tick = self.tick_duration
         total = whole_ticks("horizon_seconds", self.horizon, tick)
@@ -168,8 +243,7 @@ class ExperimentConfig:
         width = 2.0 * self.arena.arena_half_width
         if objects * math.pi * radius**2 > math.pi / math.sqrt(12.0) * width**2:
             raise ValueError(
-                f"the arena is too packed: {objects} objects of radius {radius} "
-                f"cannot fit in a {width} x {width} square"
+                f"the arena is too packed for {objects} objects of radius {reprlib.repr(radius)}"
             )
 
 

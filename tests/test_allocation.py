@@ -5,6 +5,8 @@ recomputes p from p_initial event by event, with the same operation order,
 so equality is exact floating-point equality.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,10 +63,20 @@ def test_params_reject_bad_ordering():
         VdrParams(p_max=0.04, p_min=0.04, p_initial=0.04, delta=0.0003)
 
 
-@pytest.mark.parametrize("delta", [float("nan"), float("inf"), pytest.param(10**400, id="10**400")])
-def test_params_reject_non_finite_delta(delta):
-    with pytest.raises(ValueError, match="delta must be positive and finite"):
-        VdrParams(p_max=0.08, p_min=0.002, p_initial=0.04, delta=delta)
+@pytest.mark.parametrize("name, value, text", [
+    pytest.param("delta", float("nan"), "delta must be finite", id="nan"),
+    pytest.param("delta", float("inf"), "delta must be finite", id="inf"),
+    pytest.param("delta", 10**400, "delta must be finite", id="10**400"),
+    pytest.param("delta", "1.5", "delta must be a number, got '1.5'", id="1.5"),
+    pytest.param("delta", True, "delta must be a number, got True", id="True"),
+    pytest.param("p_max", "0.1", "p_max must be a number, got '0.1'", id="p_max-0.1"),
+    pytest.param("p_max", True, "p_max must be a number, got True", id="p_max-True"),
+])
+def test_params_reject_non_finite_delta(name, value, text):
+    # Each value is refused by name before any comparison could raise TypeError.
+    with pytest.raises(ValueError, match=text) as refused:
+        replace(TABLE4, **{name: value})
+    assert len(str(refused.value)) < 120
 
 
 def test_initial_state():

@@ -52,11 +52,21 @@ def test_config_rejects_nonpositive_lengths():
         ArenaConfig(robot_speed=-1.0)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["arena_half_width", "robot_radius", "heading_jitter"])
-def test_config_rejects_non_finite(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
+@pytest.mark.parametrize("value, text", [
+    pytest.param(math.nan, "must be finite", id="nan"),
+    pytest.param(math.inf, "must be finite", id="inf"),
+    pytest.param(-math.inf, "must be finite", id="-inf"),
+    pytest.param(10**400, "must be finite", id="10**400"),
+    pytest.param("1.5", "must be a number, got '1.5'", id="1.5"),
+    pytest.param(True, "must be a number, got True", id="True"),
+])
+@pytest.mark.parametrize(
+    "name", ["arena_half_width", "robot_radius", "robot_speed", "heading_jitter"]
+)
+def test_config_rejects_non_finite(name, value, text):
+    with pytest.raises(ValueError, match=f"{name} {text}") as refused:
         ArenaConfig(**{name: value})
+    assert len(str(refused.value)) < 120
 
 
 def test_config_rejects_geometry_too_fine_for_the_grid():

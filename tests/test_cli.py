@@ -15,19 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foragesim.analysis import summarize
-from foragesim.cli import (
-    ConfigError,
-    config_from_dict,
-    config_to_dict,
-    load_config,
-    main,
-    run_command,
-    write_config,
-)
+from foragesim.cli import main, run_command, write_config
 from foragesim.experiment import (
     MAX_ROBOTS,
     PRESETS,
+    ConfigError,
     ExperimentConfig,
+    config_from_dict,
+    config_items,
+    config_to_dict,
+    load_config,
     run_experiment,
     set1_config,
     set2_config,
@@ -324,6 +321,7 @@ def assert_refused(tmp_path, capsys, source, edit, flags, named):
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert named in err
     assert not out.exists()
+    return err.removeprefix("config error: ").rstrip("\n")
 
 
 @pytest.mark.parametrize("source, edit, flags, named", REFUSALS)
@@ -334,10 +332,10 @@ def test_main_bad_config_exits_2(tmp_path, capsys, source, edit, flags, named):
 # Rows of the same form whose config file holds a value that is refused.
 VALUE_REFUSALS = [
     # Values of the wrong kind, which float() would read as 10.0, 4.0 and 1.0.
-    refusal("horizon_seconds: must be a number", horizon_seconds="10"),
-    refusal("arena_half_width: must be a number", arena_half_width="4"),
-    refusal("robot_speed: must be a number", robot_speed=True),
-    refusal("leave_p_max: must be a number", leave_p_max=True),
+    refusal("horizon_seconds must be a number, got '10'", horizon_seconds="10"),
+    refusal("arena_half_width must be a number, got '4'", arena_half_width="4"),
+    refusal("robot_speed must be a number, got True", robot_speed=True),
+    refusal("leave_* probability parameters: p_max must be a number", leave_p_max=True),
     # NaN and infinity, which json.dumps writes and json.load reads.
     refusal("arena_half_width must be finite", arena_half_width=float("nan")),
     refusal("leave_* probability parameters: delta must be", leave_delta=float("nan")),
@@ -345,6 +343,9 @@ VALUE_REFUSALS = [
     refusal("horizon_seconds must be finite", horizon_seconds=float("nan")),
     refusal("horizon_seconds must be finite", horizon_seconds=float("inf")),
     refusal("search_timeout_seconds must be finite", search_timeout_seconds=float("-inf")),
+    # An int past the float range, which json.load reads in full.
+    refusal("horizon_seconds must be finite", horizon_seconds=10**400,
+            id="horizon_seconds-10**400"),
     # Spans below their floor.
     refusal("horizon_seconds must be >= 0, got -1.0", horizon_seconds=-1.0),
     refusal("search_timeout_seconds must be > 0, got 0.0", search_timeout_seconds=0.0),
@@ -404,7 +405,8 @@ VALUE_REFUSALS = [
 
 @pytest.mark.parametrize("source, edit, flags, named", VALUE_REFUSALS)
 def test_main_non_finite_value_exits_2(tmp_path, capsys, source, edit, flags, named):
-    assert_refused(tmp_path, capsys, source, edit, flags, named)
+    message = assert_refused(tmp_path, capsys, source, edit, flags, named)
+    assert len(message) < 120
 
 
 def test_integral_float_count_accepted():
@@ -577,6 +579,12 @@ def test_config_boundary_property(raw):
     except ConfigError:
         return
     assert isinstance(config, ExperimentConfig)
+    # A config it builds round-trips, and its echo writes each float key as
+    # a float: a file's 1 is read as 1.0.
+    echo = config_to_dict(config)
+    assert config_from_dict(echo) == config
+    floats = [key for key, kind, _ in config_items(config) if kind is float]
+    assert all(type(echo[key]) is float for key in floats)
     # A config it builds runs, shrunk to a quick run, or is refused with rc 2.
     small = replace(
         config,

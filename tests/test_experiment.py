@@ -74,11 +74,11 @@ CONFIG_CASES = [
     case(None, obj_params=(ZERO_FLOOR, ZERO_FLOOR), id="zero-floors-original"),
     case("modified mode needs obj1_p_min or obj2_p_min above 0", mode=Mode.MODIFIED,
          obj_params=(ZERO_FLOOR, ZERO_FLOOR), id="zero-floors-modified"),
-    # Values of the wrong type, which a config file's converters refuse too.
+    # Values of the wrong type, each refused under its key.
     case("mode must be a Mode, got 'modified'", mode="modified"),
     case("horizon_seconds must be a number, got True", horizon=True),
-    case("robot_speed must be a number, got True",
-         arena=replace(set1_config().arena, robot_speed=True), id="robot_speed-True"),
+    case("robot_speed must be a number, got True", id="robot_speed-True",
+         arena=lambda: replace(set1_config().arena, robot_speed=True)),
 ]
 
 
@@ -90,8 +90,9 @@ def check(edit, match):
     if match is None:
         build()
     else:
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=match) as refused:
             build()
+        assert len(str(refused.value)) < 120
 
 
 @pytest.mark.parametrize("edit, match", CONFIG_CASES)
