@@ -9,6 +9,7 @@ import os
 import sys
 from contextlib import nullcontext
 
+from .allocation import Mode
 from .arena import SimulationInvariantError, SpawnError
 # Unused here: perfbench/tracer.py rebinds these names on this module.
 from .analysis import (
@@ -48,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--replications", type=int, help="override the replication count")
     parser.add_argument(
-        "--mode", choices=["original", "modified"], help="override the allocation mode"
+        "--mode", choices=[mode.value for mode in Mode], help="override the allocation mode"
     )
     parser.add_argument(
         "--event-log", action="store_true", help="write one JSONL event log per replication"

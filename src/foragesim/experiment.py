@@ -7,6 +7,7 @@ import json
 import math
 import random
 import reprlib
+import sys
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
@@ -39,10 +40,10 @@ MAX_TICKS = 10**7
 def whole_ticks(name: str, seconds: float, tick_duration: float) -> int:
     """``seconds`` as a count of ``tick_duration`` ticks; ``ValueError``
     unless it is a whole count of at most ``MAX_TICKS``."""
-    ticks, echo = seconds / tick_duration, reprlib.repr(tick_duration)
+    ticks = seconds / tick_duration
     if ticks > MAX_TICKS:  # first, so an infinite count gets this message too
         raise ValueError(
-            f"{name} is {ticks:.3g} ticks at tick_duration {echo}; "
+            f"{name} is {ticks:.3g} ticks at tick_duration {tick_duration:.3g}; "
             f"the tick count is capped at {MAX_TICKS}"
         )
     # The clock counts whole ticks, so it would round any other length, and
@@ -50,7 +51,7 @@ def whole_ticks(name: str, seconds: float, tick_duration: float) -> int:
     # admits quotients like 6.0 / 0.1 == 59.99999999999999.
     count = round(ticks)
     if abs(ticks - count) > 1e-9 * ticks:
-        raise ValueError(f"{name} must be a whole number of {echo} s ticks")
+        raise ValueError(f"{name} must be a whole number of {reprlib.repr(tick_duration)} s ticks")
     return count
 
 
@@ -106,6 +107,14 @@ class ConfigError(ValueError):
     """A config file unreadable or unparsable, or a key or value refused."""
 
 
+def _some_keys(keys) -> str:
+    """``keys``, sorted, as a list of the first two (each cut to 30 characters,
+    as ``reprlib`` cuts an echoed value) and the count of the rest."""
+    keys = sorted(keys)
+    rest = f" and {len(keys) - 2} more" if len(keys) > 2 else ""
+    return reprlib.repr(keys[:2]) + rest
+
+
 def _file_value(key: str, kind, value):
     """A config file's ``value`` for ``key`` as its schema type ``kind`` holds it. Only
     a mode's name is refused here; the config classes check the rest as from Python."""
@@ -133,10 +142,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """The config a flat dict of config file keys describes."""
     unknown = set(raw) - _KEYS
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {_some_keys(unknown)}")
     missing = _REQUIRED - set(raw)
     if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
+        raise ConfigError(f"missing config keys: {_some_keys(missing)}")
 
     # Values grouped by the path of the object that holds them: () for
     # ExperimentConfig itself, ("arena",), ("obj_params", 0) and so on.
@@ -157,16 +166,28 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def _unique_keys(pairs: list) -> dict:
     # A key given twice would otherwise silently take its last value.
-    twice = sorted(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+    twice = [key for key, n in Counter(key for key, _ in pairs).items() if n > 1]
     if twice:
-        raise ValueError(f"duplicate keys: {twice}")
+        raise ValueError(f"duplicate keys: {_some_keys(twice)}")
     return dict(pairs)
+
+
+def _file_int(digits: str) -> int:
+    # int() refuses more digits than sys.get_int_max_str_digits() allows, and
+    # its message tells the user to raise that limit from Python.
+    try:
+        return int(digits)
+    except ValueError:
+        count = len(digits.lstrip("-"))
+        raise ValueError(
+            f"an integer of {count} digits is over the limit of {sys.get_int_max_str_digits()}"
+        ) from None
 
 
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh, object_pairs_hook=_unique_keys)
+            raw = json.load(fh, object_pairs_hook=_unique_keys, parse_int=_file_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     # Malformed JSON, bytes not UTF-8, integers past Python's digit limit and

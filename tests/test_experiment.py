@@ -52,6 +52,9 @@ CONFIG_CASES = [
     case(CAPPED.format(0.1), horizon=MAX_TICKS * 0.1 + 0.1),
     case(CAPPED.format(1e-300), horizon=5.0, tick_duration=1e-300, id="tick_duration-1e-300"),
     case(CAPPED.format(1e-320), horizon=5.0, tick_duration=1e-320, id="tick_duration-1e-320"),
+    # An int tick length is echoed as the tick count is, in three digits.
+    case(CAPPED.format(r"1e\+290"), horizon=1e300, tick_duration=10**290,
+         id="tick_duration-10**290"),
     # Counts out of range. random.Random seeds by |seed|, so seed -1 would
     # repeat seed 1's streams.
     case("robot_count must be in", robot_count=0),
