@@ -4,6 +4,8 @@ the layout of the files written to it."""
 import csv
 import json
 import os
+import signal
+import threading
 from contextlib import contextmanager, suppress
 
 from . import __version__
@@ -16,7 +18,8 @@ def fresh_directory(output_dir: str):
     """Make ``output_dir`` and any missing directories above it. Refuse it,
     with ``FileExistsError`` or ``NotADirectoryError``, if it holds files, is
     a file or is empty. If the block raises, remove the files in it and the
-    directories made here before the error propagates."""
+    directories made here before the error propagates. SIGTERM raises
+    ``SystemExit(143)`` in the block, so it cleans up the same way."""
     if not output_dir:
         raise NotADirectoryError("the output directory's name is empty")
     made = []  # the directories makedirs is about to create, innermost first
@@ -27,6 +30,10 @@ def fresh_directory(output_dir: str):
     os.makedirs(output_dir, exist_ok=True)
     if os.listdir(output_dir):
         raise FileExistsError(f"output directory {output_dir} is not empty")
+    # Only the main thread can set a signal handler, and only it runs one.
+    main_thread = threading.current_thread() is threading.main_thread()
+    if main_thread:
+        previous = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
         yield
     except BaseException:
@@ -40,6 +47,13 @@ def fresh_directory(output_dir: str):
             except OSError:
                 break
         raise
+    finally:
+        if main_thread:
+            signal.signal(signal.SIGTERM, previous)
+
+
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)  # the status a shell gives a killed process
 
 
 @contextmanager

@@ -95,6 +95,10 @@ def main(argv: list | None = None) -> int:
         # --help and a finished run's summary, so the run has succeeded. Stdout
         # goes to devnull so the interpreter's last flush cannot fail too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except KeyboardInterrupt:
+        # Ctrl-C: run_command has removed what the run wrote.
+        print("interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

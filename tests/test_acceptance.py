@@ -8,12 +8,11 @@ import time
 
 import pytest
 
-from foragesim.allocation import VdrState, vdr_failure, vdr_success
 from foragesim.analysis import summarize
 from foragesim.cli import run_command
 from foragesim.experiment import run_experiment, set1_config, set2_config, whole_ticks
 
-from conftest import TABLE4, TABLE9, bundle_files
+from conftest import TABLE4, TABLE9, apply_events, bundle_files, replay_oracle
 
 
 def report(number, description, ok, detail=""):
@@ -63,22 +62,11 @@ def test_criterion_1_vdr_oracle_equivalence():
     rng = random.Random(20260823)
     for params in (TABLE4, TABLE9):
         for _ in range(500):
-            state = params.initial_state()
-            p = params.p_initial
-            succ = fail = 0
-            for _ in range(500):
-                if rng.getrandbits(1):
-                    state = vdr_success(state, params)
-                    succ += 1
-                    fail = 0
-                    p = min(params.p_max, p + succ * params.delta)
-                else:
-                    state = vdr_failure(state, params)
-                    fail += 1
-                    succ = 0
-                    p = max(params.p_min, p - fail * params.delta)
+            events = [rng.getrandbits(1) for _ in range(500)]
             # Exact floating equality: same operation order on both sides.
-            assert state == VdrState(p, succ, fail)
+            assert apply_events(params.initial_state(), params, events) == replay_oracle(
+                params, events
+            )
     elapsed = time.perf_counter() - start
     report(1, "VDR oracle equivalence, 1000x500 events", elapsed < 1.0,
            f"runtime {elapsed:.2f}s")
@@ -131,15 +119,14 @@ def test_criterion_6_conservation(set1_data, set2_data):
            f"retrievals set1 {activity[0]}, set2 {activity[1]}")
 
 
-def test_criterion_7_determinism(tmp_path):
+def test_criterion_7_determinism(tmp_path, preset_bundle):
     from dataclasses import replace
 
+    # The session's bundle came through main; this one through run_command.
     config = replace(set1_config(), replications=2)
-    bundles = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        run_command(config, str(out), event_log=True)
-        bundles.append(bundle_files(out))
+    out = tmp_path / "out"
+    run_command(config, str(out), event_log=True)
+    bundles = [bundle_files(preset_bundle("set1")), bundle_files(out)]
     ok = bundles[0] == bundles[1] and len(bundles[0]) >= 6
     report(7, "identical config+seed produce byte-identical bundles", ok,
            f"{len(bundles[0])} files compared")

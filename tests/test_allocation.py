@@ -1,8 +1,8 @@
 """Unit and property tests for the streak-scaled probability transitions.
 
-Every derived value is checked against a brute-force replay oracle that
-recomputes p from p_initial event by event, with the same operation order,
-so equality is exact floating-point equality.
+Every derived value is checked against ``conftest.replay_oracle``, a
+brute-force replay that recomputes p from p_initial event by event, with
+the same operation order, so equality is exact floating-point equality.
 """
 
 from dataclasses import replace
@@ -23,29 +23,7 @@ from foragesim.allocation import (
     vdr_success,
 )
 
-from conftest import TABLE4, TABLE9
-
-
-def replay_oracle(params, events):
-    """Line-by-line replay: recompute the state from p_initial."""
-    p = params.p_initial
-    succ = fail = 0
-    for success in events:
-        if success:
-            succ += 1
-            fail = 0
-            p = min(params.p_max, p + succ * params.delta)
-        else:
-            fail += 1
-            succ = 0
-            p = max(params.p_min, p - fail * params.delta)
-    return VdrState(p, succ, fail)
-
-
-def apply_events(state, params, events):
-    for success in events:
-        state = vdr_success(state, params) if success else vdr_failure(state, params)
-    return state
+from conftest import TABLE4, TABLE9, apply_events, replay_oracle
 
 
 # -- params validation -------------------------------------------------------

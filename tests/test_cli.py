@@ -1,13 +1,17 @@
 """CLI tests: config parsing, presets, output bundle, exit codes."""
 
 import csv
+import errno
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,6 +36,8 @@ from foragesim.experiment import (
 )
 
 from conftest import bundle_files
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def small_config(**overrides):
@@ -155,16 +161,18 @@ def test_run_command_manifest_matches_summarize(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["--preset", "set2", "--replications", "2", "--event-log"],
-     ["--preset", "set1", "--replications", "1"]],
-    ids=["set2-event-log", "set1"],
+    "argv", [None, ["--preset", "set1", "--replications", "1"]], ids=["set2-event-log", "set1"]
 )
-def test_bundle_reruns_byte_for_byte_from_its_manifest(tmp_path, argv):
+def test_bundle_reruns_byte_for_byte_from_its_manifest(tmp_path, preset_bundle, argv):
     # The manifest echoes the whole config, so a rerun from it writes every
-    # file again, the manifest included.
-    first, second = tmp_path / "first", tmp_path / "second"
-    assert main([*argv, "--output", str(first)]) == 0
+    # file again, the manifest included. Without argv, the first bundle is
+    # the session's set2 bundle, written with --event-log.
+    if argv is None:
+        first = preset_bundle("set2")
+    else:
+        first = tmp_path / "first"
+        assert main([*argv, "--output", str(first)]) == 0
+    second = tmp_path / "second"
     manifest = json.loads((first / "manifest.json").read_text())
     path = tmp_path / "config.json"
     path.write_text(json.dumps(manifest["config"]))
@@ -497,6 +505,57 @@ def test_main_invariant_error_exits_3(tmp_path, capsys, monkeypatch, flags):
     assert not out.exists()
 
 
+def test_main_write_error_exits_1(tmp_path, capsys, monkeypatch):
+    import foragesim.bundle as bundle
+
+    def full_disk(path, data):
+        # The manifest is written last, after the tables.
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    path = tmp_path / "c.json"
+    write_config(small_config(replications=1), str(path))
+    monkeypatch.setattr(bundle, "write_json", full_disk)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"i/o error: [Errno {errno.ENOSPC}] ")
+    assert captured.err.count("\n") == 1 and "manifest.json" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_main_restores_the_sigterm_handler(tmp_path, monkeypatch):
+    from foragesim.arena import SimulationInvariantError, World
+
+    def mine(signum, frame):
+        pass
+
+    def broken(self):
+        raise SimulationInvariantError("object conservation broken")
+
+    path = tmp_path / "c.json"
+    write_config(small_config(replications=1), str(path))
+    previous = signal.signal(signal.SIGTERM, mine)
+    try:
+        # A run that succeeds and one that fails inside the output directory.
+        assert main(["--config", str(path), "--output", str(tmp_path / "a")]) == 0
+        assert signal.getsignal(signal.SIGTERM) is mine
+        monkeypatch.setattr(World, "check_conservation", broken)
+        assert main(["--config", str(path), "--output", str(tmp_path / "b")]) == 3
+        assert signal.getsignal(signal.SIGTERM) is mine
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def test_run_command_runs_outside_the_main_thread(tmp_path):
+    # Only the main thread can set a signal handler; a run in another one
+    # goes without it.
+    out = tmp_path / "out"
+    with ThreadPoolExecutor(1) as pool:
+        pool.submit(run_command, small_config(replications=1), str(out)).result()
+    assert (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize(
     "first, second",
     [
@@ -621,21 +680,23 @@ def test_main_requires_source(capsys):
         main(["--output", "x"])
 
 
-def test_main_runs_on_the_standard_library_alone(tmp_path):
+def test_main_runs_on_the_standard_library_alone(tmp_path, preset_bundle):
     # -I -S: no site-packages, no user site and no PYTHONPATH, so any
     # third-party import in the package fails here.
-    src = Path(__file__).resolve().parents[1] / "src"
     out = tmp_path / "out"
     argv = ["--preset", "set2", "--replications", "1", "--event-log", "--output", str(out)]
     code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); "
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); "
         f"from foragesim.cli import main; sys.exit(main({argv!r}))"
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert (out / "events_run000.jsonl").stat().st_size > 0
+    # Replication 0 draws the same stream however many replications run.
+    log = (out / "events_run000.jsonl").read_bytes()
+    assert len(log) > 0
+    assert log == (preset_bundle("set2") / "events_run000.jsonl").read_bytes()
 
 
 RUN = ["--preset", "set1", "--replications", "1"]
@@ -649,8 +710,7 @@ RUN = ["--preset", "set1", "--replications", "1"]
 def test_main_with_stdout_closed_exits_0_and_keeps_the_bundle(tmp_path, flags, unbuffered):
     # A pipe whose reader has gone, as in `foragesim ... | head -0`; with
     # buffered stdout the lines fail at the flush, unbuffered at the print.
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
     out = tmp_path / "out"
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -669,6 +729,42 @@ def test_main_with_stdout_closed_exits_0_and_keeps_the_bundle(tmp_path, flags, u
         "binomial.csv", "classification.csv", "manifest.json", "p1_histogram.csv",
         "results.csv",
     ]
+
+
+@pytest.mark.parametrize("made_by_user", [False, True], ids=["new", "empty"])
+@pytest.mark.parametrize(
+    "signum, code, err",
+    [(signal.SIGTERM, 143, ""), (signal.SIGINT, 130, "interrupted\n")],
+    ids=["SIGTERM", "SIGINT"],
+)
+def test_main_stopped_by_a_signal_leaves_nothing(tmp_path, signum, code, err, made_by_user):
+    # The signal comes once the first event log is open. SIGINT raises
+    # KeyboardInterrupt, as in a terminal; a shell starts background jobs,
+    # and so this process, with SIGINT ignored.
+    out = tmp_path / "out"
+    if made_by_user:
+        out.mkdir()
+    argv = ["--preset", "set1", "--event-log", "--output", str(out)]
+    script = (
+        f"import signal, sys; sys.path.insert(0, {str(SRC)!r}); "
+        "signal.signal(signal.SIGINT, signal.default_int_handler); "
+        f"from foragesim.cli import main; sys.exit(main({argv!r}))"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (out / "events_run000.jsonl").exists():
+            assert proc.poll() is None and time.monotonic() < deadline, proc.returncode
+            time.sleep(0.01)
+        proc.send_signal(signum)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, stdout, stderr) == (code, "", err)
+    assert (os.listdir(out) == []) if made_by_user else not out.exists()
 
 
 # -- the names perfbench's tracer rebinds ----------------------------------------------

@@ -1,17 +1,15 @@
 """Golden digests: the preset bundles must stay the same to the byte.
 
 Each digest is the SHA-256 of one bundle file written by
-``foragesim --preset NAME --replications 2 --event-log``; ``manifest.json``
-is left out because it echoes the package version. A change that alters
-any digest changes simulation results and must say why. The digests assume
-this platform's libm.
+``foragesim --preset NAME --replications 2 --event-log``, the session's
+``preset_bundle``; ``manifest.json`` is left out because it echoes the
+package version. A change that alters any digest changes simulation
+results and must say why. The digests assume this platform's libm.
 """
 
 import hashlib
 
 import pytest
-
-from foragesim.cli import main
 
 from conftest import bundle_files
 
@@ -38,14 +36,10 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("preset", sorted(GOLDEN))
-def test_preset_bundle_digests(preset, tmp_path):
-    rc = main(
-        ["--preset", preset, "--output", str(tmp_path), "--replications", "2", "--event-log"]
-    )
-    assert rc == 0
+def test_preset_bundle_digests(preset, preset_bundle):
     digests = {
         name: hashlib.sha256(data).hexdigest()
-        for name, data in bundle_files(tmp_path).items()
+        for name, data in bundle_files(preset_bundle(preset)).items()
         if name != "manifest.json"
     }
     assert digests == GOLDEN[preset]
