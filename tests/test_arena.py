@@ -1,4 +1,5 @@
-"""Geometry tests: spawning, contact classification, bounce, edge follow."""
+"""Geometry tests: spawning, contact classification, edge follow, and the
+world's bookkeeping."""
 
 import math
 import random
@@ -19,16 +20,14 @@ from foragesim.arena import (
     SpawnError,
     World,
     WorldObject,
-    bounce_heading,
     edge_follow_heading,
     nearest_contact,
-    separating_test,
     spawn_object,
 )
 from foragesim.engine import Simulation
 from foragesim.experiment import _build_world, set2_config
 
-from conftest import ScriptedRng, make_robot
+from conftest import make_robot
 
 CFG = ArenaConfig()  # declared defaults: hw=10, nest=2, radii 0.15, margin 0.05
 
@@ -173,6 +172,13 @@ def test_contact_nest_boundary_matches_sampled_oracle():
         for t in range(5000)
     )
     assert sampled < CFG.robot_radius + CFG.contact_margin
+
+
+def test_contact_nest_from_its_centre():
+    # A nest narrower than robot radius plus margin is in contact at its
+    # centre, where every ring point is equally near: it names the one on +x.
+    world = make_world(replace(CFG, nest_radius=0.18))
+    assert nearest_contact(world, (0.0, 0.0)) == Contact(ContactKind.NEST, (0.18, 0.0))
 
 
 def test_contact_priority_robot_over_wall():
@@ -416,46 +422,6 @@ def test_contact_tie_goes_to_lower_id(low_id_x):
     assert nearest_contact(world, (1.0, -1.0)).obj is world.objects[0]
 
 
-# -- bounce ----------------------------------------------------------------------
-
-
-def bounce(heading, rng, position, contact_point, step):
-    """``bounce_heading`` called as ``Simulation._bounce`` calls it: the
-    separating test and the away heading from one offset to the contact."""
-    dx = position[0] - contact_point[0]
-    dy = position[1] - contact_point[1]
-    return bounce_heading(heading, rng, separating_test(dx, dy, step), math.atan2(dy, dx))
-
-
-def test_bounce_separates_from_contact_ahead():
-    position = (5.0, 0.0)
-    contact_point = (5.3, 0.0)  # directly ahead at bearing 0
-    h = bounce(0.0, random.Random(11), position, contact_point, 0.1)
-    away = math.atan2(position[1] - contact_point[1], position[0] - contact_point[0])
-    assert math.cos(h - away) > 0.0
-
-
-def test_opposed_bounces_increase_distance():
-    step = 0.1
-    a, b = (5.0, 0.0), (5.3, 0.0)
-    rng = random.Random(4)
-    ha = bounce(0.0, rng, a, b, step)
-    hb = bounce(math.pi, rng, b, a, step)
-    a2 = (a[0] + step * math.cos(ha), a[1] + step * math.sin(ha))
-    b2 = (b[0] + step * math.cos(hb), b[1] + step * math.sin(hb))
-    assert math.dist(a2, b2) > math.dist(a, b)
-
-
-def test_bounce_fallback_after_exhausted_redraws():
-    # Scripted draws all map to heading 0, which points at the contact.
-    rng = ScriptedRng([0.0] * 100)
-    position, contact_point = (5.0, 0.0), (5.3, 0.0)
-    h = bounce(0.25, rng, position, contact_point, 0.1)
-    assert rng.calls == 100
-    # The exact away heading, from the contact through the position.
-    assert h == math.atan2(0.0 - 0.0, 5.0 - 5.3) == pytest.approx(math.pi)
-
-
 # -- edge follow ------------------------------------------------------------------
 
 
@@ -476,6 +442,13 @@ def test_edge_follow_picks_tangent_closer_to_goal():
     tangents = [(-vy / n, vx / n), (vy / n, -vx / n)]
     tx, ty = max(tangents, key=lambda t: t[0] * gx + t[1] * gy)
     assert chosen == math.atan2(ty, tx)
+
+
+def test_edge_follow_from_the_obstacle_centre_heads_home():
+    # No tangent is defined: off the origin the robot heads for it, and at
+    # the origin it still gets a finite heading.
+    assert edge_follow_heading((3.0, 4.0), (3.0, 4.0)) == pytest.approx(math.atan2(-4.0, -3.0))
+    assert math.isfinite(edge_follow_heading((0.0, 0.0), (0.0, 0.0)))
 
 
 def test_edge_follow_detour_clears_obstacle():

@@ -184,18 +184,20 @@ def test_bundle_reruns_byte_for_byte_from_its_manifest(tmp_path, preset_bundle, 
         assert rerun[name] == data, name
 
 
-@pytest.mark.parametrize("made_by_user", [False, True], ids=["new", "empty"])
-def test_run_command_cleans_partial_output(tmp_path, monkeypatch, made_by_user):
+@pytest.mark.parametrize("case", ["new", "empty", "nested"])
+def test_run_command_cleans_partial_output(tmp_path, monkeypatch, case):
     import foragesim.bundle as bundle
 
-    out = tmp_path / "out"
-    if made_by_user:
+    out = tmp_path / "a" / "b" / "out" if case == "nested" else tmp_path / "out"
+    if case == "empty":
         out.mkdir()
     at_failure = []
 
     def boom(*args, **kwargs):
         # Called for the manifest, after the CSVs are written.
         at_failure.extend(sorted(os.listdir(out)))
+        if case == "nested":
+            (tmp_path / "a" / "keep").touch()  # "a", made by the run, is in use now
         raise RuntimeError("injected failure")
 
     monkeypatch.setattr(bundle, "config_to_dict", boom)
@@ -204,9 +206,13 @@ def test_run_command_cleans_partial_output(tmp_path, monkeypatch, made_by_user):
     assert at_failure == [
         "binomial.csv", "classification.csv", "p1_histogram.csv", "results.csv",
     ]
-    # Everything written before the failure is cleaned up. A directory the
-    # run made is gone too; one the user made stays, empty.
-    assert (os.listdir(out) == []) if made_by_user else not out.exists()
+    # Everything written before the failure is cleaned up. The directories the
+    # run made are gone too, up to the first that is no longer empty; one the
+    # user made stays, empty.
+    assert (os.listdir(out) == []) if case == "empty" else not out.exists()
+    if case == "nested":
+        assert not out.parent.exists()
+        assert os.listdir(tmp_path / "a") == ["keep"]
 
 
 def test_event_log_written_and_parses(tmp_path):
@@ -231,9 +237,11 @@ def test_event_log_memory_does_not_grow_with_the_horizon(tmp_path):
             tracemalloc.stop()
 
     peak_bytes(1.0)  # pays the one-time allocations: caches, freelists
-    # The log is streamed to its file. A log held until the run ends raises
-    # the peak from 60 s to 240 s (2,527 more records) by 50 KiB or more; the
-    # 4 KiB allow for the run's own state, which varies by under 1 KiB.
+    # The peak covers the whole run, so this bounds the run's own state as
+    # well as the log. The log is streamed to its file. From 60 s to 240 s
+    # (2,527 more records), a log held until the run ends raises the peak by
+    # 50 KiB or more, and one float kept per tick by 16 KiB. The 4 KiB allow
+    # for the run's own state, which varies by under 1 KiB.
     assert peak_bytes(240.0) <= peak_bytes(60.0) + 4096
 
 

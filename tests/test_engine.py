@@ -3,13 +3,13 @@ returning, delivery, and the deterministic tick loop."""
 
 import math
 import random
-import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from foragesim.allocation import Mode, ObjectType, vdr_failure, vdr_success
 from foragesim.arena import (
+    BOUNCE_REDRAW_CAP,
     ArenaConfig,
     ContactKind,
     RobotPhase,
@@ -89,120 +89,7 @@ def test_leave_records_follow_check_period():
     assert ticks and all(tick % 10 == 0 for tick in ticks)
 
 
-# -- searching -------------------------------------------------------------------
-
-
-def test_searching_jitter_advance():
-    # Jitter draw 0.75 maps to +0.05 rad with jitter half-width 0.1.
-    sim = build_sim(rng=ScriptedRng([0.75]), totals=(0, 0))
-    robot = make_robot(0, 5.0, 5.0, heading=0.0, search_deadline=15.0)
-    sim.world.add_robot(robot)
-    sim.tick()  # no contact: the tick takes the free step itself
-    assert robot.heading == pytest.approx(0.05)
-    assert robot.x == pytest.approx(5.0 + 0.1 * math.cos(0.05))
-    assert robot.y == pytest.approx(5.0 + 0.1 * math.sin(0.05))
-
-
-def test_searching_timeout_returns_empty():
-    sim = build_sim(rng=ScriptedRng([]), totals=(0, 0))
-    robot = make_robot(0, 5.0, 5.0, search_deadline=10.0)
-    sim.clock.tick_index = 100  # now = 10.0 s, deadline reached
-    sim.world.add_robot(robot)
-    sim.tick()  # the tick checks the deadline
-    assert robot.phase is RobotPhase.RETURNING
-    assert robot.carried is None
-
-
-def test_searching_nest_boundary_bounces_outward():
-    sim = build_sim(totals=(0, 0))
-    robot = make_robot(0, ARENA.nest_radius + ARENA.robot_radius, 0.0, search_deadline=15.0)
-    sim.world.add_robot(robot)
-    sim.tick()
-    assert robot.phase is RobotPhase.SEARCHING
-    # Post-bounce heading separates from the nest: positive outward component.
-    assert math.cos(robot.heading) > 0.0
-
-
-def test_searching_inside_nest_passes_outward():
-    rng = ScriptedRng([0.5])  # only the jitter draw, no bounce redraws
-    sim = build_sim(rng=rng, totals=(0, 0))
-    robot = make_robot(0, ARENA.nest_radius - 0.05, 0.0, search_deadline=15.0)
-    sim.world.add_robot(robot)
-    sim.tick()
-    assert rng.calls == 1
-    assert robot.heading == pytest.approx(0.0)  # draw 0.5 is zero jitter
-
-
-# -- pickup ----------------------------------------------------------------------
-
-
-def place_contact_object(sim, obj_type, robot):
-    return sim.world.add_object(obj_type, robot.x + 2 * ARENA.robot_radius, robot.y)
-
-
-def test_pickup_certain_capability_succeeds():
-    sim = build_sim(rng=ScriptedRng([0.999999]), totals=(1, 0))
-    robot = make_robot(0, 5.0, 5.0, capability=(1.0, 1.0), search_deadline=15.0)
-    sim.world.add_robot(robot)
-    obj = place_contact_object(sim, ObjectType.TYPE1, robot)
-    sim.tick()
-    assert robot.carried is ObjectType.TYPE1
-    assert robot.phase is RobotPhase.RETURNING
-    assert obj.id not in sim.world.objects
-    assert (robot.x, robot.y) == (5.0, 5.0)  # the pickup uses the tick: no step
-
-
-def test_pickup_zero_capability_bounces():
-    sim = build_sim(rng=random.Random(5), totals=(0, 1))
-    robot = make_robot(0, 5.0, 5.0, capability=(0.0, 0.0), search_deadline=15.0)
-    sim.world.add_robot(robot)
-    obj = place_contact_object(sim, ObjectType.TYPE2, robot)
-    sim.tick()
-    assert robot.carried is None
-    assert robot.phase is RobotPhase.SEARCHING
-    assert sim.world.objects.get(obj.id) is obj
-
-
-def test_modified_wrong_type_is_plain_obstacle():
-    # Capability 1.0 would guarantee pickup if a capability draw happened;
-    # a non-assigned type must bounce with no draw and no state update.
-    sim = build_sim(mode=Mode.MODIFIED, rng=random.Random(5), totals=(0, 1))
-    robot = make_robot(0, 5.0, 5.0, capability=(1.0, 1.0), search_deadline=15.0)
-    robot.assignment = ObjectType.TYPE1
-    sim.world.add_robot(robot)
-    obj = place_contact_object(sim, ObjectType.TYPE2, robot)
-    before = (robot.leave, robot.pickup)
-    sim.tick()
-    assert robot.carried is None
-    assert robot.phase is RobotPhase.SEARCHING
-    assert sim.world.objects.get(obj.id) is obj
-    assert (robot.leave, robot.pickup) == before
-
-
-def test_modified_pickup_updates_per_attempt():
-    sim = build_sim(mode=Mode.MODIFIED, rng=random.Random(5), totals=(0, 1))
-    robot = make_robot(0, 5.0, 5.0, capability=(0.0, 0.0), search_deadline=15.0)
-    robot.assignment = ObjectType.TYPE2
-    sim.world.add_robot(robot)
-    place_contact_object(sim, ObjectType.TYPE2, robot)
-    leave, pickup = robot.leave, robot.pickup
-    sim.tick()  # failed attempt
-    assert robot.pickup[1] == vdr_failure(pickup[1], TABLE9)
-    assert robot.pickup[0] == pickup[0]
-    assert robot.leave == leave
-
-
-# -- returning --------------------------------------------------------------------
-
-
-def test_returning_homes_on_origin():
-    sim = build_sim(rng=ScriptedRng([]), totals=(0, 0))
-    robot = make_robot(0, 5.0, 0.0, heading=0.0, phase=RobotPhase.RETURNING)
-    sim.world.add_robot(robot)
-    sim.tick()
-    assert abs(robot.heading) == pytest.approx(math.pi)  # -pi and pi coincide
-    assert robot.x == pytest.approx(4.9)
-    assert robot.y == pytest.approx(0.0)
+# -- trips ---------------------------------------------------------------------
 
 
 # A trip moves the leave state only, in both modes.
@@ -246,108 +133,152 @@ def test_returning_empty_counts_failure():
         assert robot.pickup == pickup, mode
 
 
-def test_returning_edge_follows_object():
-    # An object is no obstacle to bounce off on the way home: the robot
-    # turns along its edge with no draw.
-    sim = build_sim(rng=ScriptedRng([]), totals=(1, 1))
-    obj = sim.world.add_object(ObjectType.TYPE2, 5.0 - 2 * ARENA.robot_radius, 0.1)
-    robot = make_robot(0, 5.0, 0.0, heading=0.0, phase=RobotPhase.RETURNING)
-    robot.carried = ObjectType.TYPE1
-    sim.world.add_robot(robot)
-    sim.tick()
-    assert robot.heading == edge_follow_heading((5.0, 0.0), (obj.x, obj.y))
-
-
-def test_returning_robot_contact_separates():
-    sim = build_sim(rng=random.Random(9), totals=(0, 0))
-    a = make_robot(0, 5.0, 0.0, phase=RobotPhase.RETURNING, heading=math.pi)
-    b = make_robot(1, 5.0 - 2 * ARENA.robot_radius, 0.0, phase=RobotPhase.RETURNING)
-    sim.world.add_robot(a)
-    sim.world.add_robot(b)
-    d0 = math.hypot(a.x - b.x, a.y - b.y)
-    sim.tick()
-    assert math.hypot(a.x - b.x, a.y - b.y) > d0
-
-
-# -- the step ---------------------------------------------------------------------
+# -- the tick's rules --------------------------------------------------------------
 
 T1, T2 = ObjectType.TYPE1, ObjectType.TYPE2
+RETURNING = RobotPhase.RETURNING
 TOUCH = 2 * ARENA.robot_radius  # within contact range of a robot or an object
 # A wall contact, far enough from the wall that no step away is clamped.
 NEAR_WALL = (ARENA.arena_half_width - ARENA.robot_radius - 0.04, 3.0)
+INITIAL = TABLE9.initial_state()
 
 
 @pytest.mark.parametrize(
-    "setup, kind, moves",
+    "setup, kind, expect",
     [
-        pytest.param({}, ContactKind.NONE, True, id="free-step"),
-        pytest.param({"at": NEAR_WALL}, ContactKind.WALL, True, id="wall-bounce"),
-        pytest.param({"other": (5.0 + TOUCH, 5.0)}, ContactKind.ROBOT, True, id="robot-bounce"),
+        # Draw 0.75 is +0.05 rad of jitter, with jitter half-width 0.1.
+        pytest.param({"draws": [0.75]}, ContactKind.NONE, {"heading": pytest.approx(0.35)},
+                     id="free-step"),
+        pytest.param({"deadline": 0.0, "draws": []}, ContactKind.NONE, {"phase": RETURNING},
+                     id="search-timeout"),
+        # A robot still inside the nest passes outward: draw 0.5 is zero
+        # jitter, and no bounce redraw follows.
+        pytest.param(
+            {"at": (ARENA.nest_radius - 0.05, 0.0), "draws": [0.5]}, ContactKind.NEST,
+            {"heading": 0.3}, id="nest-pass-through",
+        ),
+        # Outside it, the ring repels: draw 0.5, heading pi, points back in
+        # and is redrawn; draw 0.0, heading 0, clears it.
+        pytest.param(
+            {"at": (ARENA.nest_radius + ARENA.robot_radius, 0.0), "draws": [0.5, 0.0]},
+            ContactKind.NEST, {"heading": 0.0, "away": True}, id="nest-bounce",
+        ),
+        pytest.param({"at": NEAR_WALL}, ContactKind.WALL, {"away": True}, id="wall-bounce"),
+        # Every redraw, heading 0, points at the wall: after the last one the
+        # robot takes the exact away heading.
+        pytest.param(
+            {"at": NEAR_WALL, "draws": [0.0] * BOUNCE_REDRAW_CAP}, ContactKind.WALL,
+            {"heading": math.pi, "position": pytest.approx((NEAR_WALL[0] - 0.1, NEAR_WALL[1])),
+             "away": True},
+            id="wall-fallback",
+        ),
+        pytest.param({"other": (5.0 + TOUCH, 5.0)}, ContactKind.ROBOT, {"away": True},
+                     id="robot-bounce"),
+        pytest.param(
+            {"capability": (1.0, 1.0), "objects": [(T1, 5.0 + TOUCH, 5.0)],
+             "draws": [0.999999]},
+            ContactKind.OBJECT, {"phase": RETURNING, "carried": T1, "objects": 0}, id="pickup",
+        ),
         pytest.param(
             {"capability": (0.0, 0.0), "objects": [(T1, 5.0 + TOUCH, 5.0)]},
-            ContactKind.OBJECT, True, id="failed-pickup",
+            ContactKind.OBJECT, {"away": True}, id="failed-pickup",
         ),
+        # Capability 1.0 would make a capability draw succeed: a type not
+        # assigned is bounced off with no draw and no state update.
         pytest.param(
             {"mode": Mode.MODIFIED, "assignment": T1, "capability": (1.0, 1.0),
              "objects": [(T2, 5.0 + TOUCH, 5.0)]},
-            ContactKind.OBJECT, True, id="wrong-type-obstacle",
+            ContactKind.OBJECT, {"away": True}, id="wrong-type-obstacle",
+        ),
+        # In MODIFIED mode each attempt moves the pickup state of its type.
+        pytest.param(
+            {"mode": Mode.MODIFIED, "assignment": T2, "capability": (0.0, 0.0),
+             "objects": [(T2, 5.0 + TOUCH, 5.0)]},
+            ContactKind.OBJECT, {"pickup": (INITIAL, vdr_failure(INITIAL, TABLE9)), "away": True},
+            id="modified-failed-pickup",
+        ),
+        # Homing on the origin with no draw: heading +-pi, one step toward it.
+        pytest.param(
+            {"phase": RETURNING, "carried": T1, "at": (5.0, 0.0), "draws": []},
+            ContactKind.NONE, {"position": pytest.approx((4.9, 0.0))}, id="return-home",
+        ),
+        # An object is no obstacle to bounce off on the way home: the robot
+        # turns along its edge with no draw.
+        pytest.param(
+            {"phase": RETURNING, "carried": T1, "objects": [(T2, 5.0 - TOUCH, 5.0)],
+             "draws": []},
+            ContactKind.OBJECT, {"heading": edge_follow_heading((5.0, 5.0), (5.0 - TOUCH, 5.0))},
+            id="edge-follow",
         ),
         pytest.param(
-            {"at": (ARENA.nest_radius - 0.05, 0.0)}, ContactKind.NEST, True,
-            id="nest-pass-through",
+            {"phase": RETURNING, "other": (5.0 - TOUCH, 5.0)}, ContactKind.ROBOT,
+            {"away": True, "apart": True}, id="return-robot-bounce",
         ),
         pytest.param(
-            {"phase": RobotPhase.RETURNING, "carried": T1, "at": (5.0, 0.0)},
-            ContactKind.NONE, True, id="return-home",
-        ),
-        pytest.param(
-            {"phase": RobotPhase.RETURNING, "carried": T1, "objects": [(T2, 5.0 - TOUCH, 5.0)]},
-            ContactKind.OBJECT, True, id="edge-follow",
-        ),
-        pytest.param(
-            {"capability": (1.0, 1.0), "objects": [(T1, 5.0 + TOUCH, 5.0)]},
-            ContactKind.OBJECT, False, id="pickup",
-        ),
-        pytest.param({"deadline": 0.0}, ContactKind.NONE, False, id="search-timeout"),
-        pytest.param(
-            {"phase": RobotPhase.RETURNING, "carried": T1, "at": (0.5, 0.0)},
-            ContactKind.NONE, False, id="delivery",
+            {"phase": RETURNING, "carried": T1, "at": (0.5, 0.0)}, ContactKind.NONE,
+            {"phase": RobotPhase.STOPPING, "carried": None, "objects": 1,
+             "leave": vdr_success(TABLE4.initial_state(), TABLE4)},
+            id="delivery",
         ),
     ],
 )
-def test_tick_steps_each_moving_robot_once(setup, kind, moves):
-    # Robot 0 meets ``kind`` this tick. If it goes on in its phase, it moves
-    # one full step along the heading its handler left; a pickup, a timeout
-    # or a delivery changes its phase and leaves it where it was.
+def test_tick_steps_each_moving_robot_once(setup, kind, expect):
+    # Robot 0 meets ``kind`` this tick. If it stays in its phase, it moves one
+    # full step along the heading its handler left; a pickup, a timeout or a
+    # delivery changes its phase and leaves it where it was. Its phase, load,
+    # leave and pickup states and the count of free objects stay as they were
+    # unless ``expect`` says otherwise. ``expect`` may also name the heading
+    # and position after the tick, "away": the step left the contact point
+    # behind, and "apart": the other robot ended the tick farther away. A row
+    # with "draws" feeds the tick exactly those draws.
     objects = setup.get("objects", [])
     totals = [0, 0]
     for obj_type, _, _ in objects + [(setup.get("carried"), 0, 0)]:
         if obj_type is not None:
             totals[obj_type] += 1
-    sim = build_sim(rng=random.Random(7), totals=tuple(totals),
-                    mode=setup.get("mode", Mode.ORIGINAL))
+    rng = ScriptedRng(setup["draws"]) if "draws" in setup else random.Random(7)
+    sim = build_sim(rng=rng, totals=tuple(totals), mode=setup.get("mode", Mode.ORIGINAL))
     for obj_type, x, y in objects:
         sim.world.add_object(obj_type, x, y)
-    x0, y0 = setup.get("at", (5.0, 5.0))
+    start = setup.get("at", (5.0, 5.0))
     phase = setup.get("phase", RobotPhase.SEARCHING)
     robot = make_robot(
-        0, x0, y0, phase=phase, search_deadline=setup.get("deadline", 15.0), heading=0.3,
+        0, *start, phase=phase, search_deadline=setup.get("deadline", 15.0), heading=0.3,
         capability=setup.get("capability", (0.5, 0.5)),
     )
     robot.carried = setup.get("carried")
     robot.assignment = setup.get("assignment")
     sim.world.add_robot(robot)
+    other = None
     if "other" in setup:
-        sim.world.add_robot(make_robot(1, *setup["other"], search_deadline=15.0))
-    assert nearest_contact(sim.world, (x0, y0), robot.id).kind is kind
+        other = make_robot(1, *setup["other"], phase=phase, search_deadline=15.0)
+        sim.world.add_robot(other)
+    contact = nearest_contact(sim.world, start, robot.id)
+    assert contact.kind is kind
+    expected = {
+        "phase": phase, "carried": robot.carried, "leave": robot.leave,
+        "pickup": robot.pickup, "objects": len(objects), **expect,
+    }
     sim.tick()
-    assert (robot.phase is phase) == moves
-    if moves:
+    end = (robot.x, robot.y)
+    seen = {
+        "phase": robot.phase, "carried": robot.carried, "leave": robot.leave,
+        "pickup": robot.pickup, "objects": len(sim.world.objects),
+        "heading": robot.heading, "position": end,
+        "away": contact.point is not None
+        and math.dist(end, contact.point) > math.dist(start, contact.point),
+        "apart": other is not None
+        and math.dist(end, (other.x, other.y)) > math.dist(start, setup["other"]),
+    }
+    assert {name: seen[name] for name in expected} == expected
+    if "draws" in setup:
+        assert rng.draws == []  # and one more draw would have raised
+    if robot.phase is phase:
         step = ARENA.robot_speed * sim.config.tick_duration
         h = robot.heading
-        assert (robot.x, robot.y) == (x0 + step * math.cos(h), y0 + step * math.sin(h))
+        assert end == (start[0] + step * math.cos(h), start[1] + step * math.sin(h))
     else:
-        assert (robot.x, robot.y) == (x0, y0)
+        assert end == start
 
 
 # -- tick loop ----------------------------------------------------------------------
@@ -428,24 +359,3 @@ def test_original_run_leaves_pickup_states_untouched():
     assert sum(sum(r.retrieved) for r in robots) > 0  # pickups did happen
     assert any(r.leave != config.leave_params.initial_state() for r in robots)
     assert [r.pickup for r in robots] == [initial] * config.robot_count
-
-
-def test_run_memory_does_not_grow_with_the_horizon():
-    # Set I with 3 robots keeps the traced run near half a second.
-    config = replace(set1_config(), robot_count=3, horizon=480.0)
-    rng = random.Random(1)
-    tracemalloc.start()
-    try:
-        sim = Simulation(config, _build_world(config, rng), rng)
-        while sim.clock.tick_index < sim.config.total_ticks:
-            sim.tick()
-            if sim.clock.tick_index == 600:
-                at_60_s = tracemalloc.get_traced_memory()[0]
-        at_480_s = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    # The world is still alive here. Between 60 and 120 s its object-cell
-    # dict doubles its table once (4.6 KiB), and its cell lists keep the
-    # spare room they grew; in all 2.6-8.5 KiB on Python 3.10-3.13, flat after
-    # 120 s. One float leaked per tick would add about 140 KiB.
-    assert at_480_s <= at_60_s + 12 * 1024
