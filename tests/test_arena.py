@@ -1,5 +1,5 @@
-"""Geometry tests: spawning, contact classification, edge follow, and the
-world's bookkeeping."""
+"""Geometry tests: spawning, contact classification, bounce, edge follow,
+and the world's bookkeeping."""
 
 import math
 import random
@@ -20,8 +20,10 @@ from foragesim.arena import (
     SpawnError,
     World,
     WorldObject,
+    bounce_heading,
     edge_follow_heading,
     nearest_contact,
+    separating_test,
     spawn_object,
 )
 from foragesim.engine import Simulation
@@ -420,6 +422,31 @@ def test_contact_tie_goes_to_lower_id(low_id_x):
     world.add_object(ObjectType.TYPE2, 0.75, -1.0)
     assert nearest_contact(world, (0.0, 1.0)).point == (low_id_x, 1.0)
     assert nearest_contact(world, (1.0, -1.0)).obj is world.objects[0]
+
+
+# -- bounce ----------------------------------------------------------------------
+
+
+def test_bounce_separates_from_contact_ahead():
+    # The contact is directly ahead, at bearing 0; away from it is bearing pi.
+    position, contact_point = (5.0, 0.0), (5.3, 0.0)
+    dx, dy = position[0] - contact_point[0], position[1] - contact_point[1]
+    away = math.atan2(dy, dx)
+    h = bounce_heading(0.0, random.Random(11), separating_test(dx, dy, 0.1), away)
+    assert math.cos(h - away) > 0.0
+
+
+def test_opposed_bounces_increase_distance():
+    # Two robots in contact bounce off each other's centre, one after the
+    # other from one rng, and both steps together leave them farther apart.
+    step = 0.1
+    a, b = (5.0, 0.0), (5.3, 0.0)
+    rng = random.Random(4)
+    ha = bounce_heading(0.0, rng, separating_test(a[0] - b[0], a[1] - b[1], step), math.pi)
+    hb = bounce_heading(math.pi, rng, separating_test(b[0] - a[0], b[1] - a[1], step), 0.0)
+    a2 = (a[0] + step * math.cos(ha), a[1] + step * math.sin(ha))
+    b2 = (b[0] + step * math.cos(hb), b[1] + step * math.sin(hb))
+    assert math.dist(a2, b2) > math.dist(a, b)
 
 
 # -- edge follow ------------------------------------------------------------------

@@ -140,97 +140,21 @@ RETURNING = RobotPhase.RETURNING
 TOUCH = 2 * ARENA.robot_radius  # within contact range of a robot or an object
 # A wall contact, far enough from the wall that no step away is clamped.
 NEAR_WALL = (ARENA.arena_half_width - ARENA.robot_radius - 0.04, 3.0)
+INSIDE_NEST = (ARENA.nest_radius - 0.05, 0.0)
 INITIAL = TABLE9.initial_state()
 
 
-@pytest.mark.parametrize(
-    "setup, kind, expect",
-    [
-        # Draw 0.75 is +0.05 rad of jitter, with jitter half-width 0.1.
-        pytest.param({"draws": [0.75]}, ContactKind.NONE, {"heading": pytest.approx(0.35)},
-                     id="free-step"),
-        pytest.param({"deadline": 0.0, "draws": []}, ContactKind.NONE, {"phase": RETURNING},
-                     id="search-timeout"),
-        # A robot still inside the nest passes outward: draw 0.5 is zero
-        # jitter, and no bounce redraw follows.
-        pytest.param(
-            {"at": (ARENA.nest_radius - 0.05, 0.0), "draws": [0.5]}, ContactKind.NEST,
-            {"heading": 0.3}, id="nest-pass-through",
-        ),
-        # Outside it, the ring repels: draw 0.5, heading pi, points back in
-        # and is redrawn; draw 0.0, heading 0, clears it.
-        pytest.param(
-            {"at": (ARENA.nest_radius + ARENA.robot_radius, 0.0), "draws": [0.5, 0.0]},
-            ContactKind.NEST, {"heading": 0.0, "away": True}, id="nest-bounce",
-        ),
-        pytest.param({"at": NEAR_WALL}, ContactKind.WALL, {"away": True}, id="wall-bounce"),
-        # Every redraw, heading 0, points at the wall: after the last one the
-        # robot takes the exact away heading.
-        pytest.param(
-            {"at": NEAR_WALL, "draws": [0.0] * BOUNCE_REDRAW_CAP}, ContactKind.WALL,
-            {"heading": math.pi, "position": pytest.approx((NEAR_WALL[0] - 0.1, NEAR_WALL[1])),
-             "away": True},
-            id="wall-fallback",
-        ),
-        pytest.param({"other": (5.0 + TOUCH, 5.0)}, ContactKind.ROBOT, {"away": True},
-                     id="robot-bounce"),
-        pytest.param(
-            {"capability": (1.0, 1.0), "objects": [(T1, 5.0 + TOUCH, 5.0)],
-             "draws": [0.999999]},
-            ContactKind.OBJECT, {"phase": RETURNING, "carried": T1, "objects": 0}, id="pickup",
-        ),
-        pytest.param(
-            {"capability": (0.0, 0.0), "objects": [(T1, 5.0 + TOUCH, 5.0)]},
-            ContactKind.OBJECT, {"away": True}, id="failed-pickup",
-        ),
-        # Capability 1.0 would make a capability draw succeed: a type not
-        # assigned is bounced off with no draw and no state update.
-        pytest.param(
-            {"mode": Mode.MODIFIED, "assignment": T1, "capability": (1.0, 1.0),
-             "objects": [(T2, 5.0 + TOUCH, 5.0)]},
-            ContactKind.OBJECT, {"away": True}, id="wrong-type-obstacle",
-        ),
-        # In MODIFIED mode each attempt moves the pickup state of its type.
-        pytest.param(
-            {"mode": Mode.MODIFIED, "assignment": T2, "capability": (0.0, 0.0),
-             "objects": [(T2, 5.0 + TOUCH, 5.0)]},
-            ContactKind.OBJECT, {"pickup": (INITIAL, vdr_failure(INITIAL, TABLE9)), "away": True},
-            id="modified-failed-pickup",
-        ),
-        # Homing on the origin with no draw: heading +-pi, one step toward it.
-        pytest.param(
-            {"phase": RETURNING, "carried": T1, "at": (5.0, 0.0), "draws": []},
-            ContactKind.NONE, {"position": pytest.approx((4.9, 0.0))}, id="return-home",
-        ),
-        # An object is no obstacle to bounce off on the way home: the robot
-        # turns along its edge with no draw.
-        pytest.param(
-            {"phase": RETURNING, "carried": T1, "objects": [(T2, 5.0 - TOUCH, 5.0)],
-             "draws": []},
-            ContactKind.OBJECT, {"heading": edge_follow_heading((5.0, 5.0), (5.0 - TOUCH, 5.0))},
-            id="edge-follow",
-        ),
-        pytest.param(
-            {"phase": RETURNING, "other": (5.0 - TOUCH, 5.0)}, ContactKind.ROBOT,
-            {"away": True, "apart": True}, id="return-robot-bounce",
-        ),
-        pytest.param(
-            {"phase": RETURNING, "carried": T1, "at": (0.5, 0.0)}, ContactKind.NONE,
-            {"phase": RobotPhase.STOPPING, "carried": None, "objects": 1,
-             "leave": vdr_success(TABLE4.initial_state(), TABLE4)},
-            id="delivery",
-        ),
-    ],
-)
-def test_tick_steps_each_moving_robot_once(setup, kind, expect):
-    # Robot 0 meets ``kind`` this tick. If it stays in its phase, it moves one
-    # full step along the heading its handler left; a pickup, a timeout or a
-    # delivery changes its phase and leaves it where it was. Its phase, load,
-    # leave and pickup states and the count of free objects stay as they were
-    # unless ``expect`` says otherwise. ``expect`` may also name the heading
-    # and position after the tick, "away": the step left the contact point
-    # behind, and "apart": the other robot ended the tick farther away. A row
-    # with "draws" feeds the tick exactly those draws.
+def check_tick(setup, kind, expect):
+    """Tick once with robot 0 meeting ``kind``, and check what the tick left.
+
+    If the robot stays in its phase, it moves one full step along the heading
+    its handler left; a pickup, a timeout or a delivery changes its phase and
+    leaves it where it was. Its phase, load, leave and pickup states and the
+    count of free objects stay as they were unless ``expect`` says otherwise.
+    ``expect`` may also name the heading and position after the tick,
+    "away": the step left the contact point behind, and "apart": the other
+    robot ended the tick farther away. A ``setup`` with "draws" feeds the
+    tick exactly those draws; without, the tick draws from a seeded rng."""
     objects = setup.get("objects", [])
     totals = [0, 0]
     for obj_type, _, _ in objects + [(setup.get("carried"), 0, 0)]:
@@ -279,6 +203,137 @@ def test_tick_steps_each_moving_robot_once(setup, kind, expect):
         assert end == (start[0] + step * math.cos(h), start[1] + step * math.sin(h))
     else:
         assert end == start
+
+
+@pytest.mark.parametrize(
+    "setup, kind, expect",
+    [
+        pytest.param({}, ContactKind.NONE, {}, id="free-step"),
+        pytest.param({"deadline": 0.0}, ContactKind.NONE, {"phase": RETURNING},
+                     id="search-timeout"),
+        pytest.param({"at": INSIDE_NEST}, ContactKind.NEST, {}, id="nest-pass-through"),
+        # Outside it, the ring repels: draw 0.5, heading pi, points back in
+        # and is redrawn; draw 0.0, heading 0, clears it.
+        pytest.param(
+            {"at": (ARENA.nest_radius + ARENA.robot_radius, 0.0), "draws": [0.5, 0.0]},
+            ContactKind.NEST, {"heading": 0.0, "away": True}, id="nest-bounce",
+        ),
+        pytest.param({"at": NEAR_WALL}, ContactKind.WALL, {"away": True}, id="wall-bounce"),
+        # Every redraw, heading 0, points at the wall: after the last one the
+        # robot takes the exact away heading.
+        pytest.param(
+            {"at": NEAR_WALL, "draws": [0.0] * BOUNCE_REDRAW_CAP}, ContactKind.WALL,
+            {"heading": math.pi, "position": pytest.approx((NEAR_WALL[0] - 0.1, NEAR_WALL[1])),
+             "away": True},
+            id="wall-fallback",
+        ),
+        pytest.param({"other": (5.0 + TOUCH, 5.0)}, ContactKind.ROBOT, {"away": True},
+                     id="robot-bounce"),
+        pytest.param(
+            {"capability": (1.0, 1.0), "objects": [(T1, 5.0 + TOUCH, 5.0)]},
+            ContactKind.OBJECT, {"phase": RETURNING, "carried": T1, "objects": 0}, id="pickup",
+        ),
+        pytest.param(
+            {"capability": (0.0, 0.0), "objects": [(T1, 5.0 + TOUCH, 5.0)]},
+            ContactKind.OBJECT, {"away": True}, id="failed-pickup",
+        ),
+        pytest.param(
+            {"mode": Mode.MODIFIED, "assignment": T1, "capability": (1.0, 1.0),
+             "objects": [(T2, 5.0 + TOUCH, 5.0)]},
+            ContactKind.OBJECT, {"away": True}, id="wrong-type-obstacle",
+        ),
+        # In MODIFIED mode each attempt moves the pickup state of its type.
+        pytest.param(
+            {"mode": Mode.MODIFIED, "assignment": T2, "capability": (0.0, 0.0),
+             "objects": [(T2, 5.0 + TOUCH, 5.0)]},
+            ContactKind.OBJECT, {"pickup": (INITIAL, vdr_failure(INITIAL, TABLE9)), "away": True},
+            id="modified-failed-pickup",
+        ),
+        pytest.param({"phase": RETURNING, "carried": T1, "at": (5.0, 0.0)}, ContactKind.NONE,
+                     {}, id="return-home"),
+        pytest.param(
+            {"phase": RETURNING, "carried": T1, "objects": [(T2, 5.0 - TOUCH, 5.0)]},
+            ContactKind.OBJECT, {}, id="edge-follow",
+        ),
+        pytest.param(
+            {"phase": RETURNING, "carried": T1, "at": (0.5, 0.0)}, ContactKind.NONE,
+            {"phase": RobotPhase.STOPPING, "carried": None, "objects": 1,
+             "leave": vdr_success(TABLE4.initial_state(), TABLE4)},
+            id="delivery",
+        ),
+    ],
+)
+def test_tick_steps_each_moving_robot_once(setup, kind, expect):
+    check_tick(setup, kind, expect)
+
+
+# The rows' cases with the tick's draws scripted, each checking the one fact
+# that its rule fixes exactly.
+
+
+def test_searching_jitter_advance():
+    # Draw 0.75 is +0.05 rad of jitter, with jitter half-width 0.1.
+    check_tick({"draws": [0.75]}, ContactKind.NONE, {"heading": pytest.approx(0.35)})
+
+
+def test_searching_timeout_returns_empty():
+    # No draw: the robot turns for home carrying nothing, where it stands.
+    check_tick({"deadline": 0.0, "draws": []}, ContactKind.NONE,
+               {"phase": RETURNING, "carried": None})
+
+
+def test_searching_inside_nest_passes_outward():
+    # A robot still inside the nest passes outward: draw 0.5 is zero jitter,
+    # and no bounce redraw follows.
+    check_tick({"at": INSIDE_NEST, "draws": [0.5]}, ContactKind.NEST, {"heading": 0.3})
+
+
+def test_pickup_certain_capability_succeeds():
+    # One draw, the highest, still picks up at capability 1.0.
+    check_tick(
+        {"capability": (1.0, 1.0), "objects": [(T1, 5.0 + TOUCH, 5.0)], "draws": [0.999999]},
+        ContactKind.OBJECT, {"phase": RETURNING, "carried": T1, "objects": 0},
+    )
+
+
+def test_pickup_zero_capability_bounces():
+    # Draw 0.0, the lowest, still fails at capability 0.0; the bounce's draw
+    # 0.5, heading pi, clears the object ahead.
+    check_tick(
+        {"capability": (0.0, 0.0), "objects": [(T2, 5.0 + TOUCH, 5.0)], "draws": [0.0, 0.5]},
+        ContactKind.OBJECT, {"heading": math.pi, "away": True},
+    )
+
+
+def test_modified_wrong_type_is_plain_obstacle():
+    # Capability 1.0 would make a capability draw succeed: a type not
+    # assigned is bounced off with the bounce's one draw, and no state update.
+    check_tick(
+        {"mode": Mode.MODIFIED, "assignment": T1, "capability": (1.0, 1.0),
+         "objects": [(T2, 5.0 + TOUCH, 5.0)], "draws": [0.5]},
+        ContactKind.OBJECT, {"heading": math.pi, "away": True},
+    )
+
+
+def test_returning_homes_on_origin():
+    # No draw: heading +-pi, one step toward the origin.
+    check_tick({"phase": RETURNING, "carried": T1, "at": (5.0, 0.0), "draws": []},
+               ContactKind.NONE, {"position": pytest.approx((4.9, 0.0))})
+
+
+def test_returning_edge_follows_object():
+    # An object is no obstacle to bounce off on the way home: the robot
+    # turns along its edge with no draw.
+    check_tick(
+        {"phase": RETURNING, "carried": T1, "objects": [(T2, 5.0 - TOUCH, 5.0)], "draws": []},
+        ContactKind.OBJECT, {"heading": edge_follow_heading((5.0, 5.0), (5.0 - TOUCH, 5.0))},
+    )
+
+
+def test_returning_robot_contact_separates():
+    # Two returning robots in contact both bounce, and end the tick apart.
+    check_tick({"phase": RETURNING, "other": (5.0 - TOUCH, 5.0)}, ContactKind.ROBOT,
+               {"away": True, "apart": True})
 
 
 # -- tick loop ----------------------------------------------------------------------
