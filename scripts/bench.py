@@ -26,9 +26,10 @@ Without ``--commit`` it measures the working tree; with it, a ``git archive``
 of REV in a temporary directory. The file is written at the root of this
 checkout. ``--seconds`` is each perfbench run's length: 30 by default, the
 benchmark's, and 1 in CI, which checks that the file is complete, not what
-it measures. The exit code is 1 when the file lacks a workload or metric, a
-run failed (it prints its last lines), a median differs from the value
-perfbench printed, or the Tier-1 suite failed.
+it measures. The exit code is 2, with one line on stderr, when there is no
+commit to measure (in a ``git archive`` copy, say), and 1 when the file
+lacks a workload or metric, a run failed (it prints its last lines), a
+median differs from the value perfbench printed, or the Tier-1 suite failed.
 """
 
 from __future__ import annotations
@@ -62,8 +63,10 @@ SWEEP_REPEATS = 5
 
 
 def git(*args: str) -> str:
+    # The ceiling keeps git from reporting an enclosing repository.
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(HERE.parent))
     return subprocess.run(
-        ["git", *args], cwd=HERE, capture_output=True, text=True, check=True
+        ["git", *args], cwd=HERE, env=env, capture_output=True, text=True, check=True
     ).stdout.strip()
 
 
@@ -232,7 +235,13 @@ def main() -> int:
     parser.add_argument("--commit", help="measure this commit instead of the working tree")
     args = parser.parse_args()
 
-    commit = git("rev-parse", args.commit or "HEAD")
+    try:
+        commit = git("rev-parse", args.commit or "HEAD")
+    except subprocess.CalledProcessError as exc:
+        # A git archive copy, say, has no commit to name the file after.
+        reason = (exc.stderr.strip().splitlines() or [f"git exited {exc.returncode}"])[0]
+        print(f"bench.py: no commit to measure in {HERE}: {reason}", file=sys.stderr)
+        return 2
     tmp = None
     try:
         if args.commit:

@@ -60,7 +60,10 @@ def _exit_on_signal(signum, frame):
 def open_event_log(output_dir: str, replication: int):
     """Yield the sink of one replication's event log, which writes each record
     to its file as one JSON line as the run goes, so memory does not grow."""
-    with open(os.path.join(output_dir, f"events_run{replication:03d}.jsonl"), "w") as fh:
+    with open(
+        os.path.join(output_dir, f"events_run{replication:03d}.jsonl"), "w",
+        newline="\n", encoding="utf-8",
+    ) as fh:
         def emit(record):
             fh.write(json.dumps(record) + "\n")
 
@@ -68,14 +71,14 @@ def open_event_log(output_dir: str, replication: int):
 
 
 def write_json(path: str, data: dict) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def write_csv(output_dir: str, name: str, header: str, rows) -> None:
     # csv writes None as an empty field and a float as its repr.
-    with open(os.path.join(output_dir, name), "w") as fh:
+    with open(os.path.join(output_dir, name), "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header.split(","))
         writer.writerows(rows)

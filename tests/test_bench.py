@@ -1,9 +1,12 @@
-"""scripts/bench.py's check of a benchmark file, on hand-built files, and
-its sweep on tiny configs: no benchmark runs."""
+"""scripts/bench.py's check of a benchmark file, on hand-built files, its
+sweep on tiny configs, and its refusal outside a git checkout: no benchmark
+runs."""
 
 import importlib.util
 import json
+import shutil
 import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -118,3 +121,16 @@ def test_sweep_records_the_spread_of_each_point():
     for point in points:
         for key in ("us_per_robot_tick", "robot_ticks_per_ref"):
             assert point[f"{key}_q1"] <= point[key] <= point[f"{key}_q3"]
+
+
+def test_a_copy_outside_a_git_checkout_exits_2_with_one_line(tmp_path):
+    # The copy sits in another repository, whose commit it must not take.
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run([*git, "init", "-q"], cwd=tmp_path, check=True)
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "outer"], cwd=tmp_path, check=True)
+    (tmp_path / "copy" / "scripts").mkdir(parents=True)
+    shutil.copy(ROOT / "scripts" / "bench.py", tmp_path / "copy" / "scripts")
+    proc = subprocess.run([sys.executable, "copy/scripts/bench.py", "--seconds", "1"],
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (2, "", 1)
+    assert proc.stderr.startswith("bench.py: no commit to measure in ")

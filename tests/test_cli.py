@@ -36,6 +36,7 @@ from foragesim.experiment import (
 )
 
 from conftest import bundle_files
+from test_experiment import REFUSED
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -363,89 +364,26 @@ def test_main_bad_config_exits_2(tmp_path, capsys, source, edit, flags, named):
     assert_refused(tmp_path, capsys, source, edit, flags, named)
 
 
-# Rows of the same form whose config file holds a value that is refused.
-VALUE_REFUSALS = [
-    # Values of the wrong kind, which float() would read as 10.0, 4.0 and 1.0.
-    refusal("horizon_seconds must be a number, got '10'", horizon_seconds="10"),
-    refusal("arena_half_width must be a number, got '4'", arena_half_width="4"),
-    refusal("robot_speed must be a number, got True", robot_speed=True),
-    refusal("leave_* probability parameters: p_max must be a number", leave_p_max=True),
-    # NaN and infinity, which json.dumps writes and json.load reads.
-    refusal("arena_half_width must be finite", arena_half_width=float("nan")),
-    refusal("leave_* probability parameters: delta must be", leave_delta=float("nan")),
-    refusal("robot_count must be an integer", robot_count=float("inf")),
-    refusal("horizon_seconds must be finite", horizon_seconds=float("nan")),
-    refusal("horizon_seconds must be finite", horizon_seconds=float("inf")),
-    refusal("search_timeout_seconds must be finite", search_timeout_seconds=float("-inf")),
-    # An int past the float range, which json.load reads in full.
-    refusal("horizon_seconds must be finite", horizon_seconds=10**400,
-            id="horizon_seconds-10**400"),
-    # Spans below their floor.
-    refusal("horizon_seconds must be >= 0, got -1.0", horizon_seconds=-1.0),
-    refusal("search_timeout_seconds must be > 0, got 0.0", search_timeout_seconds=0.0),
-    refusal("tick_duration must be > 0, got 0.0", tick_duration=0.0),
-    refusal("leave_check_period must be > 0, got 0.0", leave_check_period=0.0),
-    # Counts that are not integers.
-    refusal("robot_count must be an integer", robot_count=2.7),
-    refusal("robot_count must be an integer", robot_count=True),
-    refusal("objects_type1 must be an integer", objects_type1=1.5),
-    refusal("objects_type2 must be an integer", objects_type2=2.5),
-    refusal("replications must be an integer", replications=True),
-    refusal("replications must be an integer", replications=1.9),
-    refusal("seed must be an integer", seed=3.5),
-    # random.Random(-n) draws the stream of Random(n).
-    refusal("seed must be >= 0", seed=-1),
-    # Impossible geometry: a nest as wide as a robot (0.15), or narrower.
-    refusal("nest_radius must be > robot_radius", nest_radius=0.15),
-    refusal("nest_radius must be > robot_radius", nest_radius=0.1),
-    refusal("heading_jitter must be in [0, pi]", heading_jitter=-0.1),
-    # More than half a turn per tick; 1e308 summed the heading to infinity.
-    refusal("heading_jitter must be in [0, pi]", heading_jitter=4.0),
-    refusal("heading_jitter must be in [0, pi]", heading_jitter=1e308),
-    # The arena's area overflows a float.
-    refusal("arena_half_width 1e+154 is too wide", arena_half_width=1e154),
-    refusal("arena_half_width 1e+200 is too wide", arena_half_width=1e200),
-    refusal("arena_half_width 1e+308 is too wide", arena_half_width=1e308),
-    # Radii and a margin near the smallest float pass every check one by one,
-    # but the arena's width in contact-grid cells overflows a float.
-    refusal(
-        "robot_radius, object_radius and contact_margin", id="geometry-too-fine-for-the-grid",
-        robot_radius=1e-310, object_radius=1e-310, contact_margin=1e-310,
-    ),
-    # 5e300 ticks, which would never end, and an infinite tick count.
-    refusal(
-        "horizon_seconds is 5e+300 ticks at tick_duration 1e-300; the tick count is capped",
-        tick_duration=1e-300,
-    ),
-    refusal(
-        "horizon_seconds is inf ticks at tick_duration 1e-320; the tick count is capped",
-        tick_duration=1e-320,
-    ),
-    refusal("horizon_seconds is 1e+07 ticks", horizon_seconds=1_000_000.1),
-    # Not whole numbers of 0.1 s ticks, and less than one tick.
-    refusal("horizon_seconds must be a whole number of 0.1 s ticks", horizon_seconds=10.05),
-    refusal("leave_check_period must be a whole number", leave_check_period=0.15),
-    refusal("leave_check_period must be a whole number", leave_check_period=0.05),
-    # C(1030, 515) overflows a float in the binomial comparison.
-    refusal("robot_count must be in 1..1029", robot_count=1030),
-    # Counts that would run for years, or overflow the packing check's floats.
-    refusal("replications must be in 1..10000", replications=10**9),
-    refusal("replications must be in", replications=10**400, id="replications-10**400"),
-    refusal("objects_type1 must be in 1..100000", objects_type1=10**9),
-    refusal("objects_type1 must be in", objects_type1=10**400, id="objects_type1-10**400"),
-    refusal("objects_type2 must be in", objects_type2=10**400, id="objects_type2-10**400"),
-]
-
-
-@pytest.mark.parametrize("source, edit, flags, named", VALUE_REFUSALS)
-def test_main_non_finite_value_exits_2(tmp_path, capsys, source, edit, flags, named):
-    assert_refused(tmp_path, capsys, source, edit, flags, named)
-
-
-def test_integral_float_count_accepted():
-    raw = config_to_dict(small_config())
-    raw["robot_count"] = 4.0
-    assert config_from_dict(raw).robot_count == 4
+# Rows of test_experiment.REFUSED, each written to a config file that the
+# CLI refuses as it refuses a file it cannot read.
+@pytest.mark.parametrize("name", [
+    "horizon_seconds-10", "arena_half_width-4", "robot_speed-True", "leave_p_max-True",
+    "arena_half_width-nan", "leave_delta-nan", "robot_count-inf", "horizon_seconds-nan",
+    "horizon_seconds-inf", "search_timeout_seconds--inf", "horizon_seconds-10**400",
+    "horizon_seconds--1.0", "search_timeout_seconds-0.0", "tick_duration-0.0",
+    "leave_check_period-0.0", "robot_count-2.7", "robot_count-True", "objects_type1-1.5",
+    "objects_type2-2.5", "replications-True", "replications-1.9", "seed-3.5", "seed--1",
+    "nest_radius-0.15", "nest_radius-0.1", "heading_jitter--0.1", "heading_jitter-4.0",
+    "heading_jitter-1e+308", "arena_half_width-1e+154", "arena_half_width-1e+200",
+    "arena_half_width-1e+308", "geometry-too-fine-for-the-grid", "tick_duration-1e-300",
+    "tick_duration-1e-320", "horizon_seconds-1000000.1", "horizon_seconds-10.05",
+    "leave_check_period-0.15", "leave_check_period-0.05", "robot_count-1030",
+    "replications-1000000000", "replications-10**400", "objects_type1-1000000000",
+    "objects_type1-10**400", "objects_type2-10**400",
+])
+def test_main_non_finite_value_exits_2(tmp_path, capsys, name):
+    preset, edit, named = REFUSED[name]
+    assert_refused(tmp_path, capsys, PRESETS[preset](), edit, [], named)
 
 
 def test_main_overpacked_arena_exits_2(tmp_path, capsys):
