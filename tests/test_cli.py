@@ -386,6 +386,12 @@ def test_main_non_finite_value_exits_2(tmp_path, capsys, name):
     assert_refused(tmp_path, capsys, PRESETS[preset](), edit, [], named)
 
 
+def test_integral_float_count_accepted():
+    raw = config_to_dict(set1_config())
+    raw["robot_count"] = 4.0
+    assert config_from_dict(raw) == replace(set1_config(), robot_count=4)
+
+
 def test_main_overpacked_arena_exits_2(tmp_path, capsys):
     # 20 objects would fit in the square by area, but not around the nest:
     # spawning gives up after its attempt cap.
