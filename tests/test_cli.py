@@ -36,7 +36,7 @@ from foragesim.experiment import (
 )
 
 from conftest import bundle_files
-from test_experiment import REFUSED
+from test_experiment import PACKED, REFUSED, ZERO_FLOORS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -257,9 +257,6 @@ def test_main_with_config_file(tmp_path, capsys):
     assert "bimodality" in capsys.readouterr().out
 
 
-ZERO_PICKUP_FLOORS = dict(obj1_p_min=0.0, obj1_p_initial=0.0, obj2_p_min=0.0, obj2_p_initial=0.0)
-
-
 # Marks a key that a refusal row drops from its config.
 DROP = object()
 
@@ -270,6 +267,12 @@ def refusal(named, source=None, flags=(), id=None, **edit):
         ((key, value),) = edit.items()
         id = f"{key}-{value}"
     return pytest.param(source or small_config(), edit, flags, named, id=id)
+
+
+def restated(name, id):
+    """Row ``name`` of test_experiment.REFUSED as a row of REFUSALS."""
+    preset, edit, named = REFUSED[name]
+    return pytest.param(PRESETS[preset](), edit, [], named, id=id)
 
 
 # Each row: the source (a config, written out with the edit's keys set or
@@ -298,8 +301,7 @@ REFUSALS = [
         source=json.dumps(config_to_dict(small_config()))[:-1].encode()
         + b', "seed": 99, "robot_count": 3, "mode": "modified"}',
     ),
-    # Keys unknown or missing, and a mode that does not exist. A list of
-    # keys names two and counts the rest.
+    # Keys unknown or missing. A list of keys names two and counts the rest.
     refusal(
         "missing config keys: ['horizon_seconds', 'leave_delta'] and 17 more",
         source=b'{"mode": "original"}', id="missing-keys",
@@ -310,25 +312,17 @@ REFUSALS = [
         "unknown config keys: ['key00', 'key01'] and 28 more", id="unknown-keys",
         **{f"key{i:02d}": 1.0 for i in range(30)},
     ),
-    refusal("mode: 'hybrid' is not a valid Mode", mode="hybrid", id="bad-mode"),
-    # Probabilities that cannot run. histogram() needs p_min < p_max, so
-    # equal bounds used to fail after every run; an inverted pair is refused
-    # under its prefix.
-    refusal(
-        "invalid leave_* probability parameters", source=set1_config(replications=1),
-        id="equal-leave-bounds", leave_p_min=0.04, leave_p_initial=0.04, leave_p_max=0.04,
-    ),
-    refusal("leave_* probability parameters", leave_p_min=0.5, id="inverted-bounds"),
-    # assign_task divides by p1 + p2, which zero floors let reach 0.
-    refusal(
-        "modified mode needs obj1_p_min or obj2_p_min above 0",
-        source=set2_config(replications=1), id="zero-pickup-floors", **ZERO_PICKUP_FLOORS,
-    ),
+    # Rows of REFUSED kept under their names here, which
+    # test_main_non_finite_value_exits_2 runs again under their own.
+    restated("mode-hybrid", "bad-mode"),
+    restated("leave-equal-bounds", "equal-leave-bounds"),
+    restated("leave_p_min-0.1", "inverted-bounds"),
+    restated("zero-floors-modified", "zero-pickup-floors"),
     # Flags named after a config key pass the same checks.
     refusal(
         "modified mode needs obj1_p_min or obj2_p_min above 0",
         source=set1_config(replications=1), flags=["--mode", "modified"],
-        id="zero-pickup-floors-mode-override", **ZERO_PICKUP_FLOORS,
+        id="zero-pickup-floors-mode-override", **ZERO_FLOORS,
     ),
     refusal("replications must be in", source="set1", flags=["--replications", "0"],
             id="--replications-0"),
@@ -364,23 +358,9 @@ def test_main_bad_config_exits_2(tmp_path, capsys, source, edit, flags, named):
     assert_refused(tmp_path, capsys, source, edit, flags, named)
 
 
-# Rows of test_experiment.REFUSED, each written to a config file that the
-# CLI refuses as it refuses a file it cannot read.
-@pytest.mark.parametrize("name", [
-    "horizon_seconds-10", "arena_half_width-4", "robot_speed-True", "leave_p_max-True",
-    "arena_half_width-nan", "leave_delta-nan", "robot_count-inf", "horizon_seconds-nan",
-    "horizon_seconds-inf", "search_timeout_seconds--inf", "horizon_seconds-10**400",
-    "horizon_seconds--1.0", "search_timeout_seconds-0.0", "tick_duration-0.0",
-    "leave_check_period-0.0", "robot_count-2.7", "robot_count-True", "objects_type1-1.5",
-    "objects_type2-2.5", "replications-True", "replications-1.9", "seed-3.5", "seed--1",
-    "nest_radius-0.15", "nest_radius-0.1", "heading_jitter--0.1", "heading_jitter-4.0",
-    "heading_jitter-1e+308", "arena_half_width-1e+154", "arena_half_width-1e+200",
-    "arena_half_width-1e+308", "geometry-too-fine-for-the-grid", "tick_duration-1e-300",
-    "tick_duration-1e-320", "horizon_seconds-1000000.1", "horizon_seconds-10.05",
-    "leave_check_period-0.15", "leave_check_period-0.05", "robot_count-1030",
-    "replications-1000000000", "replications-10**400", "objects_type1-1000000000",
-    "objects_type1-10**400", "objects_type2-10**400",
-])
+# Every refusal of test_experiment.REFUSED, written to a config file that
+# the CLI refuses as it refuses a file it cannot read.
+@pytest.mark.parametrize("name", [name for name, (*_, named) in REFUSED.items() if named])
 def test_main_non_finite_value_exits_2(tmp_path, capsys, name):
     preset, edit, named = REFUSED[name]
     assert_refused(tmp_path, capsys, PRESETS[preset](), edit, [], named)
@@ -392,14 +372,23 @@ def test_integral_float_count_accepted():
     assert config_from_dict(raw) == replace(set1_config(), robot_count=4)
 
 
+def test_whole_number_span_read_as_a_float(tmp_path):
+    # 180 == 180.0, so only the type and the echo's bytes tell them apart: a
+    # file's 180 is read as 180.0, while Python keeps the int and echoes 180.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config_to_dict(set1_config()), "horizon_seconds": 180}))
+    config = load_config(str(path))
+    assert type(config.horizon) is float
+    write_config(config, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CONFIG_GOLDEN["set1"]
+    assert type(config_to_dict(replace(set1_config(), horizon=180))["horizon_seconds"]) is int
+
+
 def test_main_overpacked_arena_exits_2(tmp_path, capsys):
     # 20 objects would fit in the square by area, but not around the nest:
     # spawning gives up after its attempt cap.
     raw = config_to_dict(small_config())
-    raw.update(
-        arena_half_width=1.0, nest_radius=0.45, object_radius=0.2, robot_radius=0.1,
-        objects_type1=10, objects_type2=10,
-    )
+    raw.update(PACKED, objects_type1=10, objects_type2=10)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(raw))
     out = tmp_path / "out"
@@ -426,10 +415,7 @@ def test_main_infeasible_packing_exits_2_before_running(tmp_path, capsys, monkey
 
     monkeypatch.setattr(experiment, "spawn_object", no_draws)
     raw = config_to_dict(small_config())
-    raw.update(
-        arena_half_width=1.0, nest_radius=0.45, object_radius=0.2, robot_radius=0.1,
-        objects_type1=200,
-    )
+    raw.update(PACKED, objects_type1=200)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(raw))
     out = tmp_path / "out"
@@ -592,7 +578,7 @@ def perturbed_preset(draw):
             value = draw(st.sampled_from([0.0, 0.04, 1.0]))
             raw.update({f"{prefix}_{name}": value for name in ("p_min", "p_initial", "p_max")})
         elif edit == "zero floors":
-            raw.update(ZERO_PICKUP_FLOORS)
+            raw.update(ZERO_FLOORS)
         else:
             raw["mode"] = draw(st.sampled_from(["original", "modified"]))
     return raw

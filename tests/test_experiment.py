@@ -57,9 +57,8 @@ def keyed(text, *pairs):
 
 # Every value refusal of config_from_dict, the boundary that a config file, a
 # flag override and a preset all pass, and the configs it accepts at its
-# edges, each by its id. test_config_validation checks each row that no
-# narrower test names: the two below it, and the ArenaConfig and VdrParams
-# tests in test_arena.py and test_allocation.py.
+# edges, each by its id. test_config_validation checks every row through
+# config_from_dict, and tests/test_cli.py every refusal through the CLI.
 _ROWS = [
     # Values that are not finite numbers, each refused under its key before a
     # comparison could raise TypeError: a string or a bool, which float()
@@ -171,21 +170,10 @@ def by_field(*ids):
             for id in ids]
 
 
-@pytest.mark.parametrize("name", by_field(
-    "horizon--1.0", "search_timeout-0.0", "search_timeout--1.0", "tick_duration--0.1",
-    "leave_check_period-0.0", "horizon-10.05", "horizon-1000000.0", "horizon-1000000.1",
-    "tick_duration-1e-300", "tick_duration-1e-320", "tick_duration-10**290", "robot_count-0",
-    "objects_type1-0", "replications-0", "replications-10000", "replications-10001", "seed--1",
-    "max-objects", "objects_type1-over-max", "objects_type2-10**400", "packed-28", "packed-29",
-    "one-zero-floor", "zero-floors-original", "zero-floors-modified", "horizon-True",
-    "robot_speed-True", "mode-hybrid", "horizon_seconds-10", "arena_half_width-4",
-    "robot_count-inf", "objects_type2-2.5", "tick_duration-0.0", "leave_check_period-0.15",
-    "leave_check_period-0.05", "robot_count-1030", "objects_type1-1000000000",
-    "objects_type1-10**400", "replications-1000000000", "replications-10**400",
-    "nest_radius-0.15", "nest_radius-0.1", "heading_jitter--0.1", "heading_jitter-4.0",
-    "heading_jitter-1e+308", "arena_half_width-1e+154", "arena_half_width-1e+200",
-    "arena_half_width-1e+308",
-))
+@pytest.mark.parametrize("name", [*REFUSED, *by_field(
+    "horizon--1.0", "search_timeout-0.0", "search_timeout--1.0", "horizon-10.05",
+    "horizon-1000000.0", "horizon-1000000.1", "horizon-True",
+)])
 def test_config_validation(name):
     check_refused(name)
 
@@ -217,7 +205,9 @@ def test_config_rejects_non_integer_counts(name):
 # Where a config built from Python meets other checks than a config file: a
 # mode's name is refused from Python but read from a file, and a VdrParams
 # does not know its group (a count written as a whole float, the third
-# difference, is in test_config_rejects_non_integer_counts). Each row:
+# difference, is in test_config_rejects_non_integer_counts, and a whole
+# number for a float key, the fourth, in
+# tests/test_cli.py::test_whole_number_span_read_as_a_float). Each row:
 # the build from Python and its whole message, the edit of set1's config
 # file, and the config the file gives or its whole message.
 PYTHON_DOOR = [

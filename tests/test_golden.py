@@ -5,9 +5,13 @@ Each digest is the SHA-256 of one bundle file written by
 ``preset_bundle``; ``manifest.json`` is left out because it echoes the
 package version. A change that alters any digest changes simulation
 results and must say why. The digests assume this platform's libm.
+The event log must also agree with ``results.csv`` and the manifest.
 """
 
+import csv
 import hashlib
+import json
+from collections import defaultdict
 
 import pytest
 
@@ -43,3 +47,28 @@ def test_preset_bundle_digests(preset, preset_bundle):
         if name != "manifest.json"
     }
     assert digests == GOLDEN[preset]
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN))
+def test_event_log_agrees_with_results_and_manifest(preset, preset_bundle):
+    # A sink that drops or reorders a record fails here, not only a digest.
+    out = preset_bundle(preset)
+    manifest = json.loads((out / "manifest.json").read_text())
+    # Each robot's last leave probability and its trips by outcome, by
+    # (run, robot), and the deliveries by object type.
+    p1, trips, delivered = {}, defaultdict(lambda: [0, 0]), [0, 0]
+    for path in sorted(out.glob("events_run*.jsonl")):
+        run = int(path.stem.removeprefix("events_run"))
+        for kind, _, rid, *rest in map(json.loads, path.read_text().splitlines()):
+            if kind == "trip":
+                success, p1[run, rid] = rest
+                trips[run, rid][not success] += 1
+            elif kind == "deliver":
+                delivered[rest[0]] += 1
+    initial = manifest["config"]["leave_p_initial"]
+    with open(out / "results.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            robot = int(row["run"]), int(row["robot"])
+            assert row["final_p1"] == repr(p1.get(robot, initial))
+            assert [int(row["trip_successes"]), int(row["trip_failures"])] == trips[robot]
+    assert delivered == manifest["retrieved_totals"]
