@@ -33,14 +33,15 @@ class Mode(enum.Enum):
     MODIFIED = "modified"
 
 
-def check_number(name: str, value) -> None:
-    """``ValueError`` naming the config key ``name`` unless ``value`` is a finite int
-    or float (a bool is neither; an int past the float range is not finite)."""
+def check_number(name: str, value) -> float:
+    """``value`` as a float; ``ValueError`` naming the config key ``name`` unless it is
+    a finite int or float (a bool is neither; an int past the float range is not finite)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {reprlib.repr(value)}")
     if not abs(value) <= sys.float_info.max:  # NaN compares false too
         echo = value if isinstance(value, float) else "an int past the float range"
         raise ValueError(f"{name} must be finite, got {echo}")
+    return float(value)
 
 
 class VdrState(NamedTuple):
@@ -59,8 +60,8 @@ class VdrParams:
     delta: float
 
     def __post_init__(self) -> None:
-        for spec in fields(self):
-            check_number(spec.name, getattr(self, spec.name))
+        for spec in fields(self):  # frozen: each float is set past its __setattr__
+            object.__setattr__(self, spec.name, check_number(spec.name, getattr(self, spec.name)))
         # p_min < p_max: the histograms of final probabilities span [p_min, p_max].
         ordered = 0.0 <= self.p_min <= self.p_initial <= self.p_max <= 1.0
         if not (ordered and self.p_min < self.p_max):

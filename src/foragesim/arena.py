@@ -44,8 +44,8 @@ class ArenaConfig:
 
     def __post_init__(self) -> None:
         for spec in fields(self):
-            value = getattr(self, spec.name)
-            check_number(spec.name, value)
+            value = check_number(spec.name, getattr(self, spec.name))
+            object.__setattr__(self, spec.name, value)  # frozen
             if value <= 0.0 and spec.name != "heading_jitter":
                 raise ValueError(f"{spec.name} must be strictly positive")
         # At most half a turn a tick; near 1e308 it sums the unwrapped heading to inf.

@@ -9,7 +9,6 @@ import random
 import reprlib
 import sys
 from collections import Counter
-from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -87,6 +86,9 @@ _FIELDS = (
 )
 _KEYS = {row[0] for row in _FIELDS}
 _REQUIRED = {row[0] for row in _FIELDS if row[3]}
+_OWN_FLOATS = [
+    (path[0], key) for key, path, kind, _ in _FIELDS if kind is float and len(path) == 1
+]
 
 
 def config_items(config: ExperimentConfig):
@@ -116,18 +118,15 @@ def _some_keys(keys) -> str:
 
 
 def _file_value(key: str, kind, value):
-    """A config file's ``value`` for ``key`` as its schema type ``kind`` holds it. Only
-    a mode's name is refused here; the config classes check the rest as from Python."""
+    """A config file's ``value`` for ``key`` as its schema type ``kind`` holds it: a mode's
+    name, refused here, or a count written as 4.0. The config classes check the rest."""
     if kind is Mode:
         try:
             return Mode(value)
         except ValueError:
             raise ConfigError(f"{key}: {reprlib.repr(value)} is not a valid Mode") from None
     if kind is int and isinstance(value, float) and value.is_integer():
-        return int(value)  # a count written as 4.0
-    if kind is float and type(value) is int:
-        with suppress(OverflowError):  # past the float range: check_number refuses it
-            return float(value)  # so the echo of a file's 180 reads 180.0
+        return int(value)
     return value
 
 
@@ -218,10 +217,22 @@ class ExperimentConfig:
     leave_check_ticks: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # The parts a config file cannot get wrong, before the key walk reads into them.
+        totals, obj = self.object_totals, self.obj_params
+        for name, what, ok in (
+            ("object_totals", "a pair of counts", isinstance(totals, tuple) and len(totals) == 2),
+            ("obj_params", "a pair of VdrParams", isinstance(obj, tuple) and len(obj) == 2
+             and all(isinstance(params, VdrParams) for params in obj)),
+            ("leave_params", "a VdrParams", isinstance(self.leave_params, VdrParams)),
+            ("arena", "an ArenaConfig", isinstance(self.arena, ArenaConfig)),
+        ):
+            if not ok:
+                echo = reprlib.repr(getattr(self, name))[:40]  # three VdrParams echo 95 characters
+                raise ValueError(f"{name} must be {what}, got {echo}")
+        for name, key in _OWN_FLOATS:  # ArenaConfig and VdrParams store their own floats
+            object.__setattr__(self, name, check_number(key, getattr(self, name)))
         for key, kind, value in config_items(self):
-            if kind is float:
-                check_number(key, value)
-            elif isinstance(value, bool) or not isinstance(value, kind):
+            if kind is not float and (isinstance(value, bool) or not isinstance(value, kind)):
                 name = "a Mode" if kind is Mode else "an integer"
                 raise ValueError(f"{key} must be {name}, got {reprlib.repr(value)}")
         if not 0 < self.robot_count <= MAX_ROBOTS:

@@ -46,6 +46,20 @@ def small_config(**overrides):
     return replace(config, **overrides) if overrides else config
 
 
+def run_main(tmp_path, source, *flags, out="out"):
+    """``main``'s exit code on ``source`` written to ``tmp_path / "c.json"``: a config,
+    a dict of config file keys, raw bytes, or None for no file. It writes the bundle
+    to ``tmp_path / out``, with ``flags`` after ``--config`` and ``--output``."""
+    path = tmp_path / "c.json"
+    if isinstance(source, ExperimentConfig):
+        write_config(source, str(path))
+    elif isinstance(source, dict):
+        path.write_text(json.dumps(source))
+    elif source is not None:
+        path.write_bytes(source)
+    return main(["--config", str(path), "--output", str(tmp_path / out), *flags])
+
+
 def results_rows(out):
     """The rows of ``results.csv`` in ``out``, each a dict keyed by its header."""
     with open(out / "results.csv", newline="") as fh:
@@ -126,12 +140,9 @@ def test_run_command_zero_horizon_initial_p1(tmp_path):
 
 
 def test_run_command_overrides(tmp_path):
-    path = tmp_path / "c.json"
-    write_config(small_config(), str(path))
-    out = tmp_path / "o"
     flags = ["--seed", "99", "--replications", "1"]
-    assert main(["--config", str(path), "--output", str(out), *flags]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    assert run_main(tmp_path, small_config(), *flags, out="o") == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 99
     assert manifest["config"]["replications"] == 1
 
@@ -173,13 +184,10 @@ def test_bundle_reruns_byte_for_byte_from_its_manifest(tmp_path, preset_bundle, 
     else:
         first = tmp_path / "first"
         assert main([*argv, "--output", str(first)]) == 0
-    second = tmp_path / "second"
     manifest = json.loads((first / "manifest.json").read_text())
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(manifest["config"]))
     flags = ["--event-log"] if manifest["event_log"] else []
-    assert main(["--config", str(path), "--output", str(second), *flags]) == 0
-    written, rerun = bundle_files(first), bundle_files(second)
+    assert run_main(tmp_path, manifest["config"], *flags, out="second") == 0
+    written, rerun = bundle_files(first), bundle_files(tmp_path / "second")
     assert sorted(rerun) == sorted(written)
     for name, data in written.items():
         assert rerun[name] == data, name
@@ -250,9 +258,7 @@ def test_event_log_memory_does_not_grow_with_the_horizon(tmp_path):
 
 
 def test_main_with_config_file(tmp_path, capsys):
-    path = tmp_path / "c.json"
-    write_config(small_config(), str(path))
-    code = main(["--config", str(path), "--output", str(tmp_path / "out")])
+    code = run_main(tmp_path, small_config())
     assert code == 0
     assert "bimodality" in capsys.readouterr().out
 
@@ -331,25 +337,21 @@ REFUSALS = [
 
 
 def assert_refused(tmp_path, capsys, source, edit, flags, named):
-    path = tmp_path / "c.json"
+    out = tmp_path / "out"
     if isinstance(source, str):
-        argv = ["--preset", source]
+        assert main(["--preset", source, "--output", str(out), *flags]) == 2
     else:
-        argv = ["--config", str(path)]
         if isinstance(source, ExperimentConfig):
             raw = {**config_to_dict(source), **edit}
-            kept = {key: value for key, value in raw.items() if value is not DROP}
-            source = json.dumps(kept).encode()
-        if source is not None:
-            path.write_bytes(source)
-    out = tmp_path / "out"
-    assert main([*argv, "--output", str(out), *flags]) == 2
+            source = {key: value for key, value in raw.items() if value is not DROP}
+        assert run_main(tmp_path, source, *flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert named in err
     assert not out.exists()
     # One short line, however long the value, the key list or the path.
-    message = err.removeprefix("config error: ").rstrip("\n").replace(str(path), "")
+    path = str(tmp_path / "c.json")
+    message = err.removeprefix("config error: ").rstrip("\n").replace(path, "")
     assert len(message) < 120
 
 
@@ -374,14 +376,37 @@ def test_integral_float_count_accepted():
 
 def test_whole_number_span_read_as_a_float(tmp_path):
     # 180 == 180.0, so only the type and the echo's bytes tell them apart: a
-    # file's 180 is read as 180.0, while Python keeps the int and echoes 180.
+    # file's 180 is read as 180.0, and so is Python's.
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**config_to_dict(set1_config()), "horizon_seconds": 180}))
     config = load_config(str(path))
     assert type(config.horizon) is float
     write_config(config, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CONFIG_GOLDEN["set1"]
-    assert type(config_to_dict(replace(set1_config(), horizon=180))["horizon_seconds"]) is int
+    assert type(config_to_dict(replace(set1_config(), horizon=180))["horizon_seconds"]) is float
+    # Each config class stores its own whole numbers as floats.
+    base = set1_config()
+    ints = replace(base, horizon=180, arena=replace(base.arena, robot_speed=2),
+                   leave_params=replace(base.leave_params, p_max=1))
+    echo = config_to_dict(ints)
+    assert [key for key, kind, _ in config_items(ints) if type(echo[key]) is int] == [
+        "robot_count", "objects_type1", "objects_type2", "seed", "replications",
+    ]
+
+
+def test_whole_numbers_from_python_rerun_byte_for_byte(tmp_path):
+    # A config built from Python with ints for float keys writes the bundle of
+    # the same config written with floats, and reruns from its own manifest.
+    base = set1_config(replications=2)
+    ints = replace(base, leave_params=replace(base.leave_params, p_min=0, p_max=1, delta=0.02))
+    floats = replace(ints, leave_params=replace(ints.leave_params, p_min=0.0, p_max=1.0))
+    run_command(ints, str(tmp_path / "ints"), event_log=True)
+    run_command(floats, str(tmp_path / "floats"), event_log=True)
+    manifest = json.loads((tmp_path / "ints" / "manifest.json").read_text())
+    assert run_main(tmp_path, manifest["config"], "--event-log", out="rerun") == 0
+    written = bundle_files(tmp_path / "ints")
+    for other in ("rerun", "floats"):
+        assert bundle_files(tmp_path / other) == written, other
 
 
 def test_main_overpacked_arena_exits_2(tmp_path, capsys):
@@ -389,21 +414,19 @@ def test_main_overpacked_arena_exits_2(tmp_path, capsys):
     # spawning gives up after its attempt cap.
     raw = config_to_dict(small_config())
     raw.update(PACKED, objects_type1=10, objects_type2=10)
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(raw))
     out = tmp_path / "out"
-    code = main(["--config", str(path), "--output", str(out)])
+    code = run_main(tmp_path, raw)
     assert code == 2
     assert "too packed" in capsys.readouterr().err
     assert not out.exists()
     # Nor do the parent directories it made.
-    assert main(["--config", str(path), "--output", str(tmp_path / "nest" / "a" / "out")]) == 2
+    assert run_main(tmp_path, raw, out="nest/a/out") == 2
     assert not (tmp_path / "nest").exists()
     # A directory the user made stays, empty, as its own output or a parent.
     out.mkdir()
-    assert main(["--config", str(path), "--output", str(out)]) == 2
+    assert run_main(tmp_path, raw) == 2
     assert os.listdir(out) == []
-    assert main(["--config", str(path), "--output", str(out / "a" / "out")]) == 2
+    assert run_main(tmp_path, raw, out="out/a/out") == 2
     assert os.listdir(out) == []
 
 
@@ -416,13 +439,10 @@ def test_main_infeasible_packing_exits_2_before_running(tmp_path, capsys, monkey
     monkeypatch.setattr(experiment, "spawn_object", no_draws)
     raw = config_to_dict(small_config())
     raw.update(PACKED, objects_type1=200)
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(raw))
-    out = tmp_path / "out"
-    code = main(["--config", str(path), "--output", str(out)])
+    code = run_main(tmp_path, raw)
     assert code == 2
     assert "config error: the arena is too packed" in capsys.readouterr().err
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 # With --event-log the failure comes while events_run000.jsonl is open.
@@ -450,16 +470,13 @@ def test_main_write_error_exits_1(tmp_path, capsys, monkeypatch):
         # The manifest is written last, after the tables.
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
 
-    path = tmp_path / "c.json"
-    write_config(small_config(replications=1), str(path))
     monkeypatch.setattr(bundle, "write_json", full_disk)
-    out = tmp_path / "out"
-    assert main(["--config", str(path), "--output", str(out)]) == 1
+    assert run_main(tmp_path, small_config(replications=1)) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"i/o error: [Errno {errno.ENOSPC}] ")
     assert captured.err.count("\n") == 1 and "manifest.json" in captured.err
     assert captured.out == ""
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_restores_the_sigterm_handler(tmp_path, monkeypatch):
@@ -471,15 +488,14 @@ def test_main_restores_the_sigterm_handler(tmp_path, monkeypatch):
     def broken(self):
         raise SimulationInvariantError("object conservation broken")
 
-    path = tmp_path / "c.json"
-    write_config(small_config(replications=1), str(path))
+    config = small_config(replications=1)
     previous = signal.signal(signal.SIGTERM, mine)
     try:
         # A run that succeeds and one that fails inside the output directory.
-        assert main(["--config", str(path), "--output", str(tmp_path / "a")]) == 0
+        assert run_main(tmp_path, config, out="a") == 0
         assert signal.getsignal(signal.SIGTERM) is mine
         monkeypatch.setattr(World, "check_conservation", broken)
-        assert main(["--config", str(path), "--output", str(tmp_path / "b")]) == 3
+        assert run_main(tmp_path, config, out="b") == 3
         assert signal.getsignal(signal.SIGTERM) is mine
     finally:
         signal.signal(signal.SIGTERM, previous)
@@ -508,15 +524,10 @@ def test_main_refuses_non_empty_output(tmp_path, capsys, first, second):
     # (events_run000.jsonl, pobj*_histogram.csv) beside the second bundle.
     out = tmp_path / "out"
     out.mkdir()  # an existing empty directory is fine
-
-    def run(config, flags):
-        path = tmp_path / "c.json"
-        write_config(config, str(path))
-        return main(["--config", str(path), "--output", str(out), *flags])
-
-    assert run(*first) == 0
+    (config, flags), (again, again_flags) = first, second
+    assert run_main(tmp_path, config, *flags) == 0
     before = bundle_files(out)
-    assert run(*second) == 2
+    assert run_main(tmp_path, again, *again_flags) == 2
     assert "not empty" in capsys.readouterr().err
     assert bundle_files(out) == before
 
@@ -608,9 +619,7 @@ def test_config_boundary_property(raw):
         replications=1,
     )
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "config.json")
-        write_config(small, path)
-        assert main(["--config", path, "--output", os.path.join(tmp, "out")]) in (0, 2)
+        assert run_main(Path(tmp), small) in (0, 2)
 
 
 def test_main_requires_source(capsys):

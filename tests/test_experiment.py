@@ -205,9 +205,7 @@ def test_config_rejects_non_integer_counts(name):
 # Where a config built from Python meets other checks than a config file: a
 # mode's name is refused from Python but read from a file, and a VdrParams
 # does not know its group (a count written as a whole float, the third
-# difference, is in test_config_rejects_non_integer_counts, and a whole
-# number for a float key, the fourth, in
-# tests/test_cli.py::test_whole_number_span_read_as_a_float). Each row:
+# difference, is in test_config_rejects_non_integer_counts). Each row:
 # the build from Python and its whole message, the edit of set1's config
 # file, and the config the file gives or its whole message.
 PYTHON_DOOR = [
@@ -239,6 +237,28 @@ def test_python_door(build, message, edit, from_file):
         assert str(refused.value) == from_file
     else:
         assert config_from_dict(raw) == from_file
+
+
+# Parts of a config that only Python can get wrong: a file gives each count
+# and each probability group by its own key.
+PIECE = set1_config().obj_params[0]
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"object_totals": (30, 35, 5)}, "object_totals must be a pair of counts, got (30, 35, 5)"),
+    ({"object_totals": (30,)}, "object_totals must be a pair of counts, got (30,)"),
+    ({"object_totals": 65}, "object_totals must be a pair of counts, got 65"),
+    ({"obj_params": (PIECE,) * 3}, "obj_params must be a pair of VdrParams, got (VdrParams("),
+    ({"obj_params": (PIECE, None)}, "obj_params must be a pair of VdrParams, got (VdrParams("),
+    ({"leave_params": {"p_max": 0.08}}, "leave_params must be a VdrParams, got {'p_max': 0.08}"),
+    ({"arena": None}, "arena must be an ArenaConfig, got None"),
+], ids=["totals-three", "totals-one", "totals-int", "obj-three", "obj-none", "leave-dict",
+        "arena-none"])
+def test_python_parts_refused(edit, message):
+    with pytest.raises(ValueError) as refused:
+        replace(set1_config(), **edit)
+    text = str(refused.value)
+    assert text.startswith(message) and "\n" not in text and len(text) < 120
 
 
 def test_config_counts_its_spans_in_ticks():
