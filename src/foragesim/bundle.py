@@ -15,41 +15,60 @@ from .experiment import ExperimentConfig, config_to_dict
 
 @contextmanager
 def fresh_directory(output_dir: str):
-    """Make ``output_dir`` and any missing directories above it. Refuse it,
-    with ``FileExistsError`` or ``NotADirectoryError``, if it holds files, is
-    a file or is empty. If the block raises, remove the files in it and the
-    directories made here before the error propagates. SIGTERM raises
-    ``SystemExit(143)`` in the block, so it cleans up the same way."""
+    """Make ``output_dir`` and any missing directories above it, and yield
+    its path with every symlink and ``..`` resolved, the one path to write
+    through. Refuse it, with ``FileExistsError`` or ``NotADirectoryError``, if
+    it holds files, is a file or is empty. If making it fails, remove the
+    directories made so far; if the block raises, remove the files in it and
+    the directories made here before the error propagates. SIGTERM raises
+    ``SystemExit(143)`` in the block, so it cleans up the same way. Errors
+    name ``output_dir`` as given."""
     if not output_dir:
         raise NotADirectoryError("the output directory's name is empty")
-    made = []  # the directories makedirs is about to create, innermost first
-    path = os.path.abspath(output_dir)
-    while not os.path.isdir(path):
-        made.append(path)
-        path = os.path.dirname(path)
-    os.makedirs(output_dir, exist_ok=True)
-    if os.listdir(output_dir):
-        raise FileExistsError(f"output directory {output_dir} is not empty")
+    path = os.path.realpath(output_dir)
+    missing = []  # the directories to make, innermost first
+    parent = path
+    while not os.path.lexists(parent):
+        missing.append(parent)
+        parent = os.path.dirname(parent)
+    made = []  # the directories made here, outermost first
+    try:
+        for directory in reversed(missing):
+            os.mkdir(directory)
+            made.append(directory)
+        if os.listdir(path):
+            raise FileExistsError(f"output directory {output_dir} is not empty")
+    except OSError as exc:
+        _remove_directories(made)
+        if exc.filename is not None:
+            exc.filename = output_dir
+        raise
     # Only the main thread can set a signal handler, and only it runs one.
     main_thread = threading.current_thread() is threading.main_thread()
     if main_thread:
         previous = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
-        yield
+        yield path
     except BaseException:
         # The directory was empty when the run began.
-        for name in os.listdir(output_dir):
+        for name in os.listdir(path):
             with suppress(OSError):
-                os.remove(os.path.join(output_dir, name))
-        for path in made:
-            try:
-                os.rmdir(path)
-            except OSError:
-                break
+                os.remove(os.path.join(path, name))
+        _remove_directories(made)
         raise
     finally:
         if main_thread:
             signal.signal(signal.SIGTERM, previous)
+
+
+def _remove_directories(made: list) -> None:
+    """Remove the directories of ``made``, innermost first, up to the first
+    that is no longer empty."""
+    for directory in reversed(made):
+        try:
+            os.rmdir(directory)
+        except OSError:
+            break
 
 
 def _exit_on_signal(signum, frame):

@@ -27,13 +27,14 @@ def write_config(config: ExperimentConfig, path: str) -> None:
 
 def run_command(config: ExperimentConfig, output_dir: str, event_log: bool = False) -> dict:
     """Run the replications and write their bundle to ``output_dir``; returns
-    the manifest dict. ``bundle.fresh_directory`` guards the directory."""
-    with fresh_directory(output_dir):
+    the manifest dict. ``bundle.fresh_directory`` guards the directory and
+    resolves its path once."""
+    with fresh_directory(output_dir) as path:
         results = []
         for rep in range(config.replications):
-            with open_event_log(output_dir, rep) if event_log else nullcontext(discard) as emit:
+            with open_event_log(path, rep) if event_log else nullcontext(discard) as emit:
                 results.append(run_experiment(config, rep, emit=emit))
-        return write_bundle(output_dir, config, results, event_log)
+        return write_bundle(path, config, results, event_log)
 
 
 def build_parser() -> argparse.ArgumentParser:

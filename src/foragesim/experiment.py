@@ -119,13 +119,16 @@ def _some_keys(keys) -> str:
 
 def _file_value(key: str, kind, value):
     """A config file's ``value`` for ``key`` as its schema type ``kind`` holds it: a mode's
-    name, refused here, or a count written as 4.0. The config classes check the rest."""
+    name, refused here, or a count written as 4.0, refused from 2**53 on, where a float
+    need not be the integer the file wrote. The config classes check the rest."""
     if kind is Mode:
         try:
             return Mode(value)
         except ValueError:
             raise ConfigError(f"{key}: {reprlib.repr(value)} is not a valid Mode") from None
     if kind is int and isinstance(value, float) and value.is_integer():
+        if abs(value) >= 2**53:
+            raise ConfigError(f"{key} must be written as an integer from 2**53 on, got {value!r}")
         return int(value)
     return value
 

@@ -43,10 +43,8 @@ class ScriptedRng:
 
     def __init__(self, draws):
         self.draws = list(draws)
-        self.calls = 0
 
     def random(self):
-        self.calls += 1
         if not self.draws:
             raise AssertionError("scripted rng exhausted")
         return self.draws.pop(0)

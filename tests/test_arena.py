@@ -121,38 +121,40 @@ def test_spawn_assigns_unique_ids():
 # -- contact classification -----------------------------------------------------
 
 
+def check_contact(at, kind, point, robots=(), objects=(), ignore=None, config=CFG):
+    """Query a world of ``config`` holding ``robots`` and ``objects``, each an
+    ``(obj_type, x, y)``, once at ``at`` for robot ``ignore``: the contact has
+    ``kind`` and ``point``, and names the object centred there if one is."""
+    world = make_world(config)
+    for robot in robots:
+        world.add_robot(robot)
+    added = [world.add_object(*spec) for spec in objects]
+    named = [obj for obj in added if (obj.x, obj.y) == point]
+    assert nearest_contact(world, at, ignore_robot_id=ignore) == Contact(kind, point, *named)
+
+
+R = CFG.robot_radius
+
+
 def test_contact_robot_within_threshold():
-    world = make_world()
-    gap = 2 * CFG.robot_radius + CFG.contact_margin / 2
-    other = make_robot(1, 5.0 + gap, 5.0)
-    world.add_robot(make_robot(0, 5.0, 5.0))
-    world.add_robot(other)
-    contact = nearest_contact(world, (5.0, 5.0), ignore_robot_id=0)
-    assert contact.kind is ContactKind.ROBOT
-    assert contact.point == (other.x, other.y)
+    x = 5.0 + 2 * R + CFG.contact_margin / 2
+    check_contact((5.0, 5.0), ContactKind.ROBOT, (x, 5.0), ignore=0,
+                  robots=[make_robot(0, 5.0, 5.0), make_robot(1, x, 5.0)])
 
 
 def test_contact_ignores_stopped_robots():
-    world = make_world()
-    world.add_robot(make_robot(0, 0.5, 0.0))
-    world.add_robot(
-        make_robot(1, 0.5 + 2 * CFG.robot_radius, 0.0, phase=RobotPhase.STOPPING)
-    )
-    contact = nearest_contact(world, (0.5, 0.0), ignore_robot_id=0)
-    assert contact.kind is not ContactKind.ROBOT
+    check_contact((0.5, 0.0), ContactKind.NONE, None, ignore=0, robots=[
+        make_robot(0, 0.5, 0.0), make_robot(1, 0.5 + 2 * R, 0.0, phase=RobotPhase.STOPPING),
+    ])
 
 
 def test_contact_isolated_is_none():
-    world = make_world()
-    contact = nearest_contact(world, (5.0, 5.0))
-    assert contact.kind is ContactKind.NONE
+    check_contact((5.0, 5.0), ContactKind.NONE, None)
 
 
 def test_contact_nest_boundary_matches_sampled_oracle():
-    world = make_world()
-    x, y = CFG.nest_radius + CFG.robot_radius, 0.0
-    contact = nearest_contact(world, (x, y))
-    assert contact.kind is ContactKind.NEST
+    x, y = CFG.nest_radius + R, 0.0
+    check_contact((x, y), ContactKind.NEST, (CFG.nest_radius, 0.0))
     # Oracle: minimum distance to densely sampled boundary points.
     sampled = min(
         math.hypot(
@@ -161,41 +163,29 @@ def test_contact_nest_boundary_matches_sampled_oracle():
         )
         for t in range(5000)
     )
-    assert sampled < CFG.robot_radius + CFG.contact_margin
+    assert sampled < R + CFG.contact_margin
 
 
 def test_contact_nest_from_its_centre():
     # A nest narrower than robot radius plus margin is in contact at its
     # centre, where every ring point is equally near: it names the one on +x.
-    world = make_world(replace(CFG, nest_radius=0.18))
-    assert nearest_contact(world, (0.0, 0.0)) == Contact(ContactKind.NEST, (0.18, 0.0))
+    check_contact((0.0, 0.0), ContactKind.NEST, (0.18, 0.0),
+                  config=replace(CFG, nest_radius=0.18))
 
 
 def test_contact_priority_robot_over_wall():
-    world = make_world()
-    x = CFG.arena_half_width - CFG.robot_radius  # flush against the wall
-    world.add_robot(make_robot(0, x, 0.0))
-    world.add_robot(make_robot(1, x - 2 * CFG.robot_radius, 0.0))
-    contact = nearest_contact(world, (x, 0.0), ignore_robot_id=0)
-    assert contact.kind is ContactKind.ROBOT
+    x = CFG.arena_half_width - R  # flush against the wall
+    check_contact((x, 0.0), ContactKind.ROBOT, (x - 2 * R, 0.0), ignore=0,
+                  robots=[make_robot(0, x, 0.0), make_robot(1, x - 2 * R, 0.0)])
 
 
 def test_contact_wall():
-    world = make_world()
-    pos = (CFG.arena_half_width - CFG.robot_radius, 3.0)
-    contact = nearest_contact(world, pos)
-    assert contact.kind is ContactKind.WALL
-    assert contact.point == (CFG.arena_half_width, 3.0)
+    check_contact((CFG.arena_half_width - R, 3.0), ContactKind.WALL, (CFG.arena_half_width, 3.0))
 
 
 def test_contact_object():
-    world = make_world()
-    obj = world.add_object(ObjectType.TYPE2, 5.0, 5.0)
-    pos = (obj.x + 2 * CFG.robot_radius, obj.y)
-    contact = nearest_contact(world, pos)
-    assert contact.kind is ContactKind.OBJECT
-    assert contact.obj is obj
-    assert contact.point == (5.0, 5.0)
+    check_contact((5.0 + 2 * R, 5.0), ContactKind.OBJECT, (5.0, 5.0),
+                  objects=[(ObjectType.TYPE2, 5.0, 5.0)])
 
 
 # -- cell grid against a linear scan ------------------------------------------------

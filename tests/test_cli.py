@@ -224,6 +224,25 @@ def test_run_command_cleans_partial_output(tmp_path, monkeypatch, case):
         assert os.listdir(tmp_path / "a") == ["keep"]
 
 
+def test_run_command_removes_what_it_made_when_making_fails(tmp_path, monkeypatch):
+    # The second of three missing directories cannot be made.
+    made = []
+
+    def mkdir(path, *args):
+        if made:
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+        made.append(path)
+        real_mkdir(path, *args)
+
+    real_mkdir = os.mkdir
+    monkeypatch.setattr(os, "mkdir", mkdir)
+    out = os.path.join(str(tmp_path), "a", "b", "out")
+    with pytest.raises(PermissionError) as refused:
+        run_command(small_config(), out)
+    assert made and os.listdir(tmp_path) == []
+    assert refused.value.filename == out  # as given
+
+
 def test_event_log_written_and_parses(tmp_path):
     config = small_config(replications=1)
     out = tmp_path / "out"
@@ -419,9 +438,11 @@ def test_main_overpacked_arena_exits_2(tmp_path, capsys):
     assert code == 2
     assert "too packed" in capsys.readouterr().err
     assert not out.exists()
-    # Nor do the parent directories it made.
+    # Nor do the parent directories it made, whatever the path's spelling.
     assert run_main(tmp_path, raw, out="nest/a/out") == 2
     assert not (tmp_path / "nest").exists()
+    assert run_main(tmp_path, raw, out="new/x/../y") == 2
+    assert not (tmp_path / "new").exists()
     # A directory the user made stays, empty, as its own output or a parent.
     out.mkdir()
     assert run_main(tmp_path, raw) == 2

@@ -38,47 +38,123 @@ def build_sim(rng=None, totals=(30, 35), emit=discard, **overrides):
     return Simulation(config, world, rng if rng is not None else random.Random(0), emit)
 
 
+T1, T2 = ObjectType.TYPE1, ObjectType.TYPE2
+STOPPING, SEARCHING, RETURNING = RobotPhase.STOPPING, RobotPhase.SEARCHING, RobotPhase.RETURNING
+TOUCH = 2 * ARENA.robot_radius  # within contact range of a robot or an object
+# A wall contact, far enough from the wall that no step away is clamped.
+NEAR_WALL = (ARENA.arena_half_width - ARENA.robot_radius - 0.04, 3.0)
+INSIDE_NEST = (ARENA.nest_radius - 0.05, 0.0)
+INITIAL = TABLE9.initial_state()
+LEAVE = TABLE4.initial_state()
+
+
+def check_tick(setup, kind, expect):
+    """Tick once with robot 0 meeting ``kind``, and check what the tick left.
+
+    A moving robot that stays in its phase moves one full step along the
+    heading its handler left. A STOPPING robot makes no contact query (``kind``
+    None) and takes no step; a departure, a pickup, a timeout or a delivery
+    changes the phase where the robot stands. Its phase, load, leave and
+    pickup states, search deadline, assignment, ``retrieved``, ``trip_failures``
+    and the types of the free objects stay as they were unless ``expect`` says
+    otherwise. ``expect`` may also name the heading and position after the
+    tick, the kinds of the records the tick emitted, "away": the step left the
+    contact point behind, and "apart": the other robot ended the tick farther
+    away. ``setup`` may set the start tick, the leave-check period and the
+    robot's leave probability "p1". A ``setup`` with "draws" feeds the tick
+    exactly those draws; without, the tick draws from a seeded rng."""
+    objects = setup.get("objects", [])
+    totals = [0, 0]
+    for obj_type, _, _ in objects + [(setup.get("carried"), 0, 0)]:
+        if obj_type is not None:
+            totals[obj_type] += 1
+    rng = ScriptedRng(setup["draws"]) if "draws" in setup else random.Random(7)
+    records = []
+    sim = build_sim(rng=rng, totals=tuple(totals), emit=records.append,
+                    mode=setup.get("mode", Mode.ORIGINAL),
+                    leave_check_period=setup.get("period", 0.1))
+    sim.clock.tick_index = setup.get("tick", 0)
+    for obj_type, x, y in objects:
+        sim.world.add_object(obj_type, x, y)
+    start = setup.get("at", (5.0, 5.0))
+    phase = setup.get("phase", SEARCHING)
+    robot = make_robot(
+        0, *start, phase=phase, search_deadline=setup.get("deadline", 15.0), heading=0.3,
+        capability=setup.get("capability", (0.5, 0.5)), p1=setup.get("p1"),
+    )
+    robot.carried = setup.get("carried")
+    robot.assignment = setup.get("assignment")
+    sim.world.add_robot(robot)
+    other = None
+    if "other" in setup:
+        other = make_robot(1, *setup["other"], phase=phase, search_deadline=15.0)
+        sim.world.add_robot(other)
+    contact = None if phase is STOPPING else nearest_contact(sim.world, start, robot.id)
+    assert getattr(contact, "kind", None) is kind
+    point = getattr(contact, "point", None)
+
+    def free_types():
+        return sorted(o.obj_type for o in sim.world.objects.values())
+
+    expected = {
+        "phase": phase, "carried": robot.carried, "leave": robot.leave,
+        "pickup": robot.pickup, "deadline": robot.search_deadline,
+        "assignment": robot.assignment, "retrieved": list(robot.retrieved),
+        "trip_failures": robot.trip_failures, "objects": free_types(), **expect,
+    }
+    sim.tick()
+    end = (robot.x, robot.y)
+    seen = {
+        "phase": robot.phase, "carried": robot.carried, "leave": robot.leave,
+        "pickup": robot.pickup, "deadline": robot.search_deadline,
+        "assignment": robot.assignment, "retrieved": robot.retrieved,
+        "trip_failures": robot.trip_failures, "objects": free_types(),
+        "heading": robot.heading, "position": end, "records": [r[0] for r in records],
+        "away": point is not None and math.dist(end, point) > math.dist(start, point),
+        "apart": other is not None
+        and math.dist(end, (other.x, other.y)) > math.dist(start, setup["other"]),
+    }
+    assert {name: seen[name] for name in expected} == expected
+    if "draws" in setup:
+        assert rng.draws == []  # and one more draw would have raised
+    if robot.phase is phase and phase is not STOPPING:
+        step = ARENA.robot_speed * sim.config.tick_duration
+        h = robot.heading
+        assert end == (start[0] + step * math.cos(h), start[1] + step * math.sin(h))
+    else:
+        assert end == start
+
+
 # -- leaving the nest ------------------------------------------------------------
+# Draw 0.5 is a departure's heading, pi; the Set I search budget is 15 s.
 
 
 def test_leave_success_sets_deadline():
-    sim = build_sim(rng=ScriptedRng([0.01, 0.5]), totals=(0, 0))
-    robot = make_robot(0, 0.0, 0.0, phase=RobotPhase.STOPPING, p1=0.08)
-    sim.world.add_robot(robot)
-    sim.tick()  # the tick checks every stopping robot's leave draw
-    assert robot.phase is RobotPhase.SEARCHING
-    assert robot.search_deadline == pytest.approx(15.0)  # Set I search budget
-    assert robot.assignment is None
+    # At tick 20, 2 s in: the deadline counts from the departure.
+    check_tick(
+        {"phase": STOPPING, "p1": 0.08, "tick": 20, "draws": [0.01, 0.5]}, None,
+        {"phase": SEARCHING, "heading": math.pi, "deadline": pytest.approx(17.0),
+         "records": ["phase", "leave"]},
+    )
 
 
 def test_leave_failure_stays_stopped():
-    rng = ScriptedRng([0.99])
-    sim = build_sim(rng=rng, totals=(0, 0))
-    robot = make_robot(0, 0.0, 0.0, phase=RobotPhase.STOPPING, p1=0.002)
-    sim.world.add_robot(robot)
-    sim.tick()
-    assert robot.phase is RobotPhase.STOPPING
-    assert rng.calls == 1  # no heading draw on a failed check
+    # One draw and no heading draw on a failed check.
+    check_tick({"phase": STOPPING, "p1": 0.002, "draws": [0.99]}, None, {"records": []})
 
 
 def test_leave_modified_assigns_task():
-    sim = build_sim(mode=Mode.MODIFIED, rng=ScriptedRng([0.01, 0.5, 0.49]), totals=(0, 0))
-    robot = make_robot(0, 0.0, 0.0, phase=RobotPhase.STOPPING, p1=0.08)
-    sim.world.add_robot(robot)
-    sim.tick()
-    assert robot.phase is RobotPhase.SEARCHING
-    assert robot.assignment is ObjectType.TYPE1  # symmetric P_obj, draw 0.49
+    # The heading's draw comes first; the task's, 0.49, is type 1 at symmetric P_obj.
+    check_tick(
+        {"mode": Mode.MODIFIED, "phase": STOPPING, "p1": 0.08, "draws": [0.01, 0.5, 0.49]},
+        None, {"phase": SEARCHING, "heading": math.pi, "assignment": T1},
+    )
 
 
 def test_leave_check_cadence():
-    rng = ScriptedRng([])
-    sim = build_sim(rng=rng, totals=(0, 0), leave_check_period=1.0)  # every 10th tick
-    sim.clock.tick_index = 5
-    robot = make_robot(0, 0.0, 0.0, phase=RobotPhase.STOPPING, p1=0.08)
-    sim.world.add_robot(robot)
-    sim.tick()  # off-cadence tick: no draw at all
-    assert robot.phase is RobotPhase.STOPPING
-    assert rng.calls == 0
+    # Every 10th tick checks; an off-cadence tick makes no draw at all.
+    check_tick({"phase": STOPPING, "p1": 0.08, "period": 1.0, "tick": 5, "draws": []},
+               None, {})
 
 
 def test_leave_records_follow_check_period():
@@ -90,119 +166,34 @@ def test_leave_records_follow_check_period():
 
 
 # -- trips ---------------------------------------------------------------------
-
-
-# A trip moves the leave state only, in both modes.
+# A trip moves the leave state only, in both modes. A robot at (0.5, 0) is
+# home: it ends its trip where it stands.
 
 
 def test_returning_delivery_updates_and_conserves():
+    # Draws 0.9 and 0.9 spawn the replacement at (7.88, 7.88), clear of the nest.
     for mode in Mode:
-        events = []
-        sim = build_sim(rng=random.Random(3), totals=(1, 1), emit=events.append, mode=mode)
-        sim.world.add_object(ObjectType.TYPE1, 5.0, 5.0)
-        robot = make_robot(0, 0.5, 0.0, phase=RobotPhase.RETURNING)
-        robot.carried = ObjectType.TYPE2
-        sim.world.add_robot(robot)
-        leave, pickup = robot.leave, robot.pickup
-        sim.tick()
-        assert robot.phase is RobotPhase.STOPPING
-        assert robot.carried is None
-        assert robot.retrieved == [0, 1]
-        assert sum(robot.retrieved) == 1
-        # The replacement spawned.
-        assert sum(o.obj_type == ObjectType.TYPE2 for o in sim.world.objects.values()) == 1
-        sim.world.check_conservation()
-        assert robot.leave == vdr_success(leave, TABLE4), mode
-        assert robot.pickup == pickup, mode
-        kinds = [e[0] for e in events]
-        assert kinds == ["deliver", "trip", "phase"]
+        check_tick(
+            {"mode": mode, "phase": RETURNING, "carried": T2, "at": (0.5, 0.0),
+             "objects": [(T1, 5.0, 5.0)], "draws": [0.9, 0.9]},
+            ContactKind.NONE,
+            {"phase": STOPPING, "carried": None, "retrieved": [0, 1], "objects": [T1, T2],
+             "leave": vdr_success(LEAVE, TABLE4), "records": ["deliver", "trip", "phase"]},
+        )
 
 
 def test_returning_empty_counts_failure():
     for mode in Mode:
-        sim = build_sim(rng=random.Random(3), totals=(1, 1), mode=mode)
-        sim.world.add_object(ObjectType.TYPE1, 5.0, 5.0)
-        sim.world.add_object(ObjectType.TYPE2, -5.0, 5.0)
-        robot = make_robot(0, 0.5, 0.0, phase=RobotPhase.RETURNING)
-        sim.world.add_robot(robot)
-        leave, pickup = robot.leave, robot.pickup
-        sim.tick()
-        assert robot.phase is RobotPhase.STOPPING
-        assert robot.trip_failures == 1
-        assert robot.leave == vdr_failure(leave, TABLE4), mode
-        assert robot.pickup == pickup, mode
+        check_tick(
+            {"mode": mode, "phase": RETURNING, "at": (0.5, 0.0),
+             "objects": [(T1, 5.0, 5.0), (T2, -5.0, 5.0)], "draws": []},
+            ContactKind.NONE,
+            {"phase": STOPPING, "trip_failures": 1, "leave": vdr_failure(LEAVE, TABLE4),
+             "records": ["trip", "phase"]},
+        )
 
 
 # -- the tick's rules --------------------------------------------------------------
-
-T1, T2 = ObjectType.TYPE1, ObjectType.TYPE2
-RETURNING = RobotPhase.RETURNING
-TOUCH = 2 * ARENA.robot_radius  # within contact range of a robot or an object
-# A wall contact, far enough from the wall that no step away is clamped.
-NEAR_WALL = (ARENA.arena_half_width - ARENA.robot_radius - 0.04, 3.0)
-INSIDE_NEST = (ARENA.nest_radius - 0.05, 0.0)
-INITIAL = TABLE9.initial_state()
-
-
-def check_tick(setup, kind, expect):
-    """Tick once with robot 0 meeting ``kind``, and check what the tick left.
-
-    If the robot stays in its phase, it moves one full step along the heading
-    its handler left; a pickup, a timeout or a delivery changes its phase and
-    leaves it where it was. Its phase, load, leave and pickup states and the
-    count of free objects stay as they were unless ``expect`` says otherwise.
-    ``expect`` may also name the heading and position after the tick,
-    "away": the step left the contact point behind, and "apart": the other
-    robot ended the tick farther away. A ``setup`` with "draws" feeds the
-    tick exactly those draws; without, the tick draws from a seeded rng."""
-    objects = setup.get("objects", [])
-    totals = [0, 0]
-    for obj_type, _, _ in objects + [(setup.get("carried"), 0, 0)]:
-        if obj_type is not None:
-            totals[obj_type] += 1
-    rng = ScriptedRng(setup["draws"]) if "draws" in setup else random.Random(7)
-    sim = build_sim(rng=rng, totals=tuple(totals), mode=setup.get("mode", Mode.ORIGINAL))
-    for obj_type, x, y in objects:
-        sim.world.add_object(obj_type, x, y)
-    start = setup.get("at", (5.0, 5.0))
-    phase = setup.get("phase", RobotPhase.SEARCHING)
-    robot = make_robot(
-        0, *start, phase=phase, search_deadline=setup.get("deadline", 15.0), heading=0.3,
-        capability=setup.get("capability", (0.5, 0.5)),
-    )
-    robot.carried = setup.get("carried")
-    robot.assignment = setup.get("assignment")
-    sim.world.add_robot(robot)
-    other = None
-    if "other" in setup:
-        other = make_robot(1, *setup["other"], phase=phase, search_deadline=15.0)
-        sim.world.add_robot(other)
-    contact = nearest_contact(sim.world, start, robot.id)
-    assert contact.kind is kind
-    expected = {
-        "phase": phase, "carried": robot.carried, "leave": robot.leave,
-        "pickup": robot.pickup, "objects": len(objects), **expect,
-    }
-    sim.tick()
-    end = (robot.x, robot.y)
-    seen = {
-        "phase": robot.phase, "carried": robot.carried, "leave": robot.leave,
-        "pickup": robot.pickup, "objects": len(sim.world.objects),
-        "heading": robot.heading, "position": end,
-        "away": contact.point is not None
-        and math.dist(end, contact.point) > math.dist(start, contact.point),
-        "apart": other is not None
-        and math.dist(end, (other.x, other.y)) > math.dist(start, setup["other"]),
-    }
-    assert {name: seen[name] for name in expected} == expected
-    if "draws" in setup:
-        assert rng.draws == []  # and one more draw would have raised
-    if robot.phase is phase:
-        step = ARENA.robot_speed * sim.config.tick_duration
-        h = robot.heading
-        assert end == (start[0] + step * math.cos(h), start[1] + step * math.sin(h))
-    else:
-        assert end == start
 
 
 @pytest.mark.parametrize(
@@ -231,7 +222,7 @@ def check_tick(setup, kind, expect):
                      id="robot-bounce"),
         pytest.param(
             {"capability": (1.0, 1.0), "objects": [(T1, 5.0 + TOUCH, 5.0)]},
-            ContactKind.OBJECT, {"phase": RETURNING, "carried": T1, "objects": 0}, id="pickup",
+            ContactKind.OBJECT, {"phase": RETURNING, "carried": T1, "objects": []}, id="pickup",
         ),
         pytest.param(
             {"capability": (0.0, 0.0), "objects": [(T1, 5.0 + TOUCH, 5.0)]},
@@ -257,8 +248,8 @@ def check_tick(setup, kind, expect):
         ),
         pytest.param(
             {"phase": RETURNING, "carried": T1, "at": (0.5, 0.0)}, ContactKind.NONE,
-            {"phase": RobotPhase.STOPPING, "carried": None, "objects": 1,
-             "leave": vdr_success(TABLE4.initial_state(), TABLE4)},
+            {"phase": STOPPING, "carried": None, "objects": [T1], "retrieved": [1, 0],
+             "leave": vdr_success(LEAVE, TABLE4)},
             id="delivery",
         ),
     ],
@@ -292,7 +283,7 @@ def test_pickup_certain_capability_succeeds():
     # One draw, the highest, still picks up at capability 1.0.
     check_tick(
         {"capability": (1.0, 1.0), "objects": [(T1, 5.0 + TOUCH, 5.0)], "draws": [0.999999]},
-        ContactKind.OBJECT, {"phase": RETURNING, "carried": T1, "objects": 0},
+        ContactKind.OBJECT, {"phase": RETURNING, "carried": T1, "objects": []},
     )
 
 
@@ -344,7 +335,7 @@ def test_tick_fixed_point_when_all_draws_fail():
     sim.world.add_object(ObjectType.TYPE1, 5.0, 5.0)
     sim.world.add_object(ObjectType.TYPE2, -5.0, 5.0)
     for rid in range(3):
-        sim.world.add_robot(make_robot(rid, 0.2 * rid, 0.0, phase=RobotPhase.STOPPING))
+        sim.world.add_robot(make_robot(rid, 0.2 * rid, 0.0, phase=STOPPING))
     def snapshot():
         return [(r.x, r.y, r.heading, r.phase, r.leave, r.pickup) for r in sim.world.robots]
 
@@ -359,7 +350,7 @@ def test_tick_count_matches_horizon():
     assert sim.config.total_ticks == 1800
     sim.world.add_object(ObjectType.TYPE1, 5.0, 5.0)
     sim.world.add_object(ObjectType.TYPE2, -5.0, 5.0)
-    sim.world.add_robot(make_robot(0, 0.0, 0.0, phase=RobotPhase.STOPPING))
+    sim.world.add_robot(make_robot(0, 0.0, 0.0, phase=STOPPING))
     sim.run()
     assert sim.clock.tick_index == 1800
 
@@ -373,7 +364,7 @@ def test_capability_gate_zero_never_carries():
     for t in (ObjectType.TYPE1, ObjectType.TYPE1, ObjectType.TYPE2, ObjectType.TYPE2):
         spawn_object(sim.world, t, rng)
     robot = make_robot(
-        0, 0.0, 0.0, phase=RobotPhase.STOPPING, capability=(0.0, 0.0), p1=0.08
+        0, 0.0, 0.0, phase=STOPPING, capability=(0.0, 0.0), p1=0.08
     )
     sim.world.add_robot(robot)
     sim.run()

@@ -76,6 +76,9 @@ _ROWS = [
            ("objects_type2", "True"), ("replications", "True"), ("replications", 1.9),
            ("seed", 3.5), ("seed", "False")),
     row("mode: 'hybrid' is not a valid Mode", mode="hybrid"),
+    # A float of 2**53 or more need not be the integer the file wrote.
+    row("seed must be written as an integer from 2**53 on, got 1.2345678901234567e+19",
+        seed=12345678901234567890.0),
     # Spans below their floor, or not a whole number of ticks; a zero
     # horizon builds the world and runs no tick.
     *keyed("must be >= 0, got -1.0", ("horizon_seconds", -1.0)),
