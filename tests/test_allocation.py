@@ -5,7 +5,6 @@ brute-force replay that recomputes p from p_initial event by event, with
 the same operation order, so equality is exact floating-point equality.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,25 +21,6 @@ from foragesim.allocation import (
 )
 
 from conftest import TABLE4, TABLE9, apply_events, replay_oracle
-from test_experiment import check_refused
-
-
-# -- params validation -------------------------------------------------------
-
-
-# Rows of test_experiment.REFUSED: leave_* values refused by VdrParams.
-def test_params_reject_bad_ordering():
-    for name in ("leave_p_min-0.1", "leave_p_initial-0.09", "leave_delta-0.0",
-                 "leave-equal-bounds"):
-        check_refused(name)
-
-
-@pytest.mark.parametrize("name", [
-    *(pytest.param(f"leave_delta-{id}", id=id) for id in ("nan", "inf", "10**400", "1.5", "True")),
-    *(pytest.param(f"leave_{id}", id=id) for id in ("p_max-0.1", "p_max-True")),
-])
-def test_params_reject_non_finite_delta(name):
-    check_refused(name)
 
 
 def test_initial_state():

@@ -32,40 +32,12 @@ from foragesim.engine import Simulation
 from foragesim.experiment import PRESETS, _build_world, run_experiment, set2_config
 
 from conftest import make_robot
-from test_experiment import check_refused
 
 CFG = ArenaConfig()  # declared defaults: hw=10, nest=2, radii 0.15, margin 0.05
 
 
 def make_world(config=CFG, totals=(30, 35)):
     return World(config=config, totals=totals)
-
-
-# -- config validation ---------------------------------------------------------
-# Rows of test_experiment.REFUSED: geometry refused by ArenaConfig.
-
-
-def test_config_rejects_nest_filling_arena():
-    check_refused("nest-fills-arena")
-
-
-def test_config_rejects_nonpositive_lengths():
-    check_refused("robot_radius-0.0")
-    check_refused("robot_speed--1.0")
-
-
-@pytest.mark.parametrize("name", [
-    f"{key}-{shown}"
-    for key in ("arena_half_width", "robot_radius", "robot_speed", "heading_jitter")
-    for shown in ("nan", "inf", "-inf", "10**400", "1.5", "True")
-])
-def test_config_rejects_non_finite(name):
-    check_refused(name)
-
-
-def test_config_rejects_geometry_too_fine_for_the_grid():
-    check_refused("geometry-too-fine-for-the-grid")
-    check_refused("fine-geometry")  # small radii whose width in cells stays finite
 
 
 # -- spawning -------------------------------------------------------------------

@@ -76,18 +76,6 @@ def test_round_trip_exact(tmp_path):
         assert load_config(str(path)) == config
 
 
-def test_preset_values_via_dict():
-    raw = config_to_dict(set1_config())
-    assert raw["horizon_seconds"] == 180.0
-    assert raw["search_timeout_seconds"] == 15.0
-    assert raw["leave_delta"] == 0.0003
-    raw2 = config_to_dict(set2_config())
-    assert raw2["horizon_seconds"] == 300.0
-    assert raw2["search_timeout_seconds"] == 25.0
-    assert raw2["leave_delta"] == 0.0015
-    assert raw2["obj1_delta"] == raw2["obj2_delta"] == 0.0025
-
-
 def test_geometry_keys_optional():
     raw = config_to_dict(set1_config())
     for key in ("arena_half_width", "nest_radius", "robot_speed"):
@@ -294,12 +282,6 @@ def refusal(named, source=None, flags=(), id=None, **edit):
     return pytest.param(source or small_config(), edit, flags, named, id=id)
 
 
-def restated(name, id):
-    """Row ``name`` of test_experiment.REFUSED as a row of REFUSALS."""
-    preset, edit, named = REFUSED[name]
-    return pytest.param(PRESETS[preset](), edit, [], named, id=id)
-
-
 # Each row: the source (a config, written out with the edit's keys set or
 # dropped; raw file bytes; a preset name, run by --preset; or None, a
 # --config path with no file), the edit, extra flags, and text that the one
@@ -337,12 +319,6 @@ REFUSALS = [
         "unknown config keys: ['key00', 'key01'] and 28 more", id="unknown-keys",
         **{f"key{i:02d}": 1.0 for i in range(30)},
     ),
-    # Rows of REFUSED kept under their names here, which
-    # test_main_non_finite_value_exits_2 runs again under their own.
-    restated("mode-hybrid", "bad-mode"),
-    restated("leave-equal-bounds", "equal-leave-bounds"),
-    restated("leave_p_min-0.1", "inverted-bounds"),
-    restated("zero-floors-modified", "zero-pickup-floors"),
     # Flags named after a config key pass the same checks.
     refusal(
         "modified mode needs obj1_p_min or obj2_p_min above 0",
@@ -385,12 +361,6 @@ def test_main_bad_config_exits_2(tmp_path, capsys, source, edit, flags, named):
 def test_main_non_finite_value_exits_2(tmp_path, capsys, name):
     preset, edit, named = REFUSED[name]
     assert_refused(tmp_path, capsys, PRESETS[preset](), edit, [], named)
-
-
-def test_integral_float_count_accepted():
-    raw = config_to_dict(set1_config())
-    raw["robot_count"] = 4.0
-    assert config_from_dict(raw) == replace(set1_config(), robot_count=4)
 
 
 def test_whole_number_span_read_as_a_float(tmp_path):
