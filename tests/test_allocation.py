@@ -97,11 +97,6 @@ def test_assign_task_skewed_thresholds():
 # -- trip outcome recording ---------------------------------------------------
 
 
-def test_trip_outcome_original_delivered():
-    out = record_leave_outcome(VdrState(0.04), True, TABLE4)
-    assert out == vdr_success(VdrState(0.04), TABLE4)
-
-
 def test_record_leave_outcome_touches_leave_only():
     # The rule takes and returns the leave state alone: no pickup state
     # reaches it.

@@ -127,24 +127,6 @@ def test_run_command_zero_horizon_initial_p1(tmp_path):
     assert all(row["final_p1"] == repr(0.04) for row in rows)
 
 
-def test_run_command_overrides(tmp_path):
-    flags = ["--seed", "99", "--replications", "1"]
-    assert run_main(tmp_path, small_config(), *flags, out="o") == 0
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    assert manifest["config"]["seed"] == 99
-    assert manifest["config"]["replications"] == 1
-
-
-def test_run_command_modified_outputs(tmp_path):
-    config = replace(set2_config(), horizon=5.0, replications=1, robot_count=4)
-    out = tmp_path / "out"
-    manifest = run_command(config, str(out))
-    assert (out / "pobj1_histogram.csv").exists()
-    assert (out / "pobj2_histogram.csv").exists()
-    assert set(manifest["bimodality_scores"]) == {"p1", "pobj1", "pobj2"}
-    assert {row["label"] for row in results_rows(out)} <= {"yellow", "green", "purple"}
-
-
 def test_run_command_manifest_matches_summarize(tmp_path):
     config = replace(set2_config(), horizon=60.0, replications=2, robot_count=4)
     out = tmp_path / "out"
@@ -155,7 +137,7 @@ def test_run_command_manifest_matches_summarize(tmp_path):
     assert manifest["bimodality_scores"] == summary.bimodality
     assert manifest["binomial_p_hat"] == summary.binomial.p_hat
     assert manifest["binomial_tv_distance"] == summary.binomial.tv_distance
-    assert set(summary.bins) == {"p1", "pobj1", "pobj2"}
+    assert set(summary.bins) == set(manifest["bimodality_scores"]) == {"p1", "pobj1", "pobj2"}
     for counts in summary.bins.values():
         assert sum(counts) == config.robot_count * config.replications
 
@@ -231,17 +213,6 @@ def test_run_command_removes_what_it_made_when_making_fails(tmp_path, monkeypatc
     assert refused.value.filename == out  # as given
 
 
-def test_event_log_written_and_parses(tmp_path):
-    config = small_config(replications=1)
-    out = tmp_path / "out"
-    run_command(config, str(out), event_log=True)
-    path = out / "events_run000.jsonl"
-    assert path.exists()
-    for line in path.read_text().splitlines():
-        record = json.loads(line)
-        assert record[0] in {"phase", "leave", "pickup", "deliver", "trip"}
-
-
 def test_event_log_memory_does_not_grow_with_the_horizon(tmp_path):
     def peak_bytes(horizon):
         config = replace(set1_config(), horizon=horizon, replications=1)
@@ -262,12 +233,6 @@ def test_event_log_memory_does_not_grow_with_the_horizon(tmp_path):
 
 
 # -- main ----------------------------------------------------------------------------
-
-
-def test_main_with_config_file(tmp_path, capsys):
-    code = run_main(tmp_path, small_config())
-    assert code == 0
-    assert "bimodality" in capsys.readouterr().out
 
 
 # Marks a key that a refusal row drops from its config.
@@ -536,28 +501,20 @@ def test_main_output_on_a_file_exits_2(tmp_path, capsys, monkeypatch, out):
     assert os.listdir(tmp_path) == ["taken"] and taken.read_text() == "kept\n"
 
 
-def test_main_preset_with_mode_override(tmp_path):
-    out = tmp_path / "out"
-    code = main(
-        [
-            "--preset",
-            "set1",
-            "--output",
-            str(out),
-            "--replications",
-            "1",
-            "--seed",
-            "7",
-            "--mode",
-            "modified",
-        ]
-    )
-    assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["mode"] == "modified"
-    assert manifest["config"]["seed"] == 7
-    assert manifest["config"]["replications"] == 1
-    assert (out / "pobj1_histogram.csv").exists()
+def test_main_preset_with_mode_override(tmp_path, capsys):
+    # Flags named after a config key override a preset and a config file alike.
+    path = tmp_path / "c.json"
+    write_config(small_config(), str(path))
+    flags = ["--replications", "1", "--seed", "7", "--mode", "modified"]
+    for name, source in (("preset", ["--preset", "set1"]), ("file", ["--config", str(path)])):
+        out = tmp_path / name
+        assert main([*source, "--output", str(out), *flags]) == 0
+        assert "bimodality" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["mode"] == "modified"
+        assert manifest["config"]["seed"] == 7
+        assert manifest["config"]["replications"] == 1
+        assert (out / "pobj1_histogram.csv").exists()
 
 
 # Values a hand-edited config may hold where a number belongs.

@@ -60,6 +60,7 @@ def test_event_log_agrees_with_results_and_manifest(preset, preset_bundle):
     for path in sorted(out.glob("events_run*.jsonl")):
         run = int(path.stem.removeprefix("events_run"))
         for kind, _, rid, *rest in map(json.loads, path.read_text().splitlines()):
+            assert kind in {"phase", "leave", "pickup", "deliver", "trip"}
             if kind == "trip":
                 success, p1[run, rid] = rest
                 trips[run, rid][not success] += 1
