@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .allocation import Mode
 from .experiment import ExperimentConfig, RunResult
@@ -21,23 +20,20 @@ class PreferenceLabel(enum.Enum):
     PURPLE = "purple"  # prefers object type 2
 
 
-@dataclass
-class RunClassification:
+class RunClassification(NamedTuple):
     threshold: float
     forager_ids: list  # the others are loafers
     degenerate: bool
 
 
-@dataclass
-class BinomialComparison:
+class BinomialComparison(NamedTuple):
     p_hat: float
     observed: list  # empirical frequency of each forager count k = 0..n
     theoretical: list  # Binomial(n, p_hat) mass at each k
     tv_distance: float
 
 
-@dataclass
-class Summary:
+class Summary(NamedTuple):
     """The numbers the paper's claims are judged on, for one batch of runs."""
 
     classification: list  # RunClassification per run

@@ -61,6 +61,14 @@ class ArenaConfig:
                 "nest_radius + 2*object_radius must be < arena_half_width "
                 "so objects can spawn outside the nest"
             )
+        # spawn_object draws no farther from the origin than the arena's
+        # corners; a keep-out past them would reject every draw.
+        keepout = self.nest_radius + self.object_radius + self.contact_margin
+        if keepout >= math.sqrt(2.0) * (self.arena_half_width - self.object_radius):
+            raise ValueError(
+                "nest_radius + object_radius + contact_margin must be < "
+                "sqrt(2) * (arena_half_width - object_radius)"
+            )
         # ExperimentConfig's packing check squares the arena's width.
         hw = self.arena_half_width
         if (2.0 * hw) * (2.0 * hw) == math.inf:

@@ -56,9 +56,8 @@ class Robot:
     cell: Optional[int] = None  # key of its contact-grid cell; None while STOPPING
 
 
-@dataclass
 class SimClock:
-    tick_index: int = 0  # ticks run so far; their count and length are the config's
+    tick_index = 0  # ticks run so far; their count and length are the config's
 
 
 # Receives each event record, a tuple such as ("pickup", tick, robot id,

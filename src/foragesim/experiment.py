@@ -10,7 +10,7 @@ import reprlib
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .allocation import Mode, ObjectType, VdrParams, check_number
 from .arena import ArenaConfig, TWO_PI, World, spawn_object
@@ -282,8 +282,7 @@ class ExperimentConfig:
             )
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     final_p1: list
     final_pobj: Optional[tuple[list, list]]  # None in ORIGINAL mode
     retrieved: tuple[int, int]

@@ -1,7 +1,7 @@
 """Acceptance suite: the eight release criteria, each reported with one
 printed PASS/FAIL line. Criteria 2-5 run the two shipped presets at their
-full 20-replication scale: the two fixtures take about 6.8 s in all on a
-2-core host, second only to the contact-grid property test."""
+full 20-replication scale: the two fixtures take 3.3 to 3.9 s in all on a
+2-core VM (Python 3.11), second only to the contact-grid property test."""
 
 import random
 import time

@@ -30,6 +30,7 @@ NAMED = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "10**4
          "True": True, "False": False}
 # 0.9069 of a 2 x 2 square holds at most 28 disks of radius 0.2.
 PACKED = dict(arena_half_width=1.0, nest_radius=0.45, object_radius=0.2, robot_radius=0.1)
+KEEPOUT = dict(arena_half_width=2.0, nest_radius=1.5, object_radius=0.2)
 ZERO_FLOORS = dict(obj1_p_min=0.0, obj1_p_initial=0.0, obj2_p_min=0.0, obj2_p_initial=0.0)
 VDR_FIELDS = {spec.name for spec in fields(VdrParams)}
 
@@ -113,12 +114,18 @@ _ROWS = [
     row("objects_type1 must be in 1..100000", id="objects_type1-over-max",
         arena_half_width=1000.0, objects_type1=MAX_OBJECTS + 1, objects_type2=1),
     # Impossible geometry: lengths not above 0, a nest as wide as a robot
-    # (0.15) or narrower, or with no room for objects around it, and more
-    # than half a turn a tick (1e308 summed the heading to infinity).
+    # (0.15) or narrower, or with no room for objects around it, a nest
+    # keep-out past the farthest spawn draw, and more than half a turn a
+    # tick (1e308 summed the heading to infinity).
     *keyed("must be strictly positive", ("robot_radius", 0.0), ("robot_speed", -1.0)),
     *keyed("must be > robot_radius", ("nest_radius", 0.15), ("nest_radius", 0.1)),
     row("nest_radius + 2*object_radius must be < arena_half_width", id="nest-fills-arena",
         arena_half_width=2.0, nest_radius=2.0),
+    # A keep-out of 1.5 + 0.2 + margin against sqrt(2) * 1.8 = 2.55 from the origin.
+    row("nest_radius + object_radius + contact_margin must be < "
+        "sqrt(2) * (arena_half_width - object_radius)", id="keepout-covers-spawn",
+        **KEEPOUT, contact_margin=1.0),
+    row(None, id="keepout-inside-corners", **KEEPOUT, contact_margin=0.7),
     *keyed("must be in [0, pi], got {!r}", ("heading_jitter", -0.1), ("heading_jitter", 4.0),
            ("heading_jitter", 1e308)),
     # An arena whose area overflows a float, and radii and a margin near the
