@@ -1,6 +1,7 @@
 """World geometry: square arena, central circular nest, circular robots and
-objects, contact classification, bounce and edge-follow maneuvers, and
-object spawning with the constant-population replacement rule.
+objects, where an object may lie (``ArenaConfig``'s nest keep-out and
+packing bound), contact classification, bounce and edge-follow maneuvers,
+and object spawning with the constant-population replacement rule.
 
 Contact and spawn queries read the two cell grids ``World`` holds, one of
 free objects and one of collidable robots, which only its methods update."""
@@ -63,13 +64,13 @@ class ArenaConfig:
             )
         # spawn_object draws no farther from the origin than the arena's
         # corners; a keep-out past them would reject every draw.
-        keepout = self.nest_radius + self.object_radius + self.contact_margin
-        if keepout >= math.sqrt(2.0) * (self.arena_half_width - self.object_radius):
+        if self.object_keepout() >= math.sqrt(2.0) * (self.arena_half_width - self.object_radius):
             raise ValueError(
                 "nest_radius + object_radius + contact_margin must be < "
                 "sqrt(2) * (arena_half_width - object_radius)"
             )
-        # ExperimentConfig's packing check squares the arena's width.
+        # check_packing weighs the objects against the arena's area, which
+        # must be a finite float for the bound to refuse anything.
         hw = self.arena_half_width
         if (2.0 * hw) * (2.0 * hw) == math.inf:
             echo = reprlib.repr(hw)  # an int of hundreds of digits would show them all
@@ -88,6 +89,27 @@ class ArenaConfig:
     def object_contact(self) -> float:
         """Center distance below which a robot touches an object."""
         return self.robot_radius + self.object_radius + self.contact_margin
+
+    def object_keepout(self) -> float:
+        """Center distance from the origin at or below which no object lies:
+        the nest, plus an object's radius and the contact margin."""
+        return self.nest_radius + self.object_radius + self.contact_margin
+
+    def check_packing(self, objects: int) -> None:
+        """``ValueError`` if ``objects`` objects cannot fit in the area their
+        disks may cover: the arena less the keep-out's inner disk, capped at
+        the arena's inscribed circle so that only area inside it counts."""
+        # Equal disks cover at most pi / sqrt(12) (0.9069) of any region they
+        # are packed in, the hexagonal packing, so more object area than that
+        # cannot be placed however long spawning draws.
+        radius = self.object_radius
+        hw = self.arena_half_width
+        inner = min(self.object_keepout() - radius, hw)
+        area = (2.0 * hw) ** 2 - math.pi * inner**2
+        if objects * math.pi * radius**2 > math.pi / math.sqrt(12.0) * area:
+            raise ValueError(
+                f"the arena is too packed for {objects} objects of radius {reprlib.repr(radius)}"
+            )
 
     def cell_side(self) -> float:
         """Side of the contact grids' cells: twice the largest contact or
@@ -295,13 +317,14 @@ class World:
 
 
 def spawn_object(world: World, obj_type: ObjectType, rng) -> WorldObject:
-    """Place one object uniformly at random, rejecting positions inside the
-    nest (plus margin), too close to a wall, or overlapping a free object."""
+    """Place one object uniformly at random, rejecting positions within the
+    nest's keep-out (``ArenaConfig.object_keepout``), too close to a wall, or
+    overlapping a free object."""
     cfg = world.config
     lo = -cfg.arena_half_width + cfg.object_radius
     hi = cfg.arena_half_width - cfg.object_radius
     span = hi - lo
-    nest_keepout = cfg.nest_radius + cfg.object_radius + cfg.contact_margin
+    nest_keepout = cfg.object_keepout()
     min_sep = 2.0 * cfg.object_radius
     min_sep_sq = min_sep * min_sep
     cells = world.object_cells

@@ -4,7 +4,6 @@ presets, and the seeded single-run driver that turns a config into a RunResult."
 from __future__ import annotations
 
 import json
-import math
 import random
 import reprlib
 import sys
@@ -240,7 +239,7 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be {name}, got {reprlib.repr(value)}")
         if not 0 < self.robot_count <= MAX_ROBOTS:
             raise ValueError(f"robot_count must be in 1..{MAX_ROBOTS}")
-        # Before the packing check, which turns the counts into floats.
+        # Before ArenaConfig.check_packing, which turns the counts into floats.
         for t, count in enumerate(self.object_totals):
             if not 0 < count <= MAX_OBJECTS:
                 raise ValueError(f"objects_type{t + 1} must be in 1..{MAX_OBJECTS}")
@@ -270,16 +269,7 @@ class ExperimentConfig:
         floors = self.obj_params[0].p_min + self.obj_params[1].p_min
         if self.mode is Mode.MODIFIED and floors == 0:
             raise ValueError("modified mode needs obj1_p_min or obj2_p_min above 0")
-        # Equal disks cover at most pi / sqrt(12) (0.9069) of any region they
-        # are packed in, the hexagonal packing, so more object area than that
-        # cannot be placed however long spawning draws.
-        objects = sum(self.object_totals)
-        radius = self.arena.object_radius
-        width = 2.0 * self.arena.arena_half_width
-        if objects * math.pi * radius**2 > math.pi / math.sqrt(12.0) * width**2:
-            raise ValueError(
-                f"the arena is too packed for {objects} objects of radius {reprlib.repr(radius)}"
-            )
+        self.arena.check_packing(sum(self.object_totals))
 
 
 class RunResult(NamedTuple):
@@ -360,6 +350,9 @@ def _build_world(config: ExperimentConfig, rng) -> World:
                 id=rid,
                 x=x,
                 y=y,
+                # Never read: a departure draws a new heading before the
+                # robot's first step. The draw keeps every later draw in its
+                # place in the stream.
                 heading=rng.random() * TWO_PI,
                 capability=(rng.random(), rng.random()),
                 leave=config.leave_params.initial_state(),

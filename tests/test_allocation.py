@@ -83,6 +83,8 @@ def test_assign_task_symmetric():
     pickup = (VdrState(0.075), VdrState(0.075))
     assert assign_task(pickup, 0.49) is ObjectType.TYPE1
     assert assign_task(pickup, 0.51) is ObjectType.TYPE2
+    # A draw of exactly p1 / (p1 + p2) goes to type 2.
+    assert assign_task(pickup, 0.5) is ObjectType.TYPE2
 
 
 def test_assign_task_skewed_thresholds():

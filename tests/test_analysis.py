@@ -37,9 +37,11 @@ def make_result(final_p1, final_pobj=None):
 
 
 def test_classify_midpoint_split():
-    p1 = [0.002, 0.08, 0.08]
+    # A robot exactly at the midpoint is a loafer: foragers lie strictly above.
+    p1 = [0.002, 0.08, 0.08, (0.002 + 0.08) / 2.0]
     (cls,) = classify_foragers([make_result(p1)], 0.08)
     assert cls.threshold == pytest.approx(0.041)
+    assert cls.threshold == p1[3]
     assert cls.forager_ids == [1, 2]
     assert p1[0] <= cls.threshold  # the loafer
     assert not cls.degenerate

@@ -43,15 +43,20 @@ def make_world(config=CFG, totals=(30, 35)):
 # -- spawning -------------------------------------------------------------------
 
 
+# A margin wide enough that a keep-out without it would let about a quarter
+# of the draws land inside it.
+WIDE_MARGIN = replace(CFG, contact_margin=4.0)
+
+
 @settings(max_examples=50)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_spawn_constraints(seed):
-    world = make_world()
-    obj = spawn_object(world, ObjectType.TYPE1, random.Random(seed))
-    r = math.hypot(obj.x, obj.y)
-    assert r > CFG.nest_radius + CFG.object_radius
-    assert abs(obj.x) <= CFG.arena_half_width - CFG.object_radius
-    assert abs(obj.y) <= CFG.arena_half_width - CFG.object_radius
+    cfg = WIDE_MARGIN
+    obj = spawn_object(make_world(cfg), ObjectType.TYPE1, random.Random(seed))
+    keepout = cfg.nest_radius + cfg.object_radius + cfg.contact_margin
+    assert obj.x * obj.x + obj.y * obj.y > keepout * keepout
+    assert abs(obj.x) <= cfg.arena_half_width - cfg.object_radius
+    assert abs(obj.y) <= cfg.arena_half_width - cfg.object_radius
 
 
 def test_spawn_packed_arena_pairwise_separation():

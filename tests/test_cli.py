@@ -36,7 +36,7 @@ from foragesim.experiment import (
 )
 
 from conftest import bundle_files
-from test_experiment import PACKED, REFUSED, ZERO_FLOORS
+from test_experiment import KEEPOUT, PACKED, REFUSED, ZERO_FLOORS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -109,7 +109,14 @@ def test_run_command_row_counts(tmp_path):
     config = small_config()
     out = tmp_path / "out"
     manifest = run_command(config, str(out))
-    assert len(results_rows(out)) == config.replications * config.robot_count
+    rows = results_rows(out)
+    assert len(rows) == config.replications * config.robot_count
+    # results.csv flags as foragers exactly the robots classification.csv lists.
+    with open(out / "classification.csv", newline="") as fh:
+        listed = {(row["run"], rid) for row in csv.DictReader(fh)
+                  for rid in row["forager_ids"].split(";") if rid}
+    assert {row["forager"] for row in rows} <= {"0", "1"}
+    assert {(row["run"], row["robot"]) for row in rows if row["forager"] == "1"} == listed
     assert manifest["config"]["robot_count"] == 4
     on_disk = json.loads((out / "manifest.json").read_text())
     assert on_disk["config"] == config_to_dict(config)
@@ -364,7 +371,7 @@ def test_whole_numbers_from_python_rerun_byte_for_byte(tmp_path):
 
 
 def test_main_overpacked_arena_exits_2(tmp_path, capsys):
-    # 20 objects would fit in the square by area, but not around the nest:
+    # 20 objects pass the area bound, but do not fit around the nest:
     # spawning gives up after its attempt cap.
     raw = config_to_dict(small_config())
     raw.update(PACKED, objects_type1=10, objects_type2=10)
@@ -393,12 +400,14 @@ def test_main_infeasible_packing_exits_2_before_running(tmp_path, capsys, monkey
         raise AssertionError("spawn_object called")
 
     monkeypatch.setattr(experiment, "spawn_object", no_draws)
-    raw = config_to_dict(small_config())
-    raw.update(PACKED, objects_type1=200)
-    code = run_main(tmp_path, raw)
-    assert code == 2
-    assert "config error: the arena is too packed" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # Too many objects for the square, and 65 for the corners left outside a
+    # nest keep-out of 1.5 + 0.2 + 0.7.
+    for edit in (dict(PACKED, objects_type1=200), dict(KEEPOUT, contact_margin=0.7)):
+        code = run_main(tmp_path, {**config_to_dict(small_config()), **edit})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the arena is too packed") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 # With --event-log the failure comes while events_run000.jsonl is open.

@@ -44,6 +44,8 @@ TOUCH = 2 * ARENA.robot_radius  # within contact range of a robot or an object
 # A wall contact, far enough from the wall that no step away is clamped.
 NEAR_WALL = (ARENA.arena_half_width - ARENA.robot_radius - 0.04, 3.0)
 INSIDE_NEST = (ARENA.nest_radius - 0.05, 0.0)
+# No robot's center goes past this on either axis: its rim would cross the wall.
+LIMIT = ARENA.arena_half_width - ARENA.robot_radius
 INITIAL = TABLE9.initial_state()
 LEAVE = TABLE4.initial_state()
 
@@ -52,17 +54,18 @@ def check_tick(setup, kind, expect):
     """Tick once with robot 0 meeting ``kind``, and check what the tick left.
 
     A moving robot that stays in its phase moves one full step along the
-    heading its handler left. A STOPPING robot makes no contact query (``kind``
-    None) and takes no step; a departure, a pickup, a timeout or a delivery
-    changes the phase where the robot stands. Its phase, load, leave and
-    pickup states, search deadline, assignment, ``retrieved``, ``trip_failures``
-    and the types of the free objects stay as they were unless ``expect`` says
-    otherwise. ``expect`` may also name the heading and position after the
-    tick, the kinds of the records the tick emitted, "away": the step left the
-    contact point behind, and "apart": the other robot ended the tick farther
-    away. ``setup`` may set the start tick, the leave-check period and the
-    robot's leave probability "p1". A ``setup`` with "draws" feeds the tick
-    exactly those draws; without, the tick draws from a seeded rng."""
+    heading its handler left, each coordinate then clamped to ``LIMIT``. A
+    STOPPING robot makes no contact query (``kind`` None) and takes no step;
+    a departure, a pickup, a timeout or a delivery changes the phase where
+    the robot stands. Its phase, load, leave and pickup states, search
+    deadline, assignment, ``retrieved``, ``trip_failures`` and the types of
+    the free objects stay as they were unless ``expect`` says otherwise.
+    ``expect`` may also name the heading and position after the tick, the
+    kinds of the records the tick emitted, "away": the step left the contact
+    point behind, and "apart": the other robot ended the tick farther away.
+    ``setup`` may set the start tick, the leave-check period and the robot's
+    leave probability "p1". A ``setup`` with "draws" feeds the tick exactly
+    those draws; without, the tick draws from a seeded rng."""
     objects = setup.get("objects", [])
     totals = [0, 0]
     for obj_type, _, _ in objects + [(setup.get("carried"), 0, 0)]:
@@ -120,7 +123,8 @@ def check_tick(setup, kind, expect):
     if robot.phase is phase and phase is not STOPPING:
         step = ARENA.robot_speed * sim.config.tick_duration
         h = robot.heading
-        assert end == (start[0] + step * math.cos(h), start[1] + step * math.sin(h))
+        full = (start[0] + step * math.cos(h), start[1] + step * math.sin(h))
+        assert end == tuple(max(-LIMIT, min(LIMIT, c)) for c in full)
     else:
         assert end == start
 
@@ -265,6 +269,14 @@ def test_tick_steps_each_moving_robot_once(setup, kind, expect):
 def test_searching_jitter_advance():
     # Draw 0.75 is +0.05 rad of jitter, with jitter half-width 0.1.
     check_tick({"draws": [0.75]}, ContactKind.NONE, {"heading": pytest.approx(0.35)})
+
+
+def test_free_step_stops_at_the_wall():
+    # Out of contact range, 0.22 from the wall, a step at heading 0.3 (draw
+    # 0.5 is zero jitter) would carry the center 0.0955 along x, past LIMIT.
+    start = (ARENA.arena_half_width - 0.22, 3.0)
+    check_tick({"at": start, "draws": [0.5]}, ContactKind.NONE,
+               {"heading": 0.3, "position": (LIMIT, 3.0 + 0.1 * math.sin(0.3))})
 
 
 def test_searching_timeout_returns_empty():

@@ -28,7 +28,8 @@ LENGTHS = ("arena_half_width", "robot_radius", "robot_speed", "heading_jitter")
 # Values by the names their rows' ids give them; any other string is a value.
 NAMED = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "10**400": 10**400,
          "True": True, "False": False}
-# 0.9069 of a 2 x 2 square holds at most 28 disks of radius 0.2.
+# 0.9069 of a 2 x 2 square less the nest's disk of radius 0.45 + 0.05 (margin)
+# holds at most 23 disks of radius 0.2.
 PACKED = dict(arena_half_width=1.0, nest_radius=0.45, object_radius=0.2, robot_radius=0.1)
 KEEPOUT = dict(arena_half_width=2.0, nest_radius=1.5, object_radius=0.2)
 ZERO_FLOORS = dict(obj1_p_min=0.0, obj1_p_initial=0.0, obj2_p_min=0.0, obj2_p_initial=0.0)
@@ -115,8 +116,9 @@ _ROWS = [
         arena_half_width=1000.0, objects_type1=MAX_OBJECTS + 1, objects_type2=1),
     # Impossible geometry: lengths not above 0, a nest as wide as a robot
     # (0.15) or narrower, or with no room for objects around it, a nest
-    # keep-out past the farthest spawn draw, and more than half a turn a
-    # tick (1e308 summed the heading to infinity).
+    # keep-out past the farthest spawn draw or with too little room around it
+    # for the objects, and more than half a turn a tick (1e308 summed the
+    # heading to infinity).
     *keyed("must be strictly positive", ("robot_radius", 0.0), ("robot_speed", -1.0)),
     *keyed("must be > robot_radius", ("nest_radius", 0.15), ("nest_radius", 0.1)),
     row("nest_radius + 2*object_radius must be < arena_half_width", id="nest-fills-arena",
@@ -125,7 +127,15 @@ _ROWS = [
     row("nest_radius + object_radius + contact_margin must be < "
         "sqrt(2) * (arena_half_width - object_radius)", id="keepout-covers-spawn",
         **KEEPOUT, contact_margin=1.0),
-    row(None, id="keepout-inside-corners", **KEEPOUT, contact_margin=0.7),
+    # Objects lie outside the disk of radius nest_radius + contact_margin,
+    # which is subtracted only up to the arena's inscribed circle. With
+    # 1.5 + 0.7 = 2.2, 0.9069 of 16 - 4 pi holds 24 disks of radius 0.2, not
+    # 65. With 1.85 + 0.45 = 2.3, 8 disks of radius 0.05 fit in the corners,
+    # where the whole disk would leave less than no area.
+    row("the arena is too packed for 65 objects of radius 0.2", id="keepout-inside-corners",
+        **KEEPOUT, contact_margin=0.7),
+    row(None, id="keepout-corners-fit", arena_half_width=2.0, nest_radius=1.85,
+        object_radius=0.05, contact_margin=0.45, objects_type1=4, objects_type2=4),
     *keyed("must be in [0, pi], got {!r}", ("heading_jitter", -0.1), ("heading_jitter", 4.0),
            ("heading_jitter", 1e308)),
     # An arena whose area overflows a float, and radii and a margin near the
@@ -138,9 +148,9 @@ _ROWS = [
         robot_radius=1e-310, object_radius=1e-310, contact_margin=1e-310),
     row(None, id="fine-geometry",
         robot_radius=1e-300, object_radius=1e-300, contact_margin=1e-300),
-    row(None, id="packed-28", **PACKED, objects_type1=14, objects_type2=14),
-    row("the arena is too packed for 29 objects of radius 0.2", id="packed-29",
-        **PACKED, objects_type1=14, objects_type2=15),
+    row(None, id="packed-23", **PACKED, objects_type1=11, objects_type2=12),
+    row("the arena is too packed for 24 objects of radius 0.2", id="packed-24",
+        **PACKED, objects_type1=12, objects_type2=12),
     # Probabilities out of order; the histograms of final probabilities span
     # [p_min, p_max]. assign_task draws type 1 with p1 / (p1 + p2), and
     # failures clamp each at its p_min; ORIGINAL never draws a task.
@@ -291,6 +301,15 @@ def test_zero_horizon_leaves_initials():
     assert all(t == (0, 0) for t in result.trips)
 
 
+def test_zero_horizon_keeps_pobj_order():
+    # final_pobj lists type 1's pickup probabilities first.
+    pickup = set2_config().obj_params[0]
+    config = replace(set2_config(), horizon=0.0, robot_count=4, obj_params=(
+        replace(pickup, p_initial=0.05), replace(pickup, p_initial=0.1),
+    ))
+    assert run_experiment(config, 0).final_pobj == ([0.05] * 4, [0.1] * 4)
+
+
 def test_modified_run_respects_pobj_bounds():
     config = replace(set2_config(), horizon=20.0)
     result = run_experiment(config, 0)
@@ -346,3 +365,13 @@ def test_build_world_starts_robots_at_initial_states():
     assert [r.leave for r in world.robots] == [VdrState(0.04, 0, 0)] * 4
     pickup = (VdrState(0.075, 0, 0), VdrState(0.075, 0, 0))
     assert [r.pickup for r in world.robots] == [pickup] * 4
+
+
+def test_build_world_starts_robots_inside_the_nest():
+    # Uniform over the disk a robot fits in, whose rim is nest_radius -
+    # robot_radius: 200 robots reach past it if the disk is the nest's or its
+    # bounding square.
+    config = replace(set1_config(), robot_count=200)
+    interior = config.arena.nest_radius - config.arena.robot_radius
+    world = _build_world(config, random.Random(7))
+    assert all(r.x * r.x + r.y * r.y <= interior * interior for r in world.robots)
