@@ -1,3 +1,5 @@
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +8,8 @@ from foragesim.allocation import VdrParams, VdrState, vdr_failure, vdr_success
 from foragesim.arena import RobotPhase
 from foragesim.cli import main
 from foragesim.engine import Robot
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Experiment Set I leave-nest parameters, and Set II pickup parameters.
 TABLE4 = VdrParams(p_max=0.08, p_min=0.002, p_initial=0.04, delta=0.0003)
@@ -91,3 +95,25 @@ def preset_bundle(tmp_path_factory):
         return written[preset]
 
     return bundle
+
+
+@pytest.fixture
+def load_script(monkeypatch):
+    """A function of a script's path under the checkout, such as
+    ``perfbench/run.py``, that imports it as a module. Its directory is on
+    ``sys.path`` and the module in ``sys.modules`` only while it loads: the
+    script imports its neighbours as top-level modules (``perfbench/`` holds
+    a ``bundle.py``), and a ``@dataclass`` looks its module up as it is
+    built."""
+
+    def load(relative):
+        path = ROOT / relative
+        spec = importlib.util.spec_from_file_location(f"{path.parent.name}_{path.stem}", path)
+        module = importlib.util.module_from_spec(spec)
+        with monkeypatch.context() as patch:
+            patch.syspath_prepend(str(path.parent))
+            patch.setitem(sys.modules, spec.name, module)
+            spec.loader.exec_module(module)
+        return module
+
+    return load

@@ -1,7 +1,8 @@
 """Acceptance suite: the eight release criteria, each reported with one
 printed PASS/FAIL line. Criteria 2-5 run the two shipped presets at their
-full 20-replication scale: the two fixtures take 3.3 to 3.9 s in all on a
-2-core VM (Python 3.11), second only to the contact-grid property test."""
+full 20-replication scale, the costliest setup of the suite, so the two
+fixtures are module-scoped: each preset runs once for every criterion that
+reads it."""
 
 import random
 import time

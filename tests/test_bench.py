@@ -2,26 +2,25 @@
 sweep on tiny configs, and its refusal outside a git checkout: no benchmark
 runs."""
 
-import importlib.util
 import json
 import shutil
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 from types import SimpleNamespace
+
+import pytest
 
 from foragesim.experiment import set2_config
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT
+
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def load_bench():
-    spec = importlib.util.spec_from_file_location("bench_script", ROOT / "scripts" / "bench.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+@pytest.fixture
+def bench(load_script):
+    return load_script("scripts/bench.py")
 
 
 def complete_file(bench):
@@ -43,8 +42,7 @@ def complete_file(bench):
     }
 
 
-def test_problems_flags_a_failing_tier1_suite():
-    bench = load_bench()
+def test_problems_flags_a_failing_tier1_suite(bench):
     good = complete_file(bench)
     assert bench.problems(good, SPEC) == []
     summary = "1 failed, 251 passed in 20.3s"
@@ -52,8 +50,7 @@ def test_problems_flags_a_failing_tier1_suite():
     assert bench.problems(failed, SPEC) == [f"tier1: rc 1 ({summary})"]
 
 
-def test_tier1_keeps_the_stderr_of_a_suite_that_cannot_start(tmp_path, monkeypatch):
-    bench = load_bench()
+def test_tier1_keeps_the_stderr_of_a_suite_that_cannot_start(bench, tmp_path, monkeypatch):
     stderr = "".join(f"line {i}\n" for i in range(6)) + "python3: No module named pytest\n"
     monkeypatch.setattr(
         subprocess, "run", lambda args, **kwargs: subprocess.CompletedProcess(args, 1, "", stderr)
@@ -68,8 +65,7 @@ def test_tier1_keeps_the_stderr_of_a_suite_that_cannot_start(tmp_path, monkeypat
     ]
 
 
-def test_problems_names_each_failed_run_by_workload_seed_and_trace():
-    bench = load_bench()
+def test_problems_names_each_failed_run_by_workload_seed_and_trace(bench):
     good = complete_file(bench)
     entry = good["workloads"]["crowd"]
     runs = [dict(run) for run in entry["runs"]]
@@ -84,8 +80,7 @@ def test_problems_names_each_failed_run_by_workload_seed_and_trace():
     ]
 
 
-def test_problems_names_a_median_that_is_not_perfbenchs_value():
-    bench = load_bench()
+def test_problems_names_a_median_that_is_not_perfbenchs_value(bench):
     good = complete_file(bench)
     entry = good["workloads"]["set1"]
     metrics = {**entry["metrics"], "wall_ref": {"value": 2.9, "median": 2.95}}
@@ -94,9 +89,8 @@ def test_problems_names_a_median_that_is_not_perfbenchs_value():
 
 
 def test_perfbench_records_a_run_that_exits_non_zero_and_prints_its_last_lines(
-    tmp_path, capsys
+    bench, tmp_path, capsys
 ):
-    bench = load_bench()
     (tmp_path / "perfbench").mkdir()
     script = "import sys\nfor i in range(7):\n    print(i)\nsys.exit('boom')\n"
     (tmp_path / "perfbench" / "run.py").write_text(script)
@@ -108,8 +102,7 @@ def test_perfbench_records_a_run_that_exits_non_zero_and_prints_its_last_lines(
     ]
 
 
-def test_sweep_records_the_spread_of_each_point():
-    bench = load_bench()
+def test_sweep_records_the_spread_of_each_point(bench):
     tiny = replace(set2_config(), robot_count=2, horizon=1.0, replications=1)
     run = SimpleNamespace(
         Workload=lambda *args, **kwargs: None,
