@@ -669,3 +669,41 @@ def test_main_stopped_by_a_signal_leaves_nothing(tmp_path, signum, code, err, ma
         proc.wait()
     assert (proc.returncode, stdout, stderr) == (code, "", err)
     assert (os.listdir(out) == []) if made_by_user else not out.exists()
+
+
+# -- the names perfbench's tracer rebinds ----------------------------------------------
+
+BUNDLE_SCRIPT = Path(__file__).resolve().parents[1] / "perfbench" / "bundle.py"
+
+
+@pytest.mark.parametrize("mode", ["original", "modified"])
+def test_benchmark_tracer_counts_each_mode_under_its_name(tmp_path, mode):
+    # The record pins these counts for its pairs; here each mode's split of
+    # names and the span tree are checked on a short run of its own.
+    # 30 s outlasts both presets' search timeouts, so trips end in either mode.
+    preset = set1_config if mode == "original" else set2_config
+    config = replace(preset(), horizon=30.0, replications=2)
+    write_config(config, str(tmp_path / "config.json"))
+    flags = ["--event-log"] if mode == "modified" else []
+    subprocess.run(
+        [sys.executable, "-I", str(BUNDLE_SCRIPT), str(tmp_path / "config.json"),
+         str(tmp_path / "out"), "--trace", str(tmp_path / "trace.json"), *flags],
+        check=True, capture_output=True,
+    )
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    counts = trace["counts"]
+    trip = counts.get("allocation.record_trip_outcome.calls", 0)
+    leave = counts.get("allocation.record_leave_outcome.calls", 0)
+    original = mode == "original"
+    assert (trip > 0, leave > 0) == (original, not original)
+    # One recount per tick.
+    assert counts["arena.check_conservation.calls"] == counts["engine.ticks"] > 0
+    # Each replication runs inside run_command through cli.run_experiment,
+    # and builds its world and runs its engine under its own span.
+    spans = trace["spans"]
+    (command,) = [sid for sid, name, _, _, _ in spans if name == "cli.run_command"]
+    replications = [span for span in spans if span[1] == "experiment.replication"]
+    assert [span[4] for span in replications] == [command] * config.replications
+    for sid, *_ in replications:
+        children = sorted(name for _, name, _, _, parent in spans if parent == sid)
+        assert children == ["engine.run", "experiment.build_world"]

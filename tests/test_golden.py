@@ -10,10 +10,12 @@ replications with the event log. CI's Linux benchmark step checks the rest
 that it runs: seed 1 of every workload, ``crowd`` among them, and the
 hold-out seed 1001, traced and untraced.
 
-The record holds no ORIGINAL-mode event log, so ``GOLDEN`` keeps the
-digests of the two event logs of ``foragesim --preset set1 --replications 2
---event-log``, the session's ``preset_bundle("set1")``. A change that alters
-the record or a digest changes simulation results and must say why. The
+The session's ``preset_bundle`` (``foragesim --preset NAME --replications 2
+--event-log``) must match too. For ``set2`` that is the record's
+``set2-events`` seed 2 entry, read from the record. The record holds no
+ORIGINAL-mode event log, so for ``set1`` ``GOLDEN`` keeps the digests of its
+two event logs by hand. A change that alters the record or a digest changes
+simulation results and must say why. The
 digests assume this platform's libm. The event log must also agree with
 ``results.csv`` and the manifest.
 """
@@ -28,7 +30,7 @@ import pytest
 
 from foragesim.cli import write_config
 
-from conftest import bundle_files
+from conftest import ROOT, bundle_files
 
 GOLDEN = {
     "events_run000.jsonl": "be67e0e5f04493a63fa8e9657794e76aed30d808cfbc7478619d9a80f6cc7b6d",
@@ -52,20 +54,20 @@ def test_bundle_and_counts_match_the_record(tmp_path, load_script, name, seed):
     trace = json.loads(trace_path.read_text())
     layers = run.layer_metrics(trace, unit["bundle"])
     assert {name: layers[name] for name in run.exact_count_names(spec)} == expected["counts"]
-    # Each replication runs inside run_command through cli.run_experiment,
-    # and builds its world and runs its engine under its own span.
-    spans = trace["spans"]
-    (command,) = [sid for sid, name, _, _, _ in spans if name == "cli.run_command"]
-    replications = [span for span in spans if span[1] == "experiment.replication"]
-    assert [span[4] for span in replications] == [command] * config.replications
-    for sid, *_ in replications:
-        children = sorted(name for _, name, _, _, parent in spans if parent == sid)
-        assert children == ["engine.run", "experiment.build_world"]
 
 
-def test_set1_event_log_digests(preset_bundle):
-    files = bundle_files(preset_bundle("set1"))
-    assert {name: hashlib.sha256(files[name]).hexdigest() for name in GOLDEN} == GOLDEN
+@pytest.mark.parametrize("preset", ["set1", "set2"])
+def test_preset_bundle_digests(preset, preset_bundle):
+    digests = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in bundle_files(preset_bundle(preset)).items()
+        if name != "manifest.json"
+    }
+    if preset == "set1":
+        assert {name: digests[name] for name in GOLDEN} == GOLDEN
+    else:
+        record = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+        assert digests == record["set2-events"]["2"]["bundle"]["files"]
 
 
 @pytest.mark.parametrize("preset", ["set1", "set2"])
