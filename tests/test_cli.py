@@ -671,33 +671,32 @@ def test_main_stopped_by_a_signal_leaves_nothing(tmp_path, signum, code, err, ma
     assert (os.listdir(out) == []) if made_by_user else not out.exists()
 
 
-# -- the names perfbench's tracer rebinds ----------------------------------------------
-
-BUNDLE_SCRIPT = Path(__file__).resolve().parents[1] / "perfbench" / "bundle.py"
+# -- the benchmark's record --------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["original", "modified"])
-def test_benchmark_tracer_counts_each_mode_under_its_name(tmp_path, mode):
-    # The record pins these counts for its pairs; here each mode's split of
-    # names and the span tree are checked on a short run of its own.
-    # 30 s outlasts both presets' search timeouts, so trips end in either mode.
-    preset = set1_config if mode == "original" else set2_config
-    config = replace(preset(), horizon=30.0, replications=2)
+@pytest.mark.parametrize(
+    "name, seed", [("set1", 1), ("set2-events", 2)], ids=["original", "modified"]
+)
+def test_benchmark_tracer_counts_each_mode_under_its_name(tmp_path, load_script, name, seed):
+    # The benchmark's own check on one recorded pair per mode: set1 runs
+    # ORIGINAL, set2-events MODIFIED. The bundle's digests, its
+    # retrieved_totals and every exact count, each mode's split of
+    # record_trip_outcome and record_leave_outcome among them, must equal
+    # perfbench/expected.json.
+    run = load_script("perfbench/run.py")
+    spec = json.loads((run.ROOT / "BENCHMARK.json").read_text())
+    expected = json.loads(run.EXPECTED.read_text())[name][str(seed)]
+    workload = run.WORKLOADS[name]
+    config = run.make_config(workload, seed)
     write_config(config, str(tmp_path / "config.json"))
-    flags = ["--event-log"] if mode == "modified" else []
-    subprocess.run(
-        [sys.executable, "-I", str(BUNDLE_SCRIPT), str(tmp_path / "config.json"),
-         str(tmp_path / "out"), "--trace", str(tmp_path / "trace.json"), *flags],
-        check=True, capture_output=True,
+    trace_path = tmp_path / "trace.json"
+    unit = run.run_bundle(
+        tmp_path, tmp_path / "config.json", workload.event_log, time.perf_counter() + 600, trace_path
     )
-    trace = json.loads((tmp_path / "trace.json").read_text())
-    counts = trace["counts"]
-    trip = counts.get("allocation.record_trip_outcome.calls", 0)
-    leave = counts.get("allocation.record_leave_outcome.calls", 0)
-    original = mode == "original"
-    assert (trip > 0, leave > 0) == (original, not original)
-    # One recount per tick.
-    assert counts["arena.check_conservation.calls"] == counts["engine.ticks"] > 0
+    assert run.bundle_matches(unit, expected["bundle"]), unit.get("error", unit.get("bundle"))
+    trace = json.loads(trace_path.read_text())
+    layers = run.layer_metrics(trace, unit["bundle"])
+    assert {key: layers[key] for key in run.exact_count_names(spec)} == expected["counts"]
     # Each replication runs inside run_command through cli.run_experiment,
     # and builds its world and runs its engine under its own span.
     spans = trace["spans"]

@@ -4,11 +4,12 @@ The benchmark's record, ``perfbench/expected.json``, holds for each
 workload and seed the SHA-256 of every bundle file but ``manifest.json``
 (which echoes the package version), the manifest's ``retrieved_totals`` and
 the exact per-layer counts of a traced bundle. Tier-1 runs the benchmark's
-own check on two of its pairs: ``set1`` seed 1, the Set I preset at 4
-replications, and ``set2-events`` seed 2, the Set II preset at 2
-replications with the event log. CI's Linux benchmark step checks the rest
-that it runs: seed 1 of every workload, ``crowd`` among them, and the
-hold-out seed 1001, traced and untraced.
+own check on two of its pairs, one per mode, in
+``test_cli.py::test_benchmark_tracer_counts_each_mode_under_its_name``:
+``set1`` seed 1, the Set I preset at 4 replications, and ``set2-events``
+seed 2, the Set II preset at 2 replications with the event log. CI's Linux
+benchmark step checks the rest that it runs: seed 1 of every workload,
+``crowd`` among them, and the hold-out seed 1001, traced and untraced.
 
 The session's ``preset_bundle`` (``foragesim --preset NAME --replications 2
 --event-log``) must match too. For ``set2`` that is the record's
@@ -23,12 +24,9 @@ digests assume this platform's libm. The event log must also agree with
 import csv
 import hashlib
 import json
-import time
 from collections import defaultdict
 
 import pytest
-
-from foragesim.cli import write_config
 
 from conftest import ROOT, bundle_files
 
@@ -36,24 +34,6 @@ GOLDEN = {
     "events_run000.jsonl": "be67e0e5f04493a63fa8e9657794e76aed30d808cfbc7478619d9a80f6cc7b6d",
     "events_run001.jsonl": "04242b9cdd10148a38e06de9bcee40072d6033014764c1ad8127baefe0858f01",
 }
-
-
-@pytest.mark.parametrize("name, seed", [("set1", 1), ("set2-events", 2)])
-def test_bundle_and_counts_match_the_record(tmp_path, load_script, name, seed):
-    run = load_script("perfbench/run.py")
-    spec = json.loads((run.ROOT / "BENCHMARK.json").read_text())
-    expected = json.loads(run.EXPECTED.read_text())[name][str(seed)]
-    workload = run.WORKLOADS[name]
-    config = run.make_config(workload, seed)
-    write_config(config, str(tmp_path / "config.json"))
-    trace_path = tmp_path / "trace.json"
-    unit = run.run_bundle(
-        tmp_path, tmp_path / "config.json", workload.event_log, time.perf_counter() + 600, trace_path
-    )
-    assert run.bundle_matches(unit, expected["bundle"]), unit.get("error", unit.get("bundle"))
-    trace = json.loads(trace_path.read_text())
-    layers = run.layer_metrics(trace, unit["bundle"])
-    assert {name: layers[name] for name in run.exact_count_names(spec)} == expected["counts"]
 
 
 @pytest.mark.parametrize("preset", ["set1", "set2"])
