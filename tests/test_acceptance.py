@@ -2,7 +2,12 @@
 printed PASS/FAIL line. Criteria 2-5 run the two shipped presets at their
 full 20-replication scale, the costliest setup of the suite, so the two
 fixtures are module-scoped: each preset runs once for every criterion that
-reads it."""
+reads it.
+
+Criteria 2-5 judge the numbers ``foragesim.analysis.summarize`` computes.
+The bundle carries criteria 2-4's histograms, bimodality scores and binomial
+fit, but not criterion 5's match and loafer-yellow rates, which follow from
+``results.csv``'s preference labels and capabilities."""
 
 import random
 import time

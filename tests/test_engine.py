@@ -65,7 +65,11 @@ def check_tick(setup, kind, expect):
     point behind, and "apart": the other robot ended the tick farther away.
     ``setup`` may set the start tick, the leave-check period and the robot's
     leave probability "p1". A ``setup`` with "draws" feeds the tick exactly
-    those draws; without, the tick draws from a seeded rng."""
+    those draws; without, the tick draws from a seeded rng.
+
+    ``test_tick_steps_each_moving_robot_once`` runs it once per contact kind
+    and moving phase; the named single-tick tests script the tick's draws to
+    pin one rule exactly."""
     objects = setup.get("objects", [])
     totals = [0, 0]
     for obj_type, _, _ in objects + [(setup.get("carried"), 0, 0)]:
@@ -355,16 +359,6 @@ def test_tick_fixed_point_when_all_draws_fail():
     sim.tick()
     assert sim.clock.tick_index == 1
     assert snapshot() == before
-
-
-def test_tick_count_matches_horizon():
-    sim = build_sim(rng=random.Random(1), totals=(1, 1), horizon=180.0)
-    assert sim.config.total_ticks == 1800
-    sim.world.add_object(ObjectType.TYPE1, 5.0, 5.0)
-    sim.world.add_object(ObjectType.TYPE2, -5.0, 5.0)
-    sim.world.add_robot(make_robot(0, 0.0, 0.0, phase=STOPPING))
-    sim.run()
-    assert sim.clock.tick_index == 1800
 
 
 def test_capability_gate_zero_never_carries():

@@ -7,18 +7,21 @@ the exact per-layer counts of a traced bundle. Tier-1 runs the benchmark's
 own check on two of its pairs, one per mode, in
 ``test_cli.py::test_benchmark_tracer_counts_each_mode_under_its_name``:
 ``set1`` seed 1, the Set I preset at 4 replications, and ``set2-events``
-seed 2, the Set II preset at 2 replications with the event log. CI's Linux
+seed 2, the Set II preset at 2 replications with the event log. Their
+``engine.ticks`` counts pin where ``Simulation.run`` stops. CI's Linux
 benchmark step checks the rest that it runs: seed 1 of every workload,
 ``crowd`` among them, and the hold-out seed 1001, traced and untraced.
 
 The session's ``preset_bundle`` (``foragesim --preset NAME --replications 2
---event-log``) must match too. For ``set2`` that is the record's
-``set2-events`` seed 2 entry, read from the record. The record holds no
-ORIGINAL-mode event log, so for ``set1`` ``GOLDEN`` keeps the digests of its
-two event logs by hand. A change that alters the record or a digest changes
-simulation results and must say why. The
-digests assume this platform's libm. The event log must also agree with
-``results.csv`` and the manifest.
+--event-log``) for ``set2`` is the config of the record's ``set2-events``
+seed 2, written through ``--preset``;
+``test_cli.py::test_bundle_reruns_byte_for_byte_from_its_manifest`` ties it
+to a ``--config`` rerun, byte for byte. The record holds no
+ORIGINAL-mode event log, so ``GOLDEN`` keeps the digests of the session's
+``set1`` bundle's two event logs by hand. A change that alters the record or
+a digest changes simulation results and must say why. The digests assume
+this platform's libm. The event log must also agree with ``results.csv`` and
+the manifest.
 """
 
 import csv
@@ -28,7 +31,7 @@ from collections import defaultdict
 
 import pytest
 
-from conftest import ROOT, bundle_files
+from conftest import bundle_files
 
 GOLDEN = {
     "events_run000.jsonl": "be67e0e5f04493a63fa8e9657794e76aed30d808cfbc7478619d9a80f6cc7b6d",
@@ -36,18 +39,11 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("preset", ["set1", "set2"])
+# set2's bytes are the record's, checked by the tracer test.
+@pytest.mark.parametrize("preset", ["set1"])
 def test_preset_bundle_digests(preset, preset_bundle):
-    digests = {
-        name: hashlib.sha256(data).hexdigest()
-        for name, data in bundle_files(preset_bundle(preset)).items()
-        if name != "manifest.json"
-    }
-    if preset == "set1":
-        assert {name: digests[name] for name in GOLDEN} == GOLDEN
-    else:
-        record = json.loads((ROOT / "perfbench" / "expected.json").read_text())
-        assert digests == record["set2-events"]["2"]["bundle"]["files"]
+    files = bundle_files(preset_bundle(preset))
+    assert {name: hashlib.sha256(files[name]).hexdigest() for name in GOLDEN} == GOLDEN
 
 
 @pytest.mark.parametrize("preset", ["set1", "set2"])
