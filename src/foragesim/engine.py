@@ -60,8 +60,17 @@ class SimClock:
     tick_index = 0  # ticks run so far; their count and length are the config's
 
 
-# Receives each event record, a tuple such as ("pickup", tick, robot id,
-# object type), as the run makes it.
+# Receives each event record as the run makes it: a tuple of its kind, the
+# tick index and the robot id, then the kind's fields. The five kinds:
+#   ("phase", tick, robot, old, new)    a change of phase, by RobotPhase value;
+#   ("leave", tick, robot, assignment)  a departure, after its "phase" record;
+#                                       the assigned object type, or None in
+#                                       ORIGINAL mode;
+#   ("pickup", tick, robot, obj_type)   a successful pickup attempt;
+#   ("deliver", tick, robot, obj_type)  an object brought into the nest;
+#   ("trip", tick, robot, delivered, p) a trip's end: whether it delivered,
+#                                       and the leave probability it left.
+# The event log writes each record as one JSON list per line.
 EventSink = Callable[[tuple], None]
 
 

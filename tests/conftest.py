@@ -1,6 +1,7 @@
 import importlib.util
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -72,6 +73,46 @@ def make_robot(
         phase=phase,
         search_deadline=search_deadline,
     )
+
+
+class Replay(NamedTuple):
+    """One replication's event log, folded robot by robot."""
+
+    p1: list  # each robot's leave probability after its last trip
+    trips: list  # each robot's [successes, failures]
+    delivered: list  # deliveries per object type
+    departures: list  # each robot's "leave" records
+    transitions: set  # the (old, new) phase pairs
+    searches: list  # each search's length in ticks; one still open counts to the horizon
+
+
+def replay(records, config):
+    """Fold one replication's event records, as the run emits them or as
+    lists read back from its ``events_runNNN.jsonl``, for ``config``. The
+    record kinds and their fields are stated at ``foragesim.engine.EventSink``."""
+    p1 = [config.leave_params.p_initial] * config.robot_count
+    trips = [[0, 0] for _ in range(config.robot_count)]
+    departures = [0] * config.robot_count
+    delivered, transitions, searches, entered = [0, 0], set(), [], {}
+    for kind, tick, rid, *fields in records:
+        if kind == "phase":
+            old, new = fields
+            transitions.add((old, new))
+            if new == "searching":
+                entered[rid] = tick
+            elif old == "searching":
+                searches.append(tick - entered.pop(rid))
+        elif kind == "leave":
+            departures[rid] += 1
+        elif kind == "trip":
+            success, p1[rid] = fields
+            trips[rid][not success] += 1
+        elif kind == "deliver":
+            delivered[fields[0]] += 1
+        elif kind != "pickup":
+            raise ValueError(f"unknown event record kind {kind!r}")
+    searches.extend(config.total_ticks - tick for tick in entered.values())
+    return Replay(p1, trips, delivered, departures, transitions, searches)
 
 
 def bundle_files(directory):

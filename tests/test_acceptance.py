@@ -9,16 +9,19 @@ The bundle carries criteria 2-4's histograms, bimodality scores and binomial
 fit, but not criterion 5's match and loafer-yellow rates, which follow from
 ``results.csv``'s preference labels and capabilities."""
 
+import json
 import random
 import time
 
 import pytest
 
 from foragesim.analysis import summarize
-from foragesim.cli import run_command
-from foragesim.experiment import run_experiment, set1_config, set2_config, whole_ticks
+from foragesim.cli import main
+from foragesim.experiment import (
+    PRESETS, load_config, run_experiment, set1_config, set2_config, whole_ticks,
+)
 
-from conftest import TABLE4, TABLE9, apply_events, bundle_files, replay_oracle
+from conftest import TABLE4, TABLE9, apply_events, bundle_files, replay, replay_oracle
 
 
 def report(number, description, ok, detail=""):
@@ -126,42 +129,38 @@ def test_criterion_6_conservation(set1_data, set2_data):
 
 
 def test_criterion_7_determinism(tmp_path, preset_bundle):
-    from dataclasses import replace
-
-    # The session's bundle came through main; this one through run_command.
-    config = replace(set1_config(), replications=2)
-    out = tmp_path / "out"
-    run_command(config, str(out), event_log=True)
-    bundles = [bundle_files(preset_bundle("set1")), bundle_files(out)]
-    ok = bundles[0] == bundles[1] and len(bundles[0]) >= 6
-    report(7, "identical config+seed produce byte-identical bundles", ok,
-           f"{len(bundles[0])} files compared")
+    # The manifest echoes the whole config that ran: it loads back to the
+    # preset's, and a --config rerun from it writes every file of the
+    # session's --preset bundle again, the manifest and event logs included.
+    same, compared = True, 0
+    for preset in ("set1", "set2"):
+        written = preset_bundle(preset)
+        manifest = json.loads((written / "manifest.json").read_text())
+        path, rerun = tmp_path / f"{preset}.json", tmp_path / preset
+        path.write_text(json.dumps(manifest["config"]))
+        same &= load_config(str(path)) == PRESETS[preset](replications=2)
+        assert main(["--config", str(path), "--output", str(rerun), "--event-log"]) == 0
+        files = bundle_files(written)
+        same &= files == bundle_files(rerun) and len(files) >= 6
+        compared += len(files)
+    report(7, "each manifest echoes its preset's config and reruns its bundle byte for byte",
+           same, f"set1 and set2, {compared} files compared")
 
 
 def test_criterion_8_state_machine_soundness(set1_data, set2_data):
-    legal = {
-        ("stopping", "searching"),
-        ("searching", "returning"),
-        ("returning", "stopping"),
-    }
-    audited = 0
+    legal = {("stopping", "searching"), ("searching", "returning"), ("returning", "stopping")}
+    illegal, too_long, searches = set(), 0, 0
     for config, runs in (set1_data, set2_data):
-        # Timeout plus one tick of slack, compared in whole ticks to keep
-        # the bound exact under float accumulation.
-        timeout = whole_ticks("search_timeout", config.search_timeout, config.tick_duration)
-        slack_ticks = timeout + 1
+        # Timeout plus one tick of slack, compared in whole ticks to keep the
+        # bound exact under float accumulation. A search still open at the
+        # horizon is bounded by its age there.
+        timeout = whole_ticks("search_timeout_seconds", config.search_timeout, config.tick_duration)
         for _, events in runs:
-            entered = {}
-            for record in events:
-                if record[0] != "phase":
-                    continue
-                _, tick, rid, old, new = record
-                assert (old, new) in legal, f"illegal transition {old}->{new}"
-                if new == "searching":
-                    entered[rid] = tick
-                elif old == "searching":
-                    duration = tick - entered.pop(rid)
-                    assert duration <= slack_ticks, f"searching for {duration} ticks"
-                audited += 1
-    report(8, "phase transitions legal, searching bounded by timeout", True,
-           f"{audited} transitions audited")
+            folded = replay(events, config)
+            illegal |= folded.transitions - legal
+            too_long += sum(ticks > timeout + 1 for ticks in folded.searches)
+            searches += len(folded.searches)
+    report(8, "phase transitions legal, searching bounded by timeout",
+           not illegal and not too_long,
+           f"{searches} searches audited: {len(illegal)} illegal transitions, "
+           f"{too_long} over the timeout")

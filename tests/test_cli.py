@@ -149,27 +149,6 @@ def test_run_command_manifest_matches_summarize(tmp_path):
         assert sum(counts) == config.robot_count * config.replications
 
 
-@pytest.mark.parametrize(
-    "argv", [None, ["--preset", "set1", "--replications", "1"]], ids=["set2-event-log", "set1"]
-)
-def test_bundle_reruns_byte_for_byte_from_its_manifest(tmp_path, preset_bundle, argv):
-    # The manifest echoes the whole config, so a rerun from it writes every
-    # file again, the manifest included. Without argv, the first bundle is
-    # the session's set2 bundle, written with --event-log.
-    if argv is None:
-        first = preset_bundle("set2")
-    else:
-        first = tmp_path / "first"
-        assert main([*argv, "--output", str(first)]) == 0
-    manifest = json.loads((first / "manifest.json").read_text())
-    flags = ["--event-log"] if manifest["event_log"] else []
-    assert run_main(tmp_path, manifest["config"], *flags, out="second") == 0
-    written, rerun = bundle_files(first), bundle_files(tmp_path / "second")
-    assert sorted(rerun) == sorted(written)
-    for name, data in written.items():
-        assert rerun[name] == data, name
-
-
 @pytest.mark.parametrize("case", ["new", "empty", "nested"])
 def test_run_command_cleans_partial_output(tmp_path, monkeypatch, case):
     import foragesim.bundle as bundle

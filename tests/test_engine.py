@@ -380,24 +380,6 @@ def test_capability_gate_zero_never_carries():
     assert robot.trip_failures > 0  # it did go out and time out
 
 
-def test_trip_accounting_matches_departures():
-    config = set1_config(seed=4)
-    events = []
-    result = run_experiment(config, replication=1, emit=events.append)
-    departures = [0] * config.robot_count
-    trips = [0] * config.robot_count
-    for record in events:
-        if record[0] == "leave":
-            departures[record[2]] += 1
-        elif record[0] == "trip":
-            trips[record[2]] += 1
-    for rid in range(config.robot_count):
-        total = result.trips[rid][0] + result.trips[rid][1]
-        assert trips[rid] == total
-        # Every completed trip came from a departure; at most one trip open.
-        assert departures[rid] - trips[rid] in (0, 1)
-
-
 def test_original_run_leaves_pickup_states_untouched():
     # In ORIGINAL mode only trips move a robot's state, and only its leave
     # state: after a whole Set I replication every pickup state is initial.

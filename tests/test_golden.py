@@ -14,24 +14,24 @@ benchmark step checks the rest that it runs: seed 1 of every workload,
 
 The session's ``preset_bundle`` (``foragesim --preset NAME --replications 2
 --event-log``) for ``set2`` is the config of the record's ``set2-events``
-seed 2, written through ``--preset``;
-``test_cli.py::test_bundle_reruns_byte_for_byte_from_its_manifest`` ties it
-to a ``--config`` rerun, byte for byte. The record holds no
-ORIGINAL-mode event log, so ``GOLDEN`` keeps the digests of the session's
-``set1`` bundle's two event logs by hand. A change that alters the record or
-a digest changes simulation results and must say why. The digests assume
-this platform's libm. The event log must also agree with ``results.csv`` and
-the manifest.
+seed 2, written through ``--preset``; acceptance criterion 7 ties each
+session bundle to a ``--config`` rerun from its manifest, byte for byte.
+The record holds no ORIGINAL-mode event log, so ``GOLDEN`` keeps the
+digests of the session's ``set1`` bundle's two event logs by hand. A change
+that alters the record or a digest changes simulation results and must say
+why. The digests assume this platform's libm. The event log, folded by
+``conftest.replay``, must also agree with ``results.csv`` and the manifest.
 """
 
 import csv
 import hashlib
 import json
-from collections import defaultdict
 
 import pytest
 
-from conftest import bundle_files
+from foragesim.experiment import config_from_dict
+
+from conftest import bundle_files, replay
 
 GOLDEN = {
     "events_run000.jsonl": "be67e0e5f04493a63fa8e9657794e76aed30d808cfbc7478619d9a80f6cc7b6d",
@@ -51,22 +51,18 @@ def test_event_log_agrees_with_results_and_manifest(preset, preset_bundle):
     # A sink that drops or reorders a record fails here, not only a digest.
     out = preset_bundle(preset)
     manifest = json.loads((out / "manifest.json").read_text())
-    # Each robot's last leave probability and its trips by outcome, by
-    # (run, robot), and the deliveries by object type.
-    p1, trips, delivered = {}, defaultdict(lambda: [0, 0]), [0, 0]
-    for path in sorted(out.glob("events_run*.jsonl")):
-        run = int(path.stem.removeprefix("events_run"))
-        for kind, _, rid, *rest in map(json.loads, path.read_text().splitlines()):
-            assert kind in {"phase", "leave", "pickup", "deliver", "trip"}
-            if kind == "trip":
-                success, p1[run, rid] = rest
-                trips[run, rid][not success] += 1
-            elif kind == "deliver":
-                delivered[rest[0]] += 1
-    initial = manifest["config"]["leave_p_initial"]
+    config = config_from_dict(manifest["config"])
+    runs = [
+        replay(map(json.loads, path.read_text().splitlines()), config)
+        for path in sorted(out.glob("events_run*.jsonl"))
+    ]
+    assert len(runs) == config.replications
     with open(out / "results.csv", newline="") as fh:
         for row in csv.DictReader(fh):
-            robot = int(row["run"]), int(row["robot"])
-            assert row["final_p1"] == repr(p1.get(robot, initial))
-            assert [int(row["trip_successes"]), int(row["trip_failures"])] == trips[robot]
+            run, rid = runs[int(row["run"])], int(row["robot"])
+            assert row["final_p1"] == repr(run.p1[rid])
+            assert [int(row["trip_successes"]), int(row["trip_failures"])] == run.trips[rid]
+            # Every trip began with a departure, and at most one is still out.
+            assert run.departures[rid] - sum(run.trips[rid]) in (0, 1)
+    delivered = [sum(counts) for counts in zip(*(run.delivered for run in runs))]
     assert delivered == manifest["retrieved_totals"]
