@@ -242,6 +242,11 @@ class Simulation:
         clock.tick_index += 1
         world.check_conservation()
 
-    def run(self) -> None:
-        while self.clock.tick_index < self.config.total_ticks:
+    def advance(self, until_tick: int) -> None:
+        """Run ticks until the clock reads ``until_tick``. Nothing in a tick
+        reads the horizon, so a run stopped at tick t is the run of horizon t."""
+        while self.clock.tick_index < until_tick:
             self.tick()
+
+    def run(self) -> None:
+        self.advance(self.config.total_ticks)

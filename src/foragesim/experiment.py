@@ -1,5 +1,7 @@
 """Experiment configuration (its schema, checks and file reader), the two shipped
-presets, and the seeded single-run driver that turns a config into a RunResult."""
+presets, and the one way into a seeded replication: ``start`` seeds its stream
+and builds its world, ``Simulation.advance`` runs it to any tick, ``result_of``
+reads its RunResult, and ``run_experiment`` is the three to the horizon."""
 
 from __future__ import annotations
 
@@ -332,7 +334,9 @@ def set2_config(seed: int = 2, replications: int = 20) -> ExperimentConfig:
 PRESETS = {"set1": set1_config, "set2": set2_config}
 
 
-def _build_world(config: ExperimentConfig, rng) -> World:
+def start(config: ExperimentConfig, replication: int = 0, emit: EventSink = discard) -> Simulation:
+    """Seed one replication's stream and build its world, at tick 0."""
+    rng = random.Random(config.seed * _STREAM_STRIDE + replication)
     world = World(config=config.arena, totals=config.object_totals)
     for obj_type in ObjectType:
         for _ in range(config.object_totals[obj_type]):
@@ -359,20 +363,14 @@ def _build_world(config: ExperimentConfig, rng) -> World:
                 pickup=tuple(params.initial_state() for params in config.obj_params),
             )
         )
-    return world
+    return Simulation(config, world, rng, emit)
 
 
-def run_experiment(
-    config: ExperimentConfig, replication: int = 0, emit: EventSink = discard
-) -> RunResult:
-    """Run one seeded replication to the horizon and extract its result."""
-    rng = random.Random(config.seed * _STREAM_STRIDE + replication)
-    world = _build_world(config, rng)
-    Simulation(config, world, rng, emit).run()
-
-    robots = world.robots
+def result_of(sim: Simulation) -> RunResult:
+    """The result of ``sim`` as it stands at its clock's tick."""
+    robots = sim.world.robots
     final_pobj = None
-    if config.mode is Mode.MODIFIED:
+    if sim.config.mode is Mode.MODIFIED:
         final_pobj = (
             [r.pickup[0].p for r in robots],
             [r.pickup[1].p for r in robots],
@@ -388,3 +386,12 @@ def run_experiment(
         trips=[(sum(r.retrieved), r.trip_failures) for r in robots],
         capabilities=[r.capability for r in robots],
     )
+
+
+def run_experiment(
+    config: ExperimentConfig, replication: int = 0, emit: EventSink = discard
+) -> RunResult:
+    """Run one seeded replication to the horizon and extract its result."""
+    sim = start(config, replication, emit)
+    sim.run()
+    return result_of(sim)

@@ -1,14 +1,18 @@
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import assume, example
+from hypothesis import strategies as st
 
 from foragesim.allocation import VdrParams, VdrState, vdr_failure, vdr_success
 from foragesim.arena import RobotPhase
 from foragesim.cli import main
 from foragesim.engine import Robot
+from foragesim.experiment import PRESETS, ConfigError, config_from_dict, config_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -113,6 +117,49 @@ def replay(records, config):
             raise ValueError(f"unknown event record kind {kind!r}")
     searches.extend(config.total_ticks - tick for tick in entered.values())
     return Replay(p1, trips, delivered, departures, transitions, searches)
+
+
+@st.composite
+def drawn_configs(draw):
+    """A preset's config with each float key moved within 25% of its value, the
+    robot and object counts too, as whole numbers, and a drawn seed. The clock
+    counts whole ticks, so the horizon is 5 to 20 whole seconds and the tick,
+    which is also the leave-check period, a whole fraction of a second. Each
+    probability group keeps p_min <= p_initial <= p_max, and a draw the config
+    checks refuse is skipped."""
+    raw = config_to_dict(PRESETS[draw(st.sampled_from(sorted(PRESETS)))]())
+    for key, value in raw.items():
+        if isinstance(value, float):
+            raw[key] = value * draw(st.floats(0.75, 1.25))
+    for key in ("robot_count", "objects_type1", "objects_type2"):
+        raw[key] = draw(st.integers(round(raw[key] * 0.75), round(raw[key] * 1.25)))
+    raw["horizon_seconds"] = float(draw(st.integers(5, 20)))
+    raw["tick_duration"] = raw["leave_check_period"] = 1 / draw(st.integers(8, 13))
+    raw["seed"] = draw(st.integers(0, 2**32))
+    for prefix in ("leave", "obj1", "obj2"):
+        keys = [f"{prefix}_{name}" for name in ("p_min", "p_initial", "p_max")]
+        for key, value in zip(keys, sorted(raw[key] for key in keys)):
+            raw[key] = value
+    try:
+        config = config_from_dict(raw)
+    except ConfigError:
+        config = None
+    assume(config is not None)
+    return config
+
+
+def preset_30s(preset):
+    """The config of ``preset``, cut to 30 s."""
+    return replace(PRESETS[preset](), horizon=30.0)
+
+
+def on_presets(test):
+    """``test``, given a ``config`` and a ``replication``, with each preset cut
+    to 30 s at replications 0 and 1 as explicit examples."""
+    for name in sorted(PRESETS):
+        for replication in (0, 1):
+            test = example(config=preset_30s(name), replication=replication)(test)
+    return test
 
 
 def bundle_files(directory):

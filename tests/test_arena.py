@@ -28,10 +28,9 @@ from foragesim.arena import (
     separating_test,
     spawn_object,
 )
-from foragesim.engine import Simulation
-from foragesim.experiment import PRESETS, _build_world, run_experiment, set2_config
+from foragesim.experiment import PRESETS, result_of, run_experiment, set2_config, start
 
-from conftest import make_robot
+from conftest import drawn_configs, make_robot, on_presets, preset_30s
 
 CFG = ArenaConfig()  # declared defaults: hw=10, nest=2, radii 0.15, margin 0.05
 
@@ -333,14 +332,15 @@ def test_contact_grid_matches_linear_scan(robots, objects, operations, queries):
         check()
 
 
-def assert_same_run(monkeypatch, preset, patches):
-    """Replication 0 of ``preset``, cut to 30 s, gives the same RunResult and
-    event records with each ``(module, name, value)`` of ``patches`` set."""
-    config = replace(PRESETS[preset](), horizon=30.0)
+def assert_same_run(monkeypatch, config, patches):
+    """Replication 0 of ``config`` gives the same RunResult, event records and
+    final stream position with each ``(module, name, value)`` of ``patches`` set."""
 
     def run():
         events = []
-        return run_experiment(config, 0, events.append), events
+        sim = start(config, emit=events.append)
+        sim.run()
+        return result_of(sim), events, sim.rng.getstate()
 
     plain = run()
     for module, name, value in patches:
@@ -348,10 +348,45 @@ def assert_same_run(monkeypatch, preset, patches):
     assert run() == plain
 
 
+SCAN = [(engine, "nearest_contact", scan_nearest_contact)]
+
+
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_whole_run_grid_matches_linear_scan(monkeypatch, preset):
     # Real dynamics, beside the property test's built worlds.
-    assert_same_run(monkeypatch, preset, [(engine, "nearest_contact", scan_nearest_contact)])
+    assert_same_run(monkeypatch, preset_30s(preset), SCAN)
+
+
+@settings(max_examples=50, deadline=None)
+@given(config=drawn_configs())
+def test_drawn_run_grid_matches_linear_scan(config):
+    # The same on configs away from the presets, whose cell sides and
+    # contact distances differ.
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_same_run(monkeypatch, config, SCAN)
+
+
+# The config keys that hold a length or a length per second.
+UNIT_KEYS = (
+    "arena_half_width", "nest_radius", "robot_radius", "object_radius", "robot_speed",
+    "contact_margin",
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(config=drawn_configs(), replication=st.integers(0, 1))
+@on_presets
+def test_results_do_not_depend_on_the_unit_of_length(config, replication):
+    # Every length scaled by a power of two scales each product and
+    # comparison exactly, so no rule may read a length of its own.
+    def run(scale):
+        arena = replace(config.arena, **{k: getattr(config.arena, k) * scale for k in UNIT_KEYS})
+        records = []
+        return run_experiment(replace(config, arena=arena), replication, records.append), records
+
+    plain = run(1)
+    assert run(2) == plain
+    assert run(0.5) == plain
 
 
 def shifted(f):
@@ -372,9 +407,8 @@ SHIFTED_MATH = SimpleNamespace(
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_whole_run_holds_off_the_last_bits_of_libm(monkeypatch, preset):
-    assert_same_run(
-        monkeypatch, preset, [(engine, "math", SHIFTED_MATH), (arena, "math", SHIFTED_MATH)]
-    )
+    patches = [(engine, "math", SHIFTED_MATH), (arena, "math", SHIFTED_MATH)]
+    assert_same_run(monkeypatch, preset_30s(preset), patches)
 
 
 def scattered(seed):
@@ -590,11 +624,10 @@ def test_grids_file_each_item_under_its_block_cells():
     # each free object is filed under exactly its four cells, once each, and
     # each robot carries its own cell's key, None while STOPPING.
     config = replace(set2_config(seed=3), horizon=60.0)
-    rng = random.Random(3)
-    world = _build_world(config, rng)
     events = []
-    sim = Simulation(config, world, rng, emit=events.append)
-    for _ in range(sim.config.total_ticks):
+    sim = start(config, emit=events.append)
+    world = sim.world
+    for _ in range(config.total_ticks):
         sim.tick()
         moving = [r for r in world.robots if r.phase is not RobotPhase.STOPPING]
         assert filed_cells(world.robot_cells) == {
@@ -676,10 +709,9 @@ def test_wide_arena_grids_hold_only_cells_with_items():
     # robots and objects, and each holds at most the 4 cells of each item.
     base = set2_config(seed=3)
     config = replace(base, horizon=5.0, arena=replace(base.arena, arena_half_width=1000.0))
-    rng = random.Random(3)
-    world = _build_world(config, rng)
-    sim = Simulation(config, world, rng)
-    for _ in range(sim.config.total_ticks):
+    sim = start(config)
+    world = sim.world
+    for _ in range(config.total_ticks):
         sim.tick()
         moving = [r for r in world.robots if r.phase is not RobotPhase.STOPPING]
         assert len(world.robot_cells) <= 4 * len(moving)

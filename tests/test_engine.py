@@ -6,6 +6,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foragesim.allocation import Mode, ObjectType, vdr_failure, vdr_success
 from foragesim.arena import (
@@ -18,9 +20,9 @@ from foragesim.arena import (
     nearest_contact,
 )
 from foragesim.engine import Simulation, discard
-from foragesim.experiment import _build_world, run_experiment, set1_config
+from foragesim.experiment import result_of, run_experiment, set1_config, start
 
-from conftest import TABLE4, TABLE9, ScriptedRng, make_robot
+from conftest import TABLE4, TABLE9, ScriptedRng, drawn_configs, make_robot, on_presets
 
 # Kinematics examples below assume the declared interpretation constants:
 # speed 1 unit/s, tick 0.1 s, so one step is 0.1 units.
@@ -385,11 +387,30 @@ def test_original_run_leaves_pickup_states_untouched():
     # state: after a whole Set I replication every pickup state is initial.
     config = set1_config(seed=1)
     assert config.mode is Mode.ORIGINAL
-    rng = random.Random(1)
-    sim = Simulation(config, _build_world(config, rng), rng)
+    sim = start(config)
     sim.run()
     robots = sim.world.robots
     initial = tuple(params.initial_state() for params in config.obj_params)
     assert sum(sum(r.retrieved) for r in robots) > 0  # pickups did happen
     assert any(r.leave != config.leave_params.initial_state() for r in robots)
     assert [r.pickup for r in robots] == [initial] * config.robot_count
+
+
+@settings(max_examples=10, deadline=None)
+@given(config=drawn_configs(), replication=st.integers(0, 1))
+@on_presets
+def test_run_stopped_at_tick_t_is_the_run_of_horizon_t(config, replication):
+    # One run, advanced to a quarter, a half and all of its horizon, reads at
+    # each stop the result, the event records and the stream position of a
+    # run of that horizon: nothing in a tick reads the horizon.
+    records = []
+    sim = start(config, replication, records.append)
+    for ticks in (config.total_ticks // 4, config.total_ticks // 2, config.total_ticks):
+        sim.advance(ticks)
+        alone = []
+        shorter = start(replace(config, horizon=ticks * config.tick_duration), replication,
+                        alone.append)
+        shorter.run()
+        assert result_of(sim) == result_of(shorter)
+        assert records == alone
+        assert sim.rng.getstate() == shorter.rng.getstate()

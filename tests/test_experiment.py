@@ -1,6 +1,5 @@
 """Experiment runner tests: config validation, presets, bounds, determinism."""
 
-import random
 from dataclasses import fields, replace
 from itertools import product
 
@@ -13,12 +12,12 @@ from foragesim.experiment import (
     MAX_TICKS,
     PRESETS,
     ConfigError,
-    _build_world,
     config_from_dict,
     config_to_dict,
     run_experiment,
     set1_config,
     set2_config,
+    start,
 )
 
 LEAVE = "invalid leave_* probability parameters:"
@@ -345,7 +344,7 @@ def test_world_build_is_the_same_in_both_modes():
     # builds the same world, whatever the mode.
     config = replace(set1_config(), robot_count=4, object_totals=(3, 4))
     worlds = [
-        _build_world(replace(config, mode=mode), random.Random(7))
+        start(replace(config, mode=mode)).world
         for mode in (Mode.ORIGINAL, Mode.MODIFIED)
     ]
     original, modified = [
@@ -361,7 +360,7 @@ def test_world_build_is_the_same_in_both_modes():
 
 def test_build_world_starts_robots_at_initial_states():
     config = replace(set1_config(), robot_count=4)
-    world = _build_world(config, random.Random(7))
+    world = start(config).world
     assert [r.leave for r in world.robots] == [VdrState(0.04, 0, 0)] * 4
     pickup = (VdrState(0.075, 0, 0), VdrState(0.075, 0, 0))
     assert [r.pickup for r in world.robots] == [pickup] * 4
@@ -373,5 +372,5 @@ def test_build_world_starts_robots_inside_the_nest():
     # bounding square.
     config = replace(set1_config(), robot_count=200)
     interior = config.arena.nest_radius - config.arena.robot_radius
-    world = _build_world(config, random.Random(7))
+    world = start(config).world
     assert all(r.x * r.x + r.y * r.y <= interior * interior for r in world.robots)
