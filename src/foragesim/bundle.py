@@ -1,5 +1,5 @@
 """The output bundle: the one module that knows the output directory and
-the layout of the files written to it."""
+the layout of the files written to it and read back from it."""
 
 import csv
 import json
@@ -7,10 +7,11 @@ import os
 import signal
 import threading
 from contextlib import contextmanager, suppress
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .analysis import summarize
-from .experiment import ExperimentConfig, config_to_dict
+from .experiment import ExperimentConfig, config_from_dict, config_to_dict
 
 
 @contextmanager
@@ -75,14 +76,16 @@ def _exit_on_signal(signum, frame):
     raise SystemExit(128 + signum)  # the status a shell gives a killed process
 
 
+def event_log_name(replication: int) -> str:
+    return f"events_run{replication:03d}.jsonl"
+
+
 @contextmanager
 def open_event_log(output_dir: str, replication: int):
     """Yield the sink of one replication's event log, which writes each record
     to its file as one JSON line as the run goes, so memory does not grow."""
-    with open(
-        os.path.join(output_dir, f"events_run{replication:03d}.jsonl"), "w",
-        newline="\n", encoding="utf-8",
-    ) as fh:
+    path = os.path.join(output_dir, event_log_name(replication))
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
         def emit(record):
             fh.write(json.dumps(record) + "\n")
 
@@ -156,3 +159,25 @@ def write_bundle(output_dir: str, config: ExperimentConfig, results: list,
     }
     write_json(os.path.join(output_dir, "manifest.json"), manifest)
     return manifest
+
+
+class Bundle(NamedTuple):
+    files: dict  # every file's bytes, by name
+    manifest: dict
+    config: ExperimentConfig  # loaded from the manifest's echo
+    rows: list  # results.csv's rows, each a dict keyed by its header
+    events: Optional[list]  # each replication's records, as lists; None without the log
+
+
+def read_bundle(output_dir: str) -> Bundle:
+    """Read back the bundle written to ``output_dir``."""
+    files = {}
+    for name in sorted(os.listdir(output_dir)):
+        with open(os.path.join(output_dir, name), "rb") as fh:
+            files[name] = fh.read()
+    manifest = json.loads(files["manifest.json"])
+    config = config_from_dict(manifest["config"])
+    events = [[json.loads(line) for line in files[event_log_name(rep)].splitlines()]
+              for rep in range(config.replications)] if manifest["event_log"] else None
+    rows = csv.DictReader(files["results.csv"].decode("utf-8").splitlines())
+    return Bundle(files, manifest, config, list(rows), events)

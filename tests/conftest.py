@@ -162,11 +162,6 @@ def on_presets(test):
     return test
 
 
-def bundle_files(directory):
-    """Each file of a bundle directory, by name, as bytes."""
-    return {path.name: path.read_bytes() for path in sorted(Path(directory).iterdir())}
-
-
 @pytest.fixture(scope="session")
 def preset_bundle(tmp_path_factory):
     """A function of a preset's name that returns the directory of its

@@ -16,12 +16,11 @@ import time
 import pytest
 
 from foragesim.analysis import summarize
+from foragesim.bundle import read_bundle
 from foragesim.cli import main
-from foragesim.experiment import (
-    PRESETS, load_config, run_experiment, set1_config, set2_config, whole_ticks,
-)
+from foragesim.experiment import PRESETS, run_experiment, set1_config, set2_config, whole_ticks
 
-from conftest import TABLE4, TABLE9, apply_events, bundle_files, replay, replay_oracle
+from conftest import TABLE4, TABLE9, apply_events, replay, replay_oracle
 
 
 def report(number, description, ok, detail=""):
@@ -134,15 +133,13 @@ def test_criterion_7_determinism(tmp_path, preset_bundle):
     # session's --preset bundle again, the manifest and event logs included.
     same, compared = True, 0
     for preset in ("set1", "set2"):
-        written = preset_bundle(preset)
-        manifest = json.loads((written / "manifest.json").read_text())
+        written = read_bundle(preset_bundle(preset))
         path, rerun = tmp_path / f"{preset}.json", tmp_path / preset
-        path.write_text(json.dumps(manifest["config"]))
-        same &= load_config(str(path)) == PRESETS[preset](replications=2)
+        path.write_text(json.dumps(written.manifest["config"]))
+        same &= written.config == PRESETS[preset](replications=2)
         assert main(["--config", str(path), "--output", str(rerun), "--event-log"]) == 0
-        files = bundle_files(written)
-        same &= files == bundle_files(rerun) and len(files) >= 6
-        compared += len(files)
+        same &= written.files == read_bundle(rerun).files and len(written.files) >= 6
+        compared += len(written.files)
     report(7, "each manifest echoes its preset's config and reruns its bundle byte for byte",
            same, f"set1 and set2, {compared} files compared")
 

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foragesim.analysis import summarize
+from foragesim.bundle import event_log_name, read_bundle
 from foragesim.cli import main, run_command, write_config
 from foragesim.experiment import (
     MAX_ROBOTS,
@@ -35,7 +36,6 @@ from foragesim.experiment import (
     set2_config,
 )
 
-from conftest import bundle_files
 from test_experiment import KEEPOUT, PACKED, REFUSED, ZERO_FLOORS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -58,12 +58,6 @@ def run_main(tmp_path, source, *flags, out="out"):
     elif source is not None:
         path.write_bytes(source)
     return main(["--config", str(path), "--output", str(tmp_path / out), *flags])
-
-
-def results_rows(out):
-    """The rows of ``results.csv`` in ``out``, each a dict keyed by its header."""
-    with open(out / "results.csv", newline="") as fh:
-        return list(csv.DictReader(fh))
 
 
 # -- config parsing ---------------------------------------------------------------
@@ -109,19 +103,37 @@ def test_run_command_row_counts(tmp_path):
     config = small_config()
     out = tmp_path / "out"
     manifest = run_command(config, str(out))
-    rows = results_rows(out)
+    bundle = read_bundle(out)
+    rows = bundle.rows
     assert len(rows) == config.replications * config.robot_count
     # results.csv flags as foragers exactly the robots classification.csv lists.
-    with open(out / "classification.csv", newline="") as fh:
-        listed = {(row["run"], rid) for row in csv.DictReader(fh)
-                  for rid in row["forager_ids"].split(";") if rid}
+    classification = csv.DictReader(bundle.files["classification.csv"].decode().splitlines())
+    listed = {(row["run"], rid) for row in classification
+              for rid in row["forager_ids"].split(";") if rid}
     assert {row["forager"] for row in rows} <= {"0", "1"}
     assert {(row["run"], row["robot"]) for row in rows if row["forager"] == "1"} == listed
     assert manifest["config"]["robot_count"] == 4
-    on_disk = json.loads((out / "manifest.json").read_text())
-    assert on_disk["config"] == config_to_dict(config)
-    for name in ("p1_histogram.csv", "classification.csv", "binomial.csv", "manifest.json"):
-        assert (out / name).exists()
+    assert bundle.manifest["config"] == config_to_dict(config)
+    assert {"p1_histogram.csv", "classification.csv", "binomial.csv"} <= set(bundle.files)
+    assert bundle.events is None
+
+
+def test_read_bundle_returns_what_the_run_wrote_in_replication_order(tmp_path):
+    # 1,001 one-robot replications whose logs differ by replication: a reader
+    # that took a sorted glob would put events_run1000.jsonl at index 101.
+    base = set1_config()
+    config = replace(base, robot_count=1, object_totals=(1, 1), horizon=3.0, replications=1001,
+                     leave_params=replace(base.leave_params, p_initial=0.08))
+    out = tmp_path / "out"
+    manifest = run_command(config, str(out), event_log=True)
+    bundle = read_bundle(out)
+    assert bundle.files == {path.name: path.read_bytes() for path in out.iterdir()}
+    assert (bundle.manifest, bundle.config) == (manifest, config)
+    assert len(bundle.rows) == config.replications * config.robot_count
+    emitted = [[] for _ in range(config.replications)]
+    for rep, records in enumerate(emitted):
+        run_experiment(config, rep, emit=records.append)
+    assert bundle.events == [list(map(list, records)) for records in emitted]
 
 
 def test_run_command_zero_horizon_initial_p1(tmp_path):
@@ -129,7 +141,7 @@ def test_run_command_zero_horizon_initial_p1(tmp_path):
     config = small_config(horizon=0.0, replications=1, robot_count=MAX_ROBOTS)
     out = tmp_path / "out"
     run_command(config, str(out))
-    rows = results_rows(out)
+    rows = read_bundle(out).rows
     assert len(rows) == MAX_ROBOTS
     assert all(row["final_p1"] == repr(0.04) for row in rows)
 
@@ -138,7 +150,7 @@ def test_run_command_manifest_matches_summarize(tmp_path):
     config = replace(set2_config(), horizon=60.0, replications=2, robot_count=4)
     out = tmp_path / "out"
     run_command(config, str(out))
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = read_bundle(out).manifest
     results = [run_experiment(config, rep) for rep in range(config.replications)]
     summary = summarize(config, results)
     assert manifest["bimodality_scores"] == summary.bimodality
@@ -337,16 +349,15 @@ def test_whole_number_span_read_as_a_float(tmp_path):
 def test_whole_numbers_from_python_rerun_byte_for_byte(tmp_path):
     # A config built from Python with ints for float keys writes the bundle of
     # the same config written with floats, and reruns from its own manifest.
-    base = set1_config(replications=2)
+    base = small_config()
     ints = replace(base, leave_params=replace(base.leave_params, p_min=0, p_max=1, delta=0.02))
     floats = replace(ints, leave_params=replace(ints.leave_params, p_min=0.0, p_max=1.0))
     run_command(ints, str(tmp_path / "ints"), event_log=True)
     run_command(floats, str(tmp_path / "floats"), event_log=True)
-    manifest = json.loads((tmp_path / "ints" / "manifest.json").read_text())
-    assert run_main(tmp_path, manifest["config"], "--event-log", out="rerun") == 0
-    written = bundle_files(tmp_path / "ints")
+    written = read_bundle(tmp_path / "ints")
+    assert run_main(tmp_path, written.manifest["config"], "--event-log", out="rerun") == 0
     for other in ("rerun", "floats"):
-        assert bundle_files(tmp_path / other) == written, other
+        assert read_bundle(tmp_path / other).files == written.files, other
 
 
 def test_main_overpacked_arena_exits_2(tmp_path, capsys):
@@ -451,7 +462,7 @@ def test_run_command_runs_outside_the_main_thread(tmp_path):
     out = tmp_path / "out"
     with ThreadPoolExecutor(1) as pool:
         pool.submit(run_command, small_config(replications=1), str(out)).result()
-    assert (out / "manifest.json").exists()
+    assert read_bundle(out).config == small_config(replications=1)
 
 
 @pytest.mark.parametrize(
@@ -470,10 +481,10 @@ def test_main_refuses_non_empty_output(tmp_path, capsys, first, second):
     out.mkdir()  # an existing empty directory is fine
     (config, flags), (again, again_flags) = first, second
     assert run_main(tmp_path, config, *flags) == 0
-    before = bundle_files(out)
+    before = read_bundle(out).files
     assert run_main(tmp_path, again, *again_flags) == 2
     assert "not empty" in capsys.readouterr().err
-    assert bundle_files(out) == before
+    assert read_bundle(out).files == before
 
 
 @pytest.mark.parametrize(
@@ -498,11 +509,11 @@ def test_main_preset_with_mode_override(tmp_path, capsys):
         out = tmp_path / name
         assert main([*source, "--output", str(out), *flags]) == 0
         assert "bimodality" in capsys.readouterr().out
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["mode"] == "modified"
-        assert manifest["config"]["seed"] == 7
-        assert manifest["config"]["replications"] == 1
-        assert (out / "pobj1_histogram.csv").exists()
+        bundle = read_bundle(out)
+        assert bundle.manifest["config"]["mode"] == "modified"
+        assert bundle.manifest["config"]["seed"] == 7
+        assert bundle.manifest["config"]["replications"] == 1
+        assert "pobj1_histogram.csv" in bundle.files
 
 
 # Values a hand-edited config may hold where a number belongs.
@@ -577,9 +588,10 @@ def test_main_runs_on_the_standard_library_alone(tmp_path, preset_bundle):
     )
     assert proc.returncode == 0, proc.stderr
     # Replication 0 draws the same stream however many replications run.
-    log = (out / "events_run000.jsonl").read_bytes()
+    name = event_log_name(0)
+    log = read_bundle(out).files[name]
     assert len(log) > 0
-    assert log == (preset_bundle("set2") / "events_run000.jsonl").read_bytes()
+    assert log == read_bundle(preset_bundle("set2")).files[name]
 
 
 RUN = ["--preset", "set1", "--replications", "1"]
@@ -608,7 +620,7 @@ def test_main_with_stdout_closed_exits_0_and_keeps_the_bundle(tmp_path, flags, u
     if flags != RUN:
         assert not out.exists()
         return
-    assert sorted(p.name for p in out.iterdir()) == [
+    assert sorted(read_bundle(out).files) == [
         "binomial.csv", "classification.csv", "manifest.json", "p1_histogram.csv",
         "results.csv",
     ]
@@ -638,7 +650,7 @@ def test_main_stopped_by_a_signal_leaves_nothing(tmp_path, signum, code, err, ma
     )
     try:
         deadline = time.monotonic() + 60
-        while not (out / "events_run000.jsonl").exists():
+        while not (out / event_log_name(0)).exists():
             assert proc.poll() is None and time.monotonic() < deadline, proc.returncode
             time.sleep(0.01)
         proc.send_signal(signum)

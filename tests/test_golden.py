@@ -23,15 +23,13 @@ why. The digests assume this platform's libm. The event log, folded by
 ``conftest.replay``, must also agree with ``results.csv`` and the manifest.
 """
 
-import csv
 import hashlib
-import json
 
 import pytest
 
-from foragesim.experiment import config_from_dict
+from foragesim.bundle import read_bundle
 
-from conftest import bundle_files, replay
+from conftest import replay
 
 GOLDEN = {
     "events_run000.jsonl": "be67e0e5f04493a63fa8e9657794e76aed30d808cfbc7478619d9a80f6cc7b6d",
@@ -42,27 +40,22 @@ GOLDEN = {
 # set2's bytes are the record's, checked by the tracer test.
 @pytest.mark.parametrize("preset", ["set1"])
 def test_preset_bundle_digests(preset, preset_bundle):
-    files = bundle_files(preset_bundle(preset))
+    files = read_bundle(preset_bundle(preset)).files
     assert {name: hashlib.sha256(files[name]).hexdigest() for name in GOLDEN} == GOLDEN
 
 
 @pytest.mark.parametrize("preset", ["set1", "set2"])
 def test_event_log_agrees_with_results_and_manifest(preset, preset_bundle):
     # A sink that drops or reorders a record fails here, not only a digest.
-    out = preset_bundle(preset)
-    manifest = json.loads((out / "manifest.json").read_text())
-    config = config_from_dict(manifest["config"])
-    runs = [
-        replay(map(json.loads, path.read_text().splitlines()), config)
-        for path in sorted(out.glob("events_run*.jsonl"))
-    ]
-    assert len(runs) == config.replications
-    with open(out / "results.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            run, rid = runs[int(row["run"])], int(row["robot"])
-            assert row["final_p1"] == repr(run.p1[rid])
-            assert [int(row["trip_successes"]), int(row["trip_failures"])] == run.trips[rid]
-            # Every trip began with a departure, and at most one is still out.
-            assert run.departures[rid] - sum(run.trips[rid]) in (0, 1)
+    bundle = read_bundle(preset_bundle(preset))
+    runs = [replay(records, bundle.config) for records in bundle.events]
+    # The bundle holds no event log but those of its replications.
+    assert sum(name.endswith(".jsonl") for name in bundle.files) == len(runs)
+    for row in bundle.rows:
+        run, rid = runs[int(row["run"])], int(row["robot"])
+        assert row["final_p1"] == repr(run.p1[rid])
+        assert [int(row["trip_successes"]), int(row["trip_failures"])] == run.trips[rid]
+        # Every trip began with a departure, and at most one is still out.
+        assert run.departures[rid] - sum(run.trips[rid]) in (0, 1)
     delivered = [sum(counts) for counts in zip(*(run.delivered for run in runs))]
-    assert delivered == manifest["retrieved_totals"]
+    assert delivered == bundle.manifest["retrieved_totals"]
