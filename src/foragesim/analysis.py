@@ -1,11 +1,13 @@
 """Post-run analyses: histograms, forager/loafer classification, preference
 labels and the label each capability calls for, and the binomial comparison.
-``summarize`` computes all of them for one batch of runs."""
+``summarize`` computes all of them for one batch of runs, and ``judge`` holds
+them against the paper's claims, the rows of ``CLAIMS``."""
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from typing import NamedTuple, Optional, Sequence
 
 from .allocation import Mode
@@ -141,6 +143,14 @@ def bimodality_score(bins: Sequence[int]) -> float:
     return (bins[0] + bins[-1]) / sum(bins)
 
 
+def end_bin_shares(bins: Sequence[int]) -> tuple:
+    """The shares of the robots in the bottom and the top bin. A pile at one
+    end scores as high on ``bimodality_score`` as two peaks, one at each end;
+    the smaller of the two shares tells them apart."""
+    total = sum(bins)
+    return bins[0] / total, bins[-1] / total
+
+
 def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> Summary:
     """Classify the robots of every run of ``config`` and compute the
     histograms and bimodality scores of the final probabilities (``p1``, plus
@@ -182,3 +192,53 @@ def summarize(config: ExperimentConfig, results: Sequence[RunResult]) -> Summary
         match_rate=match_rate,
         loafer_yellow_rate=loafer_yellow_rate,
     )
+
+
+class Claim(NamedTuple):
+    """One of the paper's claims: for a batch run in one of ``modes``, the
+    ``Summary`` value at ``field`` compares to ``bound`` by ``op``. A dotted
+    field reads one entry of a dict field or one attribute of a tuple."""
+
+    criterion: int  # the acceptance criterion that judges the claim
+    modes: tuple  # the Modes whose runs make the claim
+    field: str
+    op: str  # ">=" or "<=", inclusive
+    bound: float
+
+
+# Criteria 2-5 of tests/test_acceptance.py. The modes, not the presets, key
+# the claims: Set I runs the conventional rule and Set II its modification.
+CLAIMS = (
+    Claim(2, (Mode.ORIGINAL,), "bimodality.p1", ">=", 0.6),
+    Claim(3, (Mode.MODIFIED,), "bimodality.p1", ">=", 0.5),
+    Claim(3, (Mode.MODIFIED,), "bimodality.pobj1", ">=", 0.5),
+    Claim(3, (Mode.MODIFIED,), "bimodality.pobj2", ">=", 0.5),
+    Claim(4, (Mode.ORIGINAL, Mode.MODIFIED), "binomial.tv_distance", "<=", 0.35),
+    Claim(5, (Mode.MODIFIED,), "match_rate", ">=", 0.6),
+    # A batch with no robot in the loafer region cannot show loafers go
+    # yellow: its rate is None, which fails.
+    Claim(5, (Mode.MODIFIED,), "loafer_yellow_rate", ">=", 0.5),
+)
+
+_COMPARE = {">=": operator.ge, "<=": operator.le}
+
+
+class Verdict(NamedTuple):
+    claim: Claim
+    value: Optional[float]
+    passed: bool
+
+
+def judge(summary: Summary, mode: Mode) -> list:
+    """The ``Verdict`` of each claim of ``CLAIMS`` that ``mode`` makes, in
+    table order. A claim whose value is None fails."""
+    verdicts = []
+    for claim in CLAIMS:
+        if mode not in claim.modes:
+            continue
+        value = summary
+        for part in claim.field.split("."):
+            value = value[part] if isinstance(value, dict) else getattr(value, part)
+        passed = value is not None and _COMPARE[claim.op](value, claim.bound)
+        verdicts.append(Verdict(claim, value, passed))
+    return verdicts

@@ -4,7 +4,10 @@ full 20-replication scale, the costliest setup of the suite, so the two
 fixtures are module-scoped: each preset runs once for every criterion that
 reads it.
 
-Criteria 2-5 judge the numbers ``foragesim.analysis.summarize`` computes.
+Criteria 2-5 judge the numbers ``foragesim.analysis.summarize`` computes
+through ``foragesim.analysis.judge``: each bound, and the mode whose runs
+must meet it, is a row of ``analysis.CLAIMS``, and the lines print each
+bound from its row, reading as they did when the bounds were written here.
 The bundle carries criteria 2-4's histograms, bimodality scores and binomial
 fit, but not criterion 5's match and loafer-yellow rates, which follow from
 ``results.csv``'s preference labels and capabilities."""
@@ -15,7 +18,7 @@ import time
 
 import pytest
 
-from foragesim.analysis import summarize
+from foragesim.analysis import judge, summarize
 from foragesim.bundle import read_bundle
 from foragesim.cli import main
 from foragesim.experiment import PRESETS, run_experiment, set1_config, set2_config, whole_ticks
@@ -52,15 +55,22 @@ def set2_data():
 
 
 @pytest.fixture(scope="module")
-def set1_summary(set1_data):
+def set1_verdicts(set1_data):
     config, runs = set1_data
-    return summarize(config, [result for result, _ in runs])
+    return judge(summarize(config, [result for result, _ in runs]), config.mode)
 
 
 @pytest.fixture(scope="module")
-def set2_summary(set2_data):
+def set2_verdicts(set2_data):
     config, runs = set2_data
-    return summarize(config, [result for result, _ in runs])
+    return judge(summarize(config, [result for result, _ in runs]), config.mode)
+
+
+def judged(verdicts, criterion, spec=""):
+    """The verdicts of ``criterion``'s claims, and their bounds as its line
+    prints them."""
+    chosen = [v for v in verdicts if v.claim.criterion == criterion]
+    return chosen, [f"{v.claim.op} {v.claim.bound:{spec}}" for v in chosen]
 
 
 def test_criterion_1_vdr_oracle_equivalence():
@@ -80,37 +90,34 @@ def test_criterion_1_vdr_oracle_equivalence():
            f"runtime {elapsed:.2f}s")
 
 
-def test_criterion_2_set1_bimodality(set1_summary):
-    score = set1_summary.bimodality["p1"]
-    report(2, "Set I final-P1 bimodality score >= 0.6", score >= 0.6,
-           f"score {score:.3f}")
+def test_criterion_2_set1_bimodality(set1_verdicts):
+    (score,), (bound,) = judged(set1_verdicts, 2)
+    report(2, f"Set I final-P1 bimodality score {bound}", score.passed,
+           f"score {score.value:.3f}")
 
 
-def test_criterion_3_set2_bimodality(set2_summary):
-    scores = set2_summary.bimodality
-    ok = all(s >= 0.5 for s in scores.values())
-    detail = ", ".join(f"{k} {v:.3f}" for k, v in scores.items())
-    report(3, "Set II bimodality scores all >= 0.5", ok, detail)
+def test_criterion_3_set2_bimodality(set2_verdicts):
+    scores, bounds = judged(set2_verdicts, 3)
+    (bound,) = set(bounds)  # one bound, so that "all" reads true
+    ok = all(v.passed for v in scores)
+    detail = ", ".join(f"{v.claim.field.rpartition('.')[2]} {v.value:.3f}" for v in scores)
+    report(3, f"Set II bimodality scores all {bound}", ok, detail)
 
 
-def test_criterion_4_binomial_fit(set1_summary, set2_summary):
-    distances = {
-        "set1": set1_summary.binomial.tv_distance,
-        "set2": set2_summary.binomial.tv_distance,
-    }
-    ok = all(d <= 0.35 for d in distances.values())
-    detail = ", ".join(f"{k} TV {v:.3f}" for k, v in distances.items())
-    report(4, "forager counts vs Binomial(15, p-hat), TV <= 0.35", ok, detail)
+def test_criterion_4_binomial_fit(set1_verdicts, set2_verdicts):
+    (set1,), (bound,) = judged(set1_verdicts, 4)
+    (set2,), _ = judged(set2_verdicts, 4)
+    assert set2.claim is set1.claim  # one claim of both modes
+    ok = set1.passed and set2.passed
+    detail = f"set1 TV {set1.value:.3f}, set2 TV {set2.value:.3f}"
+    report(4, f"forager counts vs Binomial(15, p-hat), TV {bound}", ok, detail)
 
 
-def test_criterion_5_preference_map(set2_summary):
-    match_rate = set2_summary.match_rate
-    yellow_rate = set2_summary.loafer_yellow_rate
-    # A batch with no robot in the loafer region cannot show loafers go yellow.
-    ok = match_rate >= 0.6 and yellow_rate is not None and yellow_rate >= 0.5
-    yellow = "none" if yellow_rate is None else f"{yellow_rate:.2f}"
-    report(5, "capability-region labels: match >= 60%, loafer-yellow >= 50%",
-           ok, f"match {match_rate:.2f}, loafer-yellow {yellow}")
+def test_criterion_5_preference_map(set2_verdicts):
+    (match, yellow), bounds = judged(set2_verdicts, 5, ".0%")
+    rate = "none" if yellow.value is None else f"{yellow.value:.2f}"
+    report(5, f"capability-region labels: match {bounds[0]}, loafer-yellow {bounds[1]}",
+           match.passed and yellow.passed, f"match {match.value:.2f}, loafer-yellow {rate}")
 
 
 def test_criterion_6_conservation(set1_data, set2_data):

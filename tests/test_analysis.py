@@ -1,21 +1,28 @@
 """Analysis pipeline tests: classification, expected labels, binomial fit,
-histograms, and the bimodality score."""
+histograms, the bimodality score and end-bin shares, and the claims' verdicts."""
 
+import math
 from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from foragesim.allocation import Mode
 from foragesim.analysis import (
+    CLAIMS,
+    BinomialComparison,
     PreferenceLabel,
+    Summary,
     bimodality_score,
     binomial_comparison,
     binomial_pmf,
     classify_foragers,
     classify_preferences,
+    end_bin_shares,
     expected_label,
     histogram,
+    judge,
     midpoint_threshold,
     summarize,
 )
@@ -223,6 +230,12 @@ def test_histogram_mass_conservation(values):
 def test_bimodality_extremes():
     assert bimodality_score([7, 0, 0, 0, 0, 0, 0, 8]) == 1.0
     assert bimodality_score([0, 0, 0, 0, 15, 0, 0, 0]) == 0.0
+    # The score cannot tell a pile at one end from two peaks; the smaller
+    # end-bin share can.
+    assert bimodality_score([0, 0, 0, 0, 0, 0, 3, 12]) == 0.8
+    assert end_bin_shares([0, 0, 0, 0, 0, 0, 3, 12]) == (0.0, 0.8)
+    assert end_bin_shares([0, 0, 0, 0, 15, 0, 0, 0]) == (0.0, 0.0)
+    assert min(end_bin_shares([6, 0, 0, 0, 0, 0, 0, 9])) == 0.4
 
 
 # -- summary ------------------------------------------------------------------------
@@ -234,3 +247,36 @@ def test_summarize_without_loafer_region_robots():
     summary = summarize(config, [make_result([0.04], ([0.1], [0.1]))])
     assert summary.loafer_yellow_rate is None
     assert summary.match_rate == 1.0
+
+
+# -- claims -------------------------------------------------------------------------
+
+
+def summary_reading(values):
+    """A Summary whose claimed fields read ``values``, keyed by claim field."""
+    scores = {f.partition(".")[2]: v for f, v in values.items() if f.startswith("bimodality.")}
+    return Summary(
+        classification=[],
+        labels=None,
+        bins={},
+        ranges={},
+        bimodality=scores,
+        binomial=BinomialComparison(0.5, [], [], values["binomial.tv_distance"]),
+        match_rate=values.get("match_rate"),
+        loafer_yellow_rate=values.get("loafer_yellow_rate"),
+    )
+
+
+def test_judge_bounds_are_inclusive_and_none_fails():
+    past = {">=": -math.inf, "<=": math.inf}
+    for mode, criteria in ((Mode.ORIGINAL, [2, 4]), (Mode.MODIFIED, [3, 3, 3, 4, 5, 5])):
+        claims = [c for c in CLAIMS if mode in c.modes]
+        at_bounds = {c.field: c.bound for c in claims}
+        verdicts = judge(summary_reading(at_bounds), mode)
+        assert [v.claim.criterion for v in verdicts] == criteria
+        assert [(v.value, v.passed) for v in verdicts] == [(c.bound, True) for c in claims]
+        # One value a float step past its bound, or missing, fails that claim alone.
+        for i, claim in enumerate(claims):
+            for value in (math.nextafter(claim.bound, past[claim.op]), None):
+                verdicts = judge(summary_reading({**at_bounds, claim.field: value}), mode)
+                assert [v.passed for v in verdicts] == [j != i for j in range(len(claims))]
