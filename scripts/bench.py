@@ -27,9 +27,10 @@ of REV in a temporary directory. The file is written at the root of this
 checkout. ``--seconds`` is each perfbench run's length: 30 by default, the
 benchmark's, and 1 in CI, which checks that the file is complete, not what
 it measures. The exit code is 2, with one line on stderr, when there is no
-commit to measure (in a ``git archive`` copy, say), and 1 when the file
-lacks a workload or metric, a run failed (it prints its last lines), a
-median differs from the value perfbench printed, or the Tier-1 suite failed.
+commit to measure (in a ``git archive`` copy, say) or ``--commit`` runs on a
+Python whose tarfile lacks the data filter, and 1 when the file lacks a
+workload or metric, a run failed (it prints its last lines), a median
+differs from the value perfbench printed, or the Tier-1 suite failed.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import sys
 import tarfile
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
@@ -136,7 +136,7 @@ def measure_workload(root: Path, run, name: str, seconds: float) -> dict:
 
 
 def sweep(run) -> list:
-    from foragesim.experiment import run_experiment
+    from foragesim.experiment import start
 
     configs = [
         run.make_config(
@@ -150,13 +150,13 @@ def sweep(run) -> list:
         for config, samples in zip(configs, rows):
             ticks = config.robot_count * config.total_ticks
             ref = run.reference_seconds()
-            start = time.perf_counter()
-            run_experiment(replace(config, horizon=0.0))
+            begin = time.perf_counter()
+            sim = start(config)
             built = time.perf_counter()
-            run_experiment(config)
-            tick_s = time.perf_counter() - built - (built - start)
+            sim.run()
+            tick_s = time.perf_counter() - built
             ref = (ref + run.reference_seconds()) / 2
-            samples.append((built - start, tick_s / ticks * 1e6, ticks * ref / tick_s))
+            samples.append((built - begin, tick_s / ticks * 1e6, ticks * ref / tick_s))
     points = []
     for config, samples in zip(configs, rows):
         point = {
@@ -235,6 +235,11 @@ def main() -> int:
     parser.add_argument("--commit", help="measure this commit instead of the working tree")
     args = parser.parse_args()
 
+    if args.commit and not hasattr(tarfile, "data_filter"):
+        # The archive is unpacked through extractall's data filter (PEP 706).
+        print("bench.py: --commit needs tarfile's data filter: Python 3.10.12, 3.11.4, "
+              "3.12 or later", file=sys.stderr)
+        return 2
     try:
         commit = git("rev-parse", args.commit or "HEAD")
     except subprocess.CalledProcessError as exc:

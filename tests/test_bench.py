@@ -1,11 +1,12 @@
 """scripts/bench.py's check of a benchmark file, on hand-built files, its
-sweep on tiny configs, and its refusal outside a git checkout: no benchmark
-runs."""
+sweep on tiny configs, and its refusals outside a git checkout and on a
+Python without tarfile's data filter: no benchmark runs."""
 
 import json
 import shutil
 import subprocess
 import sys
+import tarfile
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -127,3 +128,14 @@ def test_a_copy_outside_a_git_checkout_exits_2_with_one_line(tmp_path):
                           cwd=tmp_path, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (2, "", 1)
     assert proc.stderr.startswith("bench.py: no commit to measure in ")
+
+
+def test_commit_without_tarfiles_data_filter_exits_2_with_one_line(bench, monkeypatch, capsys):
+    # Python 3.10.0-3.10.11 and 3.11.0-3.11.3 lack it; nothing git does runs.
+    monkeypatch.delattr(tarfile, "data_filter")
+    monkeypatch.setattr(bench, "git", lambda *args: pytest.fail(f"git {args} ran"))
+    monkeypatch.setattr(sys, "argv", ["bench.py", "--commit", "HEAD"])
+    assert bench.main() == 2
+    out, err = capsys.readouterr()
+    assert (out, err.count("\n")) == ("", 1)
+    assert err.startswith("bench.py: --commit needs tarfile's data filter")

@@ -69,9 +69,8 @@ def check_tick(setup, kind, expect):
     leave probability "p1". A ``setup`` with "draws" feeds the tick exactly
     those draws; without, the tick draws from a seeded rng.
 
-    ``test_tick_steps_each_moving_robot_once`` runs it once per contact kind
-    and moving phase; the named single-tick tests script the tick's draws to
-    pin one rule exactly."""
+    ``test_tick_steps_each_moving_robot_once`` runs it over one table with a
+    row per tick rule; a row with "draws" pins its rule exactly."""
     objects = setup.get("objects", [])
     totals = [0, 0]
     for obj_type, _, _ in objects + [(setup.get("carried"), 0, 0)]:
@@ -135,84 +134,52 @@ def check_tick(setup, kind, expect):
         assert end == start
 
 
-# -- leaving the nest ------------------------------------------------------------
-# Draw 0.5 is a departure's heading, pi; the Set I search budget is 15 s.
-
-
-def test_leave_success_sets_deadline():
-    # At tick 20, 2 s in: the deadline counts from the departure.
-    check_tick(
-        {"phase": STOPPING, "p1": 0.08, "tick": 20, "draws": [0.01, 0.5]}, None,
-        {"phase": SEARCHING, "heading": math.pi, "deadline": pytest.approx(17.0),
-         "records": ["phase", "leave"]},
-    )
-
-
-def test_leave_failure_stays_stopped():
-    # One draw and no heading draw on a failed check.
-    check_tick({"phase": STOPPING, "p1": 0.002, "draws": [0.99]}, None, {"records": []})
-
-
-def test_leave_modified_assigns_task():
-    # The heading's draw comes first; the task's, 0.49, is type 1 at symmetric P_obj.
-    check_tick(
-        {"mode": Mode.MODIFIED, "phase": STOPPING, "p1": 0.08, "draws": [0.01, 0.5, 0.49]},
-        None, {"phase": SEARCHING, "heading": math.pi, "assignment": T1},
-    )
-
-
-def test_leave_check_cadence():
-    # Every 10th tick checks; an off-cadence tick makes no draw at all.
-    check_tick({"phase": STOPPING, "p1": 0.08, "period": 1.0, "tick": 5, "draws": []},
-               None, {})
-
-
-def test_leave_records_follow_check_period():
-    config = replace(set1_config(seed=3), horizon=60.0, leave_check_period=1.0)
-    events = []
-    run_experiment(config, emit=events.append)
-    ticks = [record[1] for record in events if record[0] == "leave"]
-    assert ticks and all(tick % 10 == 0 for tick in ticks)
-
-
-# -- trips ---------------------------------------------------------------------
-# A trip moves the leave state only, in both modes. A robot at (0.5, 0) is
-# home: it ends its trip where it stands.
-
-
-def test_returning_delivery_updates_and_conserves():
-    # Draws 0.9 and 0.9 spawn the replacement at (7.88, 7.88), clear of the nest.
-    for mode in Mode:
-        check_tick(
-            {"mode": mode, "phase": RETURNING, "carried": T2, "at": (0.5, 0.0),
-             "objects": [(T1, 5.0, 5.0)], "draws": [0.9, 0.9]},
-            ContactKind.NONE,
-            {"phase": STOPPING, "carried": None, "retrieved": [0, 1], "objects": [T1, T2],
-             "leave": vdr_success(LEAVE, TABLE4), "records": ["deliver", "trip", "phase"]},
-        )
-
-
-def test_returning_empty_counts_failure():
-    for mode in Mode:
-        check_tick(
-            {"mode": mode, "phase": RETURNING, "at": (0.5, 0.0),
-             "objects": [(T1, 5.0, 5.0), (T2, -5.0, 5.0)], "draws": []},
-            ContactKind.NONE,
-            {"phase": STOPPING, "trip_failures": 1, "leave": vdr_failure(LEAVE, TABLE4),
-             "records": ["trip", "phase"]},
-        )
-
-
 # -- the tick's rules --------------------------------------------------------------
+# One row per rule: README's behaviour table, row by row, and the leave check.
+# A departure's draw 0.5 is its heading, pi; the Set I search budget is 15 s.
+# A robot at (0.5, 0) is home: it ends its trip where it stands, and a trip
+# moves the leave state only, in both modes.
 
 
 @pytest.mark.parametrize(
     "setup, kind, expect",
     [
-        pytest.param({}, ContactKind.NONE, {}, id="free-step"),
-        pytest.param({"deadline": 0.0}, ContactKind.NONE, {"phase": RETURNING},
+        # At tick 20, 2 s in: the deadline counts from the departure.
+        pytest.param(
+            {"phase": STOPPING, "p1": 0.08, "tick": 20, "draws": [0.01, 0.5]}, None,
+            {"phase": SEARCHING, "heading": math.pi, "deadline": pytest.approx(17.0),
+             "records": ["phase", "leave"]},
+            id="departure",
+        ),
+        # One draw and no heading draw on a failed check.
+        pytest.param({"phase": STOPPING, "p1": 0.002, "draws": [0.99]}, None, {"records": []},
+                     id="stay"),
+        # The heading's draw comes first; the task's, 0.49, is type 1 at symmetric P_obj.
+        pytest.param(
+            {"mode": Mode.MODIFIED, "phase": STOPPING, "p1": 0.08, "draws": [0.01, 0.5, 0.49]},
+            None, {"phase": SEARCHING, "heading": math.pi, "assignment": T1},
+            id="task-assignment",
+        ),
+        # Every 10th tick checks; an off-cadence tick makes no draw at all.
+        pytest.param({"phase": STOPPING, "p1": 0.08, "period": 1.0, "tick": 5, "draws": []},
+                     None, {}, id="off-cadence-tick"),
+        # Draw 0.75 is +0.05 rad of jitter, with jitter half-width 0.1.
+        pytest.param({"draws": [0.75]}, ContactKind.NONE, {"heading": pytest.approx(0.35)},
+                     id="free-step"),
+        # Out of contact range, 0.22 from the wall, a step at heading 0.3 (draw
+        # 0.5 is zero jitter) would carry the center 0.0955 along x, past LIMIT.
+        pytest.param(
+            {"at": (ARENA.arena_half_width - 0.22, 3.0), "draws": [0.5]}, ContactKind.NONE,
+            {"heading": 0.3, "position": (LIMIT, 3.0 + 0.1 * math.sin(0.3))},
+            id="free-step-stops-at-wall",
+        ),
+        # No draw: the robot turns for home carrying nothing, where it stands.
+        pytest.param({"deadline": 0.0, "draws": []}, ContactKind.NONE, {"phase": RETURNING},
                      id="search-timeout"),
-        pytest.param({"at": INSIDE_NEST}, ContactKind.NEST, {}, id="nest-pass-through"),
+        # A robot still inside the nest passes outward: draw 0.5 is zero
+        # jitter, and no bounce redraw follows.
+        pytest.param({"at": INSIDE_NEST, "draws": [0.5]}, ContactKind.NEST, {"heading": 0.3},
+                     id="nest-pass-through"),
         # Outside it, the ring repels: draw 0.5, heading pi, points back in
         # and is redrawn; draw 0.0, heading 0, clears it.
         pytest.param(
@@ -230,18 +197,23 @@ def test_returning_empty_counts_failure():
         ),
         pytest.param({"other": (5.0 + TOUCH, 5.0)}, ContactKind.ROBOT, {"away": True},
                      id="robot-bounce"),
+        # One draw, the highest, still picks up at capability 1.0.
         pytest.param(
-            {"capability": (1.0, 1.0), "objects": [(T1, 5.0 + TOUCH, 5.0)]},
+            {"capability": (1.0, 1.0), "objects": [(T1, 5.0 + TOUCH, 5.0)], "draws": [0.999999]},
             ContactKind.OBJECT, {"phase": RETURNING, "carried": T1, "objects": []}, id="pickup",
         ),
+        # Draw 0.0, the lowest, still fails at capability 0.0; the bounce's
+        # draw 0.5, heading pi, clears the object ahead.
         pytest.param(
-            {"capability": (0.0, 0.0), "objects": [(T1, 5.0 + TOUCH, 5.0)]},
-            ContactKind.OBJECT, {"away": True}, id="failed-pickup",
+            {"capability": (0.0, 0.0), "objects": [(T1, 5.0 + TOUCH, 5.0)], "draws": [0.0, 0.5]},
+            ContactKind.OBJECT, {"heading": math.pi, "away": True}, id="failed-pickup",
         ),
+        # Capability 1.0 would make a capability draw succeed: a type not
+        # assigned is bounced off with the bounce's one draw, and no state update.
         pytest.param(
             {"mode": Mode.MODIFIED, "assignment": T1, "capability": (1.0, 1.0),
-             "objects": [(T2, 5.0 + TOUCH, 5.0)]},
-            ContactKind.OBJECT, {"away": True}, id="wrong-type-obstacle",
+             "objects": [(T2, 5.0 + TOUCH, 5.0)], "draws": [0.5]},
+            ContactKind.OBJECT, {"heading": math.pi, "away": True}, id="wrong-type-obstacle",
         ),
         # In MODIFIED mode each attempt moves the pickup state of its type.
         pytest.param(
@@ -250,102 +222,59 @@ def test_returning_empty_counts_failure():
             ContactKind.OBJECT, {"pickup": (INITIAL, vdr_failure(INITIAL, TABLE9)), "away": True},
             id="modified-failed-pickup",
         ),
-        pytest.param({"phase": RETURNING, "carried": T1, "at": (5.0, 0.0)}, ContactKind.NONE,
-                     {}, id="return-home"),
+        # No draw: heading +-pi, one step toward the origin.
         pytest.param(
-            {"phase": RETURNING, "carried": T1, "objects": [(T2, 5.0 - TOUCH, 5.0)]},
-            ContactKind.OBJECT, {}, id="edge-follow",
+            {"phase": RETURNING, "carried": T1, "at": (5.0, 0.0), "draws": []}, ContactKind.NONE,
+            {"position": pytest.approx((4.9, 0.0))}, id="return-home",
         ),
+        # An object is no obstacle to bounce off on the way home: the robot
+        # turns along its edge with no draw.
+        pytest.param(
+            {"phase": RETURNING, "carried": T1, "objects": [(T2, 5.0 - TOUCH, 5.0)], "draws": []},
+            ContactKind.OBJECT, {"heading": edge_follow_heading((5.0, 5.0), (5.0 - TOUCH, 5.0))},
+            id="edge-follow",
+        ),
+        # Two returning robots in contact both bounce, and end the tick apart.
+        pytest.param({"phase": RETURNING, "other": (5.0 - TOUCH, 5.0)}, ContactKind.ROBOT,
+                     {"away": True, "apart": True}, id="returning-robot-bounce"),
         pytest.param(
             {"phase": RETURNING, "carried": T1, "at": (0.5, 0.0)}, ContactKind.NONE,
             {"phase": STOPPING, "carried": None, "objects": [T1], "retrieved": [1, 0],
              "leave": vdr_success(LEAVE, TABLE4)},
-            id="delivery",
+            id="delivery-type1",
         ),
+        # Draws 0.9 and 0.9 spawn the replacement at (7.88, 7.88), clear of the nest.
+        *(pytest.param(
+            {"mode": mode, "phase": RETURNING, "carried": T2, "at": (0.5, 0.0),
+             "objects": [(T1, 5.0, 5.0)], "draws": [0.9, 0.9]},
+            ContactKind.NONE,
+            {"phase": STOPPING, "carried": None, "retrieved": [0, 1], "objects": [T1, T2],
+             "leave": vdr_success(LEAVE, TABLE4), "records": ["deliver", "trip", "phase"]},
+            id=f"delivery-type2-{mode.value}",
+        ) for mode in Mode),
+        *(pytest.param(
+            {"mode": mode, "phase": RETURNING, "at": (0.5, 0.0),
+             "objects": [(T1, 5.0, 5.0), (T2, -5.0, 5.0)], "draws": []},
+            ContactKind.NONE,
+            {"phase": STOPPING, "trip_failures": 1, "leave": vdr_failure(LEAVE, TABLE4),
+             "records": ["trip", "phase"]},
+            id=f"empty-trip-{mode.value}",
+        ) for mode in Mode),
     ],
 )
 def test_tick_steps_each_moving_robot_once(setup, kind, expect):
     check_tick(setup, kind, expect)
 
 
-# The rows' cases with the tick's draws scripted, each checking the one fact
-# that its rule fixes exactly.
-
-
-def test_searching_jitter_advance():
-    # Draw 0.75 is +0.05 rad of jitter, with jitter half-width 0.1.
-    check_tick({"draws": [0.75]}, ContactKind.NONE, {"heading": pytest.approx(0.35)})
-
-
-def test_free_step_stops_at_the_wall():
-    # Out of contact range, 0.22 from the wall, a step at heading 0.3 (draw
-    # 0.5 is zero jitter) would carry the center 0.0955 along x, past LIMIT.
-    start = (ARENA.arena_half_width - 0.22, 3.0)
-    check_tick({"at": start, "draws": [0.5]}, ContactKind.NONE,
-               {"heading": 0.3, "position": (LIMIT, 3.0 + 0.1 * math.sin(0.3))})
-
-
-def test_searching_timeout_returns_empty():
-    # No draw: the robot turns for home carrying nothing, where it stands.
-    check_tick({"deadline": 0.0, "draws": []}, ContactKind.NONE,
-               {"phase": RETURNING, "carried": None})
-
-
-def test_searching_inside_nest_passes_outward():
-    # A robot still inside the nest passes outward: draw 0.5 is zero jitter,
-    # and no bounce redraw follows.
-    check_tick({"at": INSIDE_NEST, "draws": [0.5]}, ContactKind.NEST, {"heading": 0.3})
-
-
-def test_pickup_certain_capability_succeeds():
-    # One draw, the highest, still picks up at capability 1.0.
-    check_tick(
-        {"capability": (1.0, 1.0), "objects": [(T1, 5.0 + TOUCH, 5.0)], "draws": [0.999999]},
-        ContactKind.OBJECT, {"phase": RETURNING, "carried": T1, "objects": []},
-    )
-
-
-def test_pickup_zero_capability_bounces():
-    # Draw 0.0, the lowest, still fails at capability 0.0; the bounce's draw
-    # 0.5, heading pi, clears the object ahead.
-    check_tick(
-        {"capability": (0.0, 0.0), "objects": [(T2, 5.0 + TOUCH, 5.0)], "draws": [0.0, 0.5]},
-        ContactKind.OBJECT, {"heading": math.pi, "away": True},
-    )
-
-
-def test_modified_wrong_type_is_plain_obstacle():
-    # Capability 1.0 would make a capability draw succeed: a type not
-    # assigned is bounced off with the bounce's one draw, and no state update.
-    check_tick(
-        {"mode": Mode.MODIFIED, "assignment": T1, "capability": (1.0, 1.0),
-         "objects": [(T2, 5.0 + TOUCH, 5.0)], "draws": [0.5]},
-        ContactKind.OBJECT, {"heading": math.pi, "away": True},
-    )
-
-
-def test_returning_homes_on_origin():
-    # No draw: heading +-pi, one step toward the origin.
-    check_tick({"phase": RETURNING, "carried": T1, "at": (5.0, 0.0), "draws": []},
-               ContactKind.NONE, {"position": pytest.approx((4.9, 0.0))})
-
-
-def test_returning_edge_follows_object():
-    # An object is no obstacle to bounce off on the way home: the robot
-    # turns along its edge with no draw.
-    check_tick(
-        {"phase": RETURNING, "carried": T1, "objects": [(T2, 5.0 - TOUCH, 5.0)], "draws": []},
-        ContactKind.OBJECT, {"heading": edge_follow_heading((5.0, 5.0), (5.0 - TOUCH, 5.0))},
-    )
-
-
-def test_returning_robot_contact_separates():
-    # Two returning robots in contact both bounce, and end the tick apart.
-    check_tick({"phase": RETURNING, "other": (5.0 - TOUCH, 5.0)}, ContactKind.ROBOT,
-               {"away": True, "apart": True})
-
-
 # -- tick loop ----------------------------------------------------------------------
+
+
+def test_leave_records_follow_check_period():
+    config = replace(set1_config(seed=3), horizon=60.0, leave_check_period=1.0)
+    events = []
+    run_experiment(config, emit=events.append)
+    ticks = [record[1] for record in events if record[0] == "leave"]
+    assert ticks and all(tick % 10 == 0 for tick in ticks)
 
 
 def test_tick_fixed_point_when_all_draws_fail():
