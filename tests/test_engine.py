@@ -70,7 +70,9 @@ def check_tick(setup, kind, expect):
     those draws; without, the tick draws from a seeded rng.
 
     ``test_tick_steps_each_moving_robot_once`` runs it over one table with a
-    row per tick rule; a row with "draws" pins its rule exactly."""
+    row per tick rule; a row with "draws" pins its rule exactly. The eight
+    named tests after the table repeat eight rows that draw from the seeded
+    rng with the tick's draws scripted, to pin those rules exactly."""
     objects = setup.get("objects", [])
     totals = [0, 0]
     for obj_type, _, _ in objects + [(setup.get("carried"), 0, 0)]:
@@ -163,9 +165,7 @@ def check_tick(setup, kind, expect):
         # Every 10th tick checks; an off-cadence tick makes no draw at all.
         pytest.param({"phase": STOPPING, "p1": 0.08, "period": 1.0, "tick": 5, "draws": []},
                      None, {}, id="off-cadence-tick"),
-        # Draw 0.75 is +0.05 rad of jitter, with jitter half-width 0.1.
-        pytest.param({"draws": [0.75]}, ContactKind.NONE, {"heading": pytest.approx(0.35)},
-                     id="free-step"),
+        pytest.param({}, ContactKind.NONE, {}, id="free-step"),
         # Out of contact range, 0.22 from the wall, a step at heading 0.3 (draw
         # 0.5 is zero jitter) would carry the center 0.0955 along x, past LIMIT.
         pytest.param(
@@ -173,13 +173,9 @@ def check_tick(setup, kind, expect):
             {"heading": 0.3, "position": (LIMIT, 3.0 + 0.1 * math.sin(0.3))},
             id="free-step-stops-at-wall",
         ),
-        # No draw: the robot turns for home carrying nothing, where it stands.
-        pytest.param({"deadline": 0.0, "draws": []}, ContactKind.NONE, {"phase": RETURNING},
+        pytest.param({"deadline": 0.0}, ContactKind.NONE, {"phase": RETURNING},
                      id="search-timeout"),
-        # A robot still inside the nest passes outward: draw 0.5 is zero
-        # jitter, and no bounce redraw follows.
-        pytest.param({"at": INSIDE_NEST, "draws": [0.5]}, ContactKind.NEST, {"heading": 0.3},
-                     id="nest-pass-through"),
+        pytest.param({"at": INSIDE_NEST}, ContactKind.NEST, {}, id="nest-pass-through"),
         # Outside it, the ring repels: draw 0.5, heading pi, points back in
         # and is redrawn; draw 0.0, heading 0, clears it.
         pytest.param(
@@ -197,23 +193,18 @@ def check_tick(setup, kind, expect):
         ),
         pytest.param({"other": (5.0 + TOUCH, 5.0)}, ContactKind.ROBOT, {"away": True},
                      id="robot-bounce"),
-        # One draw, the highest, still picks up at capability 1.0.
         pytest.param(
-            {"capability": (1.0, 1.0), "objects": [(T1, 5.0 + TOUCH, 5.0)], "draws": [0.999999]},
+            {"capability": (1.0, 1.0), "objects": [(T1, 5.0 + TOUCH, 5.0)]},
             ContactKind.OBJECT, {"phase": RETURNING, "carried": T1, "objects": []}, id="pickup",
         ),
-        # Draw 0.0, the lowest, still fails at capability 0.0; the bounce's
-        # draw 0.5, heading pi, clears the object ahead.
         pytest.param(
-            {"capability": (0.0, 0.0), "objects": [(T1, 5.0 + TOUCH, 5.0)], "draws": [0.0, 0.5]},
-            ContactKind.OBJECT, {"heading": math.pi, "away": True}, id="failed-pickup",
+            {"capability": (0.0, 0.0), "objects": [(T1, 5.0 + TOUCH, 5.0)]},
+            ContactKind.OBJECT, {"away": True}, id="failed-pickup",
         ),
-        # Capability 1.0 would make a capability draw succeed: a type not
-        # assigned is bounced off with the bounce's one draw, and no state update.
         pytest.param(
             {"mode": Mode.MODIFIED, "assignment": T1, "capability": (1.0, 1.0),
-             "objects": [(T2, 5.0 + TOUCH, 5.0)], "draws": [0.5]},
-            ContactKind.OBJECT, {"heading": math.pi, "away": True}, id="wrong-type-obstacle",
+             "objects": [(T2, 5.0 + TOUCH, 5.0)]},
+            ContactKind.OBJECT, {"away": True}, id="wrong-type-obstacle",
         ),
         # In MODIFIED mode each attempt moves the pickup state of its type.
         pytest.param(
@@ -222,17 +213,11 @@ def check_tick(setup, kind, expect):
             ContactKind.OBJECT, {"pickup": (INITIAL, vdr_failure(INITIAL, TABLE9)), "away": True},
             id="modified-failed-pickup",
         ),
-        # No draw: heading +-pi, one step toward the origin.
+        pytest.param({"phase": RETURNING, "carried": T1, "at": (5.0, 0.0)}, ContactKind.NONE,
+                     {}, id="return-home"),
         pytest.param(
-            {"phase": RETURNING, "carried": T1, "at": (5.0, 0.0), "draws": []}, ContactKind.NONE,
-            {"position": pytest.approx((4.9, 0.0))}, id="return-home",
-        ),
-        # An object is no obstacle to bounce off on the way home: the robot
-        # turns along its edge with no draw.
-        pytest.param(
-            {"phase": RETURNING, "carried": T1, "objects": [(T2, 5.0 - TOUCH, 5.0)], "draws": []},
-            ContactKind.OBJECT, {"heading": edge_follow_heading((5.0, 5.0), (5.0 - TOUCH, 5.0))},
-            id="edge-follow",
+            {"phase": RETURNING, "carried": T1, "objects": [(T2, 5.0 - TOUCH, 5.0)]},
+            ContactKind.OBJECT, {}, id="edge-follow",
         ),
         # Two returning robots in contact both bounce, and end the tick apart.
         pytest.param({"phase": RETURNING, "other": (5.0 - TOUCH, 5.0)}, ContactKind.ROBOT,
@@ -264,6 +249,69 @@ def check_tick(setup, kind, expect):
 )
 def test_tick_steps_each_moving_robot_once(setup, kind, expect):
     check_tick(setup, kind, expect)
+
+
+# Eight rows' cases with the tick's draws scripted, each checking the one fact
+# that its rule fixes exactly.
+
+
+def test_searching_jitter_advance():
+    # Draw 0.75 is +0.05 rad of jitter, with jitter half-width 0.1.
+    check_tick({"draws": [0.75]}, ContactKind.NONE, {"heading": pytest.approx(0.35)})
+
+
+def test_searching_timeout_returns_empty():
+    # No draw: the robot turns for home carrying nothing, where it stands.
+    check_tick({"deadline": 0.0, "draws": []}, ContactKind.NONE,
+               {"phase": RETURNING, "carried": None})
+
+
+def test_searching_inside_nest_passes_outward():
+    # A robot still inside the nest passes outward: draw 0.5 is zero jitter,
+    # and no bounce redraw follows.
+    check_tick({"at": INSIDE_NEST, "draws": [0.5]}, ContactKind.NEST, {"heading": 0.3})
+
+
+def test_pickup_certain_capability_succeeds():
+    # One draw, the highest, still picks up at capability 1.0.
+    check_tick(
+        {"capability": (1.0, 1.0), "objects": [(T1, 5.0 + TOUCH, 5.0)], "draws": [0.999999]},
+        ContactKind.OBJECT, {"phase": RETURNING, "carried": T1, "objects": []},
+    )
+
+
+def test_pickup_zero_capability_bounces():
+    # Draw 0.0, the lowest, still fails at capability 0.0; the bounce's draw
+    # 0.5, heading pi, clears the object ahead.
+    check_tick(
+        {"capability": (0.0, 0.0), "objects": [(T2, 5.0 + TOUCH, 5.0)], "draws": [0.0, 0.5]},
+        ContactKind.OBJECT, {"heading": math.pi, "away": True},
+    )
+
+
+def test_modified_wrong_type_is_plain_obstacle():
+    # Capability 1.0 would make a capability draw succeed: a type not
+    # assigned is bounced off with the bounce's one draw, and no state update.
+    check_tick(
+        {"mode": Mode.MODIFIED, "assignment": T1, "capability": (1.0, 1.0),
+         "objects": [(T2, 5.0 + TOUCH, 5.0)], "draws": [0.5]},
+        ContactKind.OBJECT, {"heading": math.pi, "away": True},
+    )
+
+
+def test_returning_homes_on_origin():
+    # No draw: heading +-pi, one step toward the origin.
+    check_tick({"phase": RETURNING, "carried": T1, "at": (5.0, 0.0), "draws": []},
+               ContactKind.NONE, {"position": pytest.approx((4.9, 0.0))})
+
+
+def test_returning_edge_follows_object():
+    # An object is no obstacle to bounce off on the way home: the robot
+    # turns along its edge with no draw.
+    check_tick(
+        {"phase": RETURNING, "carried": T1, "objects": [(T2, 5.0 - TOUCH, 5.0)], "draws": []},
+        ContactKind.OBJECT, {"heading": edge_follow_heading((5.0, 5.0), (5.0 - TOUCH, 5.0))},
+    )
 
 
 # -- tick loop ----------------------------------------------------------------------
